@@ -587,3 +587,46 @@ func TestReRankingOption(t *testing.T) {
 	}
 	eng.Stats() // ReRanks is a valid field whether or not one fired
 }
+
+// Out-of-range ids answer "no cycle" on every index form — sharded,
+// monolithic, and a monolithic index reloaded from its v1 file — through
+// both the plain and the bounded read, instead of panicking.
+func TestOutOfRangeReads(t *testing.T) {
+	const n = 4
+	build := func(opts ...Option) *Index {
+		g, _ := GraphFromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+		return BuildIndex(g, opts...)
+	}
+	v1 := func() *Index {
+		var buf bytes.Buffer
+		if _, err := build(WithMonolithic()).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(buf.Bytes(), []byte("CSCIDX01")) {
+			t.Fatalf("monolithic index wrote %q, want the v1 format", buf.Bytes()[:8])
+		}
+		idx, err := ReadIndex(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	forms := map[string]*Index{
+		"sharded":    build(),
+		"monolithic": build(WithMonolithic()),
+		"v1":         v1(),
+	}
+	for name, idx := range forms {
+		if r := idx.CycleCount(0); !r.Exists || r.Length != 3 {
+			t.Fatalf("%s: CycleCount(0) = %+v, want the triangle", name, r)
+		}
+		for _, v := range []int{-1, n, n + 95} {
+			if r := idx.CycleCount(v); r.Exists {
+				t.Fatalf("%s: CycleCount(%d) = %+v, want no cycle", name, v, r)
+			}
+			if r := idx.CycleCountBounded(v, 10); r.Exists {
+				t.Fatalf("%s: CycleCountBounded(%d, 10) = %+v, want no cycle", name, v, r)
+			}
+		}
+	}
+}

@@ -242,33 +242,44 @@ func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 
 // CycleCount answers SCCnt(v): the length of the shortest cycles through v
 // in the original graph and their number, or (bfscount.NoCycle, 0) when v
-// lies on no cycle. The evaluation is a single merge-join of Lout(v_out)
-// and Lin(v_in) (§IV-D); the Gb distance d maps to cycle length (d+1)/2.
+// lies on no cycle or is out of range. The evaluation is a single
+// merge-join of Lout(v_out) and Lin(v_in) (§IV-D); the Gb distance d maps
+// to cycle length (d+1)/2.
 func (x *Index) CycleCount(v int) (length int, count uint64) {
-	d, c := x.eng.CountPaths(bipartite.OutVertex(v), bipartite.InVertex(v))
-	if d == pll.Unreachable {
-		return bfscount.NoCycle, 0
-	}
-	return bipartite.CycleLength(d), c
+	return x.read(v, 0, false)
 }
 
 // CycleCountBounded is CycleCount restricted to cycle lengths ≤ maxLen:
 // it answers exactly like CycleCount when the shortest cycles through v
 // are that short, and (bfscount.NoCycle, 0) otherwise, via the bounded
-// join kernel (over-bound hub pairs never enter the count arithmetic). A
-// cycle of length L is a Gb path of length 2L-1.
+// join (over-bound hub pairs never enter the count arithmetic).
 func (x *Index) CycleCountBounded(v, maxLen int) (length int, count uint64) {
-	if maxLen < 2 { // no directed cycle is shorter than 2
+	return x.read(v, maxLen, true)
+}
+
+// read is the one SCCnt evaluation behind CycleCount and
+// CycleCountBounded. Unbounded reads go through CountPaths, which feeds
+// the re-ranker's hub hit counters; bounded ones through
+// CountPathsBounded, which does not.
+func (x *Index) read(v, maxLen int, bounded bool) (length int, count uint64) {
+	// Out-of-range ids lie on no cycle, and no cycle is shorter than 2.
+	if v < 0 || v >= x.g.NumVertices() || bounded && maxLen < 2 {
 		return bfscount.NoCycle, 0
 	}
-	// Any representable Gb distance is < bitpack.MaxDist (the unreachable
-	// sentinel), so bounds at or past it are effectively unbounded — and
-	// clamping keeps a huge client-supplied maxLen from overflowing the
-	// 2L-1 mapping into a negative bound.
-	if maxLen > (bitpack.MaxDist+1)/2 {
-		maxLen = (bitpack.MaxDist + 1) / 2
+	s, t := bipartite.OutVertex(v), bipartite.InVertex(v)
+	var d int
+	var c uint64
+	if bounded {
+		// A cycle of length L is a Gb path of length 2L-1. Any
+		// representable Gb distance is < bitpack.MaxDist (the unreachable
+		// sentinel), so bounds at or past it are effectively unbounded —
+		// and clamping keeps a huge client-supplied maxLen from
+		// overflowing the mapping into a negative bound.
+		maxLen = min(maxLen, (bitpack.MaxDist+1)/2)
+		d, c = x.eng.CountPathsBounded(s, t, 2*maxLen-1)
+	} else {
+		d, c = x.eng.CountPaths(s, t)
 	}
-	d, c := x.eng.CountPathsBounded(bipartite.OutVertex(v), bipartite.InVertex(v), 2*maxLen-1)
 	if d == pll.Unreachable {
 		return bfscount.NoCycle, 0
 	}

@@ -40,7 +40,7 @@ func Reduce(x *Index) *Compact {
 
 // CycleCount answers SCCnt(v) from the compact store.
 func (c *Compact) CycleCount(v int) (length int, count uint64) {
-	d, cnt := label.Join(&c.out[v], &c.in[v])
+	d, cnt, _ := label.Join(&c.out[v], &c.in[v], label.Unreachable)
 	if d == pll.Unreachable {
 		return bfscount.NoCycle, 0
 	}

@@ -183,28 +183,21 @@ func (x *Sharded) stats() pll.BuildStats {
 // CycleCount answers SCCnt(v). Vertices in trivial components — and
 // out-of-range ids — report no cycle without touching any labels.
 func (x *Sharded) CycleCount(v int) (length int, count uint64) {
-	if v < 0 || v >= len(x.shardOf) {
-		return bfscount.NoCycle, 0
-	}
-	s := x.shardOf[v]
-	if s < 0 {
-		return bfscount.NoCycle, 0
-	}
-	return x.shards[s].idx.CycleCount(int(x.localID[v]))
+	return x.read(v, 0, false)
 }
 
 // CycleCountBounded is CycleCount restricted to cycle lengths ≤ maxLen
-// (same contract as Index.CycleCountBounded). Trivial-component vertices
-// short-circuit without touching any labels.
+// (same contract as Index.CycleCountBounded).
 func (x *Sharded) CycleCountBounded(v, maxLen int) (length int, count uint64) {
-	if v < 0 || v >= len(x.shardOf) {
+	return x.read(v, maxLen, true)
+}
+
+// read routes one read to v's shard (Index.read has the contract).
+func (x *Sharded) read(v, maxLen int, bounded bool) (length int, count uint64) {
+	if v < 0 || v >= len(x.shardOf) || x.shardOf[v] < 0 {
 		return bfscount.NoCycle, 0
 	}
-	s := x.shardOf[v]
-	if s < 0 {
-		return bfscount.NoCycle, 0
-	}
-	return x.shards[s].idx.CycleCountBounded(int(x.localID[v]), maxLen)
+	return x.shards[x.shardOf[v]].idx.read(int(x.localID[v]), maxLen, bounded)
 }
 
 // CycleCountAll evaluates SCCnt for every vertex (same contract as

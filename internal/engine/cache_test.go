@@ -177,26 +177,6 @@ func TestCycleCountBounded(t *testing.T) {
 	}
 }
 
-// CycleCountMany must match per-vertex reads, including out-of-range
-// slots, and reuse the caller's buffers without allocating.
-func TestCycleCountMany(t *testing.T) {
-	g := testgraphs.ManySmallSCC(5, 4, 6, 4)
-	n := g.NumVertices()
-	ex, _ := csc.BuildSharded(g, csc.Options{Workers: 1})
-	e := New(ex, Options{FlushInterval: -1})
-	defer e.Close()
-	vs := []int{-1, 0, 3, n - 1, n, 7, 3}
-	lens := make([]int, len(vs))
-	cnts := make([]uint64, len(vs))
-	e.CycleCountMany(vs, lens, cnts)
-	for i, v := range vs {
-		wl, wc := e.CycleCount(v)
-		if lens[i] != wl || cnts[i] != wc {
-			t.Fatalf("vs[%d]=%d: many (%d,%d), single (%d,%d)", i, v, lens[i], cnts[i], wl, wc)
-		}
-	}
-}
-
 // The top-k watch reads through the cache without inflating the client
 // stats: Queries/CacheHits stay zero across the warm pass and hook
 // rescores, yet the warm pass fills the cache so the very first client

@@ -10,10 +10,12 @@
 //
 // Reads enter cheap epochs by read-locking one shard of a cache-line
 // padded striped RWMutex (stripe.go); the writer's grace period locks
-// every shard. Consumers that must follow updates (the top-k monitor)
-// ride the post-batch hook: it runs on the writer goroutine after the
-// grace period ends, so it reads a quiescent index without blocking
-// readers.
+// every shard. Every read — plain, bounded, context-bounded, and the
+// monitor's — is one private read that probes the epoch-tagged result
+// cache (cache.go) before it runs the index's join. Consumers that must
+// follow updates (the top-k monitor) ride the post-batch hook: it runs on
+// the writer goroutine after the grace period ends, so it reads a
+// quiescent index without blocking readers.
 package engine
 
 import (
@@ -504,48 +506,7 @@ func (e *Engine) clearErr() {
 // the label join entirely; a miss computes and refills inside the same
 // epoch.
 func (e *Engine) CycleCount(v int) (length int, count uint64) {
-	return e.read(v, true)
-}
-
-// read is the one cached epoch read behind every CycleCount variant —
-// client-facing (counted) and the monitor's internal reads (uncounted)
-// share the bounds check, stripe lock discipline, and cache protocol.
-func (e *Engine) read(v int, counted bool) (length int, count uint64) {
-	if v < 0 || v >= e.n {
-		return bfscount.NoCycle, 0
-	}
-	if counted {
-		e.queries[uint32(v)&e.lock.mask].n.Add(1)
-	}
-	m := e.lock.rlock(uint32(v))
-	length, count = e.readCached(v, counted)
-	m.RUnlock()
-	return length, count
-}
-
-// readCached is the cached read of one vertex. The caller must hold v's
-// stripe read-lock. counted selects whether a hit lands in the client
-// hit counter — the monitor's internal reads pass false so /stats
-// describes client traffic only.
-func (e *Engine) readCached(v int, counted bool) (length int, count uint64) {
-	if e.cache != nil {
-		if l, c, ok := e.cache.get(v); ok {
-			if counted {
-				e.hits[uint32(v)&e.lock.mask].n.Add(1)
-			}
-			return l, c
-		}
-	}
-	if e.joinNS != nil {
-		t0 := time.Now()
-		length, count = e.ix.CycleCount(v)
-		e.joinNS.ObserveSince(t0)
-	} else {
-		length, count = e.ix.CycleCount(v)
-	}
-	if e.cache != nil {
-		e.cache.put(v, e.seq.Load(), length, count)
-	}
+	length, count, _ = e.read(context.TODO(), v, unbounded, true)
 	return length, count
 }
 
@@ -554,91 +515,82 @@ func (e *Engine) readCached(v int, counted bool) (length int, count uint64) {
 // lockAll open indefinitely) gives up with ctx.Err() when its deadline
 // passes. The no-cycle sentinel is returned alongside the error.
 func (e *Engine) CycleCountCtx(ctx context.Context, v int) (length int, count uint64, err error) {
-	if v < 0 || v >= e.n {
-		return bfscount.NoCycle, 0, nil
-	}
-	e.queries[uint32(v)&e.lock.mask].n.Add(1)
-	m, err := e.lock.rlockCtx(ctx, uint32(v))
-	if err != nil {
-		return bfscount.NoCycle, 0, err
-	}
-	length, count = e.readCached(v, true)
-	m.RUnlock()
-	return length, count, nil
+	return e.read(ctx, v, unbounded, true)
 }
 
 // CycleCountBounded answers SCCnt(v) restricted to cycle lengths ≤
 // maxLen, concurrently with updates. A valid cached answer is filtered
-// against the bound in O(1); a miss runs the bounded join kernel without
-// filling the cache (the bounded answer is partial information).
+// against the bound in O(1); a miss runs the bounded join without filling
+// the cache (the bounded answer is partial information).
 func (e *Engine) CycleCountBounded(v, maxLen int) (length int, count uint64) {
-	if v < 0 || v >= e.n {
-		return bfscount.NoCycle, 0
-	}
-	e.queries[uint32(v)&e.lock.mask].n.Add(1)
-	m := e.lock.rlock(uint32(v))
-	defer m.RUnlock()
-	if e.cache != nil {
-		if l, c, ok := e.cache.get(v); ok {
-			e.hits[uint32(v)&e.lock.mask].n.Add(1)
-			if l == bfscount.NoCycle || l > maxLen {
-				return bfscount.NoCycle, 0
-			}
-			return l, c
-		}
-	}
-	if e.boundedNS != nil {
-		t0 := time.Now()
-		length, count = e.ix.CycleCountBounded(v, maxLen)
-		e.boundedNS.ObserveSince(t0)
-		return length, count
-	}
-	return e.ix.CycleCountBounded(v, maxLen)
+	length, count, _ = e.read(context.TODO(), v, max(maxLen, 0), true)
+	return length, count
 }
 
 // CycleCountBoundedCtx is CycleCountBounded bounded by a context — the
 // same wedged-writer escape hatch as CycleCountCtx.
 func (e *Engine) CycleCountBoundedCtx(ctx context.Context, v, maxLen int) (length int, count uint64, err error) {
+	return e.read(ctx, v, max(maxLen, 0), true)
+}
+
+// unbounded is read's maxLen for a full SCCnt read. Bounded callers clamp
+// their maxLen to ≥ 0 first, which changes no answer: no cycle is
+// shorter than 2.
+const unbounded = -1
+
+// read is the one cached epoch read behind every public CycleCount variant
+// and the monitor's watchQuerier. It range-checks v, counts the query,
+// enters v's reader epoch (giving up with ctx.Err() only when ctx can be
+// cancelled), and serves a cache hit — filtered against maxLen for a
+// bounded read — in O(1). A miss runs the index's join, timed into the
+// join or bounded histogram, and an unbounded miss refills the slot
+// inside the same epoch. counted selects whether the read lands in the
+// client query/hit counters: the monitor's internal reads pass false so
+// /stats describes client traffic only.
+func (e *Engine) read(ctx context.Context, v, maxLen int, counted bool) (length int, count uint64, err error) {
 	if v < 0 || v >= e.n {
 		return bfscount.NoCycle, 0, nil
 	}
-	e.queries[uint32(v)&e.lock.mask].n.Add(1)
-	m, err := e.lock.rlockCtx(ctx, uint32(v))
-	if err != nil {
+	stripe, bounded := uint32(v)&e.lock.mask, maxLen != unbounded
+	if counted {
+		e.queries[stripe].n.Add(1)
+	}
+	var m *sync.RWMutex
+	if ctx.Done() == nil {
+		m = e.lock.rlock(uint32(v))
+	} else if m, err = e.lock.rlockCtx(ctx, uint32(v)); err != nil {
 		return bfscount.NoCycle, 0, err
 	}
 	defer m.RUnlock()
 	if e.cache != nil {
 		if l, c, ok := e.cache.get(v); ok {
-			e.hits[uint32(v)&e.lock.mask].n.Add(1)
-			if l == bfscount.NoCycle || l > maxLen {
+			if counted {
+				e.hits[stripe].n.Add(1)
+			}
+			if bounded && (l == bfscount.NoCycle || l > maxLen) {
 				return bfscount.NoCycle, 0, nil
 			}
 			return l, c, nil
 		}
 	}
-	if e.boundedNS != nil {
-		t0 := time.Now()
+	hist := e.joinNS
+	if bounded {
+		hist = e.boundedNS
+	}
+	var t0 time.Time
+	if hist != nil {
+		t0 = time.Now()
+	}
+	if bounded {
 		length, count = e.ix.CycleCountBounded(v, maxLen)
-		e.boundedNS.ObserveSince(t0)
-		return length, count, nil
+	} else {
+		length, count = e.ix.CycleCount(v)
 	}
-	length, count = e.ix.CycleCountBounded(v, maxLen)
+	hist.ObserveSince(t0)
+	if !bounded && e.cache != nil {
+		e.cache.put(v, e.seq.Load(), length, count)
+	}
 	return length, count, nil
-}
-
-// CycleCountMany evaluates SCCnt for every vertex of vs into the caller's
-// buffers (vs[i]'s answer lands in lengths[i] and counts[i]), each read
-// inside its own reader epoch through the cache. Out-of-range vertices
-// report no cycle. This is the *client-facing* batch read: every vertex
-// counts toward the Queries/CacheHits stats. The top-k monitor's rescore
-// passes and warm scans use the same read protocol through the internal
-// uncounted watchQuerier instead, so /stats keeps describing client
-// traffic only.
-func (e *Engine) CycleCountMany(vs []int, lengths []int, counts []uint64) {
-	for i, v := range vs {
-		lengths[i], counts[i] = e.read(v, true)
-	}
 }
 
 // watchQuerier is the monitor's view of the engine: the same cached,
@@ -652,12 +604,13 @@ type watchQuerier struct{ e *Engine }
 func (q watchQuerier) NumVertices() int { return q.e.n }
 
 func (q watchQuerier) CycleCount(v int) (length int, count uint64) {
-	return q.e.read(v, false)
+	length, count, _ = q.e.read(context.TODO(), v, unbounded, false)
+	return length, count
 }
 
 func (q watchQuerier) CycleCountMany(vs []int, lengths []int, counts []uint64) {
 	for i, v := range vs {
-		lengths[i], counts[i] = q.e.read(v, false)
+		lengths[i], counts[i] = q.CycleCount(v)
 	}
 }
 

@@ -23,9 +23,10 @@ func entriesEqual(t *testing.T, tag string, got, want []bitpack.Entry) {
 	}
 }
 
-// Frozen lists must answer byte-identically to their mutable originals
-// across every kernel variant and every form mix (frozen×frozen,
-// frozen×mutable, mutable×frozen), including the bloom-screened pairs.
+// Frozen lists must answer byte-identically to their mutable originals —
+// distance, count and hub, at every bound — in every form mix
+// (frozen×frozen, frozen×mutable, mutable×frozen). The hub space is wide
+// so many pairs share no hub and are rejected by the bloom screen.
 func TestFrozenJoinMatchesMutable(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	shapes := [][2]int{
@@ -40,29 +41,21 @@ func TestFrozenJoinMatchesMutable(t *testing.T) {
 		ie := randList(r, shape[1], hubSpace, 30)
 
 		mo, mi := listOf(oe), listOf(ie)
-		fo, fi := listOf(oe), listOf(ie)
-		group := []List{fo, fi}
+		group := []List{listOf(oe), listOf(ie)}
 		FreezeCompressed(group)
-		fo, fi = group[0], group[1]
+		fo, fi := &group[0], &group[1]
 		if shape[0] > 0 && !fo.Frozen() {
 			t.Fatalf("trial %d: out list not frozen", trial)
 		}
 
-		wd, wc := Join(&mo, &mi)
-		wdd := JoinDist(&mo, &mi)
-		pairs := [][2]*List{{&fo, &fi}, {&fo, &mi}, {&mo, &fi}}
-		for p, pr := range pairs {
-			if d, c := Join(pr[0], pr[1]); d != wd || c != wc {
-				t.Fatalf("trial %d pair %d: Join = (%d,%d), want (%d,%d)", trial, p, d, c, wd, wc)
-			}
-			if d := JoinDist(pr[0], pr[1]); d != wdd {
-				t.Fatalf("trial %d pair %d: JoinDist = %d, want %d", trial, p, d, wdd)
-			}
-			for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100} {
-				bd, bc := JoinBounded(&mo, &mi, bound)
-				if d, c := JoinBounded(pr[0], pr[1], bound); d != bd || c != bc {
-					t.Fatalf("trial %d pair %d bound %d: JoinBounded = (%d,%d), want (%d,%d)",
-						trial, p, bound, d, c, bd, bc)
+		wd, _, _ := Join(&mo, &mi, Unreachable)
+		pairs := [][2]*List{{fo, fi}, {fo, &mi}, {&mo, fi}}
+		for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100, Unreachable} {
+			bd, bc, bh := Join(&mo, &mi, bound)
+			for p, pr := range pairs {
+				if d, c, h := Join(pr[0], pr[1], bound); d != bd || c != bc || h != bh {
+					t.Fatalf("trial %d pair %d bound %d: Join = (%d,%d,%d), want (%d,%d,%d)",
+						trial, p, bound, d, c, h, bd, bc, bh)
 				}
 			}
 		}
@@ -228,7 +221,7 @@ func TestBloomSignatures(t *testing.T) {
 	group := []List{disjointA, disjointB}
 	FreezeCompressed(group)
 	c0, r0 := BloomStats()
-	if d, c := Join(&group[0], &group[1]); d != Unreachable || c != 0 {
+	if d, c, _ := Join(&group[0], &group[1], Unreachable); d != Unreachable || c != 0 {
 		t.Fatalf("disjoint Join = (%d,%d)", d, c)
 	}
 	c1, r1 := BloomStats()
@@ -245,7 +238,7 @@ func TestBloomSignatures(t *testing.T) {
 	sg := []List{shortA, shortB}
 	FreezeCompressed(sg)
 	c2, _ := BloomStats()
-	Join(&sg[0], &sg[1])
+	Join(&sg[0], &sg[1], Unreachable)
 	if c3, _ := BloomStats(); c3 != c2 {
 		t.Fatal("sig-less pair counted as a bloom check")
 	}

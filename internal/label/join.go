@@ -4,85 +4,93 @@ import (
 	"repro/internal/bitpack"
 )
 
-// This file is the read path's join kernel: the merge-join of an out-list
-// and an in-list over common hubs (Equations 1-2) operating on raw
-// bitpack.Entry slices straight out of the CSR arena. Three variants
-// exist:
+// This file is the read path's one join kernel: the merge-join of an
+// out-list and an in-list over common hubs (Equations 1-2). Every caller
+// — unbounded SCCnt reads, bounded screening reads, the INCCNT prune, the
+// online re-ranker's hub attribution — goes through Join. Two loops
+// implement it, one per list form:
 //
-//   - JoinEntries / JoinDistEntries: the exact kernels behind Join and
-//     JoinDist, a tight two-pointer merge that switches to galloping
-//     (exponential + binary search) skips through the longer list when
-//     the lengths are badly skewed — the hub-vertex-vs-leaf shape where
-//     a linear merge wastes almost all of its comparisons;
-//   - JoinBoundedEntries: the early-exit variant used for bounded
-//     queries (top-k screening, /cycle?maxlen): distances above the
-//     bound never enter the count arithmetic, and the running bound
-//     tightens to the best distance found so far.
+//   - joinSlices, when both lists are mutable (post-Freeze: views into the
+//     CSR arena): it walks the shorter list and finds each hub in the
+//     longer one, by a linear advance on balanced lengths and by galloping
+//     (exponential + binary search) on badly skewed ones — the
+//     hub-vertex-vs-leaf shape where a linear merge wastes almost all of
+//     its comparisons;
+//   - joinCursors, when either list is frozen: a leapfrog merge over lcur
+//     cursors behind the bloom pre-screen, where each side seeks to the
+//     other's hub (galloping on a mutable side, sync-record search on a
+//     compressed one).
 //
-// All variants are pure reads and safe under any concurrency the caller
-// arranges for the lists themselves.
+// Both loops combine identically: the same distances, the same saturating
+// count arithmetic in the same ascending-hub order, so answers are
+// byte-identical across forms. Both are pure reads and safe under any
+// concurrency the caller arranges for the lists themselves.
 
-// gallopRatio is the length skew at which the join switches from the
-// linear merge to galloping through the longer list. Below it the merge's
+// gallopRatio is the length skew at which the slice join switches from
+// the linear advance to galloping through the longer list. Below it the
 // sequential scan wins on locality; above it the short side's entries are
 // rare enough that O(short · log(long)) beats O(short + long). The
 // crossover is flat around 8-32 on the BenchmarkJoin* suite; 16 sits in
 // the middle.
 const gallopRatio = 16
 
-// JoinEntries evaluates Equations (1)-(2) on raw entry slices: the
-// minimum sd over common hubs and the saturating sum of count products at
-// that distance. Both slices must be in strictly ascending hub order (the
-// List invariant). When the lists share no hub it returns
-// (Unreachable, 0).
-func JoinEntries(oe, ie []bitpack.Entry) (dist int, count uint64) {
-	// The combine step is symmetric in the two sides, so the gallop path
-	// only needs "short" and "long".
-	if len(oe) >= gallopRatio*len(ie) {
-		return joinGallop(ie, oe)
+// Join evaluates Equations (1)-(2) restricted to distances ≤ maxDist: the
+// minimum sd(s,h)+sd(h,t) over the common hubs of an out-list of s and an
+// in-list of t, the saturating sum of count products at that distance,
+// and the winning hub — the lowest-ranked common hub achieving the
+// minimum. When no common hub meets the bound it returns
+// (Unreachable, 0, -1); pass Unreachable as maxDist for the plain
+// unbounded query.
+//
+// The bound tightens to the best distance found (larger sums can no
+// longer matter), pairs above it never enter the count arithmetic, and
+// entries whose own distance already exceeds it are skipped outright.
+// When either list is frozen, the bloom signatures screen out
+// non-intersecting pairs in O(words) before any entry decodes.
+func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
+	// Sums at or past the Unreachable sentinel can never be answers.
+	if maxDist >= Unreachable {
+		maxDist = Unreachable - 1
 	}
-	if len(ie) >= gallopRatio*len(oe) {
-		return joinGallop(oe, ie)
+	if maxDist < 0 {
+		return Unreachable, 0, -1
 	}
-	dist = Unreachable
-	i, j := 0, 0
-	for i < len(oe) && j < len(ie) {
-		a, b := oe[i], ie[j]
-		ha, hb := a.Hub(), b.Hub()
-		if ha == hb {
-			d := a.Dist() + b.Dist()
-			if d < dist {
-				dist = d
-				count = bitpack.SatMul(a.Count(), b.Count())
-			} else if d == dist {
-				count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
-			}
-			i++
-			j++
-			continue
+	if out.fz == nil && in.fz == nil {
+		// The combine step is symmetric in the two sides, so the slice
+		// loop only needs "short" and "long".
+		if len(out.e) <= len(in.e) {
+			return joinSlices(out.e, in.e, maxDist)
 		}
-		if ha < hb {
-			i++
-		} else {
-			j++
-		}
+		return joinSlices(in.e, out.e, maxDist)
 	}
-	if dist == Unreachable {
-		return Unreachable, 0
+	if sigReject(out, in) {
+		return Unreachable, 0, -1
 	}
-	return dist, count
+	return joinCursors(out, in, maxDist)
 }
 
-// joinGallop joins a short list against a much longer one: every short
-// entry seeks its hub in the long list with an exponential bracket plus a
-// binary search, so runs of long-list hubs absent from the short list are
-// skipped in O(log run) instead of O(run).
-func joinGallop(short, long []bitpack.Entry) (dist int, count uint64) {
-	dist = Unreachable
+// joinSlices is Join over two entry slices. Every short entry within the
+// bound locates its hub in the long list — a linear advance when the
+// lengths are comparable, a gallop (seekHub) when the long side is
+// gallopRatio times longer — so the long-side cursor only ever moves
+// forward.
+func joinSlices(short, long []bitpack.Entry, bound int) (dist int, count uint64, hub int) {
+	dist, hub = Unreachable, -1
+	gallop := len(long) >= gallopRatio*len(short)
 	j := 0
 	for _, a := range short {
+		da := a.Dist()
+		if da > bound {
+			continue // hub order is ascending, so the long cursor stays valid
+		}
 		h := a.Hub()
-		j = seekHub(long, j, h)
+		if gallop {
+			j = seekHub(long, j, h)
+		} else {
+			for j < len(long) && long[j].Hub() < h {
+				j++
+			}
+		}
 		if j == len(long) {
 			break
 		}
@@ -91,18 +99,18 @@ func joinGallop(short, long []bitpack.Entry) (dist int, count uint64) {
 			continue
 		}
 		j++
-		d := a.Dist() + b.Dist()
+		d := da + b.Dist()
+		if d > bound {
+			continue
+		}
 		if d < dist {
-			dist = d
+			dist, hub, bound = d, h, d
 			count = bitpack.SatMul(a.Count(), b.Count())
-		} else if d == dist {
+		} else { // d == dist: the bound pinned d ≤ dist already
 			count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
 		}
 	}
-	if dist == Unreachable {
-		return Unreachable, 0
-	}
-	return dist, count
+	return dist, count, hub
 }
 
 // seekHub returns the first index i ≥ from with l[i].Hub() ≥ hub (len(l)
@@ -134,149 +142,89 @@ func seekHub(l []bitpack.Entry, from, hub int) int {
 	return hi
 }
 
-// JoinDistEntries is JoinEntries restricted to the distance: it still
-// visits every common hub (the minimum can appear anywhere in rank order)
-// but skips all count arithmetic.
-func JoinDistEntries(oe, ie []bitpack.Entry) int {
-	if len(oe) >= gallopRatio*len(ie) {
-		return joinDistGallop(ie, oe)
-	}
-	if len(ie) >= gallopRatio*len(oe) {
-		return joinDistGallop(oe, ie)
-	}
-	dist := Unreachable
-	i, j := 0, 0
-	for i < len(oe) && j < len(ie) {
-		a, b := oe[i], ie[j]
-		ha, hb := a.Hub(), b.Hub()
-		if ha == hb {
-			if d := a.Dist() + b.Dist(); d < dist {
-				dist = d
-			}
-			i++
-			j++
-			continue
-		}
-		if ha < hb {
-			i++
-		} else {
-			j++
-		}
-	}
-	return dist
-}
-
-func joinDistGallop(short, long []bitpack.Entry) int {
-	dist := Unreachable
-	j := 0
-	for _, a := range short {
-		h := a.Hub()
-		j = seekHub(long, j, h)
-		if j == len(long) {
-			break
-		}
-		if b := long[j]; b.Hub() == h {
-			j++
-			if d := a.Dist() + b.Dist(); d < dist {
-				dist = d
-			}
-		}
-	}
-	return dist
-}
-
-// JoinBoundedEntries is JoinEntries restricted to distances ≤ maxDist:
-// pairs above the bound never enter the count arithmetic, the running
-// bound tightens to the best distance found (larger sums can no longer
-// matter), and entries whose own distance already exceeds the bound are
-// skipped outright. Skewed lengths take the same galloping path as the
-// full join. When no common hub meets the bound it returns
-// (Unreachable, 0) — callers read that as "nothing within the bound", not
-// as global unreachability.
-func JoinBoundedEntries(oe, ie []bitpack.Entry, maxDist int) (dist int, count uint64) {
-	if maxDist < 0 {
-		return Unreachable, 0
-	}
-	if len(oe) >= gallopRatio*len(ie) {
-		return joinBoundedGallop(ie, oe, maxDist)
-	}
-	if len(ie) >= gallopRatio*len(oe) {
-		return joinBoundedGallop(oe, ie, maxDist)
-	}
-	dist = Unreachable
-	bound := maxDist
-	i, j := 0, 0
-	for i < len(oe) && j < len(ie) {
-		a, b := oe[i], ie[j]
-		ha, hb := a.Hub(), b.Hub()
-		if ha == hb {
-			i++
-			j++
-			da := a.Dist()
+// joinCursors is Join in leapfrog-cursor form, for pairs where at least
+// one list streams a compressed section.
+func joinCursors(out, in *List, bound int) (dist int, count uint64, hub int) {
+	var a, b lcur
+	a.init(out)
+	b.init(in)
+	dist, hub = Unreachable, -1
+	for a.ok() && b.ok() {
+		ea, eb := a.cur(), b.cur()
+		ha, hb := ea.Hub(), eb.Hub()
+		switch {
+		case ha == hb:
+			a.next()
+			b.next()
+			da := ea.Dist()
 			if da > bound {
 				continue
 			}
-			d := da + b.Dist()
+			d := da + eb.Dist()
 			if d > bound {
 				continue
 			}
 			if d < dist {
-				dist = d
-				count = bitpack.SatMul(a.Count(), b.Count())
-				bound = d
-			} else { // d == dist: the bound pinned d ≤ dist already
-				count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
+				dist, hub, bound = d, ha, d
+				count = bitpack.SatMul(ea.Count(), eb.Count())
+			} else { // d == dist
+				count = bitpack.SatAdd(count, bitpack.SatMul(ea.Count(), eb.Count()))
 			}
-			continue
-		}
-		if ha < hb {
-			i++
-		} else {
-			j++
+		case ha < hb:
+			a.seekGE(hb)
+		default:
+			b.seekGE(ha)
 		}
 	}
-	if dist == Unreachable {
-		return Unreachable, 0
-	}
-	return dist, count
+	return dist, count, hub
 }
 
-// joinBoundedGallop is the bounded join's skew path. A short entry whose
-// own distance already exceeds the bound skips without seeking — hub
-// order in the short list is ascending, so the long-side cursor stays
-// valid.
-func joinBoundedGallop(short, long []bitpack.Entry, maxDist int) (dist int, count uint64) {
-	dist = Unreachable
-	bound := maxDist
-	j := 0
-	for _, a := range short {
-		da := a.Dist()
-		if da > bound {
-			continue
-		}
-		j = seekHub(long, j, a.Hub())
-		if j == len(long) {
-			break
-		}
-		b := long[j]
-		if b.Hub() != a.Hub() {
-			continue
-		}
-		j++
-		d := da + b.Dist()
-		if d > bound {
-			continue
-		}
-		if d < dist {
-			dist = d
-			count = bitpack.SatMul(a.Count(), b.Count())
-			bound = d
-		} else { // d == dist
-			count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
-		}
+// lcur walks one list in ascending hub order regardless of its form.
+type lcur struct {
+	es     []bitpack.Entry // mutable backing
+	i      int
+	fc     fcursor // frozen backing
+	frozen bool
+}
+
+func (c *lcur) init(l *List) {
+	if l.fz != nil {
+		c.frozen = true
+		c.fc = l.fz.cursor(l.fi)
+		return
 	}
-	if dist == Unreachable {
-		return Unreachable, 0
+	c.es = l.e
+}
+
+func (c *lcur) ok() bool {
+	if c.frozen {
+		return c.fc.ok
 	}
-	return dist, count
+	return c.i < len(c.es)
+}
+
+func (c *lcur) cur() bitpack.Entry {
+	if c.frozen {
+		return c.fc.cur
+	}
+	return c.es[c.i]
+}
+
+func (c *lcur) next() {
+	if c.frozen {
+		c.fc.next()
+		return
+	}
+	c.i++
+}
+
+// seekGE advances to the first entry with hub ≥ target: galloping on a
+// slice, sync-record search plus at most one block decode on a frozen
+// stream.
+func (c *lcur) seekGE(target int) {
+	if c.frozen {
+		c.fc.seekGE(target)
+		return
+	}
+	c.i = seekHub(c.es, c.i, target)
 }

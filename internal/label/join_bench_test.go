@@ -10,7 +10,8 @@ import (
 // The BenchmarkJoin* suite measures the join kernel shapes the read path
 // cares about: balanced merges (typical vertex-vertex queries), skewed
 // merges (a leaf's short list against a hub vertex's long one — the shape
-// the galloping path exists for), and the bounded early-exit variant.
+// the galloping path exists for), bounded joins, and the cursor loop over
+// two frozen lists.
 // EXPERIMENTS.md records representative numbers.
 
 // benchLists builds an out/in pair with the given lengths over a shared
@@ -53,10 +54,33 @@ func joinMergeOnly(oe, ie []bitpack.Entry) (dist int, count uint64) {
 	return dist, count
 }
 
-var sinkDist int
+var sinkDist, sinkHub int
 var sinkCount uint64
 
-func benchJoin(b *testing.B, nOut, nIn int, f func(oe, ie []bitpack.Entry) (int, uint64)) {
+// benchJoin times Join over a mutable out/in pair at the given bound.
+func benchJoin(b *testing.B, nOut, nIn, maxDist int) {
+	oe, ie := benchLists(nOut, nIn)
+	out, in := listOf(oe), listOf(ie)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDist, sinkCount, sinkHub = Join(&out, &in, maxDist)
+	}
+}
+
+// benchFrozenJoin is benchJoin with both lists frozen by FreezeCompressed,
+// so every iteration runs the cursor loop over compressed sections.
+func benchFrozenJoin(b *testing.B, nOut, nIn int) {
+	oe, ie := benchLists(nOut, nIn)
+	group := []List{listOf(oe), listOf(ie)}
+	FreezeCompressed(group)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDist, sinkCount, sinkHub = Join(&group[0], &group[1], Unreachable)
+	}
+}
+
+// benchSliceKernel times a raw slice kernel such as joinMergeOnly.
+func benchSliceKernel(b *testing.B, nOut, nIn int, f func(oe, ie []bitpack.Entry) (int, uint64)) {
 	oe, ie := benchLists(nOut, nIn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,46 +88,19 @@ func benchJoin(b *testing.B, nOut, nIn int, f func(oe, ie []bitpack.Entry) (int,
 	}
 }
 
-func BenchmarkJoinBalanced32(b *testing.B)  { benchJoin(b, 32, 32, JoinEntries) }
-func BenchmarkJoinBalanced256(b *testing.B) { benchJoin(b, 256, 256, JoinEntries) }
+func BenchmarkJoinBalanced32(b *testing.B)  { benchJoin(b, 32, 32, Unreachable) }
+func BenchmarkJoinBalanced256(b *testing.B) { benchJoin(b, 256, 256, Unreachable) }
 
 // The skewed pair: the same lists through the plain merge and through
-// JoinEntries (which takes the gallop path at this skew).
-func BenchmarkJoinSkewMerge4x1024(b *testing.B)  { benchJoin(b, 4, 1024, joinMergeOnly) }
-func BenchmarkJoinSkewGallop4x1024(b *testing.B) { benchJoin(b, 4, 1024, JoinEntries) }
-func BenchmarkJoinSkewMerge16x4096(b *testing.B) { benchJoin(b, 16, 4096, joinMergeOnly) }
-func BenchmarkJoinSkewGallop16x4096(b *testing.B) {
-	benchJoin(b, 16, 4096, JoinEntries)
-}
+// Join (which takes the gallop path at this skew).
+func BenchmarkJoinSkewMerge4x1024(b *testing.B)    { benchSliceKernel(b, 4, 1024, joinMergeOnly) }
+func BenchmarkJoinSkewGallop4x1024(b *testing.B)   { benchJoin(b, 4, 1024, Unreachable) }
+func BenchmarkJoinSkewMerge16x4096(b *testing.B)   { benchSliceKernel(b, 16, 4096, joinMergeOnly) }
+func BenchmarkJoinSkewGallop16x4096(b *testing.B)  { benchJoin(b, 16, 4096, Unreachable) }
+func BenchmarkJoinDistBalanced256(b *testing.B)    { benchJoin(b, 256, 256, Unreachable) }
+func BenchmarkJoinBoundedTight256(b *testing.B)    { benchJoin(b, 256, 256, 2) }
+func BenchmarkJoinBoundedLoose256(b *testing.B)    { benchJoin(b, 256, 256, Unreachable) }
+func BenchmarkJoinBoundedSkew16x4096(b *testing.B) { benchJoin(b, 16, 4096, 6) }
 
-func BenchmarkJoinDistBalanced256(b *testing.B) {
-	oe, ie := benchLists(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkDist = JoinDistEntries(oe, ie)
-	}
-}
-
-func BenchmarkJoinBoundedTight256(b *testing.B) {
-	oe, ie := benchLists(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkDist, sinkCount = JoinBoundedEntries(oe, ie, 2)
-	}
-}
-
-func BenchmarkJoinBoundedLoose256(b *testing.B) {
-	oe, ie := benchLists(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkDist, sinkCount = JoinBoundedEntries(oe, ie, Unreachable)
-	}
-}
-
-func BenchmarkJoinBoundedSkew16x4096(b *testing.B) {
-	oe, ie := benchLists(16, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkDist, sinkCount = JoinBoundedEntries(oe, ie, 6)
-	}
-}
+func BenchmarkJoinFrozenBalanced256(b *testing.B) { benchFrozenJoin(b, 256, 256) }
+func BenchmarkJoinFrozenSkew16x4096(b *testing.B) { benchFrozenJoin(b, 16, 4096) }

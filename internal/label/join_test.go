@@ -8,33 +8,32 @@ import (
 )
 
 // refJoin is the obviously-correct reference: hash the out side, probe
-// every in entry, track the minimum and its saturating count sum.
-func refJoin(oe, ie []bitpack.Entry, maxDist int) (int, uint64) {
+// every in entry, track the minimum within the bound, its saturating
+// count sum, and the lowest-ranked hub achieving it.
+func refJoin(oe, ie []bitpack.Entry, maxDist int) (dist int, count uint64, hub int) {
 	byHub := make(map[int]bitpack.Entry, len(oe))
 	for _, e := range oe {
 		byHub[e.Hub()] = e
 	}
-	dist, count := Unreachable, uint64(0)
+	dist, hub = Unreachable, -1
 	for _, b := range ie {
 		a, ok := byHub[b.Hub()]
 		if !ok {
 			continue
 		}
 		d := a.Dist() + b.Dist()
-		if d > maxDist {
+		if d > maxDist || d >= Unreachable {
 			continue
 		}
 		if d < dist {
-			dist = d
+			dist, hub = d, b.Hub()
 			count = bitpack.SatMul(a.Count(), b.Count())
 		} else if d == dist {
 			count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
+			hub = min(hub, b.Hub())
 		}
 	}
-	if dist == Unreachable {
-		return Unreachable, 0
-	}
-	return dist, count
+	return dist, count, hub
 }
 
 // randList draws n distinct hubs from [0, hubSpace) in ascending order
@@ -57,59 +56,67 @@ func randList(r *rand.Rand, n, hubSpace, maxD int) []bitpack.Entry {
 	return out
 }
 
-// Every kernel variant must agree with the reference on random lists at
-// every skew — including the shapes that trip the galloping path on
-// either side — and JoinDist must report the same distance.
+// Join must agree with the reference — distance, count and winning hub —
+// on random lists in all four form pairs (mutable or frozen on each
+// side), at every skew including the shapes at and around gallopRatio on
+// either side, and at every bound from "nothing fits" to unbounded.
 func TestJoinKernelsMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	const g = gallopRatio
 	shapes := [][2]int{
-		{0, 0}, {0, 40}, {40, 0}, {1, 1},
+		{0, 0}, {0, 40}, {40, 0}, {1, 1}, {2, 3}, {3, 2}, // below sigMinEntries
 		{5, 5}, {30, 30}, {64, 64},
 		{1, 200}, {200, 1}, {3, 500}, {500, 3}, // gallop on each side
-		{15, 16 * 15}, {16 * 15, 15}, // right at the ratio boundary
+		{1, g - 1}, {1, g}, {1, g + 1}, // around the ratio with one entry
+		{15, g*15 - 1}, {15, g * 15}, {g*15 + 1, 15}, // around the ratio, both sides
+		{40, 700}, {700, 40}, // sync blocks on one side
 	}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 264; trial++ {
 		shape := shapes[trial%len(shapes)]
-		hubSpace := shape[0] + shape[1] + 1 + r.Intn(100)
-		oe := randList(r, shape[0], hubSpace, 30)
-		ie := randList(r, shape[1], hubSpace, 30)
+		hubSpace := shape[0] + shape[1] + 1 + r.Intn(300)
+		// Few distinct distances, so ties at the minimum are common.
+		oe := randList(r, shape[0], hubSpace, 12)
+		ie := randList(r, shape[1], hubSpace, 12)
 
-		wd, wc := refJoin(oe, ie, Unreachable)
-		if d, c := JoinEntries(oe, ie); d != wd || c != wc {
-			t.Fatalf("trial %d shape %v: JoinEntries = (%d,%d), want (%d,%d)", trial, shape, d, c, wd, wc)
+		mo, mi := listOf(oe), listOf(ie)
+		group := []List{listOf(oe), listOf(ie)}
+		FreezeCompressed(group)
+		fo, fi := &group[0], &group[1]
+		if shape[0] > 0 && !fo.Frozen() {
+			t.Fatalf("trial %d: out list not frozen", trial)
 		}
-		if d := JoinDistEntries(oe, ie); d != wd {
-			t.Fatalf("trial %d shape %v: JoinDistEntries = %d, want %d", trial, shape, d, wd)
-		}
-		for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100} {
-			bd, bc := refJoin(oe, ie, bound)
-			if d, c := JoinBoundedEntries(oe, ie, bound); d != bd || c != bc {
-				t.Fatalf("trial %d shape %v bound %d: JoinBoundedEntries = (%d,%d), want (%d,%d)",
-					trial, shape, bound, d, c, bd, bc)
+		pairs := [][2]*List{{&mo, &mi}, {fo, fi}, {fo, &mi}, {&mo, fi}}
+
+		wd, _, _ := refJoin(oe, ie, Unreachable)
+		for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100, Unreachable} {
+			rd, rc, rh := refJoin(oe, ie, bound)
+			for p, pr := range pairs {
+				if d, c, h := Join(pr[0], pr[1], bound); d != rd || c != rc || h != rh {
+					t.Fatalf("trial %d shape %v pair %d bound %d: Join = (%d,%d,%d), want (%d,%d,%d)",
+						trial, shape, p, bound, d, c, h, rd, rc, rh)
+				}
 			}
 		}
 	}
 }
 
-// The List wrappers must stay views over the same kernels.
-func TestJoinWrappers(t *testing.T) {
+// A hand-checked pair: the bound admits nothing below the true distance,
+// everything from it up, and ties at the minimum sum their counts while
+// the lower-ranked hub wins.
+func TestJoinBoundedExample(t *testing.T) {
 	var out, in List
 	out.Append(bitpack.Pack(1, 2, 3))
 	out.Append(bitpack.Pack(4, 1, 2))
 	in.Append(bitpack.Pack(1, 1, 5))
 	in.Append(bitpack.Pack(4, 2, 7))
-	d, c := Join(&out, &in)
-	if d != 3 || c != 15+14 {
-		t.Fatalf("Join = (%d,%d)", d, c)
+	if d, c, h := Join(&out, &in, Unreachable); d != 3 || c != 15+14 || h != 1 {
+		t.Fatalf("Join = (%d,%d,%d)", d, c, h)
 	}
-	if jd := JoinDist(&out, &in); jd != 3 {
-		t.Fatalf("JoinDist = %d", jd)
+	if d, c, h := Join(&out, &in, 2); d != Unreachable || c != 0 || h != -1 {
+		t.Fatalf("Join(bound 2) = (%d,%d,%d), want unreachable", d, c, h)
 	}
-	if d, c := JoinBounded(&out, &in, 2); d != Unreachable || c != 0 {
-		t.Fatalf("JoinBounded(2) = (%d,%d), want unreachable", d, c)
-	}
-	if d, c := JoinBounded(&out, &in, 3); d != 3 || c != 29 {
-		t.Fatalf("JoinBounded(3) = (%d,%d)", d, c)
+	if d, c, h := Join(&out, &in, 3); d != 3 || c != 29 || h != 1 {
+		t.Fatalf("Join(bound 3) = (%d,%d,%d)", d, c, h)
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package label provides the hub-label lists used by both the HP-SPC
 // baseline and the CSC index: slices of 64-bit packed entries kept sorted
 // by hub rank, so the SPCnt query (Equations 1-2 of the paper) is a single
-// linear merge-join of an out-list and an in-list.
+// merge-join of an out-list and an in-list. Join (join.go) is that one
+// kernel: it takes a distance bound and reports the winning hub, so
+// unbounded reads, bounded screening reads, update-time prunes and hub
+// attribution all share it.
 package label
 
 import (
@@ -11,7 +14,8 @@ import (
 )
 
 // Unreachable is the distance returned by Join when the two lists share no
-// hub (no path exists under the index).
+// hub within the bound (for an unbounded join: no path exists under the
+// index).
 const Unreachable = int(bitpack.MaxDist)
 
 // List is a label list: packed entries in strictly ascending hub-rank
@@ -20,8 +24,8 @@ const Unreachable = int(bitpack.MaxDist)
 // A list lives in one of two forms. The mutable form backs entries with a
 // plain slice (possibly a span of the CSR Arena). After FreezeCompressed
 // the slice is released and the list reads its section of a compressed
-// Frozen arena through streaming cursors — Each, Lookup, and the Join
-// family never materialize entries. Any mutation (or an explicit Entries /
+// Frozen arena through streaming cursors — Each, Lookup, and Join never
+// materialize entries. Any mutation (or an explicit Entries /
 // At call) thaws the list first: the section decodes back into a private
 // slice and the list detaches from the arena until the next freeze.
 type List struct {
@@ -214,51 +218,4 @@ func sigReject(out, in *List) bool {
 	}
 	bloomRejects.Add(1)
 	return true
-}
-
-// Join evaluates Equations (1)-(2): it merge-joins an out-label list of s
-// and an in-label list of t over common hubs, returning the minimum
-// sd(s,h)+sd(h,t) and the saturating sum of count products at that
-// distance. When the lists share no hub it returns (Unreachable, 0).
-// Mutable lists (post-Freeze: views into the CSR arena) take the slice
-// kernels, with galloping on badly skewed lengths (join.go). When either
-// side is frozen, the bloom signatures screen out non-intersecting pairs
-// in O(words) before any entry decodes; survivors stream through
-// compressed cursors with sync-record seeks.
-func Join(out, in *List) (dist int, count uint64) {
-	if out.fz == nil && in.fz == nil {
-		return JoinEntries(out.e, in.e)
-	}
-	if sigReject(out, in) {
-		return Unreachable, 0
-	}
-	return joinCursor(out, in)
-}
-
-// JoinDist is Join restricted to the distance; it still visits every
-// common hub (the minimum can appear anywhere) but skips count
-// arithmetic.
-func JoinDist(out, in *List) int {
-	if out.fz == nil && in.fz == nil {
-		return JoinDistEntries(out.e, in.e)
-	}
-	if sigReject(out, in) {
-		return Unreachable
-	}
-	return joinDistCursor(out, in)
-}
-
-// JoinBounded is JoinBoundedEntries over two Lists, with the same frozen
-// dispatch as Join.
-func JoinBounded(out, in *List, maxDist int) (dist int, count uint64) {
-	if out.fz == nil && in.fz == nil {
-		return JoinBoundedEntries(out.e, in.e, maxDist)
-	}
-	if maxDist < 0 {
-		return Unreachable, 0
-	}
-	if sigReject(out, in) {
-		return Unreachable, 0
-	}
-	return joinBoundedCursor(out, in, maxDist)
 }

@@ -185,10 +185,8 @@ func (m *TopK) RescoreDirty(dirty []int) {
 	}
 	m.bufMu.Lock()
 	defer m.bufMu.Unlock()
-	// Drop out-of-range ids before the batched query: not every Querier
-	// tolerates them (the monolithic index does not bounds-check), and a
-	// scoreboard has no row for them anyway. The common all-in-range case
-	// touches nothing.
+	// Drop out-of-range ids before the batched query: the scoreboard has
+	// no row for them. The common all-in-range case touches nothing.
 	n := len(m.scores)
 	for i, v := range dirty {
 		if v < 0 || v >= n {

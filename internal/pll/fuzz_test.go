@@ -64,7 +64,7 @@ func FuzzReadIndex(f *testing.F) {
 			// Whatever parsed must be usable and roundtrip-stable.
 			n := idx.G.NumVertices()
 			for v := 0; v < n && v < 4; v++ {
-				idx.Dist(v, 0)
+				idx.CountPaths(v, 0)
 				idx.CountPaths(0, v)
 			}
 			var out bytes.Buffer

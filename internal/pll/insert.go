@@ -98,21 +98,22 @@ func (idx *Index) updatePass(vkRank, start, d0 int, c0 uint64, forward bool, st 
 	for head := 0; head < len(s.Queue); head++ {
 		w := int(s.Queue[head])
 		st.Visited++
-		var dG int
+		dw := int(s.Dist[w])
+		var pruned bool
 		switch {
 		case anchor != nil && forward:
-			dG = s.Probe(&idx.In[w], int(s.Dist[w]))
+			pruned = s.Probe(&idx.In[w], dw) < dw
 		case anchor != nil:
-			dG = s.Probe(&idx.Out[w], int(s.Dist[w]))
+			pruned = s.Probe(&idx.Out[w], dw) < dw
 		case forward:
-			dG = label.JoinDist(&idx.Out[vk], &idx.In[w])
+			pruned = idx.shorterThan(vk, w, dw)
 		default:
-			dG = label.JoinDist(&idx.Out[w], &idx.In[vk])
+			pruned = idx.shorterThan(w, vk, dw)
 		}
-		if int(s.Dist[w]) > dG {
+		if pruned {
 			continue // Case 1: the new edge does not improve vk↔w
 		}
-		idx.updateLabel(vkRank, w, int(s.Dist[w]), s.Cnt[w], forward, st)
+		idx.updateLabel(vkRank, w, dw, s.Cnt[w], forward, st)
 		for _, u := range idx.neighbors(w, forward) {
 			switch {
 			case s.Dist[u] == -1:
@@ -185,7 +186,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 				return true // self entry is never redundant
 			}
 			h := idx.Ord.VertexAt(e.Hub())
-			if e.Dist() > idx.Dist(h, w) {
+			if idx.shorterThan(h, w, e.Dist()) {
 				drop = append(drop, e.Hub())
 			}
 			return true
@@ -211,7 +212,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 					idx.delInvOut(wRank, v)
 					continue
 				}
-				if e.Dist() > idx.Dist(v, w) {
+				if idx.shorterThan(v, w, e.Dist()) {
 					if idx.removeOutEntry(v, wRank) {
 						st.EntriesRemoved++
 						st.touch(v)
@@ -228,7 +229,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 			return true
 		}
 		h := idx.Ord.VertexAt(e.Hub())
-		if e.Dist() > idx.Dist(w, h) {
+		if idx.shorterThan(w, h, e.Dist()) {
 			drop = append(drop, e.Hub())
 		}
 		return true
@@ -254,7 +255,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 				idx.delInvIn(wRank, v)
 				continue
 			}
-			if e.Dist() > idx.Dist(w, v) {
+			if idx.shorterThan(w, v, e.Dist()) {
 				if idx.removeInEntry(v, wRank) {
 					st.EntriesRemoved++
 					st.touch(v)

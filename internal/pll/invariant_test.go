@@ -175,14 +175,14 @@ func TestMinimalityLeavesNoDominatedEntries(t *testing.T) {
 	for w := 0; w < n; w++ {
 		for _, e := range idx.In[w].Entries() {
 			h := idx.Ord.VertexAt(e.Hub())
-			if d := idx.Dist(h, w); e.Dist() > d {
+			if d, _ := idx.CountPaths(h, w); e.Dist() > d {
 				t.Fatalf("dominated entry survived minimality: Lin(%d) hub %d d=%d sd=%d",
 					w, h, e.Dist(), d)
 			}
 		}
 		for _, e := range idx.Out[w].Entries() {
 			h := idx.Ord.VertexAt(e.Hub())
-			if d := idx.Dist(w, h); e.Dist() > d {
+			if d, _ := idx.CountPaths(w, h); e.Dist() > d {
 				t.Fatalf("dominated entry survived minimality: Lout(%d) hub %d d=%d sd=%d",
 					w, h, e.Dist(), d)
 			}

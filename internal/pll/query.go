@@ -4,36 +4,37 @@ import (
 	"repro/internal/label"
 )
 
-// Unreachable is returned by Dist when no path exists under the index.
+// Unreachable is the distance CountPaths returns when no path exists
+// under the index.
 const Unreachable = label.Unreachable
-
-// Dist returns the shortest distance from s to t under the index, or
-// Unreachable. Dist(v,v) is 0 via the self labels.
-func (idx *Index) Dist(s, t int) int {
-	return label.JoinDist(&idx.Out[s], &idx.In[t])
-}
 
 // CountPaths evaluates SPCnt(s,t) (Equations 1-2): the shortest distance
 // from s to t and the number of shortest paths. Unreachable pairs return
 // (Unreachable, 0). Counts saturate at bitpack.MaxCount. With hit
-// counters enabled the join also attributes the answer to its winning
-// hub (identical distance and count either way).
+// counters enabled the answer is also attributed to its winning hub.
 func (idx *Index) CountPaths(s, t int) (dist int, count uint64) {
-	if idx.hubHits != nil {
-		d, c, hub := label.JoinBest(&idx.Out[s], &idx.In[t])
-		if hub >= 0 {
-			idx.hubHits[hub].n.Add(1)
-		}
-		return d, c
+	d, c, hub := label.Join(&idx.Out[s], &idx.In[t], Unreachable)
+	if idx.hubHits != nil && hub >= 0 {
+		idx.hubHits[hub].n.Add(1)
 	}
-	return label.Join(&idx.Out[s], &idx.In[t])
+	return d, c
 }
 
 // CountPathsBounded is CountPaths restricted to distances ≤ maxDist: it
 // returns (Unreachable, 0) when the true distance exceeds the bound,
-// without paying any count arithmetic for over-bound hub pairs.
+// without paying any count arithmetic for over-bound hub pairs. Bounded
+// reads are screening queries and feed no hit counters.
 func (idx *Index) CountPathsBounded(s, t, maxDist int) (dist int, count uint64) {
-	return label.JoinBounded(&idx.Out[s], &idx.In[t], maxDist)
+	d, c, _ := label.Join(&idx.Out[s], &idx.In[t], maxDist)
+	return d, c
+}
+
+// shorterThan reports whether the index holds an s→t path shorter than
+// d — the prune and redundancy test of INCCNT and CLEAN LABEL, answered
+// by the join bounded at d-1.
+func (idx *Index) shorterThan(s, t, d int) bool {
+	got, _, _ := label.Join(&idx.Out[s], &idx.In[t], d-1)
+	return got != Unreachable
 }
 
 // InLabel exposes v's in-label list (read-only use).

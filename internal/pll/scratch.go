@@ -122,9 +122,9 @@ func (s *Scratch) Unscatter(l *label.List) {
 }
 
 // Probe evaluates the prune test against the scattered anchor: the minimum
-// of anchor(h)+dist over the candidate list's entries — label.JoinDist with
-// the anchor side turned into an O(1) array lookup. Values ≥ MaxDist mean
-// "no common hub" and compare like JoinDist's Unreachable.
+// of anchor(h)+dist over the candidate list's entries — the distance of
+// label.Join with the anchor side turned into an O(1) array lookup. Values
+// ≥ MaxDist mean "no common hub" and compare like Join's Unreachable.
 //
 // below is the caller's prune threshold (the tentative BFS distance): the
 // scan stops at the first sum strictly under it, since any such sum
