@@ -7,9 +7,10 @@
 //
 //	cscd -addr :8337 -data /var/lib/cscd -graph net.txt -k 10
 //
-// or point it at a serialized index file — with -mmap and a v3 file
-// (a compressed index written by WriteTo) the labels stay file-backed
-// and page in on demand, so the daemon serves before the arena is read:
+// or point it at a serialized index file (any of the v1–v4 formats; a v1
+// file is re-sharded on load) — with -mmap and a v3/v4 file (a
+// compressed index written by WriteTo) the labels stay file-backed and
+// page in on demand, so the daemon serves before the arena is read:
 //
 //	cscd -addr :8337 -index graph.csc -mmap
 //
@@ -62,8 +63,8 @@ func main() {
 		addr      = flag.String("addr", ":8337", "HTTP listen address")
 		data      = flag.String("data", "", "store directory for WAL + snapshots (empty: in-memory only)")
 		graphIn   = flag.String("graph", "", "bootstrap graph file (\"n m\" + \"u v\" edge-list format)")
-		indexIn   = flag.String("index", "", "bootstrap from a serialized index file (v1/v2/v3) instead of building one")
-		useMmap   = flag.Bool("mmap", false, "with -index and a v3 file: mmap the label arena instead of reading it (serve before labels page in)")
+		indexIn   = flag.String("index", "", "bootstrap from a serialized index file (v1–v4; v1 is re-sharded on load) instead of building one")
+		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of reading it (serve before labels page in)")
 		compress  = flag.Bool("compress", false, "build with compressed label storage (delta+varint frozen arena + bloom-screened joins)")
 		orderBy   = flag.String("order", "degree", "hub-ordering strategy: degree | id | random | betweenness | coverage")
 		orderSeed = flag.Int64("order-seed", 0, "sampling seed for the betweenness/coverage/random orderings")

@@ -8,13 +8,14 @@
 // independent of v's degree. Edge insertions and deletions maintain the
 // index incrementally instead of rebuilding it.
 //
-// Indexes are SCC-sharded by default: every directed cycle lies inside
-// one strongly connected component, so BuildIndex partitions the graph by
-// condensation, leaves the acyclic share completely label-free, builds
-// independent sub-indexes per component (in parallel across components),
-// and routes queries through a vertex→shard table. Updates that merge or
-// split components trigger scoped rebuilds of only the affected shards;
-// WithMonolithic restores the single whole-graph labeling.
+// Indexes are SCC-sharded: every directed cycle lies inside one strongly
+// connected component, so BuildIndex partitions the graph by condensation,
+// leaves the acyclic share completely label-free, builds independent
+// sub-indexes per component (in parallel across components), and routes
+// queries through a vertex→shard table. Updates that merge or
+// split components trigger scoped rebuilds of only the affected shards.
+// Index files written before sharding existed (the v1 format) still load:
+// they are re-sharded on load.
 //
 // Construction uses every core by default (see WithWorkers): hub BFSes
 // run speculatively in rank-ordered batches and merge deterministically,
@@ -88,8 +89,7 @@ type CycleResult struct {
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	opts       csc.Options
-	monolithic bool
+	opts csc.Options
 }
 
 // WithMinimality keeps the label minimal after every update (Theorem V.3)
@@ -107,14 +107,6 @@ func WithMinimality() Option {
 // purely a wall-clock knob.
 func WithWorkers(n int) Option {
 	return func(c *buildConfig) { c.opts.Workers = n }
-}
-
-// WithMonolithic builds one labeling over the whole graph instead of the
-// default SCC-sharded index. Queries and updates answer identically; the
-// monolithic form exists for ablation benchmarks and cross-checks, and is
-// what pre-sharding index files deserialize into.
-func WithMonolithic() Option {
-	return func(c *buildConfig) { c.monolithic = true }
 }
 
 // WithCompression stores the labels in the frozen delta+varint arena
@@ -157,9 +149,9 @@ const (
 func ParseOrdering(s string) (Ordering, error) { return order.ParseStrategy(s) }
 
 // WithOrdering selects the hub-ordering strategy construction and every
-// scoped rebuild use (default OrderDegree). A sharded index computes the
-// order per component; a non-degree choice serializes as the v4 format,
-// which records the strategy globally and per shard.
+// scoped rebuild use (default OrderDegree). The order is computed per
+// component; a non-degree choice serializes as the v4 format, which
+// records the strategy globally and per shard.
 func WithOrdering(s Ordering) Option {
 	return func(c *buildConfig) { c.opts.Order = s }
 }
@@ -173,32 +165,23 @@ func WithOrderingSeed(seed int64) Option {
 
 // Index answers CycleCount queries on a dynamic directed graph.
 type Index struct {
-	x csc.Counter
+	x *csc.Sharded
 }
 
 // BuildIndex constructs a CSC index over g using the paper's degree
 // ordering (see WithOrdering for the alternatives). The index takes
 // ownership of g.
 //
-// By default the graph is partitioned by condensation: every directed
-// cycle lies inside one strongly connected component, so trivial
-// components carry no labels at all and each non-trivial component gets
-// an independent sub-index (built in parallel across components). On
-// DAG-heavy graphs this cuts construction time and label bytes by the
-// share of the graph outside cyclic regions. WithMonolithic restores the
-// single whole-graph labeling.
+// The graph is partitioned by condensation: every directed cycle lies
+// inside one strongly connected component, so trivial components carry
+// no labels at all and each non-trivial component gets an independent
+// sub-index (built in parallel across components). On DAG-heavy graphs
+// this cuts construction time and label bytes by the share of the graph
+// outside cyclic regions.
 func BuildIndex(g *Graph, options ...Option) *Index {
 	var cfg buildConfig
 	for _, o := range options {
 		o(&cfg)
-	}
-	if cfg.monolithic {
-		ord, err := order.Compute(g, cfg.opts.Order, cfg.opts.OrderSeed)
-		if err != nil {
-			ord = order.ByDegree(g)
-		}
-		x, _ := csc.Build(g, ord, cfg.opts)
-		return &Index{x: x}
 	}
 	x, _ := csc.BuildSharded(g, cfg.opts)
 	return &Index{x: x}
@@ -248,9 +231,9 @@ type EdgeOp struct {
 
 // ApplyBatch applies an ordered sequence of edge operations as one
 // maintenance unit, equivalent to (but usually much faster than) applying
-// them through InsertEdge/DeleteEdge one at a time: the default sharded
-// index groups the batch's ops by strongly connected component, computes
-// merge/split effects once for the whole batch, and applies independent
+// them through InsertEdge/DeleteEdge one at a time: the index groups the
+// batch's ops by strongly connected component, computes merge/split
+// effects once for the whole batch, and applies independent
 // per-shard update streams on workers goroutines (0 = all cores, 1 =
 // sequential; answers are identical for every worker count). The batch
 // must be a valid sequence against the live graph — no duplicate inserts,
@@ -324,29 +307,31 @@ func (ix *Index) Stats() Stats {
 // WriteTo serializes the index; it implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.x.WriteTo(w) }
 
-// ReadIndex loads an index serialized with WriteTo. The loaded index is
-// immediately queryable and maintainable.
+// ReadIndex loads an index serialized with WriteTo — any of the v1–v4
+// formats. The loaded index is immediately queryable and maintainable. A
+// v1 file (written before sharding existed) is re-sharded on load and
+// answers identically.
 func ReadIndex(r io.Reader) (*Index, error) {
 	x, err := csc.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{x: x}, nil
+	return &Index{x: csc.AsSharded(x)}, nil
 }
 
-// ReadIndexFile loads an index file by path. With useMmap and a v3 file
-// (a compressed sharded index, see WithCompression), the label sections
-// alias a read-only mapping of the file: the index serves its first
-// query after a structural check only, and label bytes page in from disk
-// on first touch — the cold-start path for indexes larger than RAM.
-// Non-v3 files and platforms without mmap support fall back to a normal
-// strict read, so the flag is always safe to pass.
+// ReadIndexFile loads an index file (v1–v4) by path. With useMmap and a
+// v3 or v4 file (a compressed index, see WithCompression), the label
+// sections alias a read-only mapping of the file: the index serves its
+// first query after a structural check only, and label bytes page in
+// from disk on first touch — the cold-start path for indexes larger than
+// RAM. v1/v2 files and platforms without mmap support fall back to a
+// normal strict read, so the flag is always safe to pass.
 func ReadIndexFile(path string, useMmap bool) (*Index, error) {
 	x, err := csc.ReadFile(path, useMmap)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{x: x}, nil
+	return &Index{x: csc.AsSharded(x)}, nil
 }
 
 // TopK maintains a continuously correct top-k ranking of vertices by
@@ -550,27 +535,26 @@ func WithPprof() EngineOption {
 	return func(c *engineConfig) { c.httpOpts.Pprof = true }
 }
 
-// WithReRanking enables online per-shard hub re-ranking on a sharded
-// index: the engine watches per-hub hit counters on the join kernel and,
-// every interval, when one shard's query traffic has drifted away from
+// WithReRanking enables online per-shard hub re-ranking: the engine
+// watches per-hub hit counters on the join kernel and, every interval,
+// when one shard's query traffic has drifted away from
 // its build-time hub order (hit-weighted mean rank past a threshold), it
 // recomputes that shard's order from the observed hits and rebuilds it
 // through the out-of-band path — readers keep serving the exact current
 // answers until the re-ranked shard swaps in atomically. Answers never
 // change (the graph didn't); only label shape chases the workload.
-// Re-ranking yields to all structural work and is skipped entirely on
-// monolithic indexes. EngineStats.ReRanks counts swaps;
-// cscd_reranks_total and the per-shard cscd_shard_order gauge expose
+// Re-ranking yields to all structural work. EngineStats.ReRanks counts
+// swaps; cscd_reranks_total and the per-shard cscd_shard_order gauge expose
 // them on /metrics. 0 (the default) disables.
 func WithReRanking(interval time.Duration) EngineOption {
 	return func(c *engineConfig) { c.opts.ReRankInterval = interval }
 }
 
 // WithUpdateWorkers sets how many goroutines the writer uses to apply
-// each coalesced batch (0 = all cores, 1 = sequential). The default
-// sharded index plans every batch per strongly connected component and
-// applies independent per-shard update streams concurrently; answers are
-// identical for every worker count, so this is purely a throughput knob.
+// each coalesced batch (0 = all cores, 1 = sequential). The index plans
+// every batch per strongly connected component and applies independent
+// per-shard update streams concurrently; answers are identical for every
+// worker count, so this is purely a throughput knob.
 func WithUpdateWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.opts.UpdateWorkers = n }
 }

@@ -359,51 +359,6 @@ func TestEngineFacadeWALRecovery(t *testing.T) {
 	}
 }
 
-// The default index is SCC-sharded; WithMonolithic builds the single
-// whole-graph labeling. Both must answer identically and both serialized
-// forms must load through ReadIndex.
-func TestMonolithicOptionAgrees(t *testing.T) {
-	n := 60
-	mk := func() *Graph {
-		g := NewGraph(n)
-		rr := rand.New(rand.NewSource(77))
-		for i := 0; i < 2*n; i++ {
-			u, v := rr.Intn(n), rr.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				_ = g.AddEdge(u, v)
-			}
-		}
-		return g
-	}
-	sharded := BuildIndex(mk())
-	mono := BuildIndex(mk(), WithMonolithic())
-	if sharded.Stats().Bytes > mono.Stats().Bytes {
-		t.Fatalf("sharded index larger than monolithic: %d > %d",
-			sharded.Stats().Bytes, mono.Stats().Bytes)
-	}
-	for v := 0; v < n; v++ {
-		if sharded.CycleCount(v) != mono.CycleCount(v) {
-			t.Fatalf("vertex %d: sharded %+v != monolithic %+v",
-				v, sharded.CycleCount(v), mono.CycleCount(v))
-		}
-	}
-	for _, ix := range []*Index{sharded, mono} {
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadIndex(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < n; v++ {
-			if got.CycleCount(v) != ix.CycleCount(v) {
-				t.Fatalf("vertex %d differs after roundtrip", v)
-			}
-		}
-	}
-}
-
 // An engine over the sharded default must absorb updates that merge and
 // split components while serving, and recover them from the WAL.
 func TestEngineShardedMergeSplitRecovery(t *testing.T) {
@@ -532,16 +487,10 @@ func TestOrderingOptions(t *testing.T) {
 		}
 	}
 	for _, s := range []Ordering{OrderDegree, OrderID, OrderRandom, OrderBetweenness, OrderCoverage} {
-		for _, mono := range []bool{false, true} {
-			opts := []Option{WithOrdering(s), WithOrderingSeed(9)}
-			if mono {
-				opts = append(opts, WithMonolithic())
-			}
-			idx := BuildIndex(g.Clone(), opts...)
-			for v := 0; v < n; v++ {
-				if got, want := idx.CycleCount(v), CycleCountBFS(g, v); got != want {
-					t.Fatalf("%v mono=%v vertex %d: index %+v, BFS %+v", s, mono, v, got, want)
-				}
+		idx := BuildIndex(g.Clone(), WithOrdering(s), WithOrderingSeed(9))
+		for v := 0; v < n; v++ {
+			if got, want := idx.CycleCount(v), CycleCountBFS(g, v); got != want {
+				t.Fatalf("%v vertex %d: index %+v, BFS %+v", s, v, got, want)
 			}
 		}
 	}
@@ -588,45 +537,22 @@ func TestReRankingOption(t *testing.T) {
 	eng.Stats() // ReRanks is a valid field whether or not one fired
 }
 
-// Out-of-range ids answer "no cycle" on every index form — sharded,
-// monolithic, and a monolithic index reloaded from its v1 file — through
-// both the plain and the bounded read, instead of panicking.
+// Out-of-range ids answer "no cycle" through both the plain and the
+// bounded read, instead of panicking. (The monolithic and v1 forms are
+// checked in internal/csc: TestIndexOutOfRangeReads.)
 func TestOutOfRangeReads(t *testing.T) {
 	const n = 4
-	build := func(opts ...Option) *Index {
-		g, _ := GraphFromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-		return BuildIndex(g, opts...)
+	g, _ := GraphFromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+	idx := BuildIndex(g)
+	if r := idx.CycleCount(0); !r.Exists || r.Length != 3 {
+		t.Fatalf("CycleCount(0) = %+v, want the triangle", r)
 	}
-	v1 := func() *Index {
-		var buf bytes.Buffer
-		if _, err := build(WithMonolithic()).WriteTo(&buf); err != nil {
-			t.Fatal(err)
+	for _, v := range []int{-1, n, n + 95} {
+		if r := idx.CycleCount(v); r.Exists {
+			t.Fatalf("CycleCount(%d) = %+v, want no cycle", v, r)
 		}
-		if !bytes.HasPrefix(buf.Bytes(), []byte("CSCIDX01")) {
-			t.Fatalf("monolithic index wrote %q, want the v1 format", buf.Bytes()[:8])
-		}
-		idx, err := ReadIndex(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}
-	forms := map[string]*Index{
-		"sharded":    build(),
-		"monolithic": build(WithMonolithic()),
-		"v1":         v1(),
-	}
-	for name, idx := range forms {
-		if r := idx.CycleCount(0); !r.Exists || r.Length != 3 {
-			t.Fatalf("%s: CycleCount(0) = %+v, want the triangle", name, r)
-		}
-		for _, v := range []int{-1, n, n + 95} {
-			if r := idx.CycleCount(v); r.Exists {
-				t.Fatalf("%s: CycleCount(%d) = %+v, want no cycle", name, v, r)
-			}
-			if r := idx.CycleCountBounded(v, 10); r.Exists {
-				t.Fatalf("%s: CycleCountBounded(%d, 10) = %+v, want no cycle", name, v, r)
-			}
+		if r := idx.CycleCountBounded(v, 10); r.Exists {
+			t.Fatalf("CycleCountBounded(%d, 10) = %+v, want no cycle", v, r)
 		}
 	}
 }

@@ -119,38 +119,6 @@ func accumulate(agg *pll.UpdateStats, st pll.UpdateStats) {
 	agg.TouchedOwners = append(agg.TouchedOwners, st.TouchedOwners...)
 }
 
-// ApplyBatch applies the batch's net effect through the monolithic
-// index's own INCCNT/decremental maintenance, one op at a time — the
-// sequential fallback of the Counter batch contract. workers is ignored.
-func (x *Index) ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, error) {
-	_ = workers
-	var agg pll.UpdateStats
-	if len(batch) == 0 {
-		return agg, nil
-	}
-	if err := ValidateBatch(x.g, batch); err != nil {
-		return agg, err
-	}
-	start := time.Now()
-	batch = coalesceBatch(x.g, batch)
-	for _, op := range batch {
-		var st pll.UpdateStats
-		var err error
-		if op.Kind == OpInsert {
-			st, err = x.InsertEdge(int(op.A), int(op.B))
-		} else {
-			st, err = x.DeleteEdge(int(op.A), int(op.B))
-		}
-		if err != nil {
-			// Unreachable: ValidateBatch simulated the exact sequence.
-			return agg, err
-		}
-		accumulate(&agg, st)
-	}
-	agg.Duration = time.Since(start)
-	return agg, nil
-}
-
 // batchPlan classifies a batch against the pre-batch shard table.
 type batchPlan struct {
 	order      []int32            // stream shard slots, ascending

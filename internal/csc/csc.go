@@ -13,10 +13,12 @@
 // with a deterministic rank-order merge (labels stay byte-identical to a
 // sequential build), and the finished labels freeze into the CSR arena.
 //
-// Two index forms share the Counter surface: the monolithic Index below
-// (one labeling over the whole graph) and the SCC-sharded Sharded index
-// (sharded.go), which partitions by condensation, keeps the acyclic share
-// label-free, and scopes dynamic rebuilds to merged/split components.
+// The serving form is the SCC-sharded Sharded index (sharded.go), which
+// partitions by condensation, keeps the acyclic share label-free, and
+// scopes dynamic rebuilds to merged/split components. The monolithic
+// Index below (one labeling over the whole graph) is the per-shard
+// labeling, the paper-experiment type, and the conformance oracle; a v1
+// file loads into it, and AsSharded re-shards it for serving.
 package csc
 
 import (
@@ -249,17 +251,10 @@ func (x *Index) CycleCount(v int) (length int, count uint64) {
 	return x.read(v, 0, false)
 }
 
-// CycleCountBounded is CycleCount restricted to cycle lengths ≤ maxLen:
-// it answers exactly like CycleCount when the shortest cycles through v
-// are that short, and (bfscount.NoCycle, 0) otherwise, via the bounded
-// join (over-bound hub pairs never enter the count arithmetic).
-func (x *Index) CycleCountBounded(v, maxLen int) (length int, count uint64) {
-	return x.read(v, maxLen, true)
-}
-
-// read is the one SCCnt evaluation behind CycleCount and
-// CycleCountBounded. Unbounded reads go through CountPaths, which feeds
-// the re-ranker's hub hit counters; bounded ones through
+// read is the one SCCnt evaluation behind CycleCount here and the
+// sharded index's per-shard reads (bounded reads only come through
+// Sharded.CycleCountBounded). Unbounded reads go through CountPaths,
+// which feeds the re-ranker's hub hit counters; bounded ones through
 // CountPathsBounded, which does not.
 func (x *Index) read(v, maxLen int, bounded bool) (length int, count uint64) {
 	// Out-of-range ids lie on no cycle, and no cycle is shorter than 2.

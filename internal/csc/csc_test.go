@@ -1,6 +1,7 @@
 package csc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -118,7 +119,7 @@ func randomGraph(r *rand.Rand, n, avgDeg int) *graph.Digraph {
 	return g
 }
 
-func assertAllCycleCounts(t *testing.T, x *Index, g *graph.Digraph, ctx string) {
+func assertAllCycleCounts(t *testing.T, x Counter, g *graph.Digraph, ctx string) {
 	t.Helper()
 	for v := 0; v < g.NumVertices(); v++ {
 		wl, wc := bfscount.CycleCount(g, v)
@@ -226,6 +227,46 @@ func TestDAGHasNoCycles(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v++ {
 		if l, c := x.CycleCount(v); l != bfscount.NoCycle || c != 0 {
 			t.Fatalf("SCCnt(%d) = (%d,%d) on a DAG", v, l, c)
+		}
+	}
+}
+
+// Out-of-range ids answer "no cycle" on the monolithic index — built, and
+// reloaded from its v1 bytes — through both the plain and the bounded
+// read, instead of panicking.
+func TestIndexOutOfRangeReads(t *testing.T) {
+	const n = 4
+	g, err := graph.FromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _ := Build(g, order.ByDegree(g), Options{})
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("CSCIDX01")) {
+		t.Fatalf("monolithic index wrote %q, want the v1 format", buf.Bytes()[:8])
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, ok := loaded.(*Index)
+	if !ok {
+		t.Fatalf("v1 bytes loaded as %T, want *Index", loaded)
+	}
+	for name, x := range map[string]*Index{"monolithic": built, "v1": v1} {
+		if l, c := x.CycleCount(0); l != 3 || c != 1 {
+			t.Fatalf("%s: CycleCount(0) = (%d,%d), want the triangle", name, l, c)
+		}
+		for _, v := range []int{-1, n, n + 95} {
+			if l, c := x.CycleCount(v); l != bfscount.NoCycle || c != 0 {
+				t.Fatalf("%s: CycleCount(%d) = (%d,%d), want no cycle", name, v, l, c)
+			}
+			if l, c := x.read(v, 10, true); l != bfscount.NoCycle || c != 0 {
+				t.Fatalf("%s: bounded read(%d, 10) = (%d,%d), want no cycle", name, v, l, c)
+			}
 		}
 	}
 }

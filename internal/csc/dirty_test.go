@@ -17,16 +17,16 @@ import (
 // returned. The pre/post answers come from the index itself — the
 // conformance suites already pin those against the BFS oracle — so this
 // test isolates the dirty-tracking claim.
-func dirtyStream(t *testing.T, name string, x Counter, seed int64, batched bool) {
+func dirtyStream(t *testing.T, name string, x updater, seed int64, batched bool) {
 	t.Helper()
 	g := x.Graph()
 	n := g.NumVertices()
 	r := rand.New(rand.NewSource(seed))
 
-	before, cBefore := x.CycleCountAll(1)
+	before, cBefore := countsOf(x)
 
 	check := func(step int, dirty []int) {
-		after, cAfter := x.CycleCountAll(1)
+		after, cAfter := countsOf(x)
 		inDirty := make(map[int]bool, len(dirty))
 		for _, v := range dirty {
 			inDirty[v] = true
@@ -83,7 +83,7 @@ func dirtyStream(t *testing.T, name string, x Counter, seed int64, batched bool)
 				pending[k] = true
 				batch = append(batch, op)
 			}
-			st, err := x.ApplyBatch(batch, 2)
+			st, err := x.(*Sharded).ApplyBatch(batch, 2)
 			if err != nil {
 				t.Fatalf("%s step %d: %v", name, step, err)
 			}
@@ -109,8 +109,15 @@ func dirtyStream(t *testing.T, name string, x Counter, seed int64, batched bool)
 	}
 }
 
+// updater is the per-op update surface both index forms share.
+type updater interface {
+	Counter
+	InsertEdge(a, b int) (pll.UpdateStats, error)
+	DeleteEdge(a, b int) (pll.UpdateStats, error)
+}
+
 // TestDirtySetExactness runs the dirty-tracking oracle over the whole
-// corpus, on both Counter forms, per-op and batched. Rings losing an
+// corpus, on both index forms per-op and on the sharded one batched. Rings losing an
 // edge split their component and regaining it merges it back, so the
 // stream exercises scoped rebuilds, INCCNT, and decremental repair.
 func TestDirtySetExactness(t *testing.T) {

@@ -23,7 +23,8 @@ import (
 // themselves round-trip explicitly in every format). Read dispatches on
 // the magic, so consumers — cyclehub.ReadIndex, the engine's WAL/snapshot
 // recovery, the csc CLI — load any form transparently, and files written
-// before sharding or compression existed keep loading.
+// before sharding or compression existed keep loading (the serving
+// layers re-shard a v1 load through AsSharded).
 
 // WriteTo serializes the index (the Gb labeling is self-contained; the
 // original graph is reconstructed on load from the conversion structure).
@@ -31,8 +32,9 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return x.eng.WriteTo(w)
 }
 
-// Read deserializes an index written by Index.WriteTo (v1) or
-// Sharded.WriteTo (v2), dispatching on the leading magic bytes.
+// Read deserializes an index written by Index.WriteTo (v1, into an
+// *Index) or Sharded.WriteTo (v2, v3 or v4, into a *Sharded), dispatching
+// on the leading magic bytes.
 func Read(r io.Reader) (Counter, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(8)

@@ -186,8 +186,10 @@ func (x *Sharded) CycleCount(v int) (length int, count uint64) {
 	return x.read(v, 0, false)
 }
 
-// CycleCountBounded is CycleCount restricted to cycle lengths ≤ maxLen
-// (same contract as Index.CycleCountBounded).
+// CycleCountBounded is CycleCount restricted to cycle lengths ≤ maxLen:
+// it answers exactly like CycleCount when the shortest cycles through v
+// are that short, and (bfscount.NoCycle, 0) otherwise, via the bounded
+// join (over-bound hub pairs never enter the count arithmetic).
 func (x *Sharded) CycleCountBounded(v, maxLen int) (length int, count uint64) {
 	return x.read(v, maxLen, true)
 }
@@ -200,11 +202,33 @@ func (x *Sharded) read(v, maxLen int, bounded bool) (length int, count uint64) {
 	return x.shards[x.shardOf[v]].idx.read(int(x.localID[v]), maxLen, bounded)
 }
 
-// CycleCountAll evaluates SCCnt for every vertex (same contract as
-// Index.CycleCountAll: workers 0 = all cores, clamped to the vertex
-// count; read-only, so safe without concurrent updates).
+// CycleCountAll evaluates SCCnt for every vertex and returns the
+// per-vertex lengths (bfscount.NoCycle for cycle-free vertices) and
+// counts. workers sets the parallelism: 0 uses every core, and any value
+// is clamped to the vertex count so tiny graphs never spawn idle
+// goroutines. Queries are read-only, so this is safe as long as no update
+// runs concurrently.
 func (x *Sharded) CycleCountAll(workers int) (lengths []int, counts []uint64) {
-	return cycleCountAll(len(x.shardOf), workers, x.CycleCount)
+	n := len(x.shardOf)
+	lengths = make([]int, n)
+	counts = make([]uint64, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int(next.Add(1)) - 1; v < n; v = int(next.Add(1)) - 1 {
+				lengths[v], counts[v] = x.CycleCount(v)
+			}
+		}()
+	}
+	wg.Wait()
+	return lengths, counts
 }
 
 // InsertEdge applies an edge insertion. Intra-shard edges run the shard's
@@ -388,10 +412,28 @@ func (x *Sharded) AddVertex() (int, error) {
 	return v, nil
 }
 
-// DetachVertex removes every incident edge of v through maintained
-// deletions, leaving v isolated (and trivial).
+// DetachVertex removes every incident edge of v (both directions)
+// through maintained deletions, leaving v isolated (and trivial). Vertex
+// ids stay dense and are never recycled — the paper models vertex
+// removal exactly this way, as a series of edge deletions.
 func (x *Sharded) DetachVertex(v int) (int, error) {
-	return detachVertex(x.g, v, x.DeleteEdge)
+	// Copy the adjacency before mutating it.
+	out := append([]int32(nil), x.g.Out(v)...)
+	in := append([]int32(nil), x.g.In(v)...)
+	removed := 0
+	for _, w := range out {
+		if _, err := x.DeleteEdge(v, int(w)); err != nil {
+			return removed, err
+		}
+		removed++
+	}
+	for _, w := range in {
+		if _, err := x.DeleteEdge(int(w), v); err != nil {
+			return removed, err
+		}
+		removed++
+	}
+	return removed, nil
 }
 
 // Graph returns the original graph. Callers must not mutate it directly.

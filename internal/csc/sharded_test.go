@@ -247,9 +247,12 @@ func TestShardedSerializeRoundtrip(t *testing.T) {
 	assertAgreesWithMono(t, y)
 }
 
+// A v1 stream loads as the monolithic Index, and AsSharded re-shards it
+// for serving: same answers, same maintenance strategy, and a sharded
+// index passes through unchanged.
 func TestReadDispatchesV1(t *testing.T) {
 	g := mixedGraph(t)
-	mono, _ := Build(g.Clone(), order.ByDegree(g), Options{})
+	mono, _ := Build(g.Clone(), order.ByDegree(g), Options{Strategy: pll.Minimality})
 	var buf bytes.Buffer
 	if _, err := mono.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -268,6 +271,17 @@ func TestReadDispatchesV1(t *testing.T) {
 		if al != bl || ac != bc {
 			t.Fatalf("vertex %d differs after v1 roundtrip", v)
 		}
+	}
+	sx := AsSharded(loaded)
+	if err := sx.checkConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	if sx.opts.Strategy != pll.Minimality {
+		t.Fatalf("re-sharded strategy %v, want the v1 file's minimality", sx.opts.Strategy)
+	}
+	assertAgreesWithMono(t, sx)
+	if AsSharded(sx) != sx {
+		t.Fatal("AsSharded copied a sharded index")
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/bfscount"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/testgraphs"
 )
 
 func TestAddVertexThenWire(t *testing.T) {
 	g := testgraphs.Triangle()
-	x, _ := Build(g, order.ByDegree(g), Options{})
+	x, _ := BuildSharded(g, Options{})
 	v, err := x.AddVertex()
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,7 @@ func TestAddManyVerticesInterleaved(t *testing.T) {
 			_ = g.AddEdge(u, v)
 		}
 	}
-	x, _ := Build(g, order.ByDegree(g), Options{})
+	x, _ := BuildSharded(g, Options{})
 	for step := 0; step < 25; step++ {
 		n := g.NumVertices()
 		switch r.Intn(3) {
@@ -74,7 +73,7 @@ func TestAddManyVerticesInterleaved(t *testing.T) {
 
 func TestDetachVertex(t *testing.T) {
 	g := testgraphs.Figure2()
-	x, _ := Build(g, order.ByDegree(g), Options{})
+	x, _ := BuildSharded(g, Options{})
 	// Detaching v7 (vertex 6) kills every cycle in Figure 2 except none —
 	// all cycles pass v7, so everything becomes acyclic.
 	removed, err := x.DetachVertex(6)

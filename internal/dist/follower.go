@@ -45,7 +45,7 @@ type Follower struct {
 
 	mu        sync.RWMutex
 	st        *engine.Store
-	ix        csc.Counter
+	ix        *csc.Sharded
 	n         int
 	seq       uint64
 	sinceSnap int
@@ -72,11 +72,12 @@ func OpenFollower(dir string, bootstrap func() (csc.Counter, error), opts Follow
 	if err != nil {
 		return nil, err
 	}
-	ix, seq, err := st.Recover(bootstrap)
+	c, seq, err := st.Recover(bootstrap)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
+	ix := csc.AsSharded(c)
 	f := &Follower{
 		dir: dir, bootstrap: bootstrap, opts: opts,
 		st: st, ix: ix, n: ix.Graph().NumVertices(), seq: seq,

@@ -172,14 +172,16 @@ func TestEngineRefreezesCompressedLabels(t *testing.T) {
 	}
 }
 
-// The monolithic engine path exercises the same hook through csc.Index.
+// A compressed monolithic index reaches the engine through csc.AsSharded
+// (the v1 load path), which must keep its labels compressed so the same
+// quiesce hook refreezes them.
 func TestEngineRefreezesMonolithic(t *testing.T) {
 	g := testgraphs.GiantSCC(20, 70, 17)
 	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{CompressLabels: true})
-	e := New(x, Options{NoCache: true})
+	e := New(csc.AsSharded(x), Options{NoCache: true})
 	defer e.Close()
 	if st := e.Stats(); st.CompressedBytes == 0 {
-		t.Fatal("compressed monolithic engine reports zero compressed bytes")
+		t.Fatal("re-sharded compressed monolithic index reports zero compressed bytes")
 	}
 	n := e.NumVertices()
 insert:
@@ -200,6 +202,6 @@ insert:
 		time.Sleep(time.Millisecond)
 	}
 	if st := e.Stats(); st.LabelsRefrozen == 0 {
-		t.Fatal("no labels refrozen on the monolithic engine")
+		t.Fatal("no labels refrozen on the re-sharded monolithic index")
 	}
 }

@@ -49,7 +49,7 @@ func TestCoalesceNetEffectAgainstLiveGraph(t *testing.T) {
 			}
 			_ = g.AddEdge(1, 2)
 			_ = g.AddEdge(2, 0)
-			ix, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+			ix, _ := csc.BuildSharded(g, csc.Options{})
 			e := New(ix, Options{FlushInterval: -1})
 			defer e.Close()
 			e.pending = append(e.pending, tc.pending...)
@@ -74,7 +74,7 @@ func TestCoalescePreexistingPairAppliesDelete(t *testing.T) {
 	_ = g.AddEdge(0, 1)
 	_ = g.AddEdge(1, 2)
 	_ = g.AddEdge(2, 0)
-	ix, _ := csc.Build(g.Clone(), order.ByDegree(g), csc.Options{})
+	ix, _ := csc.BuildSharded(g.Clone(), csc.Options{})
 	ox, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
 
 	// A long flush interval parks the writer until Flush, so both ops

@@ -1,5 +1,5 @@
-// Package engine turns a csc.Counter — the monolithic or the SCC-sharded
-// CSC index — into a concurrent serving system: any
+// Package engine turns the SCC-sharded CSC index (*csc.Sharded) into a
+// concurrent serving system: any
 // number of reader goroutines answer SCCnt queries while one writer
 // goroutine drains a batched update mailbox, coalesces redundant edge
 // operations against the live graph, applies each batch inside a short
@@ -154,11 +154,10 @@ type Options struct {
 	// cores; always clamped to the vertex count).
 	Workers int
 	// UpdateWorkers bounds the batch-apply parallelism: each coalesced
-	// batch is handed to the index's ApplyBatch, which the sharded form
-	// plans per shard and applies as concurrent per-shard update streams
-	// (0 = all cores, 1 = sequential; the monolithic index is always
-	// sequential). Readers are unaffected either way — batches still
-	// apply inside the grace period.
+	// batch is planned per shard and applied as concurrent per-shard
+	// update streams (0 = all cores, 1 = sequential). Readers are
+	// unaffected either way — batches still apply inside the grace
+	// period.
 	UpdateWorkers int
 	// NoCache disables the epoch-tagged per-vertex result cache, making
 	// every CycleCount redo its label join. Queries stay correct either
@@ -196,14 +195,13 @@ type Options struct {
 	// rebuild runs on a background goroutine and swaps in atomically
 	// when done (Stats.Degraded lists the stale shards meanwhile). 0
 	// disables deferral: every rebuild is inline, blocking the batch.
-	// Only the sharded index defers; the monolithic index ignores this.
 	OOBRebuildThreshold int
-	// ReRankInterval enables online per-shard hub re-ranking on the
-	// sharded index: every interval the writer turns on per-hub hit
-	// counters, measures each shard's order drift (the hit-weighted mean
-	// normalized rank of the winning hubs), and when one shard has
-	// accumulated at least ReRankMinHits hits with drift at least
-	// ReRankDrift, rebuilds that shard under a hit-weighted hub order
+	// ReRankInterval enables online per-shard hub re-ranking: every
+	// interval the writer turns on per-hub hit counters, measures each
+	// shard's order drift (the hit-weighted mean normalized rank of the
+	// winning hubs), and when one shard has accumulated at least
+	// ReRankMinHits hits with drift at least ReRankDrift, rebuilds that
+	// shard under a hit-weighted hub order
 	// through the out-of-band path — readers never pause, the swap is
 	// atomic. 0 (the default) disables re-ranking entirely. Structural
 	// work always wins: a tick is skipped while any batch or rebuild is
@@ -303,10 +301,10 @@ type Stats struct {
 	ReRanks uint64 `json:"reranks,omitempty"`
 }
 
-// Engine serves one csc.Counter under the single-writer / many-reader
+// Engine serves one sharded index under the single-writer / many-reader
 // protocol.
 type Engine struct {
-	ix   csc.Counter
+	ix   *csc.Sharded
 	n    int
 	lock *stripedRW
 	opts Options
@@ -389,13 +387,15 @@ type ctlReq struct {
 // New wraps an index in an in-memory engine (no durability) and starts
 // its writer goroutine. The engine owns the index from here on: mutate it
 // only through Insert/Delete, query it through CycleCount.
-func New(ix csc.Counter, opts Options) *Engine {
+func New(ix *csc.Sharded, opts Options) *Engine {
 	return start(ix, nil, 0, opts)
 }
 
 // Open recovers (or bootstraps) an engine from a store directory: the
 // snapshot is loaded if one exists — bootstrap is only called for a fresh
 // store — and WAL batches beyond it are replayed before serving starts.
+// A monolithic snapshot or bootstrap index is re-sharded first
+// (csc.AsSharded).
 // Every batch the returned engine applies is WAL-logged before it
 // mutates the index.
 func Open(dir string, bootstrap func() (csc.Counter, error), opts Options) (*Engine, error) {
@@ -411,7 +411,7 @@ func OpenIO(dir string, sio StoreIO, bootstrap func() (csc.Counter, error), opts
 	if err != nil {
 		return nil, err
 	}
-	ix, seq, err := st.Recover(bootstrap)
+	ix, seq, err := st.recoverSharded(bootstrap)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -419,7 +419,7 @@ func OpenIO(dir string, sio StoreIO, bootstrap func() (csc.Counter, error), opts
 	return start(ix, st, seq, opts), nil
 }
 
-func start(ix csc.Counter, st *Store, seq uint64, opts Options) *Engine {
+func start(ix *csc.Sharded, st *Store, seq uint64, opts Options) *Engine {
 	opts.fill()
 	lock := newStripedRW()
 	e := &Engine{
@@ -460,7 +460,7 @@ func (e *Engine) NumVertices() int { return e.n }
 // Index exposes the underlying index. The caller must only read it, and
 // only while no batch can be applying (after Flush with no concurrent
 // enqueuers, or from a post-batch hook).
-func (e *Engine) Index() csc.Counter { return e.ix }
+func (e *Engine) Index() *csc.Sharded { return e.ix }
 
 // Seq returns the sequence number of the last applied batch.
 func (e *Engine) Seq() uint64 { return e.seq.Load() }
@@ -808,44 +808,31 @@ func (e *Engine) Stats() Stats {
 		st.Err = err.Error()
 	}
 	m := e.lock.rlock(0)
+	// Reading under a stripe read-lock is enough: the writer only mutates
+	// the index inside the full grace period.
 	st.Vertices = e.n
 	st.Edges = e.ix.Graph().NumEdges()
 	st.Entries = e.ix.EntryCount()
 	st.LabelBytes = e.ix.Bytes()
-	// The sharded index exposes its out-of-band degradation state; the
-	// monolithic index has none and the fields stay zero. Reading under a
-	// stripe read-lock is enough: the writer only mutates these inside the
-	// full grace period.
-	if dx, ok := e.ix.(interface{ StaleShards() []int }); ok {
-		st.Degraded = dx.StaleShards()
-	}
-	if ox, ok := e.ix.(interface{ OOBRebuilds() (int, int) }); ok {
-		c, s := ox.OOBRebuilds()
-		st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)
-	}
-	if cx, ok := e.ix.(interface{ CompressedBytes() int }); ok {
-		st.CompressedBytes = cx.CompressedBytes()
-	}
+	st.Degraded = e.ix.StaleShards()
+	c, s := e.ix.OOBRebuilds()
+	st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)
+	st.CompressedBytes = e.ix.CompressedBytes()
 	st.LabelsRefrozen = e.refrozen.Load()
 	st.ReRanks = e.reranks.Load()
 	m.RUnlock()
 	return st
 }
 
-// ShardTable snapshots the sharded index's routing inputs — a copy of
-// the vertex→shard-slot table (-1 for trivial vertices, which answer
-// zero cycles with no labels at all) and the per-shard footprint stats a
-// size-balanced placement weighs. ok is false on a monolithic index,
-// which has no shards to place. Safe concurrently with updates: both
-// reads happen inside one reader epoch.
+// ShardTable snapshots the index's routing inputs — a copy of the
+// vertex→shard-slot table (-1 for trivial vertices, which answer zero
+// cycles with no labels at all) and the per-shard footprint stats a
+// size-balanced placement weighs. ok is always true. Safe concurrently
+// with updates: both reads happen inside one reader epoch.
 func (e *Engine) ShardTable() (shardOf []int32, stats []csc.ShardStat, ok bool) {
-	sx, sharded := e.ix.(*csc.Sharded)
-	if !sharded {
-		return nil, nil, false
-	}
 	m := e.lock.rlock(0)
 	defer m.RUnlock()
-	return sx.ShardMap(), sx.ShardStats(), true
+	return e.ix.ShardMap(), e.ix.ShardStats(), true
 }
 
 // Close drains and applies the mailbox, syncs and closes the store, and
@@ -864,10 +851,10 @@ func (e *Engine) run() {
 	defer close(e.done)
 	var timer *time.Timer
 	var timerC <-chan time.Time
-	// The re-rank ticker only exists when the feature is on and the index
-	// can re-rank (sharded); a nil channel never fires.
+	// The re-rank ticker only exists when the feature is on; a nil channel
+	// never fires.
 	var rerankC <-chan time.Time
-	if _, ok := e.ix.(*csc.Sharded); ok && e.opts.ReRankInterval > 0 {
+	if e.opts.ReRankInterval > 0 {
 		tk := time.NewTicker(e.opts.ReRankInterval)
 		defer tk.Stop()
 		rerankC = tk.C
@@ -947,19 +934,14 @@ func (e *Engine) run() {
 // the writer goroutine at quiesce points (timer flush, full-batch apply,
 // flushAll) so a sustained update storm never pays the arena rebuild —
 // only the first idle moment after one does. On an uncompressed index the
-// type assertion still succeeds (both index forms export RefreezeLabels)
-// but the call is a no-op with no thawed lists, so the lock sweep is the
-// only cost and it is skipped unless a batch just ran.
+// call is a no-op with no thawed lists, so the lock sweep is the only
+// cost and it is skipped unless a batch just ran.
 func (e *Engine) refreezeQuiesced() {
 	if len(e.pending) > 0 || len(e.mail) > 0 {
 		return
 	}
-	rf, ok := e.ix.(interface{ RefreezeLabels() int })
-	if !ok {
-		return
-	}
 	e.lock.lockAll()
-	n := rf.RefreezeLabels()
+	n := e.ix.RefreezeLabels()
 	e.lock.unlockAll()
 	if n > 0 {
 		e.refrozen.Add(uint64(n))
@@ -1147,43 +1129,32 @@ func batchOps(batch []Op) []csc.EdgeOp {
 }
 
 // apply runs one batch inside the grace period through the index's batch
-// planner — the sharded index applies independent per-shard update
-// streams on UpdateWorkers goroutines and computes merge/split effects
-// once for the whole batch — and returns the batch's dirty set: the
-// sorted original-graph vertices whose labels it touched, which is
-// exactly the set whose query answers can differ (csc.DirtyVertices).
-// The result cache is expired for those vertices before the grace period
-// ends, so no reader ever pairs a post-batch epoch with a pre-batch
-// value.
+// planner — independent per-shard update streams on UpdateWorkers
+// goroutines, merge/split effects computed once for the whole batch, and
+// structural rebuilds of at least OOBRebuildThreshold vertices deferred
+// out of band (a zero threshold defers nothing) — and returns the batch's
+// dirty set: the sorted original-graph vertices whose labels it touched,
+// which is exactly the set whose query answers can differ
+// (csc.DirtyVertices). The result cache is expired for those vertices
+// before the grace period ends, so no reader ever pairs a post-batch
+// epoch with a pre-batch value.
 func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats, deferred bool) {
 	e.lock.lockAll()
-	var err error
-	var pending *csc.Rebuild
-	sx, sharded := e.ix.(*csc.Sharded)
-	oob := sharded && e.opts.OOBRebuildThreshold > 0
-	if oob {
-		st, pending, err = sx.ApplyBatchDeferred(batchOps(batch), e.opts.UpdateWorkers, e.opts.OOBRebuildThreshold)
-	} else {
-		st, err = e.ix.ApplyBatch(batchOps(batch), e.opts.UpdateWorkers)
-	}
+	st, pending, err := e.ix.ApplyBatchDeferred(batchOps(batch), e.opts.UpdateWorkers, e.opts.OOBRebuildThreshold)
 	if err != nil {
 		// Coalescing computed the batch against the live graph, so a
 		// rejected batch is unreachable short of index corruption. Fall
 		// back to per-op application so one bad op cannot take the whole
 		// batch down with it.
 		st = e.applyPerOp(batch)
-		if oob {
-			pending = sx.PendingRebuild()
-		}
+		pending = e.ix.PendingRebuild()
 	}
 	dirty = csc.DirtyVertices(st)
 	if e.cache != nil {
 		e.cache.invalidate(dirty, seq)
 	}
 	e.lock.unlockAll()
-	if oob {
-		e.scheduleRebuild(pending)
-	}
+	e.scheduleRebuild(pending)
 	return dirty, st, pending != nil
 }
 
@@ -1231,14 +1202,10 @@ func (e *Engine) maybeStartRebuild() {
 func (e *Engine) finishRebuild(d rebuildDone) {
 	r := d.r
 	e.oobInflight = nil
-	sx, ok := e.ix.(*csc.Sharded)
-	if !ok {
-		return
-	}
 	seq := e.seq.Load() + 1
 	swapStart := time.Now()
 	e.lock.lockAll()
-	st, installed := sx.CompleteRebuild(r)
+	st, installed := e.ix.CompleteRebuild(r)
 	var dirty []int
 	if installed {
 		dirty = csc.DirtyVertices(st)
@@ -1299,12 +1266,8 @@ func (e *Engine) maybeReRank() {
 		len(e.pending) > 0 || len(e.mail) > 0 {
 		return
 	}
-	sx, ok := e.ix.(*csc.Sharded)
-	if !ok {
-		return
-	}
 	e.lock.lockAll()
-	reb := e.pickReRank(sx)
+	reb := e.pickReRank()
 	e.lock.unlockAll()
 	if reb == nil {
 		return
@@ -1325,11 +1288,11 @@ func (e *Engine) maybeReRank() {
 // ReRankDrift) with the highest drift. Nil when nothing qualifies —
 // including the first tick after counters turn on, which has no hits
 // recorded yet.
-func (e *Engine) pickReRank(sx *csc.Sharded) *csc.Rebuild {
-	sx.EnableHitCounters()
+func (e *Engine) pickReRank() *csc.Rebuild {
+	e.ix.EnableHitCounters()
 	best, bestDrift := -1, 0.0
-	for _, st := range sx.ShardStats() {
-		d, hits, ok := sx.ShardDrift(st.Slot)
+	for _, st := range e.ix.ShardStats() {
+		d, hits, ok := e.ix.ShardDrift(st.Slot)
 		if !ok || hits < e.opts.ReRankMinHits || d < e.opts.ReRankDrift {
 			continue
 		}
@@ -1340,7 +1303,7 @@ func (e *Engine) pickReRank(sx *csc.Sharded) *csc.Rebuild {
 	if best == -1 {
 		return nil
 	}
-	reb, err := sx.ReorderShardByHits(best)
+	reb, err := e.ix.ReorderShardByHits(best)
 	if err != nil {
 		return nil
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/csc"
 	"repro/internal/graph"
-	"repro/internal/order"
 )
 
 // randomGraph builds a deterministic pseudo-random digraph.
@@ -24,9 +23,9 @@ func randomGraph(n, m int, seed int64) *graph.Digraph {
 	return g
 }
 
-func buildIndex(n, m int, seed int64) *csc.Index {
+func buildIndex(n, m int, seed int64) *csc.Sharded {
 	g := randomGraph(n, m, seed)
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+	x, _ := csc.BuildSharded(g, csc.Options{})
 	return x
 }
 
@@ -94,7 +93,7 @@ func TestEngineRejectsBadOps(t *testing.T) {
 func TestEngineCoalescesBatch(t *testing.T) {
 	g := graph.New(6)
 	_ = g.AddEdge(0, 1) // pre-existing edge
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+	x, _ := csc.BuildSharded(g, csc.Options{})
 	e := New(x, Options{FlushInterval: time.Hour}) // nothing applies until Flush
 	defer e.Close()
 

@@ -105,23 +105,21 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.Bytes())
 	})
-	if cx, ok := e.ix.(interface{ CompressedBytes() int }); ok {
-		reg.GaugeFunc("cscd_label_compressed_bytes", "compressed frozen-arena label footprint in bytes (0 when labels are uncompressed)", func() float64 {
-			m := e.lock.rlock(0)
-			defer m.RUnlock()
-			return float64(cx.CompressedBytes())
-		})
-		reg.GaugeFunc("cscd_label_bytes_per_entry", "compressed label bytes per entry (0 when labels are uncompressed)", func() float64 {
-			m := e.lock.rlock(0)
-			defer m.RUnlock()
-			n := e.ix.EntryCount()
-			b := cx.CompressedBytes()
-			if n == 0 || b == 0 {
-				return 0
-			}
-			return float64(b) / float64(n)
-		})
-	}
+	reg.GaugeFunc("cscd_label_compressed_bytes", "compressed frozen-arena label footprint in bytes (0 when labels are uncompressed)", func() float64 {
+		m := e.lock.rlock(0)
+		defer m.RUnlock()
+		return float64(e.ix.CompressedBytes())
+	})
+	reg.GaugeFunc("cscd_label_bytes_per_entry", "compressed label bytes per entry (0 when labels are uncompressed)", func() float64 {
+		m := e.lock.rlock(0)
+		defer m.RUnlock()
+		n := e.ix.EntryCount()
+		b := e.ix.CompressedBytes()
+		if n == 0 || b == 0 {
+			return 0
+		}
+		return float64(b) / float64(n)
+	})
 	reg.CounterFunc("cscd_labels_refrozen_total", "thawed label lists folded back into the compressed arena at quiesce", e.refrozen.Load)
 	reg.CounterFunc("cscd_bloom_checks_total", "join calls screened by label bloom signatures", func() uint64 {
 		c, _ := label.BloomStats()
@@ -156,27 +154,23 @@ func (e *Engine) initObs() {
 		e.store.fsyncNS = reg.Histogram("cscd_wal_fsync_seconds", "WAL fsync latency")
 	}
 
-	sx, sharded := e.ix.(*csc.Sharded)
-	if !sharded {
-		return
-	}
 	e.staleHist = reg.Histogram("cscd_oob_stale_seconds", "out-of-band rebuild freeze-to-swap stale window")
 	e.oobRunNS = reg.Histogram("cscd_oob_rebuild_seconds", "out-of-band background rebuild run time")
 	reg.GaugeFunc("cscd_degraded_shards", "shard slots currently serving stale answers", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
-		return float64(len(sx.StaleShards()))
+		return float64(len(e.ix.StaleShards()))
 	})
 	reg.CounterFunc("cscd_oob_rebuilds_total", "out-of-band rebuild components completed", func() uint64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
-		c, _ := sx.OOBRebuilds()
+		c, _ := e.ix.OOBRebuilds()
 		return uint64(c)
 	})
 	reg.CounterFunc("cscd_oob_superseded_total", "out-of-band rebuilds superseded before completing", func() uint64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
-		_, s := sx.OOBRebuilds()
+		_, s := e.ix.OOBRebuilds()
 		return uint64(s)
 	})
 	reg.CounterFunc("cscd_reranks_total", "online hub re-rank rebuilds initiated", e.reranks.Load)
@@ -185,7 +179,7 @@ func (e *Engine) initObs() {
 	shardStats := func() []csc.ShardStat {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
-		return sx.ShardStats()
+		return e.ix.ShardStats()
 	}
 	reg.Collect("cscd_shard_entries", "label entries per shard slot", "shard", func(emit func(string, float64)) {
 		for _, s := range shardStats() {
@@ -288,16 +282,12 @@ func (e *Engine) recordBatch(seq uint64, start time.Time, raw int, batch []Op, d
 }
 
 // dirtyShards maps a batch's dirty vertices to the sorted shard slots
-// they live in (nil for the monolithic index). Writer goroutine only.
+// they live in. Writer goroutine only.
 func (e *Engine) dirtyShards(dirty []int) []int {
-	sx, ok := e.ix.(*csc.Sharded)
-	if !ok {
-		return nil
-	}
 	seen := make(map[int]struct{})
 	var out []int
 	for _, v := range dirty {
-		s := sx.ShardOf(v)
+		s := e.ix.ShardOf(v)
 		if s < 0 {
 			continue
 		}

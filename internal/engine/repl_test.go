@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/csc"
 	"repro/internal/obs"
 )
 
@@ -148,7 +149,7 @@ func TestReplShipStageTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, Options{FlushInterval: -1, Replication: sink, Metrics: obs.New()})
+	e := New(csc.AsSharded(ix), Options{FlushInterval: -1, Replication: sink, Metrics: obs.New()})
 	defer e.Close()
 	if err := e.Insert(0, 1); err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func TestOnlineReRankFiresAndPreservesAnswers(t *testing.T) {
 
 	// The swapped shard carries Hits provenance (read under a reader
 	// epoch, like the metrics collectors do).
-	sx := e.Index().(*csc.Sharded)
+	sx := e.Index()
 	m := e.lock.rlock(0)
 	stats := sx.ShardStats()
 	m.RUnlock()
@@ -72,29 +72,6 @@ func TestOnlineReRankFiresAndPreservesAnswers(t *testing.T) {
 	}
 	if st := e.Stats(); len(st.Degraded) != 0 {
 		t.Fatalf("Degraded = %v after re-rank quiesce", st.Degraded)
-	}
-}
-
-// A monolithic index must simply never re-rank, whatever the options say.
-func TestReRankIgnoredOnMonolithicIndex(t *testing.T) {
-	g := testgraphs.GiantSCC(12, 36, 9)
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
-	e := New(x, Options{
-		FlushInterval:  -1,
-		NoCache:        true,
-		ReRankInterval: 200 * time.Microsecond,
-		ReRankMinHits:  1,
-		ReRankDrift:    1e-9,
-	})
-	defer e.Close()
-	for i := 0; i < 50; i++ {
-		for v := 0; v < e.NumVertices(); v++ {
-			e.CycleCount(v)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	if n := e.Stats().ReRanks; n != 0 {
-		t.Fatalf("monolithic engine re-ranked %d times", n)
 	}
 }
 

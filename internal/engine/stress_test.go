@@ -32,7 +32,7 @@ func TestConcurrentStress(t *testing.T) {
 
 	// Engine and oracle start from identical builds of the same graph.
 	g := randomGraph(n, m, 42)
-	ex, _ := csc.Build(g.Clone(), order.ByDegree(g.Clone()), csc.Options{})
+	ex, _ := csc.BuildSharded(g.Clone(), csc.Options{})
 	ox, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
 
 	e := New(ex, Options{MaxBatch: 16, FlushInterval: -1})

@@ -111,21 +111,33 @@ func (s *Store) WALBytes() int64 { return s.walBytes }
 // Recover loads the snapshot (or bootstraps a fresh index when none
 // exists) and replays every WAL batch past the snapshot's sequence
 // number, returning the recovered index and the last applied sequence
-// number. A torn WAL tail is truncated; the WAL is left positioned for
-// appending.
+// number. The index is always a *csc.Sharded: a monolithic snapshot or
+// bootstrap index is re-sharded (csc.AsSharded) before replay. A torn
+// WAL tail is truncated; the WAL is left positioned for appending.
 func (s *Store) Recover(bootstrap func() (csc.Counter, error)) (csc.Counter, uint64, error) {
-	ix, seq, err := s.loadSnapshot()
+	ix, seq, err := s.recoverSharded(bootstrap)
 	if err != nil {
 		return nil, 0, err
 	}
-	if ix == nil {
+	return ix, seq, nil
+}
+
+// recoverSharded is Recover with the sharded result type the engine
+// serves.
+func (s *Store) recoverSharded(bootstrap func() (csc.Counter, error)) (*csc.Sharded, uint64, error) {
+	c, seq, err := s.loadSnapshot()
+	if err != nil {
+		return nil, 0, err
+	}
+	if c == nil {
 		if bootstrap == nil {
 			return nil, 0, fmt.Errorf("%w: no snapshot in %s and no bootstrap", ErrCorruptStore, s.dir)
 		}
-		if ix, err = bootstrap(); err != nil {
+		if c, err = bootstrap(); err != nil {
 			return nil, 0, fmt.Errorf("engine: bootstrap: %w", err)
 		}
 	}
+	ix := csc.AsSharded(c)
 	seq, err = s.replay(ix, seq)
 	if err != nil {
 		return nil, 0, err
@@ -160,7 +172,7 @@ func (s *Store) loadSnapshot() (csc.Counter, uint64, error) {
 
 // replay applies WAL records with sequence numbers beyond snapSeq to ix
 // and repairs the WAL file (header creation, torn-tail truncation).
-func (s *Store) replay(ix csc.Counter, snapSeq uint64) (uint64, error) {
+func (s *Store) replay(ix *csc.Sharded, snapSeq uint64) (uint64, error) {
 	data, err := io.ReadAll(s.wal)
 	if err != nil {
 		return 0, err
@@ -285,7 +297,7 @@ func decodeRecord(data []byte) (rec walRecord, recLen int, ok bool) {
 	return rec, payload + 4, true
 }
 
-func applyRecord(ix csc.Counter, rec walRecord) error {
+func applyRecord(ix *csc.Sharded, rec walRecord) error {
 	// An unknown kind byte must fail recovery as corruption — the batch
 	// conversion below would otherwise normalize it to an insert and
 	// replay silently wrong state.

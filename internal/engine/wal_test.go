@@ -8,13 +8,11 @@ import (
 
 	"repro/internal/csc"
 	"repro/internal/graph"
-	"repro/internal/order"
 )
 
 func emptyIndex(n int) func() (csc.Counter, error) {
 	return func() (csc.Counter, error) {
-		g := graph.New(n)
-		x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+		x, _ := csc.BuildSharded(graph.New(n), csc.Options{})
 		return x, nil
 	}
 }
@@ -65,7 +63,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	assertLabelsEqual(t, ix, ix2)
 }
 
-func applyBatch(ix csc.Counter, b []Op) (int, error) {
+// applyBatch applies ops one at a time to a recovered (always sharded)
+// index.
+func applyBatch(c csc.Counter, b []Op) (int, error) {
+	ix := csc.AsSharded(c)
 	for _, op := range b {
 		var err error
 		if op.Kind == OpInsert {

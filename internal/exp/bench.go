@@ -152,10 +152,11 @@ func Bench(s Scale, d Dataset) BenchResult {
 		res.InsertNS = float64(insTotal.Nanoseconds()) / float64(len(edges))
 	}
 
-	// Serving throughput: hand the index to a concurrent engine (it owns
-	// it from here — this is the benchmark's last use) and measure
-	// queries/sec under each update rate.
-	e := engine.New(x, engine.Options{FlushInterval: -1})
+	// Serving throughput: re-shard the index into the serving form, hand
+	// it to a concurrent engine (it owns the graph from here — this is
+	// the benchmark's last use of x) and measure queries/sec under each
+	// update rate.
+	e := engine.New(csc.AsSharded(x), engine.Options{FlushInterval: -1})
 	res.Serve = serveBench(s, x.Graph(), e)
 	if err := e.Close(); err != nil {
 		panic(err)

@@ -75,7 +75,7 @@ func oracleBytes(t *testing.T, s int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(ix, workloadOpts())
+	e := engine.New(csc.AsSharded(ix), workloadOpts())
 	defer e.Close()
 	for _, op := range workloadScript()[:s] {
 		if op.del {

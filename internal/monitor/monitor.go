@@ -28,9 +28,9 @@ import (
 	"repro/internal/csc"
 )
 
-// Querier is the read surface the scoreboard needs. csc.Counter
-// implementations satisfy it through the counterQuerier adapter; the
-// serving engine implements it directly (cached, epoch-protected reads).
+// Querier is the read surface the scoreboard needs. A standalone index
+// satisfies it through the indexQuerier adapter; the serving engine
+// implements it directly (cached, epoch-protected reads).
 type Querier interface {
 	// NumVertices bounds the scoreboard.
 	NumVertices() int
@@ -42,16 +42,16 @@ type Querier interface {
 	CycleCountMany(vs []int, lengths []int, counts []uint64)
 }
 
-// counterQuerier adapts a csc.Counter to the Querier surface. The batch
-// read is a plain loop — the Counter has nothing to amortize across a
-// batch; the contract's point is that results land in caller buffers
+// indexQuerier adapts a standalone index to the Querier surface. The
+// batch read is a plain loop — the index has nothing to amortize across
+// a batch; the contract's point is that results land in caller buffers
 // (the serving engine's implementation additionally reads each vertex
 // through its cache inside its own epoch).
-type counterQuerier struct{ csc.Counter }
+type indexQuerier struct{ *csc.Sharded }
 
-func (q counterQuerier) NumVertices() int { return q.Graph().NumVertices() }
+func (q indexQuerier) NumVertices() int { return q.Graph().NumVertices() }
 
-func (q counterQuerier) CycleCountMany(vs []int, lengths []int, counts []uint64) {
+func (q indexQuerier) CycleCountMany(vs []int, lengths []int, counts []uint64) {
 	for i, v := range vs {
 		lengths[i], counts[i] = q.CycleCount(v)
 	}
@@ -89,7 +89,7 @@ func rankBefore(a, b Score) bool {
 // by the engine's reader epochs, in engine wiring).
 type TopK struct {
 	q Querier
-	x csc.Counter // standalone (index-owning) mode only; nil under Watch
+	x *csc.Sharded // standalone (index-owning) mode only; nil under Watch
 	k int
 
 	mu     sync.RWMutex
@@ -116,12 +116,12 @@ var errReadOnly = errors.New("monitor: read-only wiring — apply updates throug
 // New wraps an index and scores every vertex once, using every core for
 // the warm pass. In standalone use the monitor owns the index from here
 // on: route updates through TopK's methods.
-func New(x csc.Counter, k int) *TopK { return NewParallel(x, k, 0) }
+func New(x *csc.Sharded, k int) *TopK { return NewParallel(x, k, 0) }
 
 // NewParallel is New with explicit warm-pass parallelism (0 = all cores,
 // clamped to the vertex count).
-func NewParallel(x csc.Counter, k, workers int) *TopK {
-	m := Watch(counterQuerier{x}, k, workers)
+func NewParallel(x *csc.Sharded, k, workers int) *TopK {
+	m := Watch(indexQuerier{x}, k, workers)
 	m.x = x
 	return m
 }
@@ -139,7 +139,7 @@ func Watch(q Querier, k, workers int) *TopK {
 
 // Index exposes the underlying index for queries (nil for an
 // engine-attached monitor, which has no index of its own).
-func (m *TopK) Index() csc.Counter { return m.x }
+func (m *TopK) Index() *csc.Sharded { return m.x }
 
 // RescoreAll refreshes every vertex — the warm pass. The given
 // parallelism (0 = all cores) splits the scan into chunks that land in

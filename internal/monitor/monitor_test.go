@@ -8,12 +8,11 @@ import (
 	"repro/internal/bfscount"
 	"repro/internal/csc"
 	"repro/internal/graph"
-	"repro/internal/order"
 )
 
 func build(t *testing.T, g *graph.Digraph, k int) *TopK {
 	t.Helper()
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+	x, _ := csc.BuildSharded(g, csc.Options{})
 	return New(x, k)
 }
 
@@ -160,14 +159,14 @@ func TestConcurrentRescoreAllAndDirty(t *testing.T) {
 }
 
 // Out-of-range ids in a dirty set must be dropped before the batched
-// query — the monolithic index does not bounds-check — while in-range
-// ids around them still rescore. Regression for a review finding.
+// query — the scoreboard has no row for them — while in-range ids around
+// them still rescore. Regression for a review finding.
 func TestRescoreDirtyOutOfRange(t *testing.T) {
 	g := graph.New(3)
 	_ = g.AddEdge(0, 1)
 	_ = g.AddEdge(1, 2)
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{Workers: 1})
-	m := New(x, 2) // monolithic wiring: the strict Querier
+	x, _ := csc.BuildSharded(g, csc.Options{Workers: 1})
+	m := New(x, 2)
 	if _, err := x.InsertEdge(2, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,7 @@ type BatchTrace struct {
 	// size actually applied.
 	Raw int `json:"raw_ops,omitempty"`
 	Ops int `json:"ops,omitempty"`
-	// Shards lists the shard slots the batch streamed into or rebuilt
-	// (empty for a monolithic index).
+	// Shards lists the shard slots the batch streamed into or rebuilt.
 	Shards []int `json:"shards,omitempty"`
 	// Deferred marks a batch that handed a structural rebuild to the
 	// out-of-band path instead of running it inline.

@@ -306,11 +306,7 @@ type ShardJSON struct {
 }
 
 func (s *server) clusterShards(w http.ResponseWriter, r *http.Request) {
-	shardOf, stats, ok := s.e.ShardTable()
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, 0, "index is not sharded (no shard table to place)")
-		return
-	}
+	shardOf, stats, _ := s.e.ShardTable()
 	out := ShardTableJSON{
 		Vertices: len(shardOf),
 		Seq:      s.e.Seq(),

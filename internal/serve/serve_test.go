@@ -17,31 +17,25 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultstore"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/serve"
 )
 
 func newServer(t *testing.T, n int, k int, dir string) (*engine.Engine, *httptest.Server) {
 	t.Helper()
-	bootstrap := func() (csc.Counter, error) {
-		g := graph.New(n)
-		x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
-		return x, nil
-	}
 	var e *engine.Engine
-	var err error
 	opts := engine.Options{FlushInterval: -1}
 	if dir != "" {
-		e, err = engine.Open(dir, bootstrap, opts)
-	} else {
-		var x csc.Counter
-		x, err = bootstrap()
-		if err == nil {
-			e = engine.New(x, opts)
+		var err error
+		e, err = engine.Open(dir, func() (csc.Counter, error) {
+			x, _ := csc.BuildSharded(graph.New(n), csc.Options{})
+			return x, nil
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err != nil {
-		t.Fatal(err)
+	} else {
+		x, _ := csc.BuildSharded(graph.New(n), csc.Options{})
+		e = engine.New(x, opts)
 	}
 	w := e.WatchTopK(k)
 	srv := httptest.NewServer(serve.Handler(e, w, k))
@@ -266,7 +260,7 @@ func TestMalformedRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+	x, _ := csc.BuildSharded(g, csc.Options{})
 	e := engine.New(x, engine.Options{FlushInterval: -1})
 	t.Cleanup(func() { e.Close() })
 
@@ -305,7 +299,6 @@ func TestMalformedRequests(t *testing.T) {
 		{"healthz", "GET", "/healthz", nil, 200, ""},
 		{"metrics without registry", "GET", "/metrics", nil, 404, serve.CodeNotFound},
 		{"trace without ring", "GET", "/debug/trace", nil, 404, serve.CodeNotFound},
-		{"cluster shards on monolithic", "GET", "/cluster/shards", nil, 404, serve.CodeNotFound},
 	}
 	for _, tc := range cases {
 		var rd *bytes.Reader
@@ -379,7 +372,7 @@ func TestMalformedRequests(t *testing.T) {
 // "overloaded", a Retry-After header, and the enqueued prefix.
 func TestOverloadedErrorShape(t *testing.T) {
 	g := graph.New(6)
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+	x, _ := csc.BuildSharded(g, csc.Options{})
 	e := engine.New(x, engine.Options{
 		FlushInterval: -1,
 		MailboxSize:   1,
@@ -436,8 +429,7 @@ func TestOverloadedErrorShape(t *testing.T) {
 func TestReadOnlyErrorShape(t *testing.T) {
 	fio := faultstore.New()
 	bootstrap := func() (csc.Counter, error) {
-		g := graph.New(6)
-		x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
+		x, _ := csc.BuildSharded(graph.New(6), csc.Options{})
 		return x, nil
 	}
 	e, err := engine.OpenIO(t.TempDir(), fio, bootstrap, engine.Options{FlushInterval: -1, WALRetry: 0})
