@@ -105,19 +105,21 @@ func main() {
 	}
 
 	// Workers may still be building their index; retry the table fetch
-	// until -table-wait elapses.
+	// until -table-wait elapses, backing off from 10ms to 500ms so a
+	// router started beside booting workers picks the table up soon
+	// after it is served.
 	var (
 		table *dist.Table
 		err   error
 	)
 	deadline := time.Now().Add(*tableWait)
-	for {
+	for wait := 10 * time.Millisecond; ; wait = min(2*wait, 500*time.Millisecond) {
 		table, err = dist.FetchTable(src, len(groups), nil)
 		if err == nil || time.Now().After(deadline) {
 			break
 		}
-		log.Printf("cscrouter: shard table not ready at %s (%v), retrying", src, err)
-		time.Sleep(500 * time.Millisecond)
+		log.Printf("cscrouter: shard table not ready at %s (%v), retrying in %v", src, err, wait)
+		time.Sleep(wait)
 	}
 	if err != nil {
 		log.Fatalf("cscrouter: fetch shard table from %s: %v", src, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -322,7 +323,9 @@ func (x *Sharded) reconcile(plan batchPlan, agg *pll.UpdateStats) []*batchTask {
 			if len(comp) < 2 || covered[int32(ci)] {
 				continue
 			}
-			tasks = append(tasks, &batchTask{build: comp})
+			// A shard outlives final, whose member lists share one
+			// array over every vertex: give it its own copy.
+			tasks = append(tasks, &batchTask{build: slices.Clone(comp)})
 		}
 		return tasks
 	}

@@ -2,6 +2,7 @@ package csc
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -379,7 +380,9 @@ func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, thresh
 		if len(comp) < 2 || covered[c] || deferred[c] {
 			continue
 		}
-		tasks = append(tasks, &batchTask{build: comp})
+		// A shard outlives final, whose member lists share one array
+		// over every vertex: give it its own copy.
+		tasks = append(tasks, &batchTask{build: slices.Clone(comp)})
 	}
 
 	// Pass 4: the new pending deferral (or none). Any previous one is
@@ -411,7 +414,7 @@ func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, thresh
 		return a[0] < b[0]
 	})
 	for _, c := range ids {
-		comp := final.Comps[c]
+		comp := slices.Clone(final.Comps[c]) // outlives final, like a task's build list
 		reb.comps = append(reb.comps, comp)
 		reb.subs = append(reb.subs, partition.Induced(x.g, comp))
 		for _, v := range comp {

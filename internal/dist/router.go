@@ -245,24 +245,27 @@ func (r *Router) Failovers() uint64 { return r.failovers.Load() }
 // probeLoop watches every group: the active endpoint's liveness decides
 // failover, and both endpoints' sequence numbers feed the replication
 // lag gauge. One goroutine probes all groups each tick — cluster sizes
-// here are small and a hung worker costs one bounded ProbeTimeout.
+// here are small and a hung worker costs one bounded ProbeTimeout. The
+// first round runs at once, so a router over live workers is ready
+// without waiting out a ProbeInterval; failover still takes ProbeMisses
+// consecutive misses.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
 	tick := time.NewTicker(r.opts.ProbeInterval)
 	defer tick.Stop()
 	lastRefresh := time.Now()
 	for {
+		for gi, g := range r.groups {
+			r.probeGroup(gi, g)
+		}
+		if time.Since(lastRefresh) >= r.opts.TableRefresh {
+			lastRefresh = time.Now()
+			r.refreshTable()
+		}
 		select {
 		case <-r.stop:
 			return
 		case <-tick.C:
-			for gi, g := range r.groups {
-				r.probeGroup(gi, g)
-			}
-			if time.Since(lastRefresh) >= r.opts.TableRefresh {
-				lastRefresh = time.Now()
-				r.refreshTable()
-			}
 		}
 	}
 }

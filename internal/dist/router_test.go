@@ -213,3 +213,35 @@ func TestRouterFailsOverToFollower(t *testing.T) {
 		t.Fatalf("cluster should be ready on the promoted follower: %d %v", status, body)
 	}
 }
+
+// The first probe round runs when the router starts, not one
+// ProbeInterval later: over live workers /healthz?ready=1 turns 200
+// at once even with an hour between probes.
+func TestRouterReadyWithoutWaitingForTick(t *testing.T) {
+	prim := newFakeWorker("prim", 4)
+	defer prim.Close()
+	fol := newFakeWorker("fol", 4)
+	defer fol.Close()
+	solo := newFakeWorker("solo", 4)
+	defer solo.Close()
+
+	r, err := NewRouter(testTable(2), []GroupConfig{{Primary: prim.srv.URL, Follower: fol.srv.URL}, {Primary: solo.srv.URL}}, RouterOptions{
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	deadline := time.Now().Add(time.Second)
+	for {
+		status, body := routerGet(t, r, "/healthz?ready=1")
+		if status == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not ready 1s after start: %d %v", status, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

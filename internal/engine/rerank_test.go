@@ -70,8 +70,19 @@ func TestOnlineReRankFiresAndPreservesAnswers(t *testing.T) {
 	if !tagged {
 		t.Fatalf("no shard tagged with hits provenance after re-rank: %+v", stats)
 	}
-	if st := e.Stats(); len(st.Degraded) != 0 {
-		t.Fatalf("Degraded = %v after re-rank quiesce", st.Degraded)
+	// The oracle reads above recorded hits, so the ticker may start
+	// another re-rank at any time. Quiesce and read the stale set on the
+	// writer goroutine, where re-ranks start, so none begins in between.
+	var degraded []int
+	if err := e.do(func() error {
+		e.awaitRebuilds()
+		degraded = e.ix.StaleShards()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(degraded) != 0 {
+		t.Fatalf("Degraded = %v after re-rank quiesce", degraded)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -221,46 +223,226 @@ func (g *Digraph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLine caps one edge-list line at the 16 MiB the parser has always
+// accepted.
+const maxLine = 1 << 24
+
 // ReadEdgeList parses the format written by WriteEdgeList. Lines starting
 // with '#' are comments. Self-loops and duplicates in the input are skipped
-// rather than rejected, matching how the paper's datasets are cleaned.
+// rather than rejected, matching how the paper's datasets are cleaned, and
+// every adjacency list keeps its edges in order of first occurrence.
+//
+// Lines are parsed in place in the reader's buffer into one flat pair
+// buffer, which grows with the input alone (the header's edge count is
+// never trusted); the adjacency lists are then carved from one array per
+// direction.
 func ReadEdgeList(r io.Reader) (*Digraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var g *Digraph
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	br := bufio.NewReaderSize(r, 1<<16)
+	n := -1           // vertex count, once the header is read
+	var pairs []int32 // u0 v0 u1 v1 …: in-range, loop-free edges in input order
+	var long []byte   // a line longer than the reader's buffer
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+				if len(long) > maxLine {
+					return nil, bufio.ErrTooLong
+				}
+			}
+			line = long
 		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			return nil, fmt.Errorf("%w: %q", ErrMalformedInput, line)
+		if len(line) > 0 && line[len(line)-1] == '\n' {
+			line = line[:len(line)-1]
 		}
-		a, err1 := strconv.Atoi(f[0])
-		b, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: %q", ErrMalformedInput, line)
-		}
-		if g == nil {
+		a, b, skip, ok := parsePair(line)
+		switch {
+		case skip:
+		case !ok:
+			return nil, fmt.Errorf("%w: %q", ErrMalformedInput, strings.TrimSpace(string(line)))
+		case n < 0:
 			if a < 0 || b < 0 {
 				return nil, fmt.Errorf("%w: negative header", ErrMalformedInput)
 			}
-			g = New(a)
-			continue
+			if a > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: header declares %d vertices, past the int32 id range", ErrMalformedInput, a)
+			}
+			n = a
+		case a < 0 || a >= n || b < 0 || b >= n:
+			return nil, fmt.Errorf("edge (%d,%d): %w", a, b, ErrVertexRange)
+		case len(pairs)/2 == math.MaxInt32: // edge ids are int32 too
+			return nil, fmt.Errorf("%w: more than %d edges", ErrMalformedInput, math.MaxInt32)
+		case a != b: // self-loops skip here, duplicates in fromPairs
+			if len(pairs) == cap(pairs) {
+				pairs = slices.Grow(pairs, max(len(pairs), 1<<10)) // double: O(log m) allocations
+			}
+			pairs = append(pairs, int32(a), int32(b))
 		}
-		err := g.AddEdge(a, b)
-		if err != nil && !errors.Is(err, ErrSelfLoop) && !errors.Is(err, ErrDuplicateEdge) {
-			return nil, fmt.Errorf("edge (%d,%d): %w", a, b, err)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if g == nil {
+	if n < 0 {
 		return nil, fmt.Errorf("%w: empty input", ErrMalformedInput)
 	}
-	return g, nil
+	return fromPairs(n, pairs), nil
+}
+
+// asciiSpace marks the single bytes unicode.IsSpace accepts; every byte
+// of a multi-byte rune is unmarked.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parsePair reads one line: blank lines and '#' comments skip, exactly
+// two integer fields parse, anything else is malformed. A plain
+// "digits space digits" line takes one pass in place; any other line goes
+// through strings.Fields and strconv.Atoi, whose Unicode notion of space
+// and integer syntax the format has always used.
+func parsePair(line []byte) (a, b int, skip, ok bool) {
+	if a, b, ok := plainPair(line); ok {
+		return a, b, false, true
+	}
+	if i := skipSpace(line, 0); i == len(line) || line[i] == '#' {
+		return 0, 0, true, false
+	}
+	return parseFields(string(line))
+}
+
+// plainPair parses the common line shape in one pass: optional ASCII
+// space, two runs of at most 18 digits (no sign, no int64 overflow)
+// separated by ASCII space, optional ASCII space. ok is false for any
+// other line, which parsePair then reads the general way.
+func plainPair(line []byte) (a, b int, ok bool) {
+	i := skipSpace(line, 0)
+	a, j := digits(line, i)
+	if j == i || j == len(line) || !asciiSpace[line[j]] {
+		return 0, 0, false
+	}
+	i = skipSpace(line, j)
+	b, j = digits(line, i)
+	if j == i || skipSpace(line, j) != len(line) {
+		return 0, 0, false
+	}
+	return a, b, true
+}
+
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && asciiSpace[line[i]] {
+		i++
+	}
+	return i
+}
+
+// digits parses up to 18 decimal digits at line[i:] and returns the value
+// and the index past them.
+func digits(line []byte, i int) (v, j int) {
+	for j = i; j < len(line) && j-i < 18; j++ {
+		c := line[j] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + int(c)
+	}
+	return v, j
+}
+
+// parseFields is parsePair for lines plainPair does not take.
+func parseFields(line string) (a, b int, skip, ok bool) {
+	line = strings.TrimSpace(line)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return 0, 0, true, false
+	}
+	f := strings.Fields(line)
+	if len(f) != 2 {
+		return 0, 0, false, false
+	}
+	a, err1 := strconv.Atoi(f[0])
+	b, err2 := strconv.Atoi(f[1])
+	return a, b, false, err1 == nil && err2 == nil
+}
+
+// fromPairs builds the graph over n vertices from edge pairs in input
+// order, keeping each edge's first occurrence. Two stable counting sorts
+// (by tail, then by head) lay the out- and in-lists out in one array per
+// direction. Each list is capped at its own length, so a later AddEdge
+// reallocates that list instead of overwriting its neighbour's.
+func fromPairs(n int, pairs []int32) *Digraph {
+	g := New(n)
+	if len(pairs) == 0 {
+		return g
+	}
+	// off is a counting sort's cursor array: off[v+1] counts, prefix sums
+	// turn off[v] into v's first slot, and placement leaves it at v's end.
+	off := make([]int32, n+1)
+	prefix := func() {
+		for v := 1; v <= n; v++ {
+			off[v] += off[v-1]
+		}
+	}
+	// Edge ids grouped by tail, in input order within a tail.
+	for i := 0; i < len(pairs); i += 2 {
+		off[pairs[i]+1]++
+	}
+	prefix()
+	out := make([]int32, len(pairs)/2)
+	for i := 0; i < len(pairs); i += 2 {
+		u := pairs[i]
+		out[off[u]] = int32(i / 2)
+		off[u]++
+	}
+	// Replace each edge id by its head, compacting duplicates away and
+	// marking them in pairs for the in side. out[w] is written only after
+	// it was read, so the compaction runs in place. A tail with one edge
+	// has no duplicate to look for.
+	seen := make([]int32, n) // seen[v] == u+1: edge (u,v) already kept
+	var w, lo int32
+	for u := range int32(n) {
+		first, hi := w, off[u]
+		for _, e := range out[lo:hi] {
+			v := pairs[2*e+1]
+			if hi-lo > 1 {
+				if seen[v] == u+1 {
+					pairs[2*e] = -1
+					continue
+				}
+				seen[v] = u + 1
+			}
+			out[w] = v
+			w++
+		}
+		if w > first {
+			g.out[u] = out[first:w:w]
+		}
+		lo = hi
+	}
+	g.m = int(w)
+	// Tails grouped by head, in input order within a head.
+	clear(off)
+	for i := 0; i < len(pairs); i += 2 {
+		if pairs[i] >= 0 {
+			off[pairs[i+1]+1]++
+		}
+	}
+	prefix()
+	in := make([]int32, w)
+	for i := 0; i < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u >= 0 {
+			in[off[v]] = u
+			off[v]++
+		}
+	}
+	lo = 0
+	for v, hi := range off[:n] {
+		if hi > lo {
+			g.in[v] = in[lo:hi:hi]
+			lo = hi
+		}
+	}
+	return g
 }
 
 // Equal reports whether two graphs have identical vertex counts and edge

@@ -138,6 +138,17 @@ func TestReadEdgeListErrors(t *testing.T) {
 			t.Errorf("input %q: want error", in)
 		}
 	}
+	// Vertex ids are int32: a header past that range is malformed, not an
+	// allocation of its size.
+	if _, err := ReadEdgeList(strings.NewReader("3000000000 1\n0 1\n")); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("vertex count past int32: err = %v, want ErrMalformedInput", err)
+	}
+	// The header's edge count sizes nothing: a huge one over a short list
+	// parses the edges that are there.
+	g, err := ReadEdgeList(strings.NewReader("3 3000000000\n0 1\n1 2\n"))
+	if err != nil || g.NumEdges() != 2 {
+		t.Errorf("edge count past the input: g = %v, err = %v", g, err)
+	}
 }
 
 // Property: a random sequence of valid adds and removes keeps out/in

@@ -14,7 +14,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -33,53 +33,60 @@ type Partition struct {
 // Tarjan walk (explicit stack — no recursion, so deep chains cannot
 // overflow the goroutine stack).
 func SCC(g *graph.Digraph) *Partition {
-	n := g.NumVertices()
+	comp := make([]int32, g.NumVertices())
+	k := tarjan(comp, func(v int32) []int32 { return g.Out(int(v)) })
+	return &Partition{Comp: comp, Comps: number(comp, k)}
+}
+
+// tarjan writes a raw component id into comp[v] for every vertex v of the
+// len(comp)-vertex graph whose out-lists adj returns, and returns the
+// number of components. Raw ids follow the walk's completion order; number
+// turns them into the stable numbering.
+func tarjan(comp []int32, adj func(v int32) []int32) int32 {
+	n := len(comp)
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
-	onStack := make([]bool, n)
-	comp := make([]int32, n)
 	for v := range index {
 		index[v] = unvisited
-		comp[v] = -1
+		comp[v] = -1 // a visited vertex is on the stack until it gets a component
 	}
 	stack := make([]int32, 0, n)
-	var next int32
+	var next, k int32
 
-	// frame is one suspended DFS call: vertex v, and how many of its
-	// out-edges were already expanded.
+	// frame is one suspended DFS call: vertex v, its out-list, and how
+	// many of its out-edges were already expanded.
 	type frame struct {
+		out  []int32
 		v    int32
 		edge int32
 	}
-	var frames []frame
-	var raw [][]int32
+	frames := make([]frame, 0, 64)
+	push := func(v int32) {
+		index[v] = next
+		low[v] = next
+		next++
+		stack = append(stack, v)
+		if len(frames) == cap(frames) {
+			frames = slices.Grow(frames, len(frames)) // double: a deep chain stays O(log n) allocations
+		}
+		frames = append(frames, frame{out: adj(v), v: v})
+	}
 
-	for root := 0; root < n; root++ {
+	for root := range int32(n) {
 		if index[root] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{v: int32(root)})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
+		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			out := g.Out(int(v))
-			if int(f.edge) < len(out) {
-				w := out[f.edge]
+			if int(f.edge) < len(f.out) {
+				w := f.out[f.edge]
 				f.edge++
 				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
+					push(w)
+				} else if comp[w] < 0 && index[w] < low[v] {
 					low[v] = index[w]
 				}
 				continue
@@ -91,33 +98,61 @@ func SCC(g *graph.Digraph) *Partition {
 				}
 			}
 			if low[v] == index[v] { // v is a component root
-				var members []int32
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					members = append(members, w)
+					comp[w] = k
 					if w == v {
 						break
 					}
 				}
-				raw = append(raw, members)
+				k++
 			}
 		}
 	}
+	return k
+}
 
-	// Stable renumbering: sort members ascending, components by first
-	// member.
-	for _, members := range raw {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+// number rewrites the k raw component ids in comp into the stable
+// numbering and returns every component's members. One ascending sweep
+// numbers the components, because a component's first sighting is its
+// smallest member; a counting sort then lays the member lists out
+// ascending in one backing array. Each list is capped at its own length,
+// so an append to one reallocates instead of overwriting the next.
+func number(comp []int32, k int32) [][]int32 {
+	stable := make([]int32, k)
+	for r := range stable {
+		stable[r] = -1
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i][0] < raw[j][0] })
-	for c, members := range raw {
-		for _, v := range members {
-			comp[v] = int32(c)
+	end := make([]int32, k) // sizes, then each component's next free slot
+	var next int32
+	for v, r := range comp {
+		c := stable[r]
+		if c < 0 {
+			c = next
+			stable[r] = c
+			next++
 		}
+		comp[v] = c
+		end[c]++
 	}
-	return &Partition{Comp: comp, Comps: raw}
+	var lo int32
+	for c, size := range end {
+		end[c] = lo
+		lo += size
+	}
+	back := make([]int32, len(comp))
+	for v, c := range comp {
+		back[end[c]] = int32(v)
+		end[c]++
+	}
+	comps := make([][]int32, k)
+	lo = 0
+	for c, hi := range end {
+		comps[c] = back[lo:hi:hi]
+		lo = hi
+	}
+	return comps
 }
 
 // NonTrivial returns the components with at least two vertices — the only
@@ -134,95 +169,39 @@ func (p *Partition) NonTrivial() [][]int32 {
 }
 
 // SCCWithin computes the strongly connected components of the subgraph of
-// g induced by verts, without materializing the subgraph. Components come
-// back in global vertex ids under the same stable numbering as SCC:
-// members sorted ascending, components ordered by smallest member. The
-// batch update planner uses it to re-check one dirty shard's partition
-// after a batch of deletions instead of re-running Tarjan over the whole
-// graph.
+// g induced by verts, which must be ascending like every shard's member
+// list. Components come back in global vertex ids under the same stable
+// numbering as SCC: members sorted ascending, components ordered by
+// smallest member. The batch update planner uses it to re-check one dirty
+// shard's partition after a batch of deletions instead of re-running
+// Tarjan over the whole graph.
 func SCCWithin(g *graph.Digraph, verts []int32) [][]int32 {
+	// Local ids are positions in verts; the induced out-lists are carved
+	// from one array, dropping edges that leave the vertex set.
 	n := len(verts)
 	local := make(map[int32]int32, n)
 	for li, v := range verts {
 		local[v] = int32(li)
 	}
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for v := range index {
-		index[v] = unvisited
-	}
-	stack := make([]int32, 0, n)
-	var next int32
-
-	type frame struct {
-		v    int32 // local id
-		edge int32
-	}
-	var frames []frame
-	var raw [][]int32
-
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames = append(frames[:0], frame{v: int32(root)})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			out := g.Out(int(verts[v]))
-			if int(f.edge) < len(out) {
-				gw := out[f.edge]
-				f.edge++
-				w, ok := local[gw]
-				if !ok {
-					continue // edge leaves the induced vertex set
-				}
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-				continue
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if p := frames[len(frames)-1].v; low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var members []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					members = append(members, verts[w]) // back to global ids
-					if w == v {
-						break
-					}
-				}
-				raw = append(raw, members)
+	off := make([]int32, n+1)
+	var adj []int32
+	for li, v := range verts {
+		for _, w := range g.Out(int(v)) {
+			if lw, ok := local[w]; ok {
+				adj = append(adj, lw)
 			}
 		}
+		off[li+1] = int32(len(adj))
 	}
-
-	for _, members := range raw {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	comp := make([]int32, n)
+	comps := number(comp, tarjan(comp, func(v int32) []int32 { return adj[off[v]:off[v+1]] }))
+	// verts is ascending, so local and global ids sort alike.
+	for _, members := range comps {
+		for i, lv := range members {
+			members[i] = verts[lv]
+		}
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i][0] < raw[j][0] })
-	return raw
+	return comps
 }
 
 // Induced builds the subgraph of g induced by verts, with local ids
@@ -289,9 +268,9 @@ func reachable(g *graph.Digraph, from, to, skipU, skipV int) bool {
 
 // ComponentOf returns the strongly connected component containing v as a
 // sorted vertex list: the intersection of v's forward and backward
-// reachability sets. The sharded index calls it after an insertion merged
-// components, when only v's component — not the whole decomposition — is
-// stale.
+// reachability sets, collected in ascending id order. The sharded index
+// calls it after an insertion merged components, when only v's component
+// — not the whole decomposition — is stale.
 func ComponentOf(g *graph.Digraph, v int) []int32 {
 	fwd := reachSet(g, v, false)
 	bwd := reachSet(g, v, true)
@@ -301,7 +280,6 @@ func ComponentOf(g *graph.Digraph, v int) []int32 {
 			members = append(members, int32(w))
 		}
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	return members
 }
 
