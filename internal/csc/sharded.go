@@ -94,6 +94,10 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 	comps := partition.SCC(g).NonTrivial()
 	x.shards = make([]*shard, len(comps))
 	for sid, verts := range comps {
+		// The partition's member lists share one n-sized backing array,
+		// which a shard would otherwise keep alive: copy each exactly.
+		verts = append(make([]int32, 0, len(verts)), verts...)
+		comps[sid] = verts
 		for li, v := range verts {
 			x.shardOf[v] = int32(sid)
 			x.localID[v] = int32(li)
@@ -554,6 +558,29 @@ func (x *Sharded) ShardStats() []ShardStat {
 // ShardOf returns the shard slot serving v, or -1 for trivial vertices
 // (tests and diagnostics).
 func (x *Sharded) ShardOf(v int) int { return int(x.shardOf[v]) }
+
+// Locate returns the shard slot serving v and v's local id inside that
+// shard, or (-1, -1) for a trivial vertex. v must be in range. The pair
+// is fixed until the slot is reinstalled (see SlotGen).
+func (x *Sharded) Locate(v int) (slot, local int32) { return x.shardOf[v], x.localID[v] }
+
+// NumSlots is the length of the shard slot table, live and retired
+// slots alike.
+func (x *Sharded) NumSlots() int { return len(x.shards) }
+
+// SlotGen reports slot s's install generation and its member count (0
+// for a retired slot). The generation counts fresh installs into the
+// slot, so an unchanged generation means the same shard still serves
+// the same members at the same local ids.
+func (x *Sharded) SlotGen(s int) (gen uint64, size int) {
+	if s < len(x.slotRebuilds) {
+		gen = x.slotRebuilds[s]
+	}
+	if sh := x.shards[s]; sh != nil {
+		size = len(sh.verts)
+	}
+	return gen, size
+}
 
 // ShardMap returns a copy of the full vertex→shard-slot table (-1 for
 // trivial vertices) — the routing-table source for a cluster deployment.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bfscount"
 	"repro/internal/bipartite"
@@ -358,4 +359,45 @@ func TestShardedStrategyPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAgreesWithMono(t, y)
+}
+
+// Initial shards own their member lists. partition.SCC lays every
+// component's members out in one n-sized array; a shard holding a
+// sub-slice of it would keep the whole array alive. The test graph's
+// shards are 5-cycles: a 20-byte member list fills no allocation size
+// class exactly, so separately allocated lists are never adjacent in
+// memory, while sub-slices of one array are.
+func TestInitialShardsOwnTheirMembers(t *testing.T) {
+	// Rings on consecutive ids are consecutive components, laid out back
+	// to back in the partition's array; the isolated tail is trivial.
+	const rings = 6
+	g := graph.New(rings*5 + 4)
+	for r := 0; r < rings; r++ {
+		base := r * 5
+		for i := 0; i < 5; i++ {
+			if err := g.AddEdge(base+i, base+(i+1)%5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	x, _ := BuildSharded(g, Options{Workers: 1})
+	if x.NumShards() != rings {
+		t.Fatalf("%d shards, want %d", x.NumShards(), rings)
+	}
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for _, sh := range x.shards {
+		if cap(sh.verts) != len(sh.verts) {
+			t.Fatalf("shard members len %d cap %d: want an exact copy", len(sh.verts), cap(sh.verts))
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(sh.verts)))
+		spans = append(spans, span{lo, lo + uintptr(len(sh.verts))*unsafe.Sizeof(int32(0))})
+	}
+	for i, a := range spans {
+		for j, b := range spans {
+			if i != j && a.lo <= b.lo && b.lo <= a.hi {
+				t.Fatalf("shards %d and %d share one backing array", i, j)
+			}
+		}
+	}
 }

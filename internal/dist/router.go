@@ -123,11 +123,12 @@ func (g *group) activeURL() string {
 // deliberately thin: no index, no labels — just the routing table, the
 // group health state, and an HTTP client.
 type Router struct {
-	table  atomic.Pointer[Table]
-	groups []*group
-	opts   RouterOptions
-	mux    *http.ServeMux
-	start  time.Time
+	table   atomic.Pointer[Table]
+	groups  []*group
+	opts    RouterOptions
+	handler http.Handler
+	start   time.Time
+	ids     *serve.RequestIDs
 
 	requests  *obs.Counter
 	trivial   *obs.Counter
@@ -157,6 +158,7 @@ func NewRouter(table *Table, groups []GroupConfig, opts RouterOptions) (*Router,
 	opts.fill()
 	r := &Router{
 		opts: opts, start: time.Now(),
+		ids:      serve.NewRequestIDs(),
 		requests: &obs.Counter{}, trivial: &obs.Counter{},
 		retries: &obs.Counter{}, failovers: &obs.Counter{},
 		noReplica: &obs.Counter{},
@@ -217,7 +219,7 @@ func NewRouter(table *Table, groups []GroupConfig, opts RouterOptions) (*Router,
 	mux.HandleFunc("GET /healthz", r.healthz)
 	mux.HandleFunc("GET /cluster/table", r.clusterTable)
 	mux.HandleFunc("GET /metrics", r.metrics)
-	r.mux = mux
+	r.handler = r.withRequestID(mux)
 	go r.probeLoop()
 	return r, nil
 }
@@ -230,7 +232,27 @@ func boolGauge(b bool) float64 {
 }
 
 // Handler returns the router's HTTP surface.
-func (r *Router) Handler() http.Handler { return r.mux }
+func (r *Router) Handler() http.Handler { return r.handler }
+
+// requestIDKey keys a client request's id in its context.
+type requestIDKey struct{}
+
+// withRequestID gives every client request one id (serve.RequestIDs),
+// returns it on the router's response, and hands it to the handlers,
+// which set it on every proxied read and on each group's leg of a
+// broadcast write, so the workers log the request under the same id.
+func (r *Router) withRequestID(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		id := r.ids.Assign(w, req)
+		h.ServeHTTP(w, req.WithContext(context.WithValue(req.Context(), requestIDKey{}, id)))
+	})
+}
+
+// requestID is the id withRequestID assigned to req.
+func requestID(req *http.Request) string {
+	id, _ := req.Context().Value(requestIDKey{}).(string)
+	return id
+}
 
 // Close stops the probe loop.
 func (r *Router) Close() error {
@@ -373,7 +395,7 @@ func (r *Router) probe(url string) (seq uint64, ok bool) {
 // network errors and 5xx. A non-5xx response — including a worker's 4xx
 // or 429 — is the answer and is copied through verbatim. Returns false
 // when every endpoint and retry failed.
-func (r *Router) forward(w http.ResponseWriter, g *group, method, pathAndQuery string, body []byte) bool {
+func (r *Router) forward(w http.ResponseWriter, g *group, id, method, pathAndQuery string, body []byte) bool {
 	t0 := time.Now()
 	defer func() { r.proxyNS.ObserveSince(t0) }()
 	r.requests.Add(1)
@@ -385,7 +407,7 @@ func (r *Router) forward(w http.ResponseWriter, g *group, method, pathAndQuery s
 				time.Sleep(backoff)
 				backoff *= 2
 			}
-			status, hdr, respBody, err := r.attempt(base, method, pathAndQuery, body)
+			status, hdr, respBody, err := r.attempt(base, id, method, pathAndQuery, body)
 			if err != nil || status >= 500 {
 				continue
 			}
@@ -403,7 +425,7 @@ func (r *Router) forward(w http.ResponseWriter, g *group, method, pathAndQuery s
 	return false
 }
 
-func (r *Router) attempt(base, method, pathAndQuery string, body []byte) (int, http.Header, []byte, error) {
+func (r *Router) attempt(base, id, method, pathAndQuery string, body []byte) (int, http.Header, []byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -416,6 +438,9 @@ func (r *Router) attempt(base, method, pathAndQuery string, body []byte) (int, h
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if id != "" {
+		req.Header.Set(serve.RequestIDHeader, id)
 	}
 	resp, err := r.opts.Client.Do(req)
 	if err != nil {
@@ -457,7 +482,7 @@ func (r *Router) cycle(w http.ResponseWriter, req *http.Request) {
 	if q := req.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	if !r.forward(w, r.groups[gid], http.MethodGet, path, nil) {
+	if !r.forward(w, r.groups[gid], requestID(req), http.MethodGet, path, nil) {
 		r.noReplica.Add(1)
 		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeNoReplica, 1, "no replica of worker group %d reachable", gid)
 	}
@@ -479,16 +504,17 @@ func (r *Router) edges(w http.ResponseWriter, req *http.Request) {
 	if q := req.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
+	id := requestID(req)
 	for gi, g := range r.groups {
 		last := gi == len(r.groups)-1
 		if last {
-			if !r.forward(w, g, req.Method, path, body) {
+			if !r.forward(w, g, id, req.Method, path, body) {
 				r.noReplica.Add(1)
 				serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeNoReplica, 1, "no replica of worker group %d reachable", gi)
 			}
 			return
 		}
-		status, _, respBody, ferr := r.broadcastOne(g, req.Method, path, body)
+		status, _, respBody, ferr := r.broadcastOne(g, id, req.Method, path, body)
 		if ferr != nil {
 			r.noReplica.Add(1)
 			serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeNoReplica, 1, "no replica of worker group %d reachable", gi)
@@ -506,7 +532,7 @@ func (r *Router) edges(w http.ResponseWriter, req *http.Request) {
 // broadcastOne delivers a write to one group with the same
 // endpoint/retry schedule forward uses, returning the response instead
 // of copying it out.
-func (r *Router) broadcastOne(g *group, method, pathAndQuery string, body []byte) (int, http.Header, []byte, error) {
+func (r *Router) broadcastOne(g *group, id, method, pathAndQuery string, body []byte) (int, http.Header, []byte, error) {
 	r.requests.Add(1)
 	var lastErr error = fmt.Errorf("no endpoints")
 	for _, base := range g.endpoints() {
@@ -517,7 +543,7 @@ func (r *Router) broadcastOne(g *group, method, pathAndQuery string, body []byte
 				time.Sleep(backoff)
 				backoff *= 2
 			}
-			status, hdr, respBody, err := r.attempt(base, method, pathAndQuery, body)
+			status, hdr, respBody, err := r.attempt(base, id, method, pathAndQuery, body)
 			if err != nil || status >= 500 {
 				if err == nil {
 					err = fmt.Errorf("status %d", status)
@@ -534,7 +560,7 @@ func (r *Router) broadcastOne(g *group, method, pathAndQuery string, body []byte
 // top forwards to group 0's active endpoint — every group applies every
 // write, so any worker's top-k is the global one.
 func (r *Router) top(w http.ResponseWriter, req *http.Request) {
-	if !r.forward(w, r.groups[0], http.MethodGet, "/top", nil) {
+	if !r.forward(w, r.groups[0], requestID(req), http.MethodGet, "/top", nil) {
 		r.noReplica.Add(1)
 		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeNoReplica, 1, "no replica of worker group 0 reachable")
 	}

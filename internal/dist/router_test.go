@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +22,16 @@ type fakeWorker struct {
 	hits     atomic.Int64
 	edgeHits atomic.Int64
 	fail     atomic.Bool // 500 every request when set
+
+	idMu sync.Mutex
+	ids  []string // X-Request-Id of every /cycle and /edges request, in order
+}
+
+// requestIDs returns the X-Request-Id headers received so far.
+func (w *fakeWorker) requestIDs() []string {
+	w.idMu.Lock()
+	defer w.idMu.Unlock()
+	return append([]string(nil), w.ids...)
 }
 
 func newFakeWorker(name string, seq uint64) *fakeWorker {
@@ -29,6 +40,11 @@ func newFakeWorker(name string, seq uint64) *fakeWorker {
 		if w.fail.Load() {
 			http.Error(rw, "boom", http.StatusInternalServerError)
 			return
+		}
+		if strings.HasPrefix(r.URL.Path, "/cycle/") || r.URL.Path == "/edges" {
+			w.idMu.Lock()
+			w.ids = append(w.ids, r.Header.Get("X-Request-Id"))
+			w.idMu.Unlock()
 		}
 		switch {
 		case strings.HasPrefix(r.URL.Path, "/cycle/"):
@@ -243,5 +259,81 @@ func TestRouterReadyWithoutWaitingForTick(t *testing.T) {
 			t.Fatalf("not ready 1s after start: %d %v", status, body)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The router gives every client request one X-Request-Id: the client's
+// own when valid, a minted one otherwise. It sets the id on the proxied
+// read and on every group's leg of a broadcast write, and returns it on
+// its own response, trivial-vertex answers included.
+func TestRouterForwardsRequestID(t *testing.T) {
+	w0 := newFakeWorker("w0", 5)
+	defer w0.Close()
+	w1 := newFakeWorker("w1", 5)
+	defer w1.Close()
+	r, err := NewRouter(testTable(2), []GroupConfig{{Primary: w0.srv.URL}, {Primary: w1.srv.URL}}, RouterOptions{
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// do sends one request and returns the id on the router's response.
+	do := func(method, path, id string) string {
+		t.Helper()
+		var body io.Reader
+		if method == http.MethodPost {
+			body = strings.NewReader(`{"edges":[[0,1]]}`)
+		}
+		req := httptest.NewRequest(method, path, body)
+		if id != "" {
+			req.Header.Set("X-Request-Id", id)
+		}
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d body %s", method, path, rec.Code, rec.Body)
+		}
+		return rec.Header().Get("X-Request-Id")
+	}
+	// since returns the ids a worker received after its first n reads
+	// and writes.
+	since := func(w *fakeWorker, n int) []string { return w.requestIDs()[n:] }
+
+	// A valid client id reaches the owning worker verbatim.
+	n0, n1 := len(w0.requestIDs()), len(w1.requestIDs())
+	if got := do(http.MethodGet, "/cycle/0", "client-7.a_b"); got != "client-7.a_b" {
+		t.Fatalf("read: response id %q, want the client's", got)
+	}
+	seen := append(since(w0, n0), since(w1, n1)...)
+	if len(seen) != 1 || seen[0] != "client-7.a_b" {
+		t.Fatalf("read: workers saw ids %q, want exactly the client's", seen)
+	}
+
+	// No client id: one minted id on the response and on both legs of the
+	// broadcast.
+	n0, n1 = len(w0.requestIDs()), len(w1.requestIDs())
+	id := do(http.MethodPost, "/edges", "")
+	if id == "" {
+		t.Fatal("write: router minted no id")
+	}
+	if g0, g1 := since(w0, n0), since(w1, n1); len(g0) != 1 || len(g1) != 1 || g0[0] != id || g1[0] != id {
+		t.Fatalf("write: legs carried %q and %q, want %q on each", g0, g1, id)
+	}
+
+	// An invalid client id is replaced, not forwarded.
+	n0, n1 = len(w0.requestIDs()), len(w1.requestIDs())
+	bad := "no spaces allowed"
+	id = do(http.MethodGet, "/cycle/2", bad)
+	if id == "" || id == bad {
+		t.Fatalf("invalid client id: response id %q", id)
+	}
+	if seen := append(since(w0, n0), since(w1, n1)...); len(seen) != 1 || seen[0] != id {
+		t.Fatalf("invalid client id: workers saw %q, want the minted %q", seen, id)
+	}
+
+	// A trivial vertex is answered by the router itself, still with an id.
+	if id := do(http.MethodGet, "/cycle/3", ""); id == "" {
+		t.Fatal("trivial read: no id on the router's response")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bfscount"
 	"repro/internal/csc"
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -291,4 +292,68 @@ func TestConcurrentCachedReadStress(t *testing.T) {
 	if st.Batches == 0 {
 		t.Fatal("no batches applied — the stress never invalidated anything")
 	}
+}
+
+// The cache and the top-k scoreboard are sized by the vertices on a
+// cycle, not by n: over 50,000 isolated vertices plus one triangle they
+// hold exactly the triangle's three. Merging a 2-vertex tail into the
+// cycle grows both to five (and the tail reads match the BFS oracle);
+// deleting the merging edge shrinks both back to three.
+func TestServingStateScalesWithCyclicShare(t *testing.T) {
+	const n = 50_005 // triangle 0-1-2, tail 2→3→4, isolated 5..n-1
+	g, err := graph.FromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := g.Clone()
+	ex, _ := csc.BuildSharded(g, csc.Options{Workers: 1})
+	e := New(ex, Options{FlushInterval: -1})
+	defer e.Close()
+	watch := e.WatchTopK(4)
+	sizes := func(want int) {
+		t.Helper()
+		if got := e.Stats().CacheSlots; got != want {
+			t.Fatalf("cache holds %d slots, want %d", got, want)
+		}
+		if got := watch.Tracked(); got != want {
+			t.Fatalf("scoreboard tracks %d vertices, want %d", got, want)
+		}
+	}
+	reads := func(vs ...int) {
+		t.Helper()
+		for _, v := range vs {
+			wl, wc := bfscount.CycleCount(mirror, v)
+			for i := 0; i < 2; i++ { // fill, then hit
+				if l, c := e.CycleCount(v); l != wl || c != wc {
+					t.Fatalf("vertex %d read %d: (%d,%d), want (%d,%d)", v, i, l, c, wl, wc)
+				}
+			}
+			if s := watch.Score(v); s.Exists != (wl != bfscount.NoCycle) || (s.Exists && (s.Length != wl || s.Count != wc)) {
+				t.Fatalf("vertex %d score %+v, want (%d,%d)", v, s, wl, wc)
+			}
+		}
+	}
+	sizes(3)
+	reads(0, 1, 2, 3, 4, 5, n-1)
+	sizes(3) // reads of trivial vertices allocate nothing
+
+	if err := mirror.AddEdge(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	sizes(5)
+	reads(0, 1, 2, 3, 4, 5)
+
+	if err := mirror.RemoveEdge(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Delete(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	sizes(3)
+	reads(0, 1, 2, 3, 4, 5)
 }

@@ -162,7 +162,8 @@ type Options struct {
 	// NoCache disables the epoch-tagged per-vertex result cache, making
 	// every CycleCount redo its label join. Queries stay correct either
 	// way; the knob exists for the cold-vs-cached benchmark ablation and
-	// as an escape hatch (the cache costs 24 bytes per vertex).
+	// as an escape hatch (the cache costs 24 bytes per vertex that lies
+	// in a shard).
 	NoCache bool
 	// Admission selects the full-mailbox behavior of every enqueue:
 	// block (backpressure, bounded by the caller's context), reject
@@ -299,6 +300,10 @@ type Stats struct {
 	// ReRanks counts online hub re-rank rebuilds the writer has initiated
 	// (Options.ReRankInterval).
 	ReRanks uint64 `json:"reranks,omitempty"`
+	// CacheSlots counts the result cache's per-vertex entries: one per
+	// vertex in a shard, none for trivial vertices, whose reads are
+	// answered from the slot table and count as cache hits.
+	CacheSlots int `json:"cache_slots"`
 }
 
 // Engine serves one sharded index under the single-writer / many-reader
@@ -323,9 +328,9 @@ type Engine struct {
 	hookMu sync.Mutex
 	hooks  []func(applied []Op, touched []int)
 
-	// cache is the epoch-tagged per-vertex result cache (cache.go), nil
+	// cache is the epoch-tagged, shard-keyed result cache (cache.go), nil
 	// with Options.NoCache. Batch commits expire exactly the dirty
-	// vertices; every other slot keeps serving O(1) reads.
+	// vertices; every other entry keeps serving O(1) reads.
 	cache *readCache
 
 	// Engine counters are obs.Counters — standalone atomic words that
@@ -443,7 +448,7 @@ func start(ix *csc.Sharded, st *Store, seq uint64, opts Options) *Engine {
 		reranks: &obs.Counter{},
 	}
 	if !opts.NoCache {
-		e.cache = newReadCache(e.n)
+		e.cache = newReadCache(ix)
 	}
 	e.seq.Store(seq)
 	if st != nil {
@@ -541,8 +546,9 @@ const unbounded = -1
 // read is the one cached epoch read behind every public CycleCount variant
 // and the monitor's watchQuerier. It range-checks v, counts the query,
 // enters v's reader epoch (giving up with ctx.Err() only when ctx can be
-// cancelled), and serves a cache hit — filtered against maxLen for a
-// bounded read — in O(1). A miss runs the index's join, timed into the
+// cancelled), and serves a trivial vertex (in no shard) or a cache hit —
+// filtered against maxLen for a bounded read — in O(1); with the cache
+// on, both count as hits. A miss runs the index's join, timed into the
 // join or bounded histogram, and an unbounded miss refills the slot
 // inside the same epoch. counted selects whether the read lands in the
 // client query/hit counters: the monitor's internal reads pass false so
@@ -562,8 +568,10 @@ func (e *Engine) read(ctx context.Context, v, maxLen int, counted bool) (length 
 		return bfscount.NoCycle, 0, err
 	}
 	defer m.RUnlock()
+	var slot, local int32
 	if e.cache != nil {
-		if l, c, ok := e.cache.get(v); ok {
+		slot, local = e.ix.Locate(v)
+		if l, c, ok := e.cache.get(slot, local); ok {
 			if counted {
 				e.hits[stripe].n.Add(1)
 			}
@@ -588,7 +596,7 @@ func (e *Engine) read(ctx context.Context, v, maxLen int, counted bool) (length 
 	}
 	hist.ObserveSince(t0)
 	if !bounded && e.cache != nil {
-		e.cache.put(v, e.seq.Load(), length, count)
+		e.cache.put(slot, local, e.seq.Load(), length, count)
 	}
 	return length, count, nil
 }
@@ -820,8 +828,18 @@ func (e *Engine) Stats() Stats {
 	st.CompressedBytes = e.ix.CompressedBytes()
 	st.LabelsRefrozen = e.refrozen.Load()
 	st.ReRanks = e.reranks.Load()
+	st.CacheSlots = e.cacheSlots()
 	m.RUnlock()
 	return st
+}
+
+// cacheSlots is the result cache's entry count; the caller holds a
+// stripe read-lock (the writer resizes the cache under the grace period).
+func (e *Engine) cacheSlots() int {
+	if e.cache == nil {
+		return 0
+	}
+	return e.cache.size
 }
 
 // ShardTable snapshots the index's routing inputs — a copy of the
@@ -1151,7 +1169,8 @@ func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats,
 	}
 	dirty = csc.DirtyVertices(st)
 	if e.cache != nil {
-		e.cache.invalidate(dirty, seq)
+		e.cache.sync(e.ix)
+		e.cache.invalidate(e.ix, dirty, seq)
 	}
 	e.lock.unlockAll()
 	e.scheduleRebuild(pending)
@@ -1210,7 +1229,8 @@ func (e *Engine) finishRebuild(d rebuildDone) {
 	if installed {
 		dirty = csc.DirtyVertices(st)
 		if e.cache != nil {
-			e.cache.invalidate(dirty, seq)
+			e.cache.sync(e.ix)
+			e.cache.invalidate(e.ix, dirty, seq)
 		}
 		e.seq.Store(seq)
 	}

@@ -120,6 +120,11 @@ func (e *Engine) initObs() {
 		}
 		return float64(b) / float64(n)
 	})
+	reg.GaugeFunc("cscd_cache_slots", "result-cache entries: one per vertex in a shard, none for trivial vertices", func() float64 {
+		m := e.lock.rlock(0)
+		defer m.RUnlock()
+		return float64(e.cacheSlots())
+	})
 	reg.CounterFunc("cscd_labels_refrozen_total", "thawed label lists folded back into the compressed arena at quiesce", e.refrozen.Load)
 	reg.CounterFunc("cscd_bloom_checks_total", "join calls screened by label bloom signatures", func() uint64 {
 		c, _ := label.BloomStats()

@@ -13,9 +13,11 @@
 // readers while batches apply. Standalone, the monitor owns the index:
 // route updates through InsertEdge/DeleteEdge.
 //
-// All rescore passes share the monitor's persistent result buffers and
-// the batched CycleCountMany read, so steady-state rescoring allocates
-// nothing.
+// The scoreboard holds scores for cycle-carrying vertices only, so its
+// memory follows the cyclic share of the graph, not its vertex count;
+// every other vertex reads as a zero Score. Dirty rescores share the
+// monitor's persistent result buffers and the batched CycleCountMany
+// read, so steady-state rescoring allocates only when the board grows.
 package monitor
 
 import (
@@ -91,23 +93,27 @@ type TopK struct {
 	q Querier
 	x *csc.Sharded // standalone (index-owning) mode only; nil under Watch
 	k int
+	n int // vertex count: ids outside [0,n) never score
 
 	mu     sync.RWMutex
-	scores []Score // fixed length; only the mu-guarded contents change
+	scores map[int32]Score // cycle-carrying vertices only
 
-	// Persistent rescore state under its own lock: the identity list for
-	// full scans, the result buffers every CycleCountMany lands in, and
-	// the filtered vertex list for dirty sets carrying out-of-range ids
-	// — so steady-state rescoring allocates nothing. bufMu serializes
-	// rescore passes against each other; mu is taken only for the brief
+	// Persistent dirty-rescore state under its own lock: the result
+	// buffers every CycleCountMany lands in, and the filtered vertex list
+	// for dirty sets carrying out-of-range ids. bufMu serializes rescore
+	// passes against each other; mu is taken only for the brief
 	// scoreboard writeback, so Score/Top readers never wait out a full
 	// board scan. Lock order: bufMu before mu.
 	bufMu  sync.Mutex
-	allVs  []int
 	lenBuf []int
 	cntBuf []uint64
 	vsBuf  []int
 }
+
+// warmChunk bounds each warm-pass worker's result buffers: the pass
+// reads every vertex, a chunk at a time, and keeps only the scores of
+// cycle-carrying ones.
+const warmChunk = 1024
 
 // errReadOnly is returned by the update methods of an engine-attached
 // (Watch-constructed) monitor: the engine owns the index there.
@@ -131,8 +137,7 @@ func NewParallel(x *csc.Sharded, k, workers int) *TopK {
 // monitor is read-only: updates flow through whoever owns the Querier,
 // which reports each batch's dirty set to RescoreDirty.
 func Watch(q Querier, k, workers int) *TopK {
-	n := q.NumVertices()
-	m := &TopK{q: q, k: k, scores: make([]Score, n)}
+	m := &TopK{q: q, k: k, n: q.NumVertices()}
 	m.RescoreAll(workers)
 	return m
 }
@@ -142,43 +147,63 @@ func Watch(q Querier, k, workers int) *TopK {
 func (m *TopK) Index() *csc.Sharded { return m.x }
 
 // RescoreAll refreshes every vertex — the warm pass. The given
-// parallelism (0 = all cores) splits the scan into chunks that land in
-// disjoint ranges of the persistent buffers; no per-pass allocation
-// remains after the first call. The scan runs under the rescore lock —
-// serializing against a concurrent RescoreDirty (the engine's
-// post-batch hook) on the shared buffers — while the scoreboard lock is
-// taken only for the writeback, so Score/Top readers never wait out a
-// full board scan. In standalone wiring the index itself must still be
-// quiescent.
+// parallelism (0 = all cores) splits [0,n) into one range per worker;
+// each worker reads its range warmChunk vertices at a time through its
+// own bounded buffers and keeps only the cycle-carrying scores. The
+// scan runs under the rescore lock — serializing against a concurrent
+// RescoreDirty (the engine's post-batch hook) — while the scoreboard
+// lock is taken only to swap in the new board, so Score/Top readers
+// never wait out a full scan. In standalone wiring the index itself
+// must still be quiescent.
 func (m *TopK) RescoreAll(workers int) {
-	n := len(m.scores)
-	if n == 0 {
+	if m.n == 0 {
 		return
 	}
 	m.bufMu.Lock()
 	defer m.bufMu.Unlock()
-	m.growBuffers(n)
-	if m.allVs == nil {
-		m.allVs = make([]int, n)
-		for v := range m.allVs {
-			m.allVs[v] = v
+	parts := scanAll(m.n, workers, m.scanRange)
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	scores := make(map[int32]Score, total)
+	for _, p := range parts {
+		for _, s := range p {
+			scores[int32(s.Vertex)] = s
 		}
 	}
-	scanAll(n, workers, func(lo, hi int) {
-		m.q.CycleCountMany(m.allVs[lo:hi], m.lenBuf[lo:hi], m.cntBuf[lo:hi])
-	})
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for v := 0; v < n; v++ {
-		m.scores[v] = mkScore(v, m.lenBuf[v], m.cntBuf[v])
+	m.scores = scores
+	m.mu.Unlock()
+}
+
+// scanRange reads SCCnt for every vertex of [lo,hi) and returns the
+// cycle-carrying ones' scores.
+func (m *TopK) scanRange(lo, hi int) []Score {
+	c := min(warmChunk, hi-lo)
+	vs, lens, cnts := make([]int, c), make([]int, c), make([]uint64, c)
+	var found []Score
+	for ; lo < hi; lo += c {
+		c = min(c, hi-lo)
+		for i := range c {
+			vs[i] = lo + i
+		}
+		m.q.CycleCountMany(vs[:c], lens[:c], cnts[:c])
+		for i, l := range lens[:c] {
+			if l != bfscount.NoCycle {
+				found = append(found, Score{Vertex: vs[i], Exists: true, Length: l, Count: cnts[i]})
+			}
+		}
 	}
+	return found
 }
 
 // RescoreDirty refreshes exactly the given vertices — the engine's
 // post-batch hook calls this with each batch's dirty set, and the
 // standalone update methods with each update's. One batched
 // CycleCountMany read into the persistent buffers, then a scoreboard
-// write under the lock.
+// write under the lock: a vertex with a cycle gains or updates its
+// score, one without drops it.
 func (m *TopK) RescoreDirty(dirty []int) {
 	if len(dirty) == 0 {
 		return
@@ -187,7 +212,7 @@ func (m *TopK) RescoreDirty(dirty []int) {
 	defer m.bufMu.Unlock()
 	// Drop out-of-range ids before the batched query: the scoreboard has
 	// no row for them. The common all-in-range case touches nothing.
-	n := len(m.scores)
+	n := m.n
 	for i, v := range dirty {
 		if v < 0 || v >= n {
 			m.vsBuf = append(m.vsBuf[:0], dirty[:i]...)
@@ -208,7 +233,11 @@ func (m *TopK) RescoreDirty(dirty []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, v := range dirty {
-		m.scores[v] = mkScore(v, m.lenBuf[i], m.cntBuf[i])
+		if l := m.lenBuf[i]; l != bfscount.NoCycle {
+			m.scores[int32(v)] = Score{Vertex: v, Exists: true, Length: l, Count: m.cntBuf[i]}
+		} else {
+			delete(m.scores, int32(v))
+		}
 	}
 }
 
@@ -225,37 +254,27 @@ func (m *TopK) growBuffers(n int) {
 	m.cntBuf = m.cntBuf[:n]
 }
 
-// scanAll splits [0,n) into one chunk per worker and runs f on each.
-func scanAll(n, workers int, f func(lo, hi int)) {
+// scanAll splits [0,n) into one range per worker, runs f on each, and
+// returns the results in range order.
+func scanAll(n, workers int, f func(lo, hi int) []Score) [][]Score {
 	workers = clampWorkers(workers, n)
 	if workers <= 1 {
-		f(0, n)
-		return
+		return [][]Score{f(0, n)}
 	}
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	parts := make([][]Score, (n+chunk-1)/chunk)
+	var wg sync.WaitGroup
+	for i := range parts {
+		lo := i * chunk
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			parts[i] = f(lo, hi)
+		}()
 	}
 	wg.Wait()
-}
-
-func mkScore(v, l int, c uint64) Score {
-	s := Score{Vertex: v}
-	if l != bfscount.NoCycle {
-		s.Exists = true
-		s.Length = l
-		s.Count = c
-	}
-	return s
+	return parts
 }
 
 // InsertEdge applies a maintained insertion and refreshes exactly the
@@ -285,30 +304,40 @@ func (m *TopK) DeleteEdge(a, b int) error {
 	return nil
 }
 
-// Score returns the current standing of one vertex. Out-of-range
+// Score returns the current standing of one vertex: its score when a
+// cycle passes through it, otherwise a non-existent score. Out-of-range
 // vertices report a non-existent score rather than panicking — the
 // serving surface passes client-supplied ids through here.
 func (m *TopK) Score(v int) Score {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if v < 0 || v >= len(m.scores) {
+	if v < 0 || v >= m.n {
 		return Score{Vertex: v}
 	}
-	return m.scores[v]
+	m.mu.RLock()
+	s, ok := m.scores[int32(v)]
+	m.mu.RUnlock()
+	if !ok {
+		return Score{Vertex: v}
+	}
+	return s
+}
+
+// Tracked is the number of scores the board holds: the vertices that
+// currently lie on a cycle.
+func (m *TopK) Tracked() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.scores)
 }
 
 // Top returns the current top-k scores among cycle-carrying vertices,
-// highest count first. The selection scans the in-memory scoreboard
-// (nanoseconds per vertex); the expensive part — the SCCnt queries — was
+// highest count first. The selection scans only the held scores
+// (nanoseconds each); the expensive part — the SCCnt queries — was
 // already paid incrementally.
 func (m *TopK) Top() []Score {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	top := make([]Score, 0, m.k+1)
 	for _, s := range m.scores {
-		if !s.Exists {
-			continue
-		}
 		i := sort.Search(len(top), func(i int) bool { return rankBefore(s, top[i]) })
 		if i >= m.k {
 			continue

@@ -93,12 +93,26 @@ func TestTopMatchesBruteForce(t *testing.T) {
 		if len(top) > 4 {
 			t.Fatalf("Top returned %d > k", len(top))
 		}
-		// Brute force: all scores, fully ordered.
+		// Brute force: a dense board from the BFS oracle. Score must match
+		// it for every vertex — trivial ones and the out-of-range -1 and n
+		// included, which the sparse board holds no entry for.
 		var all []Score
-		for w := 0; w < n; w++ {
-			if s := m.Score(w); s.Exists {
-				all = append(all, s)
+		tracked := 0
+		for w := -1; w <= n; w++ {
+			want := Score{Vertex: w}
+			if w >= 0 && w < n {
+				if l, c := bfscount.CycleCount(g, w); l != bfscount.NoCycle {
+					want = Score{Vertex: w, Exists: true, Length: l, Count: c}
+					all = append(all, want)
+					tracked++
+				}
 			}
+			if s := m.Score(w); s != want {
+				t.Fatalf("step %d: Score(%d) = %+v, dense board has %+v", step, w, s, want)
+			}
+		}
+		if m.Tracked() != tracked {
+			t.Fatalf("step %d: board tracks %d vertices, %d lie on a cycle", step, m.Tracked(), tracked)
 		}
 		for i := range top {
 			best := all[0]

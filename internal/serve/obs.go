@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -53,7 +54,7 @@ func NewHandler(e *engine.Engine, watch *monitor.TopK, k int, opts Options) http
 	s := &server{
 		e: e, watch: watch, k: k, start: time.Now(), opts: opts,
 		slowOut: opts.AccessLog,
-		boot:    fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),
+		ids:     NewRequestIDs(),
 	}
 	if s.slowOut == nil {
 		s.slowOut = os.Stderr
@@ -75,6 +76,11 @@ func NewHandler(e *engine.Engine, watch *monitor.TopK, k int, opts Options) http
 		s.routeNS = make(map[string]*obs.Histogram, len(routes))
 		for pattern := range routes {
 			s.routeNS[pattern] = vec.With(pattern)
+		}
+		if watch != nil {
+			reg.GaugeFunc("cscd_top_k_tracked", "vertices the top-k scoreboard holds a score for (those on a cycle)", func() float64 {
+				return float64(watch.Tracked())
+			})
 		}
 	}
 	for pattern, h := range routes {
@@ -118,6 +124,49 @@ func (s *server) traces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tr)
 }
 
+// RequestIDHeader carries a request's id (see RequestIDs).
+const RequestIDHeader = "X-Request-Id"
+
+// RequestIDs assigns each request its id: the inbound X-Request-Id when
+// it is 1–64 characters of [A-Za-z0-9._-], which is safe to log and
+// forward verbatim, and otherwise a fresh id minted from a per-process
+// prefix and a counter. The worker's handler and the router each hold
+// one, so an id the router assigns is the one the worker logs.
+type RequestIDs struct {
+	boot string
+	n    atomic.Uint64
+}
+
+// NewRequestIDs returns an id source whose minted ids carry a prefix
+// taken from the clock, so restarts do not reuse ids.
+func NewRequestIDs() *RequestIDs {
+	return &RequestIDs{boot: fmt.Sprintf("%08x", uint32(time.Now().UnixNano()))}
+}
+
+// Assign returns r's id and sets it on the response.
+func (g *RequestIDs) Assign(w http.ResponseWriter, r *http.Request) string {
+	id := r.Header.Get(RequestIDHeader)
+	if !validRequestID(id) {
+		id = fmt.Sprintf("%s-%06d", g.boot, g.n.Add(1))
+	}
+	w.Header().Set(RequestIDHeader, id)
+	return id
+}
+
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // accessLine is one JSON access-log record.
 type accessLine struct {
 	Time      string  `json:"time"`
@@ -155,8 +204,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (s *server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		id := fmt.Sprintf("%s-%06d", s.boot, s.reqN.Add(1))
-		w.Header().Set("X-Request-Id", id)
+		id := s.ids.Assign(w, r)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		mux.ServeHTTP(sw, r)
 		dur := time.Since(t0)

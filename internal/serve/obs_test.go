@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,18 +234,65 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// No drift: scrape again and compare the query counter against /stats.
+	// No drift: scrape again and compare the query counter and the
+	// serving-state sizes against /stats. The 8-ring is one shard, so the
+	// cache and the scoreboard both hold its 8 vertices.
 	_, statsBody := get(t, srv.URL+"/stats")
 	var st struct {
-		Queries uint64 `json:"queries"`
+		Queries     uint64 `json:"queries"`
+		CacheSlots  int    `json:"cache_slots"`
+		TopKTracked int    `json:"top_k_tracked"`
 	}
 	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
 		t.Fatal(err)
 	}
+	if st.CacheSlots != 8 || st.TopKTracked != 8 {
+		t.Fatalf("/stats sizes: cache_slots %d top_k_tracked %d, want 8 and 8", st.CacheSlots, st.TopKTracked)
+	}
 	_, body = get(t, srv.URL+"/metrics")
-	if !strings.Contains(body, fmt.Sprintf("cscd_queries_total %d", st.Queries)) {
-		t.Fatalf("metrics/stats drift: stats=%d, metrics:\n%s", st.Queries,
-			body[:strings.Index(body, "cscd_query")])
+	for _, want := range []string{
+		fmt.Sprintf("cscd_queries_total %d", st.Queries),
+		fmt.Sprintf("cscd_cache_slots %d", st.CacheSlots),
+		fmt.Sprintf("cscd_top_k_tracked %d", st.TopKTracked),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics/stats drift: /metrics lacks %q", want)
+		}
+	}
+}
+
+// TestRequestIDAdoptedOrMinted: a valid inbound X-Request-Id is adopted
+// and echoed; a missing, oversized or badly charactered one is replaced
+// by a minted id.
+func TestRequestIDAdoptedOrMinted(t *testing.T) {
+	minted := regexp.MustCompile(`^[0-9a-f]{8}-[0-9]{6,}$`)
+	_, srv, _ := obsServer(t, serve.Options{})
+	idOf := func(sent string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/cycle/0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set("X-Request-Id", sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get("X-Request-Id")
+	}
+	for _, ok := range []string{"a", "client.req_42-x", strings.Repeat("z", 64)} {
+		if got := idOf(ok); got != ok {
+			t.Errorf("valid id %q not adopted: got %q", ok, got)
+		}
+	}
+	for _, bad := range []string{"", strings.Repeat("z", 65), "has space", "semi;colon", "ünï"} {
+		got := idOf(bad)
+		if got == bad || !minted.MatchString(got) {
+			t.Errorf("invalid id %q: response id %q, want a minted one", bad, got)
+		}
 	}
 }
 

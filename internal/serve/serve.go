@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfscount"
@@ -148,7 +147,10 @@ type HealthJSON struct {
 // StatsJSON is the /stats response body.
 type StatsJSON struct {
 	engine.Stats
-	TopK          int     `json:"top_k,omitempty"`
+	TopK int `json:"top_k,omitempty"`
+	// TopKTracked is how many vertices the top-k scoreboard holds a
+	// score for: those on a cycle.
+	TopKTracked   int     `json:"top_k_tracked,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
@@ -172,8 +174,7 @@ type server struct {
 	routeNS map[string]*obs.Histogram
 	logMu   sync.Mutex
 	slowOut io.Writer
-	boot    string
-	reqN    atomic.Uint64
+	ids     *RequestIDs
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -326,11 +327,15 @@ func (s *server) clusterShards(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsJSON{
+	st := StatsJSON{
 		Stats:         s.e.Stats(),
 		TopK:          s.k,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-	})
+	}
+	if s.watch != nil {
+		st.TopKTracked = s.watch.Tracked()
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
