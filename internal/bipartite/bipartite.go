@@ -32,27 +32,26 @@ func Couple(b int) int { return b ^ 1 }
 // Original returns the G vertex a Gb vertex was split from.
 func Original(b int) int { return b / 2 }
 
-// Convert builds Gb from G (Algorithm 2, BI-G).
+// Convert builds Gb from G (Algorithm 2, BI-G): the couple edges first,
+// then every converted edge in G's out-adjacency order.
 func Convert(g *graph.Digraph) *graph.Digraph {
 	n := g.NumVertices()
-	gb := graph.New(2 * n)
+	pairs := make([]int32, 0, 2*(n+g.NumEdges()))
 	for v := 0; v < n; v++ {
-		mustAdd(gb, InVertex(v), OutVertex(v))
+		pairs = append(pairs, int32(InVertex(v)), int32(OutVertex(v)))
 	}
 	for v := 0; v < n; v++ {
 		for _, w := range g.Out(v) {
-			mustAdd(gb, OutVertex(v), InVertex(int(w)))
+			pairs = append(pairs, int32(OutVertex(v)), int32(InVertex(int(w))))
 		}
 	}
-	return gb
-}
-
-func mustAdd(g *graph.Digraph, u, v int) {
-	if err := g.AddEdge(u, v); err != nil {
+	gb, err := graph.FromPairs(2*n, pairs)
+	if err != nil {
 		// Unreachable for a valid self-loop-free input graph: the couple
 		// edges and converted edges are distinct by construction.
 		panic(err)
 	}
+	return gb
 }
 
 // ConvertEdge maps an edge (a,b) of G to its Gb counterpart

@@ -73,7 +73,7 @@ func originalFromGb(gb *graph.Digraph) (*graph.Digraph, error) {
 		return nil, fmt.Errorf("%w: odd vertex count, not a bipartite conversion", pll.ErrBadFormat)
 	}
 	n := gb.NumVertices() / 2
-	g := graph.New(n)
+	pairs := make([]int32, 0, 2*max(gb.NumEdges()-n, 0))
 	for v := 0; v < n; v++ {
 		if !gb.HasEdge(bipartite.InVertex(v), bipartite.OutVertex(v)) {
 			return nil, fmt.Errorf("%w: missing couple edge for %d", pll.ErrBadFormat, v)
@@ -82,10 +82,12 @@ func originalFromGb(gb *graph.Digraph) (*graph.Digraph, error) {
 			if !bipartite.IsIn(int(w)) {
 				return nil, fmt.Errorf("%w: V_out vertex links to V_out", pll.ErrBadFormat)
 			}
-			if err := g.AddEdge(v, bipartite.Original(int(w))); err != nil {
-				return nil, fmt.Errorf("%w: %v", pll.ErrBadFormat, err)
-			}
+			pairs = append(pairs, int32(v), int32(bipartite.Original(int(w))))
 		}
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", pll.ErrBadFormat, err)
 	}
 	return g, nil
 }

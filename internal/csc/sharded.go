@@ -457,6 +457,19 @@ func (x *Sharded) EntryCount() int {
 // Bytes is the label footprint (8 bytes per entry).
 func (x *Sharded) Bytes() int { return 8 * x.EntryCount() }
 
+// GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
+// graph the index holds: the global graph plus each shard's subgraph and
+// its bipartite conversion Gb.
+func (x *Sharded) GraphBytes() int {
+	total := x.g.Bytes()
+	for _, sh := range x.shards {
+		if sh != nil {
+			total += sh.idx.g.Bytes() + sh.idx.eng.G.Bytes()
+		}
+	}
+	return total
+}
+
 // RefreezeLabels re-packs every shard's thawed label lists back into
 // its compressed arena, returning the total lists re-encoded.
 func (x *Sharded) RefreezeLabels() int {

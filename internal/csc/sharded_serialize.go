@@ -36,14 +36,14 @@ import (
 const shardedMagic = "CSCIDX02"
 
 // maxShardedVertices bounds the v2/v3 header's global vertex count. The
-// loader allocates ~56 bytes of adjacency and shard-map state per claimed
-// vertex and validates the shard table with a full SCC pass, both before
-// the body proves itself — so the bound is calibrated to keep a hostile
-// 25-byte header (huge n, zero edges, zero shards) to ~120MB and a
-// fraction of a second rather than gigabytes and minutes. It still sits
-// far above the per-shard hub encoding limit's practical reach for this
-// codebase; a graph beyond it needs a format revision, not a bigger
-// constant.
+// loader allocates ~20 bytes of adjacency offsets, build scratch and
+// shard-map state per claimed vertex and validates the shard table with a
+// full SCC pass, both before the body proves itself — so the bound is
+// calibrated to keep a hostile 25-byte header (huge n, zero edges, zero
+// shards) to tens of MB and a fraction of a second rather than gigabytes
+// and minutes. It still sits far above the per-shard hub encoding
+// limit's practical reach for this codebase; a graph beyond it needs a
+// format revision, not a bigger constant.
 const maxShardedVertices = 1 << 21
 
 // WriteTo serializes the sharded index: the compressed v3/v4 format
@@ -150,7 +150,9 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 	if int64(m32) > int64(n)*int64(n-1) {
 		return nil, bad("edge count %d impossible for %d vertices", m, n)
 	}
-	g := graph.New(n)
+	// The edge buffer grows with the bytes actually read, not with the
+	// header's claim.
+	pairs := make([]int32, 0, 2*min(m, 1<<16))
 	for i := 0; i < m; i++ {
 		var u, v uint32
 		if err := read(&u); err != nil {
@@ -159,9 +161,11 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		if err := read(&v); err != nil {
 			return nil, bad("truncated edges: %v", err)
 		}
-		if err := g.AddEdge(int(u), int(v)); err != nil {
-			return nil, bad("edge (%d,%d): %v", u, v, err)
-		}
+		pairs = append(pairs, int32(u), int32(v))
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		return nil, bad("%v", err)
 	}
 	var shardCount uint32
 	if err := read(&shardCount); err != nil {

@@ -216,6 +216,21 @@ func (p *v3parser) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
+// pairs reads m edge records of two uint32s each as flat pairs for
+// graph.FromPairs. The image is in memory, so a count past its end fails
+// before anything is allocated for it.
+func (p *v3parser) pairs(m int) ([]int32, error) {
+	b, err := p.take(8 * m)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]int32, 2*m)
+	for i := range pairs {
+		pairs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return pairs, nil
+}
+
 // parseV34 loads a complete v3 or v4 image (dispatching on the magic).
 // With lazyLabels the label sections are only structurally checked
 // (offset-table invariants), never decoded — the mmap cold-start path;
@@ -267,19 +282,13 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 	if int64(m32) > int64(n)*int64(n-1) {
 		return nil, bad("edge count %d impossible for %d vertices", m, n)
 	}
-	g := graph.New(n)
-	for i := 0; i < m; i++ {
-		u, err := p.u32()
-		if err != nil {
-			return nil, bad("truncated edges")
-		}
-		v, err := p.u32()
-		if err != nil {
-			return nil, bad("truncated edges")
-		}
-		if err := g.AddEdge(int(u), int(v)); err != nil {
-			return nil, bad("edge (%d,%d): %v", u, v, err)
-		}
+	pairs, err := p.pairs(m)
+	if err != nil {
+		return nil, bad("truncated edges")
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		return nil, bad("%v", err)
 	}
 	shardCount, err := p.u32()
 	if err != nil {
@@ -344,19 +353,13 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 		if int64(mb32) > int64(nb)*int64(nb-1) {
 			return nil, bad("shard %d Gb edge count %d impossible", sid, mb32)
 		}
-		gb := graph.New(nb)
-		for i := 0; i < int(mb32); i++ {
-			u, err := p.u32()
-			if err != nil {
-				return nil, bad("truncated shard %d Gb edges", sid)
-			}
-			v, err := p.u32()
-			if err != nil {
-				return nil, bad("truncated shard %d Gb edges", sid)
-			}
-			if err := gb.AddEdge(int(u), int(v)); err != nil {
-				return nil, bad("shard %d Gb edge (%d,%d): %v", sid, u, v, err)
-			}
+		gbPairs, err := p.pairs(int(mb32))
+		if err != nil {
+			return nil, bad("truncated shard %d Gb edges", sid)
+		}
+		gb, err := graph.FromPairs(nb, gbPairs)
+		if err != nil {
+			return nil, bad("shard %d Gb %v", sid, err)
 		}
 		shardStrat := order.Degree
 		if v4 {

@@ -263,6 +263,7 @@ type Stats struct {
 	Edges        int    `json:"edges"`
 	Entries      int    `json:"entries"`
 	LabelBytes   int    `json:"label_bytes"`
+	GraphBytes   int    `json:"graph_bytes"`
 	Queries      uint64 `json:"queries"`
 	CacheHits    uint64 `json:"cache_hits"`
 	OpsEnqueued  uint64 `json:"ops_enqueued"`
@@ -822,6 +823,7 @@ func (e *Engine) Stats() Stats {
 	st.Edges = e.ix.Graph().NumEdges()
 	st.Entries = e.ix.EntryCount()
 	st.LabelBytes = e.ix.Bytes()
+	st.GraphBytes = e.ix.GraphBytes()
 	st.Degraded = e.ix.StaleShards()
 	c, s := e.ix.OOBRebuilds()
 	st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)

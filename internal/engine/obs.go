@@ -105,6 +105,11 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.Bytes())
 	})
+	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, the shard subgraphs and their bipartite conversions", func() float64 {
+		m := e.lock.rlock(0)
+		defer m.RUnlock()
+		return float64(e.ix.GraphBytes())
+	})
 	reg.GaugeFunc("cscd_label_compressed_bytes", "compressed frozen-arena label footprint in bytes (0 when labels are uncompressed)", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()

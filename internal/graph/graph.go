@@ -5,6 +5,18 @@
 // Vertices are dense integers [0, N). The paper's graphs are directed and
 // self-loop free (§VI-A), so AddEdge rejects self-loops; parallel edges are
 // rejected as well since the algorithms treat E as a set.
+//
+// Each side of a Digraph (out-lists and in-lists) is laid out as
+// compressed sparse rows: one offset array of n+1 entries and one array
+// of neighbour ids, 8 bytes per vertex and 8 per edge for both sides
+// together. Out and In of a vertex no write has touched are one branch
+// and a slice of those arrays. The first write to a vertex moves its
+// list into a per-side overflow (a spill array and a map from the
+// touched vertices into it); once the overflow outgrows a fixed share of
+// the arrays, every list is folded back into the arrays in O(n+m).
+// Lists keep insertion order (appends at the end, swap-removes) through
+// every move and fold. FromPairs, FromEdges and ReadEdgeList build the
+// arrays directly from a known edge set; Clone and Reverse copy them.
 package graph
 
 import (
@@ -30,68 +42,107 @@ var (
 // Digraph is a mutable directed graph over vertices 0..n-1.
 // The zero value is an empty graph with no vertices.
 type Digraph struct {
-	out [][]int32
-	in  [][]int32
-	m   int
+	out, in adjacency
+	n, m    int
 }
 
 // New returns an empty directed graph with n vertices and no edges.
 func New(n int) *Digraph {
-	return &Digraph{
-		out: make([][]int32, n),
-		in:  make([][]int32, n),
-	}
+	return &Digraph{out: newAdjacency(n), in: newAdjacency(n), n: n}
 }
 
-// FromEdges builds a graph with n vertices and the given (u,v) edge pairs.
-// It fails fast on the first invalid edge.
-func FromEdges(n int, edges [][2]int) (*Digraph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("edge (%d,%d): %w", e[0], e[1], err)
-		}
+// FromPairs builds a graph with n vertices whose edges are the pairs
+// u0 v0 u1 v1 …, with every adjacency list in the order AddEdge called on
+// each pair in turn would leave it. Like those calls it fails on the
+// first pair, in input order, that is out of range, a self-loop or a
+// repeat of an earlier pair. pairs is neither kept nor modified.
+func FromPairs(n int, pairs []int32) (*Digraph, error) {
+	g, i, err := fromPairsStrict(n, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("edge (%d,%d): %w", pairs[2*i], pairs[2*i+1], err)
 	}
 	return g, nil
 }
 
+// FromEdges builds a graph with n vertices and the given (u,v) edge pairs,
+// as FromPairs does.
+func FromEdges(n int, edges [][2]int) (*Digraph, error) {
+	pairs := make([]int32, 0, 2*len(edges))
+	for _, e := range edges {
+		u, v := int32(e[0]), int32(e[1])
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			u = -1 // out of range, whatever the int32 conversion gives
+		}
+		pairs = append(pairs, u, v)
+	}
+	g, i, err := fromPairsStrict(n, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("edge (%d,%d): %w", edges[i][0], edges[i][1], err)
+	}
+	return g, nil
+}
+
+// fromPairsStrict is FromPairs returning the index of the failing pair.
+func fromPairsStrict(n int, pairs []int32) (*Digraph, int, error) {
+	bad, why := len(pairs)/2, error(nil)
+	for i := 0; i < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			bad, why = i/2, ErrVertexRange
+			break
+		} else if u == v {
+			bad, why = i/2, ErrSelfLoop
+			break
+		}
+	}
+	// A repeat can only come first among the pairs before bad, which are
+	// all in range and loop-free.
+	g, dup := fromPairs(n, pairs[:2*bad], false)
+	if dup >= 0 {
+		return nil, dup, ErrDuplicateEdge
+	}
+	if why != nil {
+		return nil, bad, why
+	}
+	return g, -1, nil
+}
+
 // NumVertices returns the number of vertices.
-func (g *Digraph) NumVertices() int { return len(g.out) }
+func (g *Digraph) NumVertices() int { return g.n }
 
 // AddVertex appends a fresh isolated vertex and returns its id.
 func (g *Digraph) AddVertex() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return len(g.out) - 1
+	g.out.grow()
+	g.in.grow()
+	g.n++
+	return g.n - 1
 }
 
 // NumEdges returns the number of directed edges.
 func (g *Digraph) NumEdges() int { return g.m }
 
+// Bytes returns the graph's adjacency footprint in bytes, from the
+// capacities of its arrays plus an estimate of its overflow maps.
+func (g *Digraph) Bytes() int { return g.out.bytes() + g.in.bytes() }
+
 // OutDegree returns |nbr_out(v)|.
-func (g *Digraph) OutDegree(v int) int { return len(g.out[v]) }
+func (g *Digraph) OutDegree(v int) int { return len(g.out.list(v)) }
 
 // InDegree returns |nbr_in(v)|.
-func (g *Digraph) InDegree(v int) int { return len(g.in[v]) }
+func (g *Digraph) InDegree(v int) int { return len(g.in.list(v)) }
 
 // Degree returns the paper's degree(v): in-degree plus out-degree.
-func (g *Digraph) Degree(v int) int { return len(g.out[v]) + len(g.in[v]) }
+func (g *Digraph) Degree(v int) int { return g.OutDegree(v) + g.InDegree(v) }
 
 // MinInOutDegree returns min(|nbr_in(v)|, |nbr_out(v)|), the quantity the
 // paper clusters query vertices by (§VI-A).
-func (g *Digraph) MinInOutDegree(v int) int {
-	if len(g.in[v]) < len(g.out[v]) {
-		return len(g.in[v])
-	}
-	return len(g.out[v])
-}
+func (g *Digraph) MinInOutDegree(v int) int { return min(g.InDegree(v), g.OutDegree(v)) }
 
 // Out returns the out-neighbor slice of v. The slice is owned by the graph
 // and must not be mutated or retained across mutations.
-func (g *Digraph) Out(v int) []int32 { return g.out[v] }
+func (g *Digraph) Out(v int) []int32 { return g.out.list(v) }
 
 // In returns the in-neighbor slice of v with the same aliasing caveat as Out.
-func (g *Digraph) In(v int) []int32 { return g.in[v] }
+func (g *Digraph) In(v int) []int32 { return g.in.list(v) }
 
 // HasEdge reports whether the directed edge (u,v) exists.
 func (g *Digraph) HasEdge(u, v int) bool {
@@ -99,22 +150,14 @@ func (g *Digraph) HasEdge(u, v int) bool {
 		return false
 	}
 	// Scan the smaller of u's out-list and v's in-list.
-	if len(g.out[u]) <= len(g.in[v]) {
-		return contains(g.out[u], int32(v))
+	out, in := g.out.list(u), g.in.list(v)
+	if len(out) <= len(in) {
+		return slices.Contains(out, int32(v))
 	}
-	return contains(g.in[v], int32(u))
+	return slices.Contains(in, int32(u))
 }
 
-func contains(s []int32, x int32) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Digraph) valid(v int) bool { return v >= 0 && v < len(g.out) }
+func (g *Digraph) valid(v int) bool { return v >= 0 && v < g.n }
 
 // AddEdge inserts the directed edge (u,v).
 func (g *Digraph) AddEdge(u, v int) error {
@@ -127,9 +170,10 @@ func (g *Digraph) AddEdge(u, v int) error {
 	if g.HasEdge(u, v) {
 		return ErrDuplicateEdge
 	}
-	g.out[u] = append(g.out[u], int32(v))
-	g.in[v] = append(g.in[v], int32(u))
+	g.out.add(u, int32(v))
+	g.in.add(v, int32(u))
 	g.m++
+	g.maybeFold()
 	return nil
 }
 
@@ -138,72 +182,42 @@ func (g *Digraph) RemoveEdge(u, v int) error {
 	if !g.valid(u) || !g.valid(v) {
 		return ErrVertexRange
 	}
-	ok1 := removeOne(&g.out[u], int32(v))
-	if !ok1 {
+	if !g.HasEdge(u, v) {
 		return ErrMissingEdge
 	}
-	removeOne(&g.in[v], int32(u))
+	g.out.remove(u, int32(v))
+	g.in.remove(v, int32(u))
 	g.m--
+	g.maybeFold()
 	return nil
 }
 
-func removeOne(s *[]int32, x int32) bool {
-	list := *s
-	for i, y := range list {
-		if y == x {
-			list[i] = list[len(list)-1]
-			*s = list[:len(list)-1]
-			return true
-		}
-	}
-	return false
+func (g *Digraph) maybeFold() {
+	g.out.maybeFold(g.m)
+	g.in.maybeFold(g.m)
 }
 
 // Edges returns all directed edges as (u,v) pairs in out-adjacency order.
 func (g *Digraph) Edges() [][2]int {
 	edges := make([][2]int, 0, g.m)
-	for u := range g.out {
-		for _, v := range g.out[u] {
+	for u := range g.n {
+		for _, v := range g.Out(u) {
 			edges = append(edges, [2]int{u, int(v)})
 		}
 	}
 	return edges
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, every list in the same order,
+// laid out as fresh arrays.
 func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{
-		out: make([][]int32, len(g.out)),
-		in:  make([][]int32, len(g.in)),
-		m:   g.m,
-	}
-	for v := range g.out {
-		if len(g.out[v]) > 0 {
-			c.out[v] = append([]int32(nil), g.out[v]...)
-		}
-		if len(g.in[v]) > 0 {
-			c.in[v] = append([]int32(nil), g.in[v]...)
-		}
-	}
-	return c
+	return &Digraph{out: g.out.copied(g.m), in: g.in.copied(g.m), n: g.n, m: g.m}
 }
 
-// Reverse returns a new graph with every edge direction flipped.
+// Reverse returns a new graph with every edge direction flipped: its
+// out-lists are g's in-lists and its in-lists g's out-lists, in order.
 func (g *Digraph) Reverse() *Digraph {
-	r := &Digraph{
-		out: make([][]int32, len(g.out)),
-		in:  make([][]int32, len(g.in)),
-		m:   g.m,
-	}
-	for v := range g.out {
-		if len(g.in[v]) > 0 {
-			r.out[v] = append([]int32(nil), g.in[v]...)
-		}
-		if len(g.out[v]) > 0 {
-			r.in[v] = append([]int32(nil), g.out[v]...)
-		}
-	}
-	return r
+	return &Digraph{out: g.in.copied(g.m), in: g.out.copied(g.m), n: g.n, m: g.m}
 }
 
 // WriteEdgeList writes the graph as "n m" followed by one "u v" line per
@@ -213,8 +227,8 @@ func (g *Digraph) WriteEdgeList(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.NumVertices(), g.NumEdges()); err != nil {
 		return err
 	}
-	for u := range g.out {
-		for _, v := range g.out[u] {
+	for u := range g.n {
+		for _, v := range g.Out(u) {
 			if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
 				return err
 			}
@@ -234,8 +248,8 @@ const maxLine = 1 << 24
 //
 // Lines are parsed in place in the reader's buffer into one flat pair
 // buffer, which grows with the input alone (the header's edge count is
-// never trusted); the adjacency lists are then carved from one array per
-// direction.
+// never trusted); the lenient form of the bulk constructor behind
+// FromPairs then lays them out.
 func ReadEdgeList(r io.Reader) (*Digraph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	n := -1           // vertex count, once the header is read
@@ -290,7 +304,8 @@ func ReadEdgeList(r io.Reader) (*Digraph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: empty input", ErrMalformedInput)
 	}
-	return fromPairs(n, pairs), nil
+	g, _ := fromPairs(n, pairs, true)
+	return g, nil
 }
 
 // asciiSpace marks the single bytes unicode.IsSpace accepts; every byte
@@ -365,100 +380,29 @@ func parseFields(line string) (a, b int, skip, ok bool) {
 	return a, b, false, err1 == nil && err2 == nil
 }
 
-// fromPairs builds the graph over n vertices from edge pairs in input
-// order, keeping each edge's first occurrence. Two stable counting sorts
-// (by tail, then by head) lay the out- and in-lists out in one array per
-// direction. Each list is capped at its own length, so a later AddEdge
-// reallocates that list instead of overwriting its neighbour's.
-func fromPairs(n int, pairs []int32) *Digraph {
-	g := New(n)
-	if len(pairs) == 0 {
-		return g
-	}
-	// off is a counting sort's cursor array: off[v+1] counts, prefix sums
-	// turn off[v] into v's first slot, and placement leaves it at v's end.
-	off := make([]int32, n+1)
-	prefix := func() {
-		for v := 1; v <= n; v++ {
-			off[v] += off[v-1]
-		}
-	}
-	// Edge ids grouped by tail, in input order within a tail.
-	for i := 0; i < len(pairs); i += 2 {
-		off[pairs[i]+1]++
-	}
-	prefix()
-	out := make([]int32, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		u := pairs[i]
-		out[off[u]] = int32(i / 2)
-		off[u]++
-	}
-	// Replace each edge id by its head, compacting duplicates away and
-	// marking them in pairs for the in side. out[w] is written only after
-	// it was read, so the compaction runs in place. A tail with one edge
-	// has no duplicate to look for.
-	seen := make([]int32, n) // seen[v] == u+1: edge (u,v) already kept
-	var w, lo int32
-	for u := range int32(n) {
-		first, hi := w, off[u]
-		for _, e := range out[lo:hi] {
-			v := pairs[2*e+1]
-			if hi-lo > 1 {
-				if seen[v] == u+1 {
-					pairs[2*e] = -1
-					continue
-				}
-				seen[v] = u + 1
-			}
-			out[w] = v
-			w++
-		}
-		if w > first {
-			g.out[u] = out[first:w:w]
-		}
-		lo = hi
-	}
-	g.m = int(w)
-	// Tails grouped by head, in input order within a head.
-	clear(off)
-	for i := 0; i < len(pairs); i += 2 {
-		if pairs[i] >= 0 {
-			off[pairs[i+1]+1]++
-		}
-	}
-	prefix()
-	in := make([]int32, w)
-	for i := 0; i < len(pairs); i += 2 {
-		if u, v := pairs[i], pairs[i+1]; u >= 0 {
-			in[off[v]] = u
-			off[v]++
-		}
-	}
-	lo = 0
-	for v, hi := range off[:n] {
-		if hi > lo {
-			g.in[v] = in[lo:hi:hi]
-			lo = hi
-		}
-	}
-	return g
-}
-
 // Equal reports whether two graphs have identical vertex counts and edge
-// sets (adjacency order is ignored).
+// sets, checking both the out-lists and the in-lists (adjacency order is
+// ignored).
 func Equal(a, b *Digraph) bool {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return false
 	}
-	for u := 0; u < a.NumVertices(); u++ {
-		if len(a.out[u]) != len(b.out[u]) {
+	for v := range a.NumVertices() {
+		if !sameSet(a.Out(v), b.Out(v)) || !sameSet(a.In(v), b.In(v)) {
 			return false
 		}
-		for _, v := range a.out[u] {
-			if !contains(b.out[u], v) {
-				return false
-			}
+	}
+	return true
+}
+
+// sameSet reports whether two duplicate-free lists hold the same ids.
+func sameSet(x, y []int32) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for _, w := range x {
+		if !slices.Contains(y, w) {
+			return false
 		}
 	}
 	return true

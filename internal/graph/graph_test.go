@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,20 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if !Equal(g, g.Clone()) {
 		t.Fatal("clone not Equal to original")
+	}
+}
+
+// Equal compares the in-lists as well: a graph whose in-lists disagree
+// with its out-lists is not equal to its consistent twin.
+func TestEqualComparesInLists(t *testing.T) {
+	g, err := FromEdges(4, [][2]int{{0, 1}, {2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Clone()
+	c.in.adj[c.in.off[1]+1] = 3 // In(1) = [0 3], out-lists untouched
+	if Equal(g, c) || Equal(c, g) {
+		t.Fatal("Equal missed an in-list that disagrees with the out-lists")
 	}
 }
 
@@ -188,12 +203,12 @@ func TestMutationInvariants(t *testing.T) {
 		// in/out mirrors.
 		for v := 0; v < n; v++ {
 			for _, w := range g.Out(v) {
-				if !contains(g.In(int(w)), int32(v)) {
+				if !slices.Contains(g.In(int(w)), int32(v)) {
 					return false
 				}
 			}
 			for _, w := range g.In(v) {
-				if !contains(g.Out(int(w)), int32(v)) {
+				if !slices.Contains(g.Out(int(w)), int32(v)) {
 					return false
 				}
 			}

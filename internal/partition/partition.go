@@ -213,17 +213,17 @@ func Induced(g *graph.Digraph, verts []int32) *graph.Digraph {
 	for li, v := range verts {
 		local[v] = int32(li)
 	}
-	sub := graph.New(len(verts))
+	var pairs []int32
 	for li, v := range verts {
 		for _, w := range g.Out(int(v)) {
-			lw, ok := local[w]
-			if !ok {
-				continue
-			}
-			if err := sub.AddEdge(li, int(lw)); err != nil {
-				panic(err) // unreachable: g has no duplicates or self-loops
+			if lw, ok := local[w]; ok {
+				pairs = append(pairs, int32(li), lw)
 			}
 		}
+	}
+	sub, err := graph.FromPairs(len(verts), pairs)
+	if err != nil {
+		panic(err) // unreachable: g has no duplicates or self-loops
 	}
 	return sub
 }

@@ -130,7 +130,9 @@ func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
 	if int64(m32) > int64(n)*int64(n-1) {
 		return nil, fmt.Errorf("%w: edge count %d impossible for %d vertices", ErrBadFormat, m, n)
 	}
-	g := graph.New(n)
+	// The edge buffer grows with the bytes actually read, not with the
+	// header's claim.
+	pairs := make([]int32, 0, 2*min(m, 1<<16))
 	for i := 0; i < m; i++ {
 		var u, v uint32
 		if err := read(&u); err != nil {
@@ -139,9 +141,11 @@ func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
 		if err := read(&v); err != nil {
 			return nil, fmt.Errorf("%w: truncated edges: %v", ErrBadFormat, err)
 		}
-		if err := g.AddEdge(int(u), int(v)); err != nil {
-			return nil, fmt.Errorf("%w: edge (%d,%d): %v", ErrBadFormat, u, v, err)
-		}
+		pairs = append(pairs, int32(u), int32(v))
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	vertexAt := make([]int, n)
 	for r := 0; r < n; r++ {

@@ -234,14 +234,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// No drift: scrape again and compare the query counter and the
-	// serving-state sizes against /stats. The 8-ring is one shard, so the
-	// cache and the scoreboard both hold its 8 vertices.
+	// No drift: scrape again and compare the query counter, the
+	// serving-state sizes and the graph footprint against /stats. The
+	// 8-ring is one shard, so the cache and the scoreboard both hold its 8
+	// vertices, and the graphs held are at least the CSR arrays of the
+	// ring, its shard subgraph and its 16-vertex conversion.
 	_, statsBody := get(t, srv.URL+"/stats")
 	var st struct {
 		Queries     uint64 `json:"queries"`
 		CacheSlots  int    `json:"cache_slots"`
 		TopKTracked int    `json:"top_k_tracked"`
+		GraphBytes  int    `json:"graph_bytes"`
 	}
 	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
 		t.Fatal(err)
@@ -249,11 +252,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if st.CacheSlots != 8 || st.TopKTracked != 8 {
 		t.Fatalf("/stats sizes: cache_slots %d top_k_tracked %d, want 8 and 8", st.CacheSlots, st.TopKTracked)
 	}
+	if csr := 2 * 4 * ((9 + 8) + (9 + 8) + (17 + 16)); st.GraphBytes < csr {
+		t.Fatalf("/stats graph_bytes %d, want at least the %d bytes of CSR arrays", st.GraphBytes, csr)
+	}
 	_, body = get(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		fmt.Sprintf("cscd_queries_total %d", st.Queries),
 		fmt.Sprintf("cscd_cache_slots %d", st.CacheSlots),
 		fmt.Sprintf("cscd_top_k_tracked %d", st.TopKTracked),
+		fmt.Sprintf("cscd_graph_bytes %d", st.GraphBytes),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics/stats drift: /metrics lacks %q", want)
