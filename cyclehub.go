@@ -779,7 +779,8 @@ func (e *Engine) Score(v int) CycleResult {
 // EngineStats is a point-in-time counter snapshot of a serving engine.
 type EngineStats struct {
 	// Vertices and Edges describe the served graph; Entries and
-	// LabelBytes the label footprint.
+	// LabelBytes the logical label size (8 bytes per entry of the full
+	// labeling, however much of it the store holds).
 	Vertices, Edges, Entries, LabelBytes int
 	// Queries counts CycleCount calls and CacheHits how many were served
 	// from the result cache without a label join; OpsEnqueued/Applied/

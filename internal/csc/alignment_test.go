@@ -37,6 +37,7 @@ func TestMaintainedLabelsEqualRebuild(t *testing.T) {
 		}
 		fresh, _ := Build(g.Clone(), baseOrd, Options{})
 		fe, me := fresh.Engine(), x.Engine()
+		fe.Expand()
 		for b := 0; b < 2*n; b++ {
 			if !entriesEqual(me.In[b].Entries(), fe.In[b].Entries()) {
 				t.Fatalf("step %d: Lin(%d): maintained %v != fresh %v",

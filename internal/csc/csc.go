@@ -11,7 +11,9 @@
 // BFSes prune through the hub-indexed scatter instead of per-dequeue
 // merge-joins, hubs are processed in rank-batched parallel speculation
 // with a deterministic rank-order merge (labels stay byte-identical to a
-// sequential build), and the finished labels freeze into the CSR arena.
+// sequential build), and the finished labels freeze into the CSR arena in
+// the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out), the
+// two lists a query joins, are stored until a write needs the rest.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -101,11 +103,15 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 // buildSkipping is the couple-vertex-skipping construction (Algorithm 3):
 // only V_in vertices run hub BFSes; each labeled vertex also labels its
 // couple one step further, so the queue only ever holds one vertex per
-// couple and half the join queries are skipped. The passes run on the
+// couple and half the join queries are skipped. The couple's labels are
+// the mirrored lists of the paper's index reduction (§IV-E), so the
+// construction counts them without storing them and leaves the index in
+// pll's reduced state: only Lin(v_in) and Lout(v_out) reach the arena,
+// and the first label mutation derives the rest. The passes run on the
 // engine's rank-batched driver, so they parallelize like the generic
-// construction while producing the same bytes.
+// construction while producing the same labels.
 func buildSkipping(gb *graph.Digraph, ord *order.Order, workers int) *pll.Index {
-	eng := pll.NewEmpty(gb, ord)
+	eng := pll.NewReduced(gb, ord)
 	eng.RunConstruction(&skipScheme{eng: eng, gb: gb, ord: ord}, workers)
 	eng.FreezeArena()
 	return eng
@@ -121,12 +127,11 @@ type skipScheme struct {
 
 func (sc *skipScheme) IsHub(r int) bool { return bipartite.IsIn(sc.ord.VertexAt(r)) }
 
-// SelfLabels gives a V_out vertex its self labels (Alg 3 l.6-8).
+// SelfLabels gives a V_out vertex its self labels (Alg 3 l.6-8); the
+// in-side one belongs to the mirrored Lin(v_out).
 func (sc *skipScheme) SelfLabels(r int) {
-	v := sc.ord.VertexAt(r)
-	self := bitpack.Pack(r, 0, 1)
-	sc.eng.AppendIn(v, self)
-	sc.eng.AppendOut(v, self)
+	sc.eng.AppendOut(sc.ord.VertexAt(r), bitpack.Pack(r, 0, 1))
+	sc.eng.CountMirrored()
 }
 
 func (sc *skipScheme) RunPass(r, pass int, s *pll.Scratch, st *pll.Stage) {
@@ -138,25 +143,31 @@ func (sc *skipScheme) RunPass(r, pass int, s *pll.Scratch, st *pll.Stage) {
 	}
 }
 
-func (sc *skipScheme) Anchor(r, pass int) *label.List {
+// Anchor returns the list the pass's prune test scatters. Alg 3 l.14's
+// Query joins Lout(v) with Lin(w); Lout(v) is mirrored, and before v's own
+// out-pass it is exactly Lout(v_out) one step further, so the in-pass
+// scatters that with shift 1.
+func (sc *skipScheme) Anchor(r, pass int) (*label.List, int) {
 	v := sc.ord.VertexAt(r)
 	if pass == 0 {
-		return &sc.eng.Out[v] // Alg 3 l.14: Query joins Lout(v) with Lin(w)
+		return &sc.eng.Out[bipartite.Couple(v)], 1
 	}
-	return &sc.eng.In[v]
+	return &sc.eng.In[v], 0
 }
 
 // inSpecPass generates in-labels with hub v_in = v (rank r). The queue
 // holds V_in vertices only; each popped w also stamps its couple w_out at
-// distance D[w]+1 (couple-vertex skipping). The prune test probes the
-// rank-indexed scatter of Lout(v) against Lin(w); appends are staged, and
-// mid-pass appends can never feed a probe (V_in lists are probed only at
-// their single dequeue, couple appends target V_out lists).
+// distance D[w]+1 (couple-vertex skipping), whose Lin(w_out) entry is
+// mirrored: counted, not stored. The prune test probes the rank-indexed
+// scatter of the anchor against Lin(w); appends are staged, and mid-pass
+// appends can never feed a probe (V_in lists are probed only at their
+// single dequeue).
 func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 	eng, gb, ord := sc.eng, sc.gb, sc.ord
 	st.Reset(true, false)
-	s.Scatter(&eng.Out[v])
-	defer s.Unscatter(&eng.Out[v])
+	anchor, shift := sc.Anchor(r, 0)
+	s.Scatter(anchor, shift)
+	defer s.Unscatter(anchor)
 	defer s.Reset()
 
 	s.Visit(v, 0, 1)
@@ -173,7 +184,7 @@ func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 		wo := bipartite.Couple(w)
 		cw := s.Cnt[w]
 		st.Add(w, w != v, bitpack.Pack(r, dw, cw))
-		st.Add(wo, false, bitpack.Pack(r, dw+1, cw))
+		st.Mirror() // Lin(wo) gains (r, dw+1, cw)
 		s.Visit(wo, int32(dw+1), cw)
 		for _, wn := range gb.Out(wo) {
 			switch {
@@ -193,17 +204,18 @@ func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 // reverse direction. After the first dequeue the queue holds V_out
 // vertices only; reaching the hub's own couple v_out yields the cycle
 // entry in Lout(v_out) and prunes (§IV-C distinction 4). The prune test
-// probes the scatter of Lin(v) against Lout(w).
+// probes the scatter of Lin(v) against Lout(w). Lout entries of V_in
+// vertices are mirrored: counted, not stored.
 func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 	eng, gb, ord := sc.eng, sc.gb, sc.ord
 	st.Reset(false, false)
-	s.Scatter(&eng.In[v])
+	s.Scatter(&eng.In[v], 0)
 	defer s.Unscatter(&eng.In[v])
 	defer s.Reset()
 
 	// First dequeue (distinction 3): self label only, then expand v's
 	// in-neighbors, which are V_out vertices.
-	st.Add(v, false, bitpack.Pack(r, 0, 1))
+	st.Mirror() // Lout(v) gains (r, 0, 1)
 	s.Visit(v, 0, 1)
 	for _, u := range gb.In(v) {
 		if ord.Rank(int(u)) > r {
@@ -226,7 +238,7 @@ func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 			continue
 		}
 		wi := bipartite.Couple(w)
-		st.Add(wi, false, bitpack.Pack(r, dw+1, cw))
+		st.Mirror() // Lout(wi) gains (r, dw+1, cw)
 		s.Visit(wi, int32(dw+1), cw)
 		for _, wn := range gb.In(wi) {
 			switch {
@@ -310,8 +322,14 @@ func (x *Index) Engine() *pll.Index { return x.eng }
 // EntryCount returns the total number of label entries over Gb (O(1)).
 func (x *Index) EntryCount() int { return x.eng.EntryCount() }
 
-// Bytes returns the unreduced label footprint (8 bytes per entry).
+// Bytes returns the logical label footprint: 8 bytes per entry of the
+// full labeling, whether or not the mirrored lists are stored.
 func (x *Index) Bytes() int { return x.eng.Bytes() }
+
+// ResidentBytes returns the label bytes the index physically holds
+// (pll.Index.ResidentBytes): about half of Bytes while the index is
+// reduced.
+func (x *Index) ResidentBytes() int { return x.eng.ResidentBytes() }
 
 // RefreezeLabels re-packs label lists thawed by updates back into the
 // compressed arena, returning how many lists re-encoded (0 when labels

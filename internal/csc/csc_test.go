@@ -83,6 +83,7 @@ func TestSkippingEqualsGenericConstruction(t *testing.T) {
 		a, _ := Build(g.Clone(), ord, Options{})
 		b, _ := Build(g.Clone(), ord, Options{GenericConstruction: true})
 		ea, eb := a.Engine(), b.Engine()
+		ea.Expand()
 		for v := 0; v < 2*g.NumVertices(); v++ {
 			if !entriesEqual(ea.In[v].Entries(), eb.In[v].Entries()) {
 				t.Fatalf("graph %d: Lin(%d): skipping %v != generic %v",
@@ -190,26 +191,44 @@ func TestUpdateErrorsPropagate(t *testing.T) {
 	}
 }
 
+// A fresh build is the paper's reduced index (§IV-E): it stores exactly
+// the ReducedEntryCount entries of Lin(v_in) and Lout(v_out), counts the
+// full labeling, and answers like its expanded form.
 func TestReducedIndex(t *testing.T) {
 	g := testgraphs.Figure2()
 	x, _ := Build(g, order.ByDegree(g), Options{})
-	compact := Reduce(x)
-	for v := 0; v < g.NumVertices(); v++ {
-		fl, fc := x.CycleCount(v)
-		cl, cc := compact.CycleCount(v)
-		if fl != cl || fc != cc {
-			t.Fatalf("compact SCCnt(%d) = (%d,%d), full (%d,%d)", v, cl, cc, fl, fc)
-		}
+	eng := x.Engine()
+	if !eng.Reduced() {
+		t.Fatal("a fresh build is not reduced")
 	}
-	if compact.EntryCount() != x.ReducedEntryCount() {
-		t.Fatalf("Reduce size %d != ReducedEntryCount %d",
-			compact.EntryCount(), x.ReducedEntryCount())
+	stored := 0
+	for b := 0; b < 2*g.NumVertices(); b++ {
+		stored += eng.In[b].Len() + eng.Out[b].Len()
+	}
+	if stored != x.ReducedEntryCount() {
+		t.Fatalf("reduced index stores %d entries, ReducedEntryCount %d", stored, x.ReducedEntryCount())
+	}
+	if x.ResidentBytes() != x.ReducedBytes() {
+		t.Fatalf("ResidentBytes %d != ReducedBytes %d", x.ResidentBytes(), x.ReducedBytes())
 	}
 	if x.ReducedBytes() >= x.Bytes() {
 		t.Fatalf("reduction did not shrink: %d >= %d", x.ReducedBytes(), x.Bytes())
 	}
-	if compact.Bytes() != 8*compact.EntryCount() {
-		t.Fatal("compact Bytes inconsistent")
+	want := make([][2]uint64, g.NumVertices())
+	for v := range want {
+		l, c := x.CycleCount(v)
+		want[v] = [2]uint64{uint64(l), c}
+	}
+	entries := x.EntryCount()
+	eng.Expand()
+	if eng.Reduced() || x.EntryCount() != entries || x.ResidentBytes() != x.Bytes() {
+		t.Fatalf("expanded: reduced=%v entries %d (was %d), resident %d, bytes %d",
+			eng.Reduced(), x.EntryCount(), entries, x.ResidentBytes(), x.Bytes())
+	}
+	for v := range want {
+		if l, c := x.CycleCount(v); uint64(l) != want[v][0] || c != want[v][1] {
+			t.Fatalf("expanded SCCnt(%d) = (%d,%d), reduced (%d,%d)", v, l, c, want[v][0], want[v][1])
+		}
 	}
 }
 

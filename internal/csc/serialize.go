@@ -58,6 +58,7 @@ func readMonolithic(br *bufio.Reader) (*Index, error) {
 		return nil, err
 	}
 	eng.HubFilter = bipartite.IsIn // functions do not serialize; re-install
+	eng.Reduce()                   // stays full if any mirror differs from its derivation
 	g, err := originalFromGb(eng.G)
 	if err != nil {
 		return nil, err

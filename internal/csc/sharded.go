@@ -454,8 +454,22 @@ func (x *Sharded) EntryCount() int {
 	return total
 }
 
-// Bytes is the label footprint (8 bytes per entry).
+// Bytes is the logical label footprint (8 bytes per entry of the full
+// labeling).
 func (x *Sharded) Bytes() int { return 8 * x.EntryCount() }
+
+// ResidentBytes sums the label bytes the shards physically hold: the
+// stored lists of reduced shards, every list of shards a write expanded,
+// and compressed arenas at their compressed size.
+func (x *Sharded) ResidentBytes() int {
+	total := 0
+	for _, sh := range x.shards {
+		if sh != nil {
+			total += sh.idx.ResidentBytes()
+		}
+	}
+	return total
+}
 
 // GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
 // graph the index holds: the global graph plus each shard's subgraph and

@@ -219,6 +219,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 			return nil, bad("shard %d strategy %d != header %d", sid, eng.Strategy, strat)
 		}
 		eng.HubFilter = bipartite.IsIn
+		eng.Reduce() // stays full if any mirror differs from its derivation
 		sub, err := originalFromGb(eng.G)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sid, err)

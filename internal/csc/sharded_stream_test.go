@@ -90,8 +90,9 @@ func TestShardedUpdateStream(t *testing.T) {
 
 // FuzzShardedUpdateStream feeds an arbitrary byte string as an update
 // stream over a small graph: each byte pair is one endpoint pair, applied
-// as insert-or-toggle-delete. After the stream, the sharded index must
-// match the oracle everywhere and survive a serialization roundtrip.
+// as insert-or-toggle-delete. After every op, reducing then re-expanding
+// each shard must be the identity; after the stream, the sharded index
+// must match the oracle everywhere.
 func FuzzShardedUpdateStream(f *testing.F) {
 	f.Add([]byte{0x01, 0x23, 0x31, 0x10, 0x02, 0x20})
 	f.Add([]byte{0x01, 0x12, 0x20, 0x01, 0x34, 0x45, 0x53, 0x30})
@@ -106,6 +107,7 @@ func FuzzShardedUpdateStream(f *testing.F) {
 		for _, b := range ops {
 			u, v := int(b>>4)%n, int(b&0xf)%n
 			applyStreamOp(t, x, u, v)
+			assertReduceExpandIdentity(t, x)
 		}
 		if err := x.checkConsistent(); err != nil {
 			t.Fatal(err)

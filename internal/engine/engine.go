@@ -275,6 +275,10 @@ type Stats struct {
 	Snapshots    uint64 `json:"snapshots"`
 	WALBytes     int64  `json:"wal_bytes,omitempty"`
 	Err          string `json:"error,omitempty"`
+	// LabelResidentBytes is what the label store physically holds:
+	// reduced shards store about half of LabelBytes, the logical size
+	// (8 B × Entries), and compressed arenas count their compressed size.
+	LabelResidentBytes int `json:"label_resident_bytes"`
 	// QueueDepth/MailboxCap describe writer saturation at snapshot time;
 	// OpsShed counts shed-policy drops, OpsOverload reject-policy
 	// rejections.
@@ -823,6 +827,7 @@ func (e *Engine) Stats() Stats {
 	st.Edges = e.ix.Graph().NumEdges()
 	st.Entries = e.ix.EntryCount()
 	st.LabelBytes = e.ix.Bytes()
+	st.LabelResidentBytes = e.ix.ResidentBytes()
 	st.GraphBytes = e.ix.GraphBytes()
 	st.Degraded = e.ix.StaleShards()
 	c, s := e.ix.OOBRebuilds()

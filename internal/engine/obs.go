@@ -100,10 +100,15 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.EntryCount())
 	})
-	reg.GaugeFunc("cscd_label_bytes", "hub label footprint in bytes", func() float64 {
+	reg.GaugeFunc("cscd_label_bytes", "logical hub label size in bytes: 8 per entry of the full labeling", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
 		return float64(e.ix.Bytes())
+	})
+	reg.GaugeFunc("cscd_label_resident_bytes", "hub label bytes the label store physically holds: reduced shards store only the lists reads join", func() float64 {
+		m := e.lock.rlock(0)
+		defer m.RUnlock()
+		return float64(e.ix.ResidentBytes())
 	})
 	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, the shard subgraphs and their bipartite conversions", func() float64 {
 		m := e.lock.rlock(0)

@@ -26,12 +26,95 @@ type Config struct {
 	NoReciprocal bool
 }
 
+// grower is what a generator grows its graph through: an edgeSet, which
+// collects the edges and builds the graph once, or a *graph.Digraph
+// itself, one AddEdge at a time — the reference the tests hold the bulk
+// build to, adjacency order included.
+type grower interface {
+	HasEdge(u, v int) bool
+	AddEdge(u, v int) error
+	Out(v int) []int32
+	OutDegree(v int) int
+	NumEdges() int
+}
+
+// edgeSet collects a generator's edges in insertion order and answers the
+// queries generation makes, so the graph is built in one
+// graph.FromPairs call. Its out-lists are only materialized once a
+// generator reads one.
+type edgeSet struct {
+	n     int
+	pairs []int32
+	has   map[uint64]struct{}
+	out   [][]int32
+}
+
+// newEdgeSet sizes the set for about m edges.
+func newEdgeSet(n, m int) *edgeSet {
+	m = max(m, 0)
+	return &edgeSet{n: n, pairs: make([]int32, 0, 2*m), has: make(map[uint64]struct{}, m)}
+}
+
+func edgeKey(u, v int) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
+
+func (s *edgeSet) HasEdge(u, v int) bool {
+	_, ok := s.has[edgeKey(u, v)]
+	return ok
+}
+
+// AddEdge records u→v, failing like graph.Digraph.AddEdge on an
+// out-of-range endpoint, a self-loop or a duplicate.
+func (s *edgeSet) AddEdge(u, v int) error {
+	switch {
+	case u < 0 || u >= s.n || v < 0 || v >= s.n:
+		return graph.ErrVertexRange
+	case u == v:
+		return graph.ErrSelfLoop
+	case s.HasEdge(u, v):
+		return graph.ErrDuplicateEdge
+	}
+	s.has[edgeKey(u, v)] = struct{}{}
+	s.pairs = append(s.pairs, int32(u), int32(v))
+	if s.out != nil {
+		s.out[u] = append(s.out[u], int32(v))
+	}
+	return nil
+}
+
+func (s *edgeSet) Out(v int) []int32 {
+	if s.out == nil {
+		s.out = make([][]int32, s.n)
+		for i := 0; i < len(s.pairs); i += 2 {
+			s.out[s.pairs[i]] = append(s.out[s.pairs[i]], s.pairs[i+1])
+		}
+	}
+	return s.out[v]
+}
+
+func (s *edgeSet) OutDegree(v int) int { return len(s.Out(v)) }
+
+func (s *edgeSet) NumEdges() int { return len(s.pairs) / 2 }
+
+// graph builds the collected edges, with every adjacency list in the
+// order AddEdge calls on a *graph.Digraph would have left it.
+func (s *edgeSet) graph() *graph.Digraph {
+	g, err := graph.FromPairs(s.n, s.pairs)
+	if err != nil {
+		panic(err) // unreachable: AddEdge admitted only valid, distinct edges
+	}
+	return g
+}
+
 // ErdosRenyi draws M uniform random directed edges over N vertices.
 func ErdosRenyi(cfg Config) *graph.Digraph {
+	s := newEdgeSet(cfg.N, cfg.M)
+	erdosRenyi(s, cfg)
+	return s.graph()
+}
+
+func erdosRenyi(g grower, cfg Config) {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(cfg.N)
 	addRandomEdges(g, r, cfg.M, uniformPicker(cfg.N, r), cfg.NoReciprocal)
-	return g
 }
 
 // PowerLaw draws edges from a directed Chung-Lu model: endpoint
@@ -39,20 +122,29 @@ func ErdosRenyi(cfg Config) *graph.Digraph {
 // social/web graphs sit between 2 and 3; smaller means heavier skew).
 // OutExp shapes source selection, InExp target selection.
 func PowerLaw(cfg Config, outExp, inExp float64) *graph.Digraph {
+	s := newEdgeSet(cfg.N, cfg.M)
+	powerLaw(s, cfg, outExp, inExp)
+	return s.graph()
+}
+
+func powerLaw(g grower, cfg Config, outExp, inExp float64) {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(cfg.N)
 	src := zipfPicker(cfg.N, outExp, r)
 	dst := zipfPicker(cfg.N, inExp, r)
 	addRandomEdgesBi(g, r, cfg.M, src, dst, cfg.NoReciprocal)
-	return g
 }
 
 // SmallWorld builds a directed ring lattice with k out-neighbors per
 // vertex and rewires each edge's target with probability p (a directed
 // Watts-Strogatz model): high clustering, short diameter.
 func SmallWorld(cfg Config, k int, p float64) *graph.Digraph {
+	s := newEdgeSet(cfg.N, cfg.N*k)
+	smallWorld(s, cfg, k, p)
+	return s.graph()
+}
+
+func smallWorld(g grower, cfg Config, k int, p float64) {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(cfg.N)
 	for v := 0; v < cfg.N; v++ {
 		for j := 1; j <= k; j++ {
 			w := (v + j) % cfg.N
@@ -62,7 +154,6 @@ func SmallWorld(cfg Config, k int, p float64) *graph.Digraph {
 			tryAdd(g, v, w, cfg.NoReciprocal)
 		}
 	}
-	return g
 }
 
 // Copy builds a web-like graph with the copy model: each new vertex
@@ -71,8 +162,13 @@ func SmallWorld(cfg Config, k int, p float64) *graph.Digraph {
 // probability backProb — producing the dense bow-tie communities and
 // reciprocity typical of web crawls.
 func Copy(cfg Config, outDeg int, copyProb, backProb float64) *graph.Digraph {
+	s := newEdgeSet(cfg.N, cfg.N*outDeg)
+	copyModel(s, cfg, outDeg, copyProb, backProb)
+	return s.graph()
+}
+
+func copyModel(g grower, cfg Config, outDeg int, copyProb, backProb float64) {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(cfg.N)
 	// Seed clique-ish core.
 	core := outDeg + 1
 	if core > cfg.N {
@@ -110,15 +206,19 @@ func Copy(cfg Config, outDeg int, copyProb, backProb float64) *graph.Digraph {
 			tryAdd(g, proto, v, cfg.NoReciprocal)
 		}
 	}
-	return g
 }
 
 // Star builds an email-like graph: a small set of hub vertices exchanges
 // mail with everyone, the long tail barely participates. hubFrac controls
 // the hub population share.
 func Star(cfg Config, hubFrac float64) *graph.Digraph {
+	s := newEdgeSet(cfg.N, cfg.M)
+	star(s, cfg, hubFrac)
+	return s.graph()
+}
+
+func star(g grower, cfg Config, hubFrac float64) {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New(cfg.N)
 	hubs := int(math.Max(1, hubFrac*float64(cfg.N)))
 	pick := func() int {
 		// 70% of endpoints land on a hub.
@@ -128,7 +228,6 @@ func Star(cfg Config, hubFrac float64) *graph.Digraph {
 		return r.Intn(cfg.N)
 	}
 	addRandomEdgesBi(g, r, cfg.M, pick, pick, cfg.NoReciprocal)
-	return g
 }
 
 func uniformPicker(n int, r *rand.Rand) func() int {
@@ -164,11 +263,11 @@ func zipfPicker(n int, exp float64, r *rand.Rand) func() int {
 	}
 }
 
-func addRandomEdges(g *graph.Digraph, r *rand.Rand, m int, pick func() int, noRecip bool) {
+func addRandomEdges(g grower, r *rand.Rand, m int, pick func() int, noRecip bool) {
 	addRandomEdgesBi(g, r, m, pick, pick, noRecip)
 }
 
-func addRandomEdgesBi(g *graph.Digraph, r *rand.Rand, m int, src, dst func() int, noRecip bool) {
+func addRandomEdgesBi(g grower, r *rand.Rand, m int, src, dst func() int, noRecip bool) {
 	attempts := 0
 	maxAttempts := 20 * m
 	for g.NumEdges() < m && attempts < maxAttempts {
@@ -177,7 +276,7 @@ func addRandomEdgesBi(g *graph.Digraph, r *rand.Rand, m int, src, dst func() int
 	}
 }
 
-func tryAdd(g *graph.Digraph, u, v int, noRecip bool) bool {
+func tryAdd(g grower, u, v int, noRecip bool) bool {
 	if u == v {
 		return false
 	}
@@ -204,16 +303,20 @@ type Transaction struct {
 // through the planted accounts (best effort: the planted accounts take no
 // background edges at all).
 func TransactionNetwork(n, m, criminals, rings, ringLen int, seed int64) Transaction {
+	s := newEdgeSet(n, m)
+	crim := transactionNetwork(s, n, m, criminals, rings, ringLen, seed)
+	return Transaction{G: s.graph(), Criminals: crim, RingLen: ringLen}
+}
+
+func transactionNetwork(g grower, n, m, criminals, rings, ringLen int, seed int64) (crim []int) {
 	r := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
-	tx := Transaction{G: g, RingLen: ringLen}
 	if ringLen < 2 {
 		ringLen = 3
 	}
 	// Reserve the first vertices: criminals, then ring intermediaries.
 	next := criminals
 	for c := 0; c < criminals; c++ {
-		tx.Criminals = append(tx.Criminals, c)
+		crim = append(crim, c)
 		for k := 0; k < rings; k++ {
 			prev := c
 			for step := 0; step < ringLen-1; step++ {
@@ -240,10 +343,10 @@ func TransactionNetwork(n, m, criminals, rings, ringLen int, seed int64) Transac
 			_ = g.AddEdge(u, v)
 		}
 	}
-	return tx
+	return crim
 }
 
-func mustAddTx(g *graph.Digraph, u, v int) {
+func mustAddTx(g grower, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic(err) // planted vertices are fresh, duplicates impossible
 	}

@@ -10,12 +10,17 @@ import (
 // allocations with a single slab, which removes GC pressure and makes the
 // merge-join queries walk sequential memory.
 //
-// Each span is padded with a small mutable tail (cap > len), so dynamic
-// inserts first grow in place inside the arena; only a list that outgrows
-// its span is copied out by the runtime's append, detaching that one list
-// while the rest stay packed. Deletes and in-place replacements always
-// stay inside the span. The arena therefore never needs re-freezing for
-// correctness — it is a layout optimization, not an ownership change.
+// Each non-empty span is padded with a small mutable tail (cap > len), so
+// dynamic inserts first grow in place inside the arena; only a list that
+// outgrows its span is copied out by the runtime's append, detaching that
+// one list while the rest stay packed. Deletes and in-place replacements
+// always stay inside the span. The arena therefore never needs re-freezing
+// for correctness — it is a layout optimization, not an ownership change.
+//
+// Empty lists take no slots: a full labeling has none (every vertex
+// carries its self entry), and the lists a reduced CSC labeling leaves
+// unstored (pll's reduced state) are derived into private slices before
+// any write reaches them.
 type Arena struct {
 	entries []bitpack.Entry
 	off     []int32 // len = lists+1; span i is entries[off[i]:off[i+1]]
@@ -35,7 +40,9 @@ func Freeze(groups ...[]List) *Arena {
 	for _, g := range groups {
 		lists += len(g)
 		for i := range g {
-			total += len(g[i].e) + ArenaPad
+			if n := len(g[i].e); n > 0 {
+				total += n + ArenaPad
+			}
 		}
 	}
 	a := &Arena{
@@ -46,11 +53,15 @@ func Freeze(groups ...[]List) *Arena {
 	for _, g := range groups {
 		for i := range g {
 			l := &g[i]
+			a.off = append(a.off, int32(pos))
 			n := len(l.e)
+			if n == 0 {
+				l.e = nil
+				continue
+			}
 			span := a.entries[pos : pos+n : pos+n+ArenaPad]
 			copy(span, l.e)
 			l.e = span
-			a.off = append(a.off, int32(pos))
 			a.frozen += n
 			pos += n + ArenaPad
 		}

@@ -34,6 +34,10 @@ type List struct {
 	fi int32   // section index within fz
 }
 
+// Wrap returns a mutable list over e, which must hold hub-ascending
+// entries. The list takes e over: the caller must not use it afterwards.
+func Wrap(e []bitpack.Entry) List { return List{e: e} }
+
 // Frozen reports whether the list currently reads from a compressed
 // arena.
 func (l *List) Frozen() bool { return l.fz != nil }

@@ -32,6 +32,7 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	if !idx.G.HasEdge(a, b) {
 		return st, idx.G.RemoveEdge(a, b) // yields the canonical error
 	}
+	idx.Expand()
 	idx.scratch()
 
 	distToA := idx.bfsDistances(a, false)
@@ -205,7 +206,7 @@ func (idx *Index) repairPass(vkRank int, forward bool, targets []bool, st *Updat
 	} else {
 		anchor = &idx.In[vk]
 	}
-	s.Scatter(anchor)
+	s.Scatter(anchor, 0)
 	defer s.Unscatter(anchor)
 	defer s.Reset()
 

@@ -19,6 +19,7 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 	if err := idx.G.AddEdge(a, b); err != nil {
 		return st, err
 	}
+	idx.Expand()
 	idx.scratch()
 
 	// Affected hubs and their seed (distance, count), captured up front.
@@ -87,7 +88,7 @@ func (idx *Index) updatePass(vkRank, start, d0 int, c0 uint64, forward bool, st 
 		} else {
 			anchor = &idx.In[vk]
 		}
-		s.Scatter(anchor)
+		s.Scatter(anchor, 0)
 		defer s.Unscatter(anchor)
 	}
 	defer s.Reset()

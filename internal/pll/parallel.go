@@ -22,9 +22,10 @@ type Scheme interface {
 	// RunPass runs pass 0 or 1 of the hub at rank r speculatively against
 	// the current labels, with private scratch, staging every append.
 	RunPass(r, pass int, s *Scratch, st *Stage)
-	// Anchor returns the hub-side list the pass's prune test scatters —
-	// used to re-validate staged entries against the merged labels.
-	Anchor(r, pass int) *label.List
+	// Anchor returns the hub-side list the pass's prune test scatters and
+	// the amount its distances are raised by when scattered — used to
+	// re-validate staged entries against the merged labels.
+	Anchor(r, pass int) (l *label.List, shift int)
 }
 
 // hubPasses is the number of BFS passes per hub in both schemes.
@@ -123,7 +124,8 @@ func (idx *Index) RunConstruction(sch Scheme, workers int) {
 			}
 			for pass := 0; pass < hubPasses; pass++ {
 				spec := &stages[(r-lo)*hubPasses+pass]
-				if idx.validateCommit(sch.Anchor(r, pass), spec, scr) {
+				anchor, shift := sch.Anchor(r, pass)
+				if idx.validateCommit(anchor, shift, spec, scr) {
 					continue
 				}
 				// An in-batch label invalidated the speculation: rebuild

@@ -6,7 +6,8 @@
 //   - the CSC index (§IV) is the engine applied to the bipartite
 //     conversion Gb with only incoming vertices serving as hubs (the
 //     couple-vertex-skipping construction in internal/csc produces labels
-//     identical to this engine's — a property the tests assert).
+//     identical to this engine's once its reduced form is expanded — a
+//     property the tests assert).
 //
 // The engine covers construction under the Exact Shortest Path Covering
 // constraint with canonical and non-canonical labels, SPCnt queries
@@ -142,6 +143,14 @@ type Index struct {
 	// lists (the top-k monitor and cscbench call them in loops).
 	entries int
 
+	// reduced marks a CSC labeling that stores only Lin(v_in) and
+	// Lout(v_out) and derives the two mirrored lists on demand
+	// (reduced.go); mirrored counts the entries of those lists, which
+	// entries includes. A reduced index is never mutated, so mirrored
+	// holds until Expand zeroes it.
+	reduced  bool
+	mirrored int
+
 	// arena is the frozen CSR label store, set once construction (or
 	// deserialization) freezes the lists; nil while labels are still
 	// per-vertex allocations.
@@ -250,12 +259,12 @@ func (s genericScheme) RunPass(r, pass int, sc *Scratch, st *Stage) {
 	s.idx.specPass(s.idx.Ord.VertexAt(r), r, pass == 0, sc, st)
 }
 
-func (s genericScheme) Anchor(r, pass int) *label.List {
+func (s genericScheme) Anchor(r, pass int) (*label.List, int) {
 	v := s.idx.Ord.VertexAt(r)
 	if pass == 0 {
-		return &s.idx.Out[v] // forward prune test joins Out[v] with In[w]
+		return &s.idx.Out[v], 0 // forward prune test joins Out[v] with In[w]
 	}
-	return &s.idx.In[v]
+	return &s.idx.In[v], 0
 }
 
 // Stats reports size statistics from the maintained counters.
@@ -284,7 +293,7 @@ func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
 	if !forward {
 		anchor = &idx.In[v]
 	}
-	s.Scatter(anchor)
+	s.Scatter(anchor, 0)
 	defer s.Unscatter(anchor)
 	defer s.Reset()
 
@@ -355,8 +364,11 @@ func (idx *Index) commitTrusted(st *Stage) {
 	idx.nonCanonical += st.nonCanonical
 }
 
-// appendStage appends every staged entry in emission order.
+// appendStage appends every staged entry in emission order and counts
+// the mirrored entries the stage recorded without storing.
 func (idx *Index) appendStage(st *Stage) {
+	idx.entries += st.mirrored
+	idx.mirrored += st.mirrored
 	if st.inSide {
 		for _, op := range st.ops {
 			idx.AppendIn(int(op.v), op.e)
@@ -369,15 +381,16 @@ func (idx *Index) appendStage(st *Stage) {
 }
 
 // validateCommit re-runs the prune test for every checked staged entry
-// against the *merged* labels (scattering the hub's live anchor list) and
-// commits the stage when all pass. A single failure means an in-batch
-// label would have pruned this BFS mid-flight, so the staged suffix is
-// untrustworthy: the caller must rerun the pass sequentially. Entries that
-// pass re-validation are provably byte-identical to what the sequential
-// pass would emit, because speculative pruning is sound (a snapshot can
-// only under-prune) and BFS expansion is a function of the prune outcomes.
-func (idx *Index) validateCommit(anchor *label.List, st *Stage, s *Scratch) bool {
-	s.Scatter(anchor)
+// against the *merged* labels (scattering the hub's live anchor list, its
+// distances raised by shift) and commits the stage when all pass. A single
+// failure means an in-batch label would have pruned this BFS mid-flight,
+// so the staged suffix is untrustworthy: the caller must rerun the pass
+// sequentially. Entries that pass re-validation are provably
+// byte-identical to what the sequential pass would emit, because
+// speculative pruning is sound (a snapshot can only under-prune) and BFS
+// expansion is a function of the prune outcomes.
+func (idx *Index) validateCommit(anchor *label.List, shift int, st *Stage, s *Scratch) bool {
+	s.Scatter(anchor, shift)
 	defer s.Unscatter(anchor)
 	canonical, nonCanonical := 0, 0
 	for _, op := range st.ops {
@@ -458,10 +471,12 @@ func (idx *Index) Arena() *label.Arena { return idx.arena }
 // arena spans or private slices) into one delta+varint compressed arena
 // (label.Frozen). Queries stream the compressed sections — bloom
 // pre-screens, sync-block seeks — and dynamic maintenance thaws only the
-// lists it touches. The CSR arena, now shadowed, is released.
+// lists it touches. The CSR arena, now shadowed, is released. A reduced
+// index is expanded first: the compressed arena holds every list.
 func (idx *Index) FreezeCompressed() {
+	idx.arena = nil // before Expand, which would re-pack it
+	idx.Expand()
 	idx.frozen = label.FreezeCompressed(idx.In, idx.Out)
-	idx.arena = nil
 }
 
 // Refreeze re-packs the compressed arena when updates have thawed lists

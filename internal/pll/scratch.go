@@ -99,15 +99,17 @@ func (s *Scratch) Reset() {
 	s.Touched = s.Touched[:0]
 }
 
-// Scatter loads the anchor list into the rank-indexed hub array. Every
-// Scatter must be paired with an Unscatter of the same list before the
-// scratch is reused. Streaming through Each keeps a compressed-frozen
-// anchor frozen; hubs ascend, so the last entry seen carries maxHub.
-func (s *Scratch) Scatter(l *label.List) {
+// Scatter loads the anchor list into the rank-indexed hub array, every
+// distance raised by shift (a reduced CSC construction scatters Lout(v_out)
+// with shift 1 for the Lout(v_in) it mirrors). Every Scatter must be
+// paired with an Unscatter of the same list before the scratch is reused.
+// Streaming through Each keeps a compressed-frozen anchor frozen; hubs
+// ascend, so the last entry seen carries maxHub.
+func (s *Scratch) Scatter(l *label.List, shift int) {
 	s.maxHub = -1
 	l.Each(func(e bitpack.Entry) bool {
 		h := e.Hub()
-		s.hub[h] = int32(e.Dist())
+		s.hub[h] = int32(e.Dist() + shift)
 		s.maxHub = int32(h)
 		return true
 	})
@@ -183,6 +185,10 @@ type Stage struct {
 	inSide bool // appends target In lists (else Out lists)
 	ops    []stagedEntry
 
+	// mirrored counts entries of mirrored lists a reduced construction
+	// emits without storing (see Mirror).
+	mirrored int
+
 	// classification under the labels the pass observed; only the generic
 	// engine tracks these (the skipping construction never did).
 	classify     bool
@@ -194,6 +200,7 @@ type Stage struct {
 func (st *Stage) Reset(inSide, classify bool) {
 	st.inSide = inSide
 	st.ops = st.ops[:0]
+	st.mirrored = 0
 	st.classify = classify
 	st.canonical = 0
 	st.nonCanonical = 0
@@ -204,6 +211,10 @@ func (st *Stage) Reset(inSide, classify bool) {
 func (st *Stage) Add(v int, checked bool, e bitpack.Entry) {
 	st.ops = append(st.ops, stagedEntry{v: int32(v), checked: checked, e: e})
 }
+
+// Mirror records one entry of a mirrored list (Lin(v_out) or Lout(v_in))
+// that a reduced construction counts but does not store.
+func (st *Stage) Mirror() { st.mirrored++ }
 
 // Canonical classifies the last added entry as canonical (dq > d) or not.
 func (st *Stage) Canonical(canonical bool) {

@@ -65,8 +65,21 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
+	// A reduced index writes each mirrored list as its derivation, so the
+	// bytes match the full labeling's.
+	var buf []bitpack.Entry
+	var derived label.List
 	for v := 0; v < n; v++ {
-		for _, lst := range []*label.List{&idx.In[v], &idx.Out[v]} {
+		for _, in := range [2]bool{true, false} {
+			lst := &idx.Out[v]
+			if in {
+				lst = &idx.In[v]
+			}
+			if idx.isMirror(v, in) {
+				buf = idx.derive(v, in, buf[:0])
+				derived = label.Wrap(buf)
+				lst = &derived
+			}
 			if err := write(uint32(lst.Len())); err != nil {
 				return cw.n, err
 			}

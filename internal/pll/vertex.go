@@ -18,6 +18,7 @@ func (idx *Index) AddVertex() (int, error) {
 	if n > bitpack.MaxHub {
 		return 0, fmt.Errorf("pll: vertex limit %d reached (23-bit hub encoding)", bitpack.MaxHub+1)
 	}
+	idx.Expand()
 	v := idx.G.AddVertex()
 	r := idx.Ord.Extend(v)
 	idx.In = append(idx.In, label.List{})
@@ -40,6 +41,7 @@ func (idx *Index) AddVertex() (int, error) {
 // consistent. Reserved for structural growth (the CSC couple rule); the
 // dynamic algorithms go through updateLabel.
 func (idx *Index) SetInEntry(v, hubRank, dist int, count uint64) {
+	idx.Expand()
 	if idx.In[v].Set(bitpack.Pack(hubRank, dist, count)) {
 		idx.entries++
 		idx.addInvIn(hubRank, v)

@@ -235,16 +235,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// No drift: scrape again and compare the query counter, the
-	// serving-state sizes and the graph footprint against /stats. The
-	// 8-ring is one shard, so the cache and the scoreboard both hold its 8
-	// vertices, and the graphs held are at least the CSR arrays of the
-	// ring, its shard subgraph and its 16-vertex conversion.
+	// serving-state sizes, the graph footprint and the label sizes against
+	// /stats. The 8-ring is one shard, so the cache and the scoreboard
+	// both hold its 8 vertices, the graphs held are at least the CSR
+	// arrays of the ring, its shard subgraph and its 16-vertex
+	// conversion, and the label store holds some but not more than the
+	// logical label bytes.
 	_, statsBody := get(t, srv.URL+"/stats")
 	var st struct {
-		Queries     uint64 `json:"queries"`
-		CacheSlots  int    `json:"cache_slots"`
-		TopKTracked int    `json:"top_k_tracked"`
-		GraphBytes  int    `json:"graph_bytes"`
+		Queries       uint64 `json:"queries"`
+		CacheSlots    int    `json:"cache_slots"`
+		TopKTracked   int    `json:"top_k_tracked"`
+		GraphBytes    int    `json:"graph_bytes"`
+		LabelBytes    int    `json:"label_bytes"`
+		ResidentBytes int    `json:"label_resident_bytes"`
 	}
 	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
 		t.Fatal(err)
@@ -255,12 +259,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if csr := 2 * 4 * ((9 + 8) + (9 + 8) + (17 + 16)); st.GraphBytes < csr {
 		t.Fatalf("/stats graph_bytes %d, want at least the %d bytes of CSR arrays", st.GraphBytes, csr)
 	}
+	if st.ResidentBytes <= 0 || st.ResidentBytes > st.LabelBytes {
+		t.Fatalf("/stats label_resident_bytes %d, want in (0, label_bytes %d]", st.ResidentBytes, st.LabelBytes)
+	}
 	_, body = get(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		fmt.Sprintf("cscd_queries_total %d", st.Queries),
 		fmt.Sprintf("cscd_cache_slots %d", st.CacheSlots),
 		fmt.Sprintf("cscd_top_k_tracked %d", st.TopKTracked),
 		fmt.Sprintf("cscd_graph_bytes %d", st.GraphBytes),
+		fmt.Sprintf("cscd_label_bytes %d", st.LabelBytes),
+		fmt.Sprintf("cscd_label_resident_bytes %d", st.ResidentBytes),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics/stats drift: /metrics lacks %q", want)
