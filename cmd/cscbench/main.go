@@ -13,7 +13,8 @@
 // Figure experiments accept -dataset to restrict the run to one graph.
 // -json runs the machine-readable bench suite (see EXPERIMENTS.md) and writes
 // the BENCH_*.json file that tracks the perf trajectory across PRs;
-// -workers controls construction parallelism (0 = all cores).
+// -workers sets the cross-shard parallelism of sharded builds, batch
+// updates and all-vertex scans (0 = all cores).
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 		scaleIn = flag.String("scale", "small", "dataset scale: tiny|small|full")
 		dataset = flag.String("dataset", "", "restrict to one dataset (e.g. G04)")
 		jsonOut = flag.String("json", "", "write the bench suite as JSON to this file (e.g. BENCH_small.json); implies -exp bench unless -exp is set")
-		workers = flag.Int("workers", 0, "construction workers (0 = all cores, 1 = sequential)")
+		workers = flag.Int("workers", 0, "cross-shard parallelism: sharded builds, batch updates, all-vertex scans (0 = all cores, 1 = sequential)")
 	)
 	flag.Parse()
 

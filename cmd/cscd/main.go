@@ -75,7 +75,7 @@ func main() {
 		flushInt  = flag.Duration("flush-interval", 2*time.Millisecond, "max time a partial batch waits before applying")
 		mailbox   = flag.Int("mailbox", 4096, "update mailbox capacity (full = backpressure)")
 		snapshot  = flag.Int("snapshot-every", 64, "batches between full snapshots (with -data)")
-		workers   = flag.Int("workers", 0, "build/warm parallelism (0 = all cores)")
+		workers   = flag.Int("workers", 0, "boot build parallelism: shards built at once (0 = all cores)")
 		updWork   = flag.Int("update-workers", 0, "batch-apply parallelism: per-shard update streams per batch (0 = all cores, 1 = sequential)")
 		noCache   = flag.Bool("no-read-cache", false, "disable the per-vertex result cache (every /cycle read re-joins labels)")
 		admit     = flag.String("admission", "block", "full-mailbox policy: block (backpressure), reject (429), shed (drop + count)")

@@ -17,14 +17,13 @@
 // Index files written before sharding existed (the v1 format) still load:
 // they are re-sharded on load.
 //
-// Construction uses every core by default (see WithWorkers): hub BFSes
-// run speculatively in rank-ordered batches and merge deterministically,
-// so the labels are byte-identical to a sequential build. Pruning inside
-// each BFS probes a rank-indexed scatter of the hub's own label instead
-// of merge-joining two lists per visited vertex. The finished labels are
-// frozen into a single contiguous CSR arena with a small mutable tail per
-// vertex, so queries walk sequential memory and later edge updates keep
-// working without a rebuild.
+// Each component's labels are built by one rank-ordered loop of hub BFSes,
+// and components build in parallel on every core by default (see
+// WithWorkers). Pruning inside each BFS probes a rank-indexed scatter of
+// the hub's own label instead of merge-joining two lists per visited
+// vertex. The finished labels are frozen into a single contiguous CSR
+// arena with a small mutable tail per vertex, so queries walk sequential
+// memory and later edge updates keep working without a rebuild.
 //
 // # Quick start
 //
@@ -100,11 +99,12 @@ func WithMinimality() Option {
 	return func(c *buildConfig) { c.opts.Strategy = pll.Minimality }
 }
 
-// WithWorkers sets how many goroutines construction uses. The default (0)
-// uses every core; 1 forces the sequential builder. Hubs are processed in
-// rank-ordered batches whose results merge deterministically, so the
-// built labels are byte-identical for every worker count — parallelism is
-// purely a wall-clock knob.
+// WithWorkers sets how many components construction builds at once. The
+// default (0) uses every core; 1 builds them one by one. Each component's
+// labeling is one sequential construction, so the built labels are
+// byte-identical for every worker count — parallelism is purely a
+// wall-clock knob, and a graph with one cyclic component gains nothing
+// from it.
 func WithWorkers(n int) Option {
 	return func(c *buildConfig) { c.opts.Workers = n }
 }

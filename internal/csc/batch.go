@@ -241,7 +241,6 @@ func (x *Sharded) installTasks(tasks []*batchTask, agg *pll.UpdateStats) {
 					continue
 				}
 				sh := buildShard(x.g, comp, x.opts)
-				sh.idx.eng.ReleaseScratch()
 				x.install(sh)
 				x.batchRebuilds++
 				agg.EntriesAdded += sh.idx.EntryCount()
@@ -420,9 +419,7 @@ func sameVerts(a, b []int32) bool {
 }
 
 // runBatchTasks drains the tasks on a worker pool, heaviest first so the
-// pool's tail stays short. Single-task batches keep intra-build
-// parallelism; multi-task batches parallelize across shards with
-// sequential inner builds, mirroring BuildSharded.
+// pool's tail stays short.
 func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
 	if len(tasks) == 0 {
 		return
@@ -433,15 +430,11 @@ func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	inner := x.opts
-	if len(tasks) > 1 {
-		inner.Workers = 1
-	}
 	weight := func(t *batchTask) int { return 4*len(t.build) + len(t.ops) }
 	sort.SliceStable(tasks, func(i, j int) bool { return weight(tasks[i]) > weight(tasks[j]) })
 	if workers <= 1 {
 		for _, t := range tasks {
-			x.runBatchTask(t, inner)
+			x.runBatchTask(t)
 		}
 		return
 	}
@@ -456,7 +449,7 @@ func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
 				if i >= len(tasks) {
 					return
 				}
-				x.runBatchTask(tasks[i], inner)
+				x.runBatchTask(tasks[i])
 			}
 		}()
 	}
@@ -469,10 +462,9 @@ func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
 // read-only global state), so tasks are data-race-free by construction;
 // scratches go back to the shared pool so concurrent streams recycle a
 // few allocations across the whole batch.
-func (x *Sharded) runBatchTask(t *batchTask, inner Options) {
+func (x *Sharded) runBatchTask(t *batchTask) {
 	if t.build != nil {
-		t.sh = buildShard(x.g, t.build, inner)
-		t.sh.idx.eng.ReleaseScratch()
+		t.sh = buildShard(x.g, t.build, x.opts)
 		t.st.EntriesAdded = t.sh.idx.EntryCount()
 		t.st.Visited = len(t.build)
 		t.st.TouchedOwners = touchAll(t.build)

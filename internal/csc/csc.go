@@ -9,11 +9,10 @@
 //
 // Construction runs on the engine's fast-path pipeline: the skipping
 // BFSes prune through the hub-indexed scatter instead of per-dequeue
-// merge-joins, hubs are processed in rank-batched parallel speculation
-// with a deterministic rank-order merge (labels stay byte-identical to a
-// sequential build), and the finished labels freeze into the CSR arena in
-// the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out), the
-// two lists a query joins, are stored until a write needs the rest.
+// merge-joins, hubs run in one rank-ordered loop, and the finished labels
+// freeze into the CSR arena in the paper's reduced form (§IV-E): only
+// Lin(v_in) and Lout(v_out), the two lists a query joins, are stored until
+// a write needs the rest.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -30,7 +29,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
-	"repro/internal/label"
 	"repro/internal/order"
 	"repro/internal/pll"
 )
@@ -50,8 +48,10 @@ type Options struct {
 	// construction. Both produce identical labels — this knob exists for
 	// the ablation benchmark and as a cross-check in tests.
 	GenericConstruction bool
-	// Workers sets construction parallelism: 0 uses every core, 1 forces
-	// the sequential path. Labels are identical either way.
+	// Workers bounds how many components BuildSharded builds at once: 0
+	// uses every core. Each component's labeling is one sequential
+	// construction, so Build (one component) ignores it, and labels are
+	// identical at any value.
 	Workers int
 	// CompressLabels freezes finished labels into the delta+varint
 	// compressed arena (label.Frozen): queries stream compressed sections
@@ -82,10 +82,9 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 		eng, _ = pll.Build(gb, lifted, pll.Options{
 			Strategy:  opts.Strategy,
 			HubFilter: bipartite.IsIn,
-			Workers:   opts.Workers,
 		})
 	} else {
-		eng = buildSkipping(gb, lifted, opts.Workers)
+		eng = buildSkipping(gb, lifted)
 		eng.Strategy = opts.Strategy
 		eng.HubFilter = bipartite.IsIn
 	}
@@ -107,66 +106,40 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 // the mirrored lists of the paper's index reduction (§IV-E), so the
 // construction counts them without storing them and leaves the index in
 // pll's reduced state: only Lin(v_in) and Lout(v_out) reach the arena,
-// and the first label mutation derives the rest. The passes run on the
-// engine's rank-batched driver, so they parallelize like the generic
-// construction while producing the same labels.
-func buildSkipping(gb *graph.Digraph, ord *order.Order, workers int) *pll.Index {
+// and the first label mutation derives the rest. The scratch the passes
+// share goes back to the pool at the end.
+func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
 	eng := pll.NewReduced(gb, ord)
-	eng.RunConstruction(&skipScheme{eng: eng, gb: gb, ord: ord}, workers)
+	s := pll.GetScratch(gb.NumVertices())
+	for r := 0; r < ord.Len(); r++ {
+		v := ord.VertexAt(r)
+		if !bipartite.IsIn(v) {
+			// A V_out vertex only gets its self labels (Alg 3 l.6-8); the
+			// in-side one belongs to the mirrored Lin(v_out).
+			eng.AppendOut(v, bitpack.Pack(r, 0, 1))
+			eng.CountMirrored()
+			continue
+		}
+		inPass(eng, v, r, s)
+		outPass(eng, v, r, s)
+	}
+	pll.PutScratch(s)
 	eng.FreezeArena()
 	return eng
 }
 
-// skipScheme adapts the couple-vertex-skipping construction to the
-// engine's rank-batched driver.
-type skipScheme struct {
-	eng *pll.Index
-	gb  *graph.Digraph
-	ord *order.Order
-}
-
-func (sc *skipScheme) IsHub(r int) bool { return bipartite.IsIn(sc.ord.VertexAt(r)) }
-
-// SelfLabels gives a V_out vertex its self labels (Alg 3 l.6-8); the
-// in-side one belongs to the mirrored Lin(v_out).
-func (sc *skipScheme) SelfLabels(r int) {
-	sc.eng.AppendOut(sc.ord.VertexAt(r), bitpack.Pack(r, 0, 1))
-	sc.eng.CountMirrored()
-}
-
-func (sc *skipScheme) RunPass(r, pass int, s *pll.Scratch, st *pll.Stage) {
-	v := sc.ord.VertexAt(r)
-	if pass == 0 {
-		sc.inSpecPass(v, r, s, st)
-	} else {
-		sc.outSpecPass(v, r, s, st)
-	}
-}
-
-// Anchor returns the list the pass's prune test scatters. Alg 3 l.14's
-// Query joins Lout(v) with Lin(w); Lout(v) is mirrored, and before v's own
-// out-pass it is exactly Lout(v_out) one step further, so the in-pass
-// scatters that with shift 1.
-func (sc *skipScheme) Anchor(r, pass int) (*label.List, int) {
-	v := sc.ord.VertexAt(r)
-	if pass == 0 {
-		return &sc.eng.Out[bipartite.Couple(v)], 1
-	}
-	return &sc.eng.In[v], 0
-}
-
-// inSpecPass generates in-labels with hub v_in = v (rank r). The queue
-// holds V_in vertices only; each popped w also stamps its couple w_out at
+// inPass generates in-labels with hub v_in = v (rank r). The queue holds
+// V_in vertices only; each popped w also stamps its couple w_out at
 // distance D[w]+1 (couple-vertex skipping), whose Lin(w_out) entry is
-// mirrored: counted, not stored. The prune test probes the rank-indexed
-// scatter of the anchor against Lin(w); appends are staged, and mid-pass
-// appends can never feed a probe (V_in lists are probed only at their
-// single dequeue).
-func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
-	eng, gb, ord := sc.eng, sc.gb, sc.ord
-	st.Reset(true, false)
-	anchor, shift := sc.Anchor(r, 0)
-	s.Scatter(anchor, shift)
+// mirrored: counted, not stored. Alg 3 l.14's Query joins Lout(v) with
+// Lin(w); Lout(v) is mirrored, and before v's own out-pass it is exactly
+// Lout(v_out) one step further, so the prune test probes Lin(w) against
+// the scatter of Lout(v_out) with shift 1. Appends write through: a V_in
+// list is probed only at its single dequeue, before it is appended to.
+func inPass(eng *pll.Index, v, r int, s *pll.Scratch) {
+	gb, ord := eng.G, eng.Ord
+	anchor := &eng.Out[bipartite.Couple(v)]
+	s.Scatter(anchor, 1)
 	defer s.Unscatter(anchor)
 	defer s.Reset()
 
@@ -183,8 +156,8 @@ func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 		// INSERT LABEL (Algorithm 4): label w and its couple at +1.
 		wo := bipartite.Couple(w)
 		cw := s.Cnt[w]
-		st.Add(w, w != v, bitpack.Pack(r, dw, cw))
-		st.Mirror() // Lin(wo) gains (r, dw+1, cw)
+		eng.AppendIn(w, bitpack.Pack(r, dw, cw))
+		eng.CountMirrored() // Lin(wo) gains (r, dw+1, cw)
 		s.Visit(wo, int32(dw+1), cw)
 		for _, wn := range gb.Out(wo) {
 			switch {
@@ -200,22 +173,21 @@ func (sc *skipScheme) inSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 	}
 }
 
-// outSpecPass generates out-labels with hub v_in = v (rank r), walking the
+// outPass generates out-labels with hub v_in = v (rank r), walking the
 // reverse direction. After the first dequeue the queue holds V_out
 // vertices only; reaching the hub's own couple v_out yields the cycle
 // entry in Lout(v_out) and prunes (§IV-C distinction 4). The prune test
 // probes the scatter of Lin(v) against Lout(w). Lout entries of V_in
 // vertices are mirrored: counted, not stored.
-func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
-	eng, gb, ord := sc.eng, sc.gb, sc.ord
-	st.Reset(false, false)
+func outPass(eng *pll.Index, v, r int, s *pll.Scratch) {
+	gb, ord := eng.G, eng.Ord
 	s.Scatter(&eng.In[v], 0)
 	defer s.Unscatter(&eng.In[v])
 	defer s.Reset()
 
 	// First dequeue (distinction 3): self label only, then expand v's
 	// in-neighbors, which are V_out vertices.
-	st.Mirror() // Lout(v) gains (r, 0, 1)
+	eng.CountMirrored() // Lout(v) gains (r, 0, 1)
 	s.Visit(v, 0, 1)
 	for _, u := range gb.In(v) {
 		if ord.Rank(int(u)) > r {
@@ -230,7 +202,7 @@ func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 			continue
 		}
 		cw := s.Cnt[w]
-		st.Add(w, true, bitpack.Pack(r, dw, cw))
+		eng.AppendOut(w, bitpack.Pack(r, dw, cw))
 		if w == bipartite.Couple(v) {
 			// Distinction 4: the cycle entry. Label only Lout(v_out); the
 			// couple is the hub itself, and no shortest path to the hub
@@ -238,7 +210,7 @@ func (sc *skipScheme) outSpecPass(v, r int, s *pll.Scratch, st *pll.Stage) {
 			continue
 		}
 		wi := bipartite.Couple(w)
-		st.Mirror() // Lout(wi) gains (r, dw+1, cw)
+		eng.CountMirrored() // Lout(wi) gains (r, dw+1, cw)
 		s.Visit(wi, int32(dw+1), cw)
 		for _, wn := range gb.In(wi) {
 			switch {

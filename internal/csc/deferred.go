@@ -95,9 +95,8 @@ func (r *Rebuild) StaleSlots() []int {
 
 // Run builds every deferred component from its snapshot. It is safe on
 // any goroutine — it reads only the rebuild's own snapshots — and
-// idempotent. workers bounds the build parallelism (0 = all cores): one
-// component keeps intra-build parallelism, several parallelize across
-// components with sequential inner builds, mirroring BuildSharded.
+// idempotent. workers bounds how many components build at once (0 = all
+// cores), mirroring BuildSharded.
 func (r *Rebuild) Run(workers int) {
 	if r.built != nil {
 		return
@@ -107,28 +106,21 @@ func (r *Rebuild) Run(workers int) {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		inner := r.opts
-		if len(r.comps) > 1 {
-			inner.Workers = 1
-		} else {
-			inner.Workers = workers
-		}
 		build := func(i int) {
-			opts := inner
-			strat := opts.Order
+			strat := r.opts.Order
 			if i < len(r.strats) {
 				strat = r.strats[i]
 			}
-			ord := (*order.Order)(nil)
+			var ord *order.Order
 			if i < len(r.ords) {
 				ord = r.ords[i]
 			}
 			if ord == nil {
+				opts := r.opts
 				opts.Order = strat
 				ord = orderFor(r.subs[i], opts)
 			}
-			idx, _ := Build(r.subs[i], ord, inner)
-			idx.eng.ReleaseScratch()
+			idx, _ := Build(r.subs[i], ord, r.opts)
 			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
 		}
 		if len(r.comps) == 1 || workers == 1 {

@@ -75,9 +75,8 @@ type shard struct {
 }
 
 // BuildSharded partitions g by condensation and builds one monolithic CSC
-// index per non-trivial component, in parallel across components (the
-// rank-batched parallel construction is used inside a component when it
-// is the only one). The index takes ownership of g.
+// index per non-trivial component, opts.Workers components at a time.
+// The index takes ownership of g.
 func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 	start := time.Now()
 	n := g.NumVertices()
@@ -108,17 +107,6 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// One big component keeps the intra-build parallelism; many components
-	// parallelize across shards with sequential inner builds instead.
-	inner := opts
-	outer := 1
-	if len(comps) > 1 {
-		inner.Workers = 1
-		outer = workers
-		if outer > len(comps) {
-			outer = len(comps)
-		}
-	}
 	// Schedule largest components first so the tail of the pool is short.
 	sched := make([]int, len(comps))
 	for i := range sched {
@@ -128,7 +116,7 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := 0; w < outer; w++ {
+	for w := 0; w < min(workers, len(comps)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -138,7 +126,7 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 					return
 				}
 				sid := sched[i]
-				x.shards[sid] = buildShard(g, comps[sid], inner)
+				x.shards[sid] = buildShard(g, comps[sid], opts)
 			}
 		}()
 	}

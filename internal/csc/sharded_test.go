@@ -2,7 +2,6 @@ package csc
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -11,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/pll"
+	"repro/internal/testgraphs"
 )
 
 // mixedGraph: two disjoint cycles bridged one-way, hanging DAG tails, and
@@ -316,18 +316,15 @@ func TestShardedReadRejectsBadShardTable(t *testing.T) {
 	}
 }
 
+// The cross-shard build pool must not change a byte: components built
+// eight at a time serialize exactly as components built one by one.
 func TestShardedParallelBuildMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	n := 120
-	g := graph.New(n)
-	for i := 0; i < 3*n; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			_ = g.AddEdge(u, v)
-		}
-	}
+	g := testgraphs.ManySmallSCC(40, 12, 60, 77)
 	seq, _ := BuildSharded(g.Clone(), Options{Workers: 1})
 	par, _ := BuildSharded(g.Clone(), Options{Workers: 8})
+	if seq.NumShards() < 2 {
+		t.Fatalf("%d shards: the graph does not exercise the cross-shard pool", seq.NumShards())
+	}
 	var bs, bp bytes.Buffer
 	if _, err := seq.WriteTo(&bs); err != nil {
 		t.Fatal(err)

@@ -150,9 +150,6 @@ type Options struct {
 	// snapshots, leaving the WAL as the only durability). Only meaningful
 	// with a store.
 	SnapshotEvery int
-	// Workers bounds the warm/rescore parallelism of WatchTopK (0 = all
-	// cores; always clamped to the vertex count).
-	Workers int
 	// UpdateWorkers bounds the batch-apply parallelism: each coalesced
 	// batch is planned per shard and applied as concurrent per-shard
 	// update streams (0 = all cores, 1 = sequential). Readers are
@@ -774,17 +771,16 @@ func (e *Engine) OnBatch(fn func(applied []Op, touched []int)) {
 
 // WatchTopK attaches a continuously maintained top-k scoreboard: the
 // monitor warms by scoring every vertex through the engine's cached,
-// epoch-protected reads (parallelism from the Workers option, clamped to
-// the vertex count) and then rides the post-batch hook, rescoring
-// exactly each batch's dirty set. Because the rescore reads go through
-// the engine, they also re-warm precisely the cache slots the batch
-// expired — the next /cycle read of a dirty vertex is already a hit —
-// without counting toward the Queries/CacheHits stats, which describe
-// client traffic only. Attach before the first enqueue. The returned
+// epoch-protected reads (on every core, clamped to the vertex count) and
+// then rides the post-batch hook, rescoring exactly each batch's dirty
+// set. Because the rescore reads go through the engine, they also re-warm
+// precisely the cache slots the batch expired — the next /cycle read of a
+// dirty vertex is already a hit — without counting toward the
+// Queries/CacheHits stats, which describe client traffic only. Attach before the first enqueue. The returned
 // monitor's Score and Top are safe concurrently with updates; do not
 // route updates through it.
 func (e *Engine) WatchTopK(k int) *monitor.TopK {
-	m := monitor.Watch(watchQuerier{e}, k, e.opts.Workers)
+	m := monitor.Watch(watchQuerier{e}, k, 0)
 	e.OnBatch(func(_ []Op, dirty []int) { m.RescoreDirty(dirty) })
 	return m
 }

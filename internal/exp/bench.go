@@ -31,7 +31,6 @@ type BenchResult struct {
 	Bytes        int     `json:"bytes"`
 	ReducedBytes int     `json:"reduced_bytes"`
 	ArenaBytes   int     `json:"arena_bytes"`
-	Reruns       int     `json:"parallel_reruns"`
 	QueryNS      float64 `json:"query_ns"`
 	InsertNS     float64 `json:"insert_ns"`
 	DeleteNS     float64 `json:"delete_ns"`
@@ -104,7 +103,7 @@ func Bench(s Scale, d Dataset) BenchResult {
 	ord := order.ByDegree(g)
 
 	t0 := time.Now()
-	x, _ := csc.Build(g, ord, csc.Options{Workers: Workers})
+	x, _ := csc.Build(g, ord, csc.Options{})
 	buildWall := time.Since(t0)
 
 	res := BenchResult{
@@ -118,7 +117,6 @@ func Bench(s Scale, d Dataset) BenchResult {
 		Entries:      x.EntryCount(),
 		Bytes:        x.Bytes(),
 		ReducedBytes: x.ReducedBytes(),
-		Reruns:       x.Engine().Reruns(),
 	}
 	if a := x.Engine().Arena(); a != nil {
 		res.ArenaBytes = a.Bytes()

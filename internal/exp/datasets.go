@@ -12,10 +12,12 @@ import (
 	"repro/internal/graph"
 )
 
-// Workers sets the construction parallelism every experiment build uses
-// (0 = all cores, 1 = the sequential methodology of the paper's
-// evaluation). cscbench sets it from -workers. Labels are byte-identical
-// either way; only wall-clock figures change.
+// Workers sets the parallelism the experiments use across shards: how
+// many components a sharded build constructs at once, and the workers of
+// batch updates and all-vertex scans (0 = all cores, 1 = sequential).
+// cscbench sets it from -workers. Each label construction is sequential,
+// so labels are byte-identical either way; only wall-clock figures
+// change.
 var Workers = 0
 
 // Scale selects dataset sizes. The paper's originals range up to 139M

@@ -56,11 +56,11 @@ func Fig9(s Scale, d Dataset) BuildRow {
 
 	hpGraph := g.Clone()
 	t0 := time.Now()
-	hp, _ := hpspc.BuildWorkers(hpGraph, ord, pll.Redundancy, Workers)
+	hp, _ := hpspc.Build(hpGraph, ord, pll.Redundancy)
 	hpTime := time.Since(t0)
 
 	t0 = time.Now()
-	x, _ := csc.Build(g, ord, csc.Options{Workers: Workers})
+	x, _ := csc.Build(g, ord, csc.Options{})
 	cscTime := time.Since(t0)
 
 	return BuildRow{
@@ -105,8 +105,8 @@ func queryCaps(s Scale) (idxCap, bfsCap int) {
 func Fig10(s Scale, d Dataset) (QueryResult, error) {
 	g := d.Build(s)
 	ord := order.ByDegree(g)
-	hp, _ := hpspc.BuildWorkers(g.Clone(), ord, pll.Redundancy, Workers)
-	x, _ := csc.Build(g.Clone(), ord, csc.Options{Workers: Workers})
+	hp, _ := hpspc.Build(g.Clone(), ord, pll.Redundancy)
+	x, _ := csc.Build(g.Clone(), ord, csc.Options{})
 
 	// §VI-A: all vertices (or at least 50,000) split into five clusters by
 	// min-in-out degree.
@@ -228,7 +228,7 @@ func runInsertions(base *graph.Digraph, edges [][2]int, strat pll.Strategy) (tim
 			panic(err) // edges were sampled from base
 		}
 	}
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{Strategy: strat, Workers: Workers})
+	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{Strategy: strat})
 	before := x.EntryCount()
 	start := time.Now()
 	for _, e := range edges {
@@ -279,7 +279,7 @@ func Fig12(s Scale) [5]DeleteRow {
 	edges := pickEdges(g, k, 12)
 	groups := cluster.Edges(g, edges)
 
-	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{Workers: Workers})
+	x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
 	var rows [5]DeleteRow
 	for ci, ces := range groups {
 		row := DeleteRow{Cluster: cluster.Names[ci], Edges: len(ces)}
@@ -338,7 +338,7 @@ func CaseStudy(s Scale) CaseResult {
 		n, m = 400, 600
 	}
 	tx := gen.TransactionNetwork(n, m, 5, 12, 4, 13)
-	x, _ := csc.Build(tx.G, order.ByDegree(tx.G), csc.Options{Workers: Workers})
+	x, _ := csc.Build(tx.G, order.ByDegree(tx.G), csc.Options{})
 
 	all := make([]CaseVertex, 0, n)
 	criminal := make(map[int]bool, len(tx.Criminals))
@@ -395,7 +395,7 @@ func Scaling(sizes []int) []ScalingRow {
 	for _, n := range sizes {
 		g := gen.ErdosRenyi(gen.Config{N: n, M: 4 * n, Seed: int64(n)})
 		t0 := time.Now()
-		x, _ := csc.Build(g, order.ByDegree(g), csc.Options{Workers: Workers})
+		x, _ := csc.Build(g, order.ByDegree(g), csc.Options{})
 		rows = append(rows, ScalingRow{
 			N: n, M: 4 * n,
 			EntriesPerVertex: float64(x.EntryCount()) / float64(2*n),
@@ -421,11 +421,11 @@ func AblationConstruction(s Scale, d Dataset) AblationRow {
 	ord := order.ByDegree(g)
 
 	t0 := time.Now()
-	a, _ := csc.Build(g.Clone(), ord, csc.Options{Workers: Workers})
+	a, _ := csc.Build(g.Clone(), ord, csc.Options{})
 	skipTime := time.Since(t0)
 
 	t0 = time.Now()
-	b, _ := csc.Build(g.Clone(), ord, csc.Options{GenericConstruction: true, Workers: Workers})
+	b, _ := csc.Build(g.Clone(), ord, csc.Options{GenericConstruction: true})
 	genTime := time.Since(t0)
 
 	return AblationRow{

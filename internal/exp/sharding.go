@@ -86,7 +86,7 @@ func Sharding(s Scale) []ShardingRow {
 
 		mg := g.Clone()
 		t0 := time.Now()
-		mono, _ := csc.Build(mg, order.ByDegree(mg), csc.Options{Workers: Workers})
+		mono, _ := csc.Build(mg, order.ByDegree(mg), csc.Options{})
 		monoWall := time.Since(t0)
 
 		t1 := time.Now()

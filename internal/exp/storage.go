@@ -74,7 +74,7 @@ func Storage(s Scale) []StorageRow {
 		// labeling — every vertex carries labels there, and queries
 		// actually reach the join kernels (the sharded form answers most
 		// non-cyclic vertices from the shard map without ever joining).
-		mono, _ := csc.Build(g.Clone(), order.ByDegree(g), csc.Options{Workers: Workers, CompressLabels: true})
+		mono, _ := csc.Build(g.Clone(), order.ByDegree(g), csc.Options{CompressLabels: true})
 
 		row := StorageRow{
 			Family:            fam.name,

@@ -20,16 +20,9 @@ type Index struct {
 	idx *pll.Index
 }
 
-// Build constructs the index with every vertex as a hub, using every core
-// (construction is byte-deterministic regardless of worker count).
+// Build constructs the index with every vertex as a hub.
 func Build(g *graph.Digraph, ord *order.Order, strategy pll.Strategy) (*Index, pll.BuildStats) {
-	return BuildWorkers(g, ord, strategy, 0)
-}
-
-// BuildWorkers is Build with explicit construction parallelism (0 = all
-// cores, 1 = sequential).
-func BuildWorkers(g *graph.Digraph, ord *order.Order, strategy pll.Strategy, workers int) (*Index, pll.BuildStats) {
-	idx, st := pll.Build(g, ord, pll.Options{Strategy: strategy, Workers: workers})
+	idx, st := pll.Build(g, ord, pll.Options{Strategy: strategy})
 	return &Index{idx: idx}, st
 }
 

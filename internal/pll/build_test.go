@@ -1,76 +1,12 @@
 package pll
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/order"
-	"repro/internal/testgraphs"
 )
-
-// The parallel builder's contract is byte-identity: whatever the worker
-// count, the committed labels (and the classification counters derived
-// from them) must equal the sequential construction's exactly. The graphs
-// here are big enough that batching engages past the sequential prefix
-// and reruns occur.
-func TestParallelBuildMatchesSequential(t *testing.T) {
-	graphs := map[string]*graph.Digraph{
-		"figure2": testgraphs.Figure2(),
-		"er800":   gen.ErdosRenyi(gen.Config{N: 800, M: 3200, Seed: 5}),
-		"power":   gen.PowerLaw(gen.Config{N: 600, M: 3000, Seed: 9}, 2.0, 2.1),
-	}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 3; i++ {
-		n := 50 + r.Intn(200)
-		graphs[fmt.Sprintf("rand%d", i)] = gen.ErdosRenyi(gen.Config{N: n, M: 4 * n, Seed: int64(i)})
-	}
-
-	for name, g := range graphs {
-		ord := order.ByDegree(g)
-		seq, seqStats := Build(g.Clone(), ord, Options{Workers: 1})
-		for _, workers := range []int{2, 3, 8} {
-			par, parStats := Build(g.Clone(), ord, Options{Workers: workers})
-			assertSameLabels(t, fmt.Sprintf("%s/workers=%d", name, workers), seq, par)
-			if seqStats.Entries != parStats.Entries ||
-				seqStats.Canonical != parStats.Canonical ||
-				seqStats.NonCanonical != parStats.NonCanonical {
-				t.Errorf("%s/workers=%d: stats diverge: seq %+v par %+v",
-					name, workers, seqStats, parStats)
-			}
-		}
-	}
-}
-
-// A hub filter must parallelize identically too (the CSC configuration).
-func TestParallelBuildMatchesSequentialFiltered(t *testing.T) {
-	g := gen.ErdosRenyi(gen.Config{N: 400, M: 1600, Seed: 21})
-	ord := order.ByDegree(g)
-	even := func(v int) bool { return v%2 == 0 }
-	seq, _ := Build(g.Clone(), ord, Options{Workers: 1, HubFilter: even})
-	par, _ := Build(g.Clone(), ord, Options{Workers: 4, HubFilter: even})
-	assertSameLabels(t, "filtered", seq, par)
-}
-
-func assertSameLabels(t *testing.T, name string, a, b *Index) {
-	t.Helper()
-	n := a.G.NumVertices()
-	if bn := b.G.NumVertices(); bn != n {
-		t.Fatalf("%s: vertex counts differ: %d vs %d", name, n, bn)
-	}
-	for v := 0; v < n; v++ {
-		ae, be := a.In[v].Entries(), b.In[v].Entries()
-		if !entriesEqual(ae, be) {
-			t.Fatalf("%s: Lin(%d) differs:\n  a=%v\n  b=%v", name, v, ae, be)
-		}
-		ae, be = a.Out[v].Entries(), b.Out[v].Entries()
-		if !entriesEqual(ae, be) {
-			t.Fatalf("%s: Lout(%d) differs:\n  a=%v\n  b=%v", name, v, ae, be)
-		}
-	}
-}
 
 // The CSR arena must hold every entry contiguously in list order, with
 // each list a view of its padded span, and the index must stay fully
@@ -121,7 +57,7 @@ func TestArenaFreezeLayoutAndDynamics(t *testing.T) {
 			}
 		}
 	}
-	fresh, _ := Build(idx.G.Clone(), ord, Options{Workers: 1})
+	fresh, _ := Build(idx.G.Clone(), ord, Options{})
 	for s := 0; s < 200; s++ {
 		for tt := 0; tt < 200; tt++ {
 			wd, wc := fresh.CountPaths(s, tt)
@@ -162,7 +98,7 @@ func TestAddVertexGrowsScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, _ := Build(idx.G.Clone(), idx.Ord, Options{Workers: 1})
+	fresh, _ := Build(idx.G.Clone(), idx.Ord, Options{})
 	assertSameLabelsByQuery(t, fresh, idx)
 }
 
@@ -222,16 +158,4 @@ func TestEntryCountStaysExact(t *testing.T) {
 			t.Fatalf("%v: after AddVertex: EntryCount = %d, recount = %d", strat, got, want)
 		}
 	}
-}
-
-func entriesEqual[T comparable](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

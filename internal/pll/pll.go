@@ -17,10 +17,9 @@
 //
 // Construction runs on the fast-path label pipeline: hub-indexed pruning
 // (the prune test probes a rank-indexed scatter of the hub's own label
-// instead of merge-joining two lists), rank-batched parallel hub BFSes
-// whose stages are merged deterministically in rank order (labels are
-// byte-identical to a sequential build), and a post-construction freeze of
-// all label lists into one contiguous CSR arena (label.Arena).
+// instead of merge-joining two lists), one rank-ordered loop of hub BFSes
+// on a pooled scratch, and a post-construction freeze of all label lists
+// into one contiguous CSR arena (label.Arena).
 //
 // An Index is not safe for concurrent mutation. Queries do not mutate and
 // may run concurrently with each other, but not with updates.
@@ -65,10 +64,6 @@ type Options struct {
 	// Filtered-out vertices still receive their own self labels. The CSC
 	// scheme uses this to make only V_in vertices hubs.
 	HubFilter func(v int) bool
-	// Workers sets the construction parallelism: 0 uses every core
-	// (runtime.GOMAXPROCS), 1 forces the sequential path. Parallel builds
-	// produce labels byte-identical to sequential ones.
-	Workers int
 }
 
 // BuildStats summarizes a construction run.
@@ -161,14 +156,11 @@ type Index struct {
 	// lists they touch; Refreeze re-packs after a quiesce.
 	frozen *label.Frozen
 
-	// reruns counts parallel-construction stages that failed merge-time
-	// validation and were rebuilt sequentially (diagnostics only).
-	reruns int
-
-	// scr is the engine-owned scratch for sequential construction and the
-	// dynamic update passes. It is pooled and lazily materialized (see
-	// scratch), so idle indexes — deserialized shards, shards between
-	// update batches — pin no scratch memory.
+	// scr is the engine-owned scratch for the dynamic update passes. It is
+	// pooled and lazily materialized (see scratch); construction borrows
+	// its own from the pool and returns it, so idle indexes — freshly
+	// built or deserialized shards, shards between update batches — pin
+	// no scratch memory.
 	scr *Scratch
 
 	// hubHits, when non-nil, counts per rank how often the join kernel
@@ -223,48 +215,31 @@ func NewEmpty(g *graph.Digraph, ord *order.Order) *Index {
 
 // Build constructs the full index with pruned counting BFSes in descending
 // rank order (the HP-SPC construction of §II-B generalized with a hub
-// filter), using opts.Workers parallel hub batches, and freezes the labels
-// into the CSR arena.
+// filter) and freezes the labels into the CSR arena. The scratch the
+// passes share goes back to the pool at the end.
 func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, BuildStats) {
 	start := time.Now()
 	idx := NewEmpty(g, ord)
 	idx.Strategy = opts.Strategy
 	idx.HubFilter = opts.HubFilter
-	idx.RunConstruction(genericScheme{idx: idx}, opts.Workers)
+	s := GetScratch(g.NumVertices())
+	for r := 0; r < ord.Len(); r++ {
+		v := ord.VertexAt(r)
+		if idx.HubFilter != nil && !idx.HubFilter(v) {
+			self := bitpack.Pack(r, 0, 1)
+			idx.AppendIn(v, self)
+			idx.AppendOut(v, self)
+			idx.canonical += 2
+			continue
+		}
+		idx.hubPass(v, r, true, s)
+		idx.hubPass(v, r, false, s)
+	}
+	PutScratch(s)
 	idx.FreezeArena()
 	st := idx.Stats()
 	st.Duration = time.Since(start)
 	return idx, st
-}
-
-// genericScheme adapts the engine's own construction (one forward and one
-// backward pass per hub) to the rank-batched driver.
-type genericScheme struct{ idx *Index }
-
-func (s genericScheme) IsHub(r int) bool {
-	idx := s.idx
-	return idx.HubFilter == nil || idx.HubFilter(idx.Ord.VertexAt(r))
-}
-
-func (s genericScheme) SelfLabels(r int) {
-	idx := s.idx
-	v := idx.Ord.VertexAt(r)
-	self := bitpack.Pack(r, 0, 1)
-	idx.AppendIn(v, self)
-	idx.AppendOut(v, self)
-	idx.canonical += 2
-}
-
-func (s genericScheme) RunPass(r, pass int, sc *Scratch, st *Stage) {
-	s.idx.specPass(s.idx.Ord.VertexAt(r), r, pass == 0, sc, st)
-}
-
-func (s genericScheme) Anchor(r, pass int) (*label.List, int) {
-	v := s.idx.Ord.VertexAt(r)
-	if pass == 0 {
-		return &s.idx.Out[v], 0 // forward prune test joins Out[v] with In[w]
-	}
-	return &s.idx.In[v], 0
 }
 
 // Stats reports size statistics from the maintained counters.
@@ -277,18 +252,19 @@ func (idx *Index) Stats() BuildStats {
 	}
 }
 
-// specPass runs one pruned counting BFS from hub v (rank r) against the
-// current labels, staging every append instead of writing it. forward
-// stages in-labels over out-edges; !forward stages out-labels over
-// in-edges (the reverse graph). The prune test probes the rank-indexed
-// scatter of the hub's own anchor list — Out[v] forward, In[v] backward —
-// against the candidate's list, replacing the per-dequeue merge-join.
+// hubPass runs one pruned counting BFS from hub v (rank r) against the
+// current labels, appending every label it emits. forward writes
+// in-labels over out-edges; !forward writes out-labels over in-edges (the
+// reverse graph). The prune test probes the rank-indexed scatter of the
+// hub's own anchor list — Out[v] forward, In[v] backward — against the
+// candidate's list, replacing the per-dequeue merge-join.
 //
 // Mid-pass appends can never influence the pass's own prune tests (each
 // vertex is dequeued exactly once, and its probe happens before its
-// append), so staging is observationally identical to writing through.
-func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
-	st.Reset(forward, true)
+// append; the anchor is on the side the pass does not write), so writing
+// through is observationally identical to staging the appends and
+// committing them after the pass.
+func (idx *Index) hubPass(v, r int, forward bool, s *Scratch) {
 	anchor := &idx.Out[v]
 	if !forward {
 		anchor = &idx.In[v]
@@ -299,8 +275,8 @@ func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
 
 	// Self label first (Alg 3's first dequeue): never pruned, since any
 	// alternative distance through a higher hub is a cycle of length ≥ 1.
-	st.Add(v, false, bitpack.Pack(r, 0, 1))
-	st.Canonical(true)
+	idx.appendSide(v, forward, bitpack.Pack(r, 0, 1))
+	idx.canonical++
 	s.Visit(v, 0, 1)
 	for _, u := range idx.neighbors(v, forward) {
 		if idx.Ord.Rank(int(u)) > r { // v ≺ u: only lower-ranked vertices join
@@ -322,9 +298,13 @@ func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
 		if dq < dw {
 			continue // v is not the highest rank on any shortest path
 		}
-		st.Add(w, true, bitpack.Pack(r, dw, s.Cnt[w]))
+		idx.appendSide(w, forward, bitpack.Pack(r, dw, s.Cnt[w]))
 		// dq == dw: some shortest paths run via higher hubs (non-canonical).
-		st.Canonical(dq != dw)
+		if dq != dw {
+			idx.canonical++
+		} else {
+			idx.nonCanonical++
+		}
 		for _, u := range idx.neighbors(w, forward) {
 			switch {
 			case s.Dist[u] == -1:
@@ -355,73 +335,13 @@ func (idx *Index) AppendOut(v int, e bitpack.Entry) {
 	idx.addInvOut(e.Hub(), v)
 }
 
-// commitTrusted appends every staged entry verbatim, trusting the stage's
-// own classification — valid when the pass observed the exact label state
-// a sequential build would have (sequential passes and validated reruns).
-func (idx *Index) commitTrusted(st *Stage) {
-	idx.appendStage(st)
-	idx.canonical += st.canonical
-	idx.nonCanonical += st.nonCanonical
-}
-
-// appendStage appends every staged entry in emission order and counts
-// the mirrored entries the stage recorded without storing.
-func (idx *Index) appendStage(st *Stage) {
-	idx.entries += st.mirrored
-	idx.mirrored += st.mirrored
-	if st.inSide {
-		for _, op := range st.ops {
-			idx.AppendIn(int(op.v), op.e)
-		}
+// appendSide appends e to In[v] when in, else to Out[v].
+func (idx *Index) appendSide(v int, in bool, e bitpack.Entry) {
+	if in {
+		idx.AppendIn(v, e)
 	} else {
-		for _, op := range st.ops {
-			idx.AppendOut(int(op.v), op.e)
-		}
+		idx.AppendOut(v, e)
 	}
-}
-
-// validateCommit re-runs the prune test for every checked staged entry
-// against the *merged* labels (scattering the hub's live anchor list, its
-// distances raised by shift) and commits the stage when all pass. A single
-// failure means an in-batch label would have pruned this BFS mid-flight,
-// so the staged suffix is untrustworthy: the caller must rerun the pass
-// sequentially. Entries that pass re-validation are provably
-// byte-identical to what the sequential pass would emit, because
-// speculative pruning is sound (a snapshot can only under-prune) and BFS
-// expansion is a function of the prune outcomes.
-func (idx *Index) validateCommit(anchor *label.List, shift int, st *Stage, s *Scratch) bool {
-	s.Scatter(anchor, shift)
-	defer s.Unscatter(anchor)
-	canonical, nonCanonical := 0, 0
-	for _, op := range st.ops {
-		if !op.checked {
-			if st.classify {
-				canonical++ // self labels are always canonical
-			}
-			continue
-		}
-		d := op.e.Dist()
-		var dq int
-		if st.inSide {
-			dq = s.Probe(&idx.In[op.v], d)
-		} else {
-			dq = s.Probe(&idx.Out[op.v], d)
-		}
-		if dq < d {
-			return false // merged labels prune this entry: stage is stale
-		}
-		if st.classify {
-			if dq != d {
-				canonical++
-			} else {
-				nonCanonical++
-			}
-		}
-	}
-	idx.appendStage(st)
-	idx.canonical += canonical
-	idx.nonCanonical += nonCanonical
-	return true
 }
 
 func (idx *Index) neighbors(w int, forward bool) []int32 {
@@ -433,8 +353,8 @@ func (idx *Index) neighbors(w int, forward bool) []int32 {
 
 // scratch returns the index's working scratch, materializing it from the
 // pool on first use and re-sizing it after the graph grew. Every
-// vertex-growth, construction and update entry point must go through it
-// before running a pass: the BFSes index Dist/Cnt by vertex id and the
+// vertex-growth and update entry point must go through it before running
+// a pass: the BFSes index Dist/Cnt by vertex id and the
 // hub scatter by rank, so a stale size turns the first post-growth pass
 // into an out-of-bounds access.
 func (idx *Index) scratch() *Scratch {
@@ -447,9 +367,9 @@ func (idx *Index) scratch() *Scratch {
 }
 
 // ReleaseScratch returns the index's scratch to the shared pool. Call it
-// when no update is imminent — after a scoped shard rebuild, or at the
-// end of a batch's per-shard update stream — so concurrent streams over
-// many shards recycle a few scratches instead of pinning one per shard.
+// when no update is imminent — at the end of a batch's per-shard update
+// stream — so concurrent streams over many shards recycle a few scratches
+// instead of pinning one per shard.
 // The next update materializes a fresh one transparently.
 func (idx *Index) ReleaseScratch() {
 	PutScratch(idx.scr)
@@ -519,10 +439,6 @@ func (idx *Index) AttachFrozen(f *label.Frozen) error {
 	idx.entries = f.Entries()
 	return nil
 }
-
-// Reruns reports how many parallel-construction stages failed merge-time
-// validation and were rebuilt sequentially (0 for sequential builds).
-func (idx *Index) Reruns() int { return idx.reruns }
 
 // EntryCount returns the total number of label entries (O(1); the counter
 // is maintained by every mutation path).

@@ -33,7 +33,7 @@ import (
 // NewReduced allocates an empty index shell in the reduced state for a
 // construction over a bipartite conversion that stores only Lin(v_in)
 // and Lout(v_out). The construction must count every mirrored entry it
-// does not store (Stage.Mirror, CountMirrored).
+// does not store (CountMirrored).
 func NewReduced(gb *graph.Digraph, ord *order.Order) *Index {
 	idx := NewEmpty(gb, ord)
 	idx.reduced = true

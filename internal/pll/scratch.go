@@ -16,8 +16,8 @@ const unreachScatter = int32(bitpack.MaxDist)
 // distance/count arrays, the FIFO queue, the touched list used for O(pass)
 // resets, and the rank-indexed hub scatter that turns the prune test from
 // a two-list merge-join into a linear probe of the candidate's own list.
-// The engine owns one Scratch for sequential construction and updates;
-// the parallel builder gives each worker its own.
+// Construction borrows one from the pool for the whole build; the engine
+// keeps one for its update passes (see Index.scratch).
 type Scratch struct {
 	Dist    []int32
 	Cnt     []uint64
@@ -31,13 +31,6 @@ type Scratch struct {
 	// it — no later entry can share a hub with the anchor.
 	hub    []int32
 	maxHub int32
-}
-
-// NewScratch allocates a scratch sized for n vertices/ranks.
-func NewScratch(n int) *Scratch {
-	s := &Scratch{}
-	s.Grow(n)
-	return s
 }
 
 // scratchPool recycles Scratch allocations across indexes. With the
@@ -168,62 +161,4 @@ func (s *Scratch) Probe(l *label.List, below int) int {
 		}
 	}
 	return int(min)
-}
-
-// stagedEntry is one label append produced by a speculative pass.
-type stagedEntry struct {
-	v       int32 // owner vertex
-	checked bool  // survived a prune test; re-validated at merge time
-	e       bitpack.Entry
-}
-
-// Stage buffers the appends of one hub BFS pass in emission order. The
-// sequential builder commits stages as-is; the parallel builder re-validates
-// the checked entries against the merged labels first, falling back to a
-// rerun when an in-batch label would have pruned the pass differently.
-type Stage struct {
-	inSide bool // appends target In lists (else Out lists)
-	ops    []stagedEntry
-
-	// mirrored counts entries of mirrored lists a reduced construction
-	// emits without storing (see Mirror).
-	mirrored int
-
-	// classification under the labels the pass observed; only the generic
-	// engine tracks these (the skipping construction never did).
-	classify     bool
-	canonical    int
-	nonCanonical int
-}
-
-// Reset empties the stage for a new pass targeting the given side.
-func (st *Stage) Reset(inSide, classify bool) {
-	st.inSide = inSide
-	st.ops = st.ops[:0]
-	st.mirrored = 0
-	st.classify = classify
-	st.canonical = 0
-	st.nonCanonical = 0
-}
-
-// Add records one append. checked marks entries that passed a prune test;
-// unchecked entries (self labels, couple labels) are committed verbatim.
-func (st *Stage) Add(v int, checked bool, e bitpack.Entry) {
-	st.ops = append(st.ops, stagedEntry{v: int32(v), checked: checked, e: e})
-}
-
-// Mirror records one entry of a mirrored list (Lin(v_out) or Lout(v_in))
-// that a reduced construction counts but does not store.
-func (st *Stage) Mirror() { st.mirrored++ }
-
-// Canonical classifies the last added entry as canonical (dq > d) or not.
-func (st *Stage) Canonical(canonical bool) {
-	if !st.classify {
-		return
-	}
-	if canonical {
-		st.canonical++
-	} else {
-		st.nonCanonical++
-	}
 }
