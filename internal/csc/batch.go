@@ -117,7 +117,11 @@ func accumulate(agg *pll.UpdateStats, st pll.UpdateStats) {
 	agg.EntriesAdded += st.EntriesAdded
 	agg.EntriesChanged += st.EntriesChanged
 	agg.EntriesRemoved += st.EntriesRemoved
-	agg.TouchedOwners = append(agg.TouchedOwners, st.TouchedOwners...)
+	if agg.TouchedOwners == nil {
+		agg.TouchedOwners = st.TouchedOwners // st is spent: adopt, don't copy
+	} else {
+		agg.TouchedOwners = append(agg.TouchedOwners, st.TouchedOwners...)
+	}
 }
 
 // batchPlan classifies a batch against the pre-batch shard table.
@@ -389,12 +393,11 @@ func (x *Sharded) reconcile(plan batchPlan, agg *pll.UpdateStats) []*batchTask {
 			stream(s)
 			continue
 		}
-		verts := x.shards[s].verts
-		comps := partition.SCCWithin(x.g, verts)
-		if len(comps) == 1 && len(comps[0]) == len(verts) {
+		if x.survivesDeletions(s, plan.streams[s]) {
 			stream(s) // survived every deletion: still one component
 			continue
 		}
+		comps := partition.SCCWithin(x.g, x.shards[s].verts)
 		retire(s, false)
 		for _, comp := range comps {
 			if len(comp) >= 2 {
@@ -403,6 +406,67 @@ func (x *Sharded) reconcile(plan batchPlan, agg *pll.UpdateStats) []*batchTask {
 		}
 	}
 	return tasks
+}
+
+// survivesDeletions reports whether shard s is still one strongly
+// connected component in the final graph after its stream's deletions:
+// it is exactly when every deleted edge's tail still reaches its head
+// inside the shard. Every pre-batch path within the shard then reroutes
+// each deleted edge through such a detour (the stream is coalesced, so a
+// delete means the edge is gone and an insert only adds paths), and a
+// tail that cannot reach its head leaves the shard split. The caller has
+// retired every shard a merge grew, so the shard cannot have gained
+// members either.
+func (x *Sharded) survivesDeletions(s int32, ops []EdgeOp) bool {
+	r := reachBufs.Get().(*reachScratch)
+	defer reachBufs.Put(r)
+	for _, op := range ops {
+		if op.Kind == OpDelete && !x.reachesWithin(r, s, int(op.A), int(op.B)) {
+			return false
+		}
+	}
+	return true
+}
+
+// reachScratch is a shard-local BFS's visited stamps (indexed by local
+// id; stamp marks the current walk) and queue.
+type reachScratch struct {
+	seen  []uint32
+	stamp uint32
+	queue []int32
+}
+
+var reachBufs = sync.Pool{New: func() any { return new(reachScratch) }}
+
+// reachesWithin reports whether from reaches to in the global graph over
+// vertices of shard s only.
+func (x *Sharded) reachesWithin(r *reachScratch, s int32, from, to int) bool {
+	if from == to {
+		return true
+	}
+	if n := len(x.shards[s].verts); len(r.seen) < n {
+		r.seen = make([]uint32, n)
+		r.stamp = 0
+	}
+	if r.stamp++; r.stamp == 0 { // wrapped: stale stamps could collide
+		clear(r.seen)
+		r.stamp = 1
+	}
+	r.seen[x.localID[from]] = r.stamp
+	r.queue = append(r.queue[:0], int32(from))
+	for head := 0; head < len(r.queue); head++ {
+		for _, w := range x.g.Out(int(r.queue[head])) {
+			if int(w) == to {
+				return true
+			}
+			if x.shardOf[w] != s || r.seen[x.localID[w]] == r.stamp {
+				continue
+			}
+			r.seen[x.localID[w]] = r.stamp
+			r.queue = append(r.queue, w)
+		}
+	}
+	return false
 }
 
 // sameVerts reports whether two sorted-ascending vertex lists are equal.

@@ -1,7 +1,8 @@
 package csc
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/pll"
@@ -21,20 +22,28 @@ import (
 // side a query does not read, without changing any answer.) The
 // dirty-set-exactness suite in dirty_test.go verifies the containment
 // against a fresh-index oracle over the whole corpus.
+//
+// The dedupe sorts the mapped owners in a pooled buffer, so the only
+// allocation is the result, sized to the distinct vertices.
 func DirtyVertices(st pll.UpdateStats) []int {
 	if len(st.TouchedOwners) == 0 {
 		return nil
 	}
-	seen := make(map[int]struct{}, len(st.TouchedOwners))
-	out := make([]int, 0, len(st.TouchedOwners))
+	buf := dirtyBufs.Get().(*[]int32)
+	vs := (*buf)[:0]
 	for _, o := range st.TouchedOwners {
-		v := bipartite.Original(int(o))
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
+		vs = append(vs, int32(bipartite.Original(int(o))))
 	}
-	sort.Ints(out)
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	*buf = vs
+	dirtyBufs.Put(buf)
 	return out
 }
+
+// dirtyBufs recycles DirtyVertices' sort buffers.
+var dirtyBufs = sync.Pool{New: func() any { return new([]int32) }}

@@ -271,13 +271,11 @@ func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) {
 		return pll.UpdateStats{Duration: time.Since(start)}, nil
 	}
 	sh := x.shards[s]
-	la, lb := int(x.localID[a]), int(x.localID[b])
 	// The component survives iff a still reaches b without the removed
 	// edge: every path that used a→b reroutes through the a⇝b detour, so
-	// all mutual reachability is preserved. (The shard subgraph still
-	// holds the edge — the shard's own DeleteEdge removes it below.)
-	if partition.ReachableSkip(sh.idx.Graph(), la, lb, la, lb) {
-		st, err := sh.idx.DeleteEdge(la, lb)
+	// all mutual reachability is preserved.
+	if x.survivesDeletions(s, []EdgeOp{Del(a, b)}) {
+		st, err := sh.idx.DeleteEdge(int(x.localID[a]), int(x.localID[b]))
 		x.translateOwners(sh, &st)
 		return st, err
 	}

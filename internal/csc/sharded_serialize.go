@@ -54,60 +54,22 @@ func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
 	if x.opts.CompressLabels {
 		return x.writeV34(w)
 	}
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-
-	if _, err := bw.WriteString(shardedMagic); err != nil {
-		return cw.n, err
-	}
-	n := x.g.NumVertices()
-	if err := write(uint32(n)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(x.g.NumEdges())); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint8(x.opts.Strategy)); err != nil {
-		return cw.n, err
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range x.g.Out(u) {
-			if err := write(uint32(u)); err != nil {
-				return cw.n, err
-			}
-			if err := write(uint32(v)); err != nil {
-				return cw.n, err
-			}
-		}
-	}
+	e := pll.NewEncoder(w)
+	e.Bytes([]byte(shardedMagic))
+	e.U32(uint32(x.g.NumVertices()))
+	e.U32(uint32(x.g.NumEdges()))
+	e.U8(uint8(x.opts.Strategy))
+	e.Edges(x.g)
 	live := x.liveShards()
-	if err := write(uint32(len(live))); err != nil {
-		return cw.n, err
-	}
+	e.U32(uint32(len(live)))
 	for _, sh := range live {
-		if err := write(uint32(len(sh.verts))); err != nil {
-			return cw.n, err
-		}
+		e.U32(uint32(len(sh.verts)))
 		for _, v := range sh.verts {
-			if err := write(uint32(v)); err != nil {
-				return cw.n, err
-			}
+			e.U32(uint32(v))
 		}
-		// The blob writer buffers privately; flush our buffer first so the
-		// bytes interleave in stream order.
-		if err := bw.Flush(); err != nil {
-			return cw.n, err
-		}
-		if _, err := sh.idx.eng.WriteTo(cw); err != nil {
-			return cw.n, err
-		}
+		sh.idx.eng.Encode(e)
 	}
-	// Flush before reading the count: the header and edge stream may still
-	// be buffered (always, on a shard-free graph), and the evaluation order
-	// of a plain operand against a call in one return list is unspecified.
-	err := bw.Flush()
-	return cw.n, err
+	return e.Flush()
 }
 
 // readSharded loads a v2 stream, validating the shard table against the
@@ -252,15 +214,4 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		}
 	}
 	return x, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -83,105 +83,49 @@ func (x *Sharded) needsV4() bool {
 // current.
 func (x *Sharded) writeV34(w io.Writer) (int64, error) {
 	v4 := x.needsV4()
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-
+	e := pll.NewEncoder(w)
 	magic := v3Magic
 	if v4 {
 		magic = v4Magic
 	}
-	if _, err := bw.WriteString(magic); err != nil {
-		return cw.n, err
-	}
-	n := x.g.NumVertices()
-	if err := write(uint32(n)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(x.g.NumEdges())); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint8(x.opts.Strategy)); err != nil {
-		return cw.n, err
-	}
+	e.Bytes([]byte(magic))
+	e.U32(uint32(x.g.NumVertices()))
+	e.U32(uint32(x.g.NumEdges()))
+	e.U8(uint8(x.opts.Strategy))
 	if v4 {
-		if err := write(uint8(x.opts.Order)); err != nil {
-			return cw.n, err
-		}
+		e.U8(uint8(x.opts.Order))
 	}
-	for u := 0; u < n; u++ {
-		for _, v := range x.g.Out(u) {
-			if err := write(uint32(u)); err != nil {
-				return cw.n, err
-			}
-			if err := write(uint32(v)); err != nil {
-				return cw.n, err
-			}
-		}
-	}
+	e.Edges(x.g)
 	live := x.liveShards()
-	if err := write(uint32(len(live))); err != nil {
-		return cw.n, err
-	}
+	e.U32(uint32(len(live)))
 	for _, sh := range live {
-		if err := write(uint32(len(sh.verts))); err != nil {
-			return cw.n, err
-		}
+		e.U32(uint32(len(sh.verts)))
 		for _, v := range sh.verts {
-			if err := write(uint32(v)); err != nil {
-				return cw.n, err
-			}
+			e.U32(uint32(v))
 		}
 		eng := sh.idx.eng
 		if !eng.Compressed() {
 			eng.FreezeCompressed()
 		}
 		eng.Refreeze()
-		gb := eng.G
-		nb := gb.NumVertices()
-		if err := write(uint32(nb)); err != nil {
-			return cw.n, err
-		}
-		if err := write(uint32(gb.NumEdges())); err != nil {
-			return cw.n, err
-		}
-		for u := 0; u < nb; u++ {
-			for _, v := range gb.Out(u) {
-				if err := write(uint32(u)); err != nil {
-					return cw.n, err
-				}
-				if err := write(uint32(v)); err != nil {
-					return cw.n, err
-				}
-			}
-		}
+		nb := eng.G.NumVertices()
+		e.U32(uint32(nb))
+		e.U32(uint32(eng.G.NumEdges()))
+		e.Edges(eng.G)
 		if v4 {
-			if err := write(uint8(sh.strat)); err != nil {
-				return cw.n, err
-			}
+			e.U8(uint8(sh.strat))
 		}
 		for r := 0; r < nb; r++ {
-			if err := write(uint32(eng.Ord.VertexAt(r))); err != nil {
-				return cw.n, err
-			}
+			e.U32(uint32(eng.Ord.VertexAt(r)))
 		}
 		f := eng.FrozenArena()
 		off, blob := f.Raw()
-		if err := write(uint64(f.Entries())); err != nil {
-			return cw.n, err
-		}
-		if _, err := bw.Write(off); err != nil {
-			return cw.n, err
-		}
-		if err := write(uint64(len(blob))); err != nil {
-			return cw.n, err
-		}
-		if _, err := bw.Write(blob); err != nil {
-			return cw.n, err
-		}
+		e.U64(uint64(f.Entries()))
+		e.Bytes(off)
+		e.U64(uint64(len(blob)))
+		e.Bytes(blob)
 	}
-	err := bw.Flush()
-	return cw.n, err
+	return e.Flush()
 }
 
 // v3parser walks a v3 byte image with bounds-checked reads; take slices

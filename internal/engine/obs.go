@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"time"
@@ -144,10 +144,16 @@ func (e *Engine) initObs() {
 		_, r := label.BloomStats()
 		return r
 	})
+	// Runtime gauges read runtime/metrics, which unlike
+	// runtime.ReadMemStats never stops the world.
 	reg.GaugeFunc("cscd_heap_inuse_bytes", "Go heap bytes in live spans (mmap'd label arenas are file-backed and excluded)", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapInuse)
+		return float64(readRuntime("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"))
+	})
+	reg.GaugeFunc("cscd_heap_goal_bytes", "heap size at which the Go collector starts its next cycle", func() float64 {
+		return float64(readRuntime("/gc/heap/goal:bytes"))
+	})
+	reg.CounterFunc("cscd_gc_cycles_total", "completed Go garbage-collection cycles", func() uint64 {
+		return readRuntime("/gc/cycles/total:gc-cycles")
 	})
 
 	e.joinNS = reg.Histogram("cscd_query_join_seconds", "cache-miss label-join latency")
@@ -314,4 +320,21 @@ func (e *Engine) dirtyShards(dirty []int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// readRuntime sums the named uint64 runtime/metrics samples (the
+// heap-in-use pair adds up to MemStats.HeapInuse).
+func readRuntime(names ...string) uint64 {
+	samples := make([]metrics.Sample, len(names))
+	for i, name := range names {
+		samples[i].Name = name
+	}
+	metrics.Read(samples)
+	var sum uint64
+	for _, s := range samples {
+		if s.Value.Kind() == metrics.KindUint64 {
+			sum += s.Value.Uint64()
+		}
+	}
+	return sum
 }

@@ -1,7 +1,7 @@
 package pll
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bitpack"
@@ -33,25 +33,22 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 		return st, idx.G.RemoveEdge(a, b) // yields the canonical error
 	}
 	idx.Expand()
-	idx.scratch()
+	s := idx.scratch()
+	s.beginOp(idx.G.NumVertices())
 
-	distToA := idx.bfsDistances(a, false)
-	distToB := idx.bfsDistances(b, false)
-	distFromA := idx.bfsDistances(a, true)
-	distFromB := idx.bfsDistances(b, true)
+	d := s.deletion(idx.G.NumVertices())
+	distToA, distToB := idx.bfsDistances(a, false, d.dist[0], s), idx.bfsDistances(b, false, d.dist[1], s)
+	distFromA, distFromB := idx.bfsDistances(a, true, d.dist[2], s), idx.bfsDistances(b, true, d.dist[3], s)
 
 	n := idx.G.NumVertices()
-	inSA := make([]bool, n)
-	inSB := make([]bool, n)
-	var sa, sb []int32
 	for v := 0; v < n; v++ {
 		if distToA[v] >= 0 && distToA[v]+1 == distToB[v] {
-			inSA[v] = true
-			sa = append(sa, int32(v))
+			d.side[v] |= inSA
+			d.sa = append(d.sa, int32(v))
 		}
 		if distFromB[v] >= 0 && distFromB[v]+1 == distFromA[v] {
-			inSB[v] = true
-			sb = append(sb, int32(v))
+			d.side[v] |= inSB
+			d.sb = append(d.sb, int32(v))
 		}
 	}
 
@@ -74,13 +71,13 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	// queries. Any such pair's distance grows, which places (hub, owner)
 	// in SA × SB, so the rectangle drop catches it; step 3 re-inserts
 	// whatever was still valid.
-	var drop []int
-	for _, y32 := range sb {
+	drop := d.drop[:0]
+	for _, y32 := range d.sb {
 		y := int(y32)
 		yRank := idx.Ord.Rank(y)
 		drop = drop[:0]
 		idx.In[y].Each(func(e bitpack.Entry) bool {
-			if e.Hub() != yRank && inSA[idx.Ord.VertexAt(e.Hub())] {
+			if e.Hub() != yRank && d.side[idx.Ord.VertexAt(e.Hub())]&inSA != 0 {
 				drop = append(drop, e.Hub())
 			}
 			return true
@@ -88,16 +85,16 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 		for _, h := range drop {
 			if idx.removeInEntry(y, h) {
 				st.EntriesRemoved++
-				st.touch(y)
+				idx.touch(&st, y)
 			}
 		}
 	}
-	for _, x32 := range sa {
+	for _, x32 := range d.sa {
 		x := int(x32)
 		xRank := idx.Ord.Rank(x)
 		drop = drop[:0]
 		idx.Out[x].Each(func(e bitpack.Entry) bool {
-			if e.Hub() != xRank && inSB[idx.Ord.VertexAt(e.Hub())] {
+			if e.Hub() != xRank && d.side[idx.Ord.VertexAt(e.Hub())]&inSB != 0 {
 				drop = append(drop, e.Hub())
 			}
 			return true
@@ -105,10 +102,11 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 		for _, h := range drop {
 			if idx.removeOutEntry(x, h) {
 				st.EntriesRemoved++
-				st.touch(x)
+				idx.touch(&st, x)
 			}
 		}
 	}
+	d.drop = drop // keep the grown buffer for the next deletion
 
 	// Step 3: repair in descending rank order so lower hubs' pruning
 	// queries see already-repaired higher entries, as in construction.
@@ -122,45 +120,35 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	// A pass can only insert entries at counterpart vertices ranked below
 	// its hub, so hubs ranked below every counterpart are skipped.
 	lowestSA, lowestSB := -1, -1 // numerically largest rank in each set
-	repairA := make(map[int]bool, len(sa))
-	for _, v := range sa {
-		r := idx.Ord.Rank(int(v))
-		if r > lowestSA {
-			lowestSA = r
-		}
-		if idx.HubFilter != nil && !idx.HubFilter(int(v)) {
-			continue // never a hub; nothing of its could need repair
-		}
-		repairA[r] = true
+	for _, v := range d.sa {
+		lowestSA = max(lowestSA, idx.Ord.Rank(int(v)))
 	}
-	repairB := make(map[int]bool, len(sb))
-	for _, v := range sb {
-		r := idx.Ord.Rank(int(v))
-		if r > lowestSB {
-			lowestSB = r
-		}
-		if idx.HubFilter != nil && !idx.HubFilter(int(v)) {
-			continue
-		}
-		repairB[r] = true
+	for _, v := range d.sb {
+		lowestSB = max(lowestSB, idx.Ord.Rank(int(v)))
 	}
-	ranks := make([]int, 0, len(repairA)+len(repairB))
-	for r := range repairA {
-		ranks = append(ranks, r)
-	}
-	for r := range repairB {
-		if !repairA[r] {
-			ranks = append(ranks, r)
+	// The pass set is SA ∪ SB, each vertex once, minus vertices that are
+	// never hubs (nothing of theirs could need repair).
+	ranks := d.ranks[:0]
+	for _, v := range d.sa {
+		if idx.HubFilter == nil || idx.HubFilter(int(v)) {
+			ranks = append(ranks, idx.Ord.Rank(int(v)))
 		}
 	}
-	sort.Ints(ranks)
+	for _, v := range d.sb {
+		if d.side[v]&inSA == 0 && (idx.HubFilter == nil || idx.HubFilter(int(v))) {
+			ranks = append(ranks, idx.Ord.Rank(int(v)))
+		}
+	}
+	slices.Sort(ranks)
+	d.ranks = ranks
 	st.AffectedHubs = len(ranks)
 	for _, rk := range ranks {
-		if repairA[rk] && rk < lowestSB {
-			idx.repairPass(rk, true, inSB, &st)
+		side := d.side[idx.Ord.VertexAt(rk)]
+		if side&inSA != 0 && rk < lowestSB {
+			idx.repairPass(rk, true, d.side, inSB, &st)
 		}
-		if repairB[rk] && rk < lowestSA {
-			idx.repairPass(rk, false, inSA, &st)
+		if side&inSB != 0 && rk < lowestSA {
+			idx.repairPass(rk, false, d.side, inSA, &st)
 		}
 	}
 	st.Duration = time.Since(start)
@@ -168,35 +156,33 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 }
 
 // bfsDistances runs a plain BFS from src over out-edges (forward) or
-// in-edges (!forward) and returns the distance array (-1 = unreachable).
-func (idx *Index) bfsDistances(src int, forward bool) []int32 {
-	n := idx.G.NumVertices()
-	d := make([]int32, n)
-	for i := range d {
-		d[i] = -1
-	}
+// in-edges (!forward) into d, which must hold -1 everywhere (the
+// deletion scratch's reset state), and returns it. The walk queues on
+// s.Queue, which it leaves empty.
+func (idx *Index) bfsDistances(src int, forward bool, d []int32, s *Scratch) []int32 {
 	d[src] = 0
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		w := int(queue[head])
+	s.Queue = append(s.Queue[:0], int32(src))
+	for head := 0; head < len(s.Queue); head++ {
+		w := int(s.Queue[head])
 		for _, u := range idx.neighbors(w, forward) {
 			if d[u] == -1 {
 				d[u] = d[w] + 1
-				queue = append(queue, u)
+				s.Queue = append(s.Queue, u)
 			}
 		}
 	}
+	s.Queue = s.Queue[:0]
 	return d
 }
 
 // repairPass re-runs a construction-style pruned counting BFS from the hub
 // with rank vkRank on the post-deletion graph, inserting labels only for
-// vertices in the targets set. forward repairs in-labels over out-edges;
-// !forward repairs out-labels over in-edges. The prune test probes the
-// hub-indexed scatter of the anchor list, which no repair write can touch
-// mid-pass (the BFS never revisits the hub and repair never cleans).
-func (idx *Index) repairPass(vkRank int, forward bool, targets []bool, st *UpdateStats) {
+// vertices whose side flags carry target. forward repairs in-labels over
+// out-edges; !forward repairs out-labels over in-edges. The prune test
+// probes the hub-indexed scatter of the anchor list, which no repair
+// write can touch mid-pass (the BFS never revisits the hub and repair
+// never cleans).
+func (idx *Index) repairPass(vkRank int, forward bool, side []uint8, target uint8, st *UpdateStats) {
 	vk := idx.Ord.VertexAt(vkRank)
 	s := idx.scratch()
 
@@ -231,9 +217,9 @@ func (idx *Index) repairPass(vkRank int, forward bool, targets []bool, st *Updat
 		if dq < dw {
 			continue // vk is not the highest rank on any shortest path
 		}
-		if targets[w] {
+		if side[w]&target != 0 {
 			e := bitpack.Pack(vkRank, int(s.Dist[w]), s.Cnt[w])
-			st.touch(w)
+			idx.touch(st, w)
 			if forward {
 				if idx.In[w].Set(e) {
 					idx.entries++

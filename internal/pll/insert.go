@@ -1,7 +1,7 @@
 package pll
 
 import (
-	"sort"
+	"math"
 	"time"
 
 	"repro/internal/bitpack"
@@ -20,51 +20,58 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 		return st, err
 	}
 	idx.Expand()
-	idx.scratch()
+	s := idx.scratch()
+	s.beginOp(idx.G.NumVertices())
 
-	// Affected hubs and their seed (distance, count), captured up front.
-	// Inserting (a,b) cannot shorten paths *into* a nor *out of* b (such a
-	// path would repeat a vertex), so these seeds stay valid throughout.
-	type seed struct {
-		d int
-		c uint64
-	}
-	hubA := make(map[int]seed, idx.In[a].Len())
-	idx.In[a].Each(func(e bitpack.Entry) bool {
-		hubA[e.Hub()] = seed{e.Dist(), e.Count()}
-		return true
-	})
-	hubB := make(map[int]seed, idx.Out[b].Len())
-	idx.Out[b].Each(func(e bitpack.Entry) bool {
-		hubB[e.Hub()] = seed{e.Dist(), e.Count()}
-		return true
-	})
-	ranks := make([]int, 0, len(hubA)+len(hubB))
-	for r := range hubA {
-		ranks = append(ranks, r)
-	}
-	for r := range hubB {
-		if _, dup := hubA[r]; !dup {
-			ranks = append(ranks, r)
-		}
-	}
-	sort.Ints(ranks) // ascending rank position = descending rank
-	st.AffectedHubs = len(ranks)
-
+	// Affected hubs and their seed entries, captured up front. Inserting
+	// (a,b) cannot shorten paths *into* a nor *out of* b (such a path
+	// would repeat a vertex), so these seeds stay valid throughout. Both
+	// lists are rank-ascending, so merging them visits the affected hubs
+	// in descending rank order, each once.
+	hubA := appendEntries(s.seedA[:0], &idx.In[a])
+	hubB := appendEntries(s.seedB[:0], &idx.Out[b])
+	s.seedA, s.seedB = hubA, hubB
 	ra, rb := idx.Ord.Rank(a), idx.Ord.Rank(b)
-	for _, rk := range ranks {
+	for i, j := 0, 0; i < len(hubA) || j < len(hubB); {
+		rk := math.MaxInt
+		if i < len(hubA) {
+			rk = hubA[i].Hub()
+		}
+		if j < len(hubB) {
+			rk = min(rk, hubB[j].Hub())
+		}
+		var fromA, fromB *bitpack.Entry
+		if i < len(hubA) && hubA[i].Hub() == rk {
+			fromA = &hubA[i]
+			i++
+		}
+		if j < len(hubB) && hubB[j].Hub() == rk {
+			fromB = &hubB[j]
+			j++
+		}
+		st.AffectedHubs++
 		if idx.HubFilter != nil && !idx.HubFilter(idx.Ord.VertexAt(rk)) {
 			continue // never a hub; a pass could only create unneeded entries
 		}
-		if s, ok := hubA[rk]; ok && rk < rb { // vk ≺ b
-			idx.updatePass(rk, b, s.d+1, s.c, true, &st)
+		if fromA != nil && rk < rb { // vk ≺ b
+			idx.updatePass(rk, b, fromA.Dist()+1, fromA.Count(), true, &st)
 		}
-		if s, ok := hubB[rk]; ok && rk < ra { // vk ≺ a
-			idx.updatePass(rk, a, s.d+1, s.c, false, &st)
+		if fromB != nil && rk < ra { // vk ≺ a
+			idx.updatePass(rk, a, fromB.Dist()+1, fromB.Count(), false, &st)
 		}
 	}
 	st.Duration = time.Since(start)
 	return st, nil
+}
+
+// appendEntries appends l's entries to dst, streaming a compressed list
+// without thawing it.
+func appendEntries(dst []bitpack.Entry, l *label.List) []bitpack.Entry {
+	l.Each(func(e bitpack.Entry) bool {
+		dst = append(dst, e)
+		return true
+	})
+	return dst
 }
 
 // updatePass is FORWARD PASS / BACKWARD PASS (Algorithm 6): a resumed BFS
@@ -143,14 +150,14 @@ func (idx *Index) updateLabel(hubRank, w, dNew int, cNew uint64, inSide bool, st
 		case dNew < e.Dist():
 			lst.Set(bitpack.Pack(hubRank, dNew, cNew))
 			st.EntriesChanged++
-			st.touch(w)
+			idx.touch(st, w)
 			if idx.Strategy == Minimality {
 				idx.cleanLabel(w, inSide, st)
 			}
 		case dNew == e.Dist():
 			lst.Set(bitpack.Pack(hubRank, dNew, bitpack.SatAdd(e.Count(), cNew)))
 			st.EntriesChanged++
-			st.touch(w)
+			idx.touch(st, w)
 		}
 		// dNew > e.Dist() cannot occur: the BFS only reaches w when its
 		// tentative distance is at most the index distance, which is at
@@ -160,7 +167,7 @@ func (idx *Index) updateLabel(hubRank, w, dNew int, cNew uint64, inSide bool, st
 	lst.Set(bitpack.Pack(hubRank, dNew, cNew))
 	idx.entries++
 	st.EntriesAdded++
-	st.touch(w)
+	idx.touch(st, w)
 	if inSide {
 		idx.addInvIn(hubRank, w)
 	} else {
@@ -195,7 +202,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 		for _, h := range drop {
 			if idx.removeInEntry(w, h) {
 				st.EntriesRemoved++
-				st.touch(w)
+				idx.touch(st, w)
 			}
 		}
 		if m := idx.invOut[wRank]; m != nil {
@@ -216,7 +223,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 				if idx.shorterThan(v, w, e.Dist()) {
 					if idx.removeOutEntry(v, wRank) {
 						st.EntriesRemoved++
-						st.touch(v)
+						idx.touch(st, v)
 					}
 				}
 			}
@@ -238,7 +245,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 	for _, h := range drop {
 		if idx.removeOutEntry(w, h) {
 			st.EntriesRemoved++
-			st.touch(w)
+			idx.touch(st, w)
 		}
 	}
 	if m := idx.invIn[wRank]; m != nil {
@@ -259,7 +266,7 @@ func (idx *Index) cleanLabel(w int, inSide bool, st *UpdateStats) {
 			if idx.shorterThan(w, v, e.Dist()) {
 				if idx.removeInEntry(v, wRank) {
 					st.EntriesRemoved++
-					st.touch(v)
+					idx.touch(st, v)
 				}
 			}
 		}

@@ -90,15 +90,21 @@ type UpdateStats struct {
 	PlanDuration  time.Duration
 	BuildDuration time.Duration
 
-	// TouchedOwners lists the vertices whose label lists were mutated
-	// (with duplicates). Everything a query could answer differently
-	// after the update involves at least one touched owner, so consumers
-	// like the top-K monitor re-score only these.
+	// TouchedOwners lists the vertices whose label lists were mutated,
+	// each owner once per op (a batch aggregate concatenates its ops'
+	// lists, so an owner two ops touched appears twice). Everything a
+	// query could answer differently after the update involves at least
+	// one touched owner, so consumers like the top-K monitor re-score
+	// only these.
 	TouchedOwners []int32
 }
 
-func (st *UpdateStats) touch(v int) {
-	st.TouchedOwners = append(st.TouchedOwners, int32(v))
+// touch records v as a touched owner of the running update op, once per
+// op (the dedupe mark lives in the op's scratch; see Scratch.beginOp).
+func (idx *Index) touch(st *UpdateStats, v int) {
+	if idx.scr.firstTouch(v) {
+		st.TouchedOwners = append(st.TouchedOwners, int32(v))
+	}
 }
 
 // Index is a 2-hop counting label over a directed graph.

@@ -1,6 +1,7 @@
 package pll
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bitpack"
@@ -31,6 +32,77 @@ type Scratch struct {
 	// it — no later entry can share a hub with the anchor.
 	hub    []int32
 	maxHub int32
+
+	// owner[v] == op marks label owner v as already recorded in the
+	// current update op's TouchedOwners (beginOp starts an op), so each
+	// owner is reported once per op without a per-op set.
+	owner []uint32
+	op    uint32
+
+	// seedA and seedB hold an insertion's affected-hub seeds, Lin(a) and
+	// Lout(b) as captured before its passes run.
+	seedA, seedB []bitpack.Entry
+
+	// del is the decremental update's step-1 state, materialized by the
+	// first deletion that borrows this scratch (construction never does).
+	del *deletionScratch
+}
+
+// deletionScratch holds DeleteEdge's step-1 working set: the four
+// pre-deletion BFS distance arrays, the SA/SB membership flags and lists,
+// and the repair pass ranks.
+type deletionScratch struct {
+	dist   [4][]int32 // sd(·,a), sd(·,b), sd(a,·), sd(b,·); -1 = unreachable
+	side   []uint8    // inSA | inSB flags per vertex
+	sa, sb []int32
+	ranks  []int
+	drop   []int
+}
+
+// SA/SB membership flags of deletionScratch.side.
+const (
+	inSA uint8 = 1 << iota
+	inSB
+)
+
+// deletion returns the scratch's deletion state reset for an n-vertex
+// graph: distances all -1, no flags, empty lists.
+func (s *Scratch) deletion(n int) *deletionScratch {
+	if s.del == nil {
+		s.del = &deletionScratch{}
+	}
+	d := s.del
+	for i := range d.dist {
+		d.dist[i] = slices.Grow(d.dist[i][:0], n)[:n]
+		for v := range d.dist[i] {
+			d.dist[i][v] = -1
+		}
+	}
+	d.side = slices.Grow(d.side[:0], n)[:n]
+	clear(d.side)
+	d.sa, d.sb = d.sa[:0], d.sb[:0]
+	return d
+}
+
+// beginOp starts one update op's owner dedupe over n vertices.
+func (s *Scratch) beginOp(n int) {
+	if len(s.owner) < n {
+		s.owner = slices.Grow(s.owner, n-len(s.owner))[:n]
+	}
+	if s.op++; s.op == 0 { // wrapped: stale stamps could collide
+		clear(s.owner)
+		s.op = 1
+	}
+}
+
+// firstTouch reports whether v is recorded for the first time in the
+// current op, marking it.
+func (s *Scratch) firstTouch(v int) bool {
+	if s.owner[v] == s.op {
+		return false
+	}
+	s.owner[v] = s.op
+	return true
 }
 
 // scratchPool recycles Scratch allocations across indexes. With the

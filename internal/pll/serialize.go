@@ -34,42 +34,32 @@ var ErrBadFormat = errors.New("pll: bad index format")
 
 // WriteTo serializes the index. It implements io.WriterTo.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
+	e := NewEncoder(w)
+	idx.Encode(e)
+	return e.Flush()
+}
 
-	if err := write(indexMagic); err != nil {
-		return cw.n, err
-	}
+// Encode writes the index's v1 stream into e; the sharded v2 writer
+// embeds one per shard in its own stream.
+func (idx *Index) Encode(e *Encoder) {
+	e.Bytes(indexMagic[:])
 	n := idx.G.NumVertices()
-	if err := write(uint32(n)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(idx.G.NumEdges())); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint8(idx.Strategy)); err != nil {
-		return cw.n, err
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range idx.G.Out(u) {
-			if err := write(uint32(u)); err != nil {
-				return cw.n, err
-			}
-			if err := write(uint32(v)); err != nil {
-				return cw.n, err
-			}
-		}
-	}
+	e.U32(uint32(n))
+	e.U32(uint32(idx.G.NumEdges()))
+	e.U8(uint8(idx.Strategy))
+	e.Edges(idx.G)
 	for r := 0; r < n; r++ {
-		if err := write(uint32(idx.Ord.VertexAt(r))); err != nil {
-			return cw.n, err
-		}
+		e.U32(uint32(idx.Ord.VertexAt(r)))
 	}
 	// A reduced index writes each mirrored list as its derivation, so the
 	// bytes match the full labeling's.
 	var buf []bitpack.Entry
 	var derived label.List
-	for v := 0; v < n; v++ {
+	put := func(x bitpack.Entry) bool {
+		e.U64(uint64(x))
+		return true
+	}
+	for v := 0; v < n && e.err == nil; v++ {
 		for _, in := range [2]bool{true, false} {
 			lst := &idx.Out[v]
 			if in {
@@ -80,23 +70,73 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 				derived = label.Wrap(buf)
 				lst = &derived
 			}
-			if err := write(uint32(lst.Len())); err != nil {
-				return cw.n, err
-			}
-			var werr error
-			lst.Each(func(e bitpack.Entry) bool {
-				werr = write(uint64(e))
-				return werr == nil
-			})
-			if werr != nil {
-				return cw.n, werr
-			}
+			e.U32(uint32(lst.Len()))
+			lst.Each(put)
 		}
 	}
-	// Flush before reading the count — the order of a plain operand read
-	// against a call in one return list is unspecified.
-	err := cw.w.(*bufio.Writer).Flush()
-	return cw.n, err
+}
+
+// Encoder writes the snapshot formats' little-endian fields through one
+// buffered writer, encoding each field in one reused 8-byte buffer
+// instead of boxing it for binary.Write. The first error sticks: later
+// writes are dropped and Flush reports it.
+type Encoder struct {
+	bw  *bufio.Writer
+	cw  countingWriter
+	le  [8]byte
+	err error
+}
+
+// NewEncoder returns an Encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	e := &Encoder{cw: countingWriter{w: w}}
+	e.bw = bufio.NewWriter(&e.cw)
+	return e
+}
+
+// Bytes writes p verbatim.
+func (e *Encoder) Bytes(p []byte) {
+	if e.err == nil {
+		_, e.err = e.bw.Write(p)
+	}
+}
+
+// U8 writes one byte.
+func (e *Encoder) U8(v uint8) {
+	if e.err == nil {
+		e.err = e.bw.WriteByte(v)
+	}
+}
+
+// U32 writes v little-endian.
+func (e *Encoder) U32(v uint32) {
+	binary.LittleEndian.PutUint32(e.le[:4], v)
+	e.Bytes(e.le[:4])
+}
+
+// U64 writes v little-endian.
+func (e *Encoder) U64(v uint64) {
+	binary.LittleEndian.PutUint64(e.le[:], v)
+	e.Bytes(e.le[:])
+}
+
+// Edges writes g's edge list as m × (tail, head), tails ascending.
+func (e *Encoder) Edges(g *graph.Digraph) {
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.Out(u) {
+			e.U32(uint32(u))
+			e.U32(uint32(v))
+		}
+	}
+}
+
+// Flush drains the buffer and reports the bytes that reached the
+// underlying writer and the first error.
+func (e *Encoder) Flush() (int64, error) {
+	if e.err == nil {
+		e.err = e.bw.Flush()
+	}
+	return e.cw.n, e.err
 }
 
 // ReadIndex deserializes an index written by WriteTo.

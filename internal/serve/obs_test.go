@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,6 +275,31 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics/stats drift: /metrics lacks %q", want)
 		}
+	}
+
+	// The runtime families read runtime/metrics: a heap in use, a heap
+	// goal, and a cycle counter that a forced collection advances.
+	sample := func(body, name string) float64 {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("/metrics lacks %s", name)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	inuse, goal := sample(body, "cscd_heap_inuse_bytes"), sample(body, "cscd_heap_goal_bytes")
+	if inuse <= 0 || goal <= 0 {
+		t.Errorf("heap in use %v, heap goal %v: want both positive", inuse, goal)
+	}
+	cycles := sample(body, "cscd_gc_cycles_total")
+	runtime.GC()
+	_, body = get(t, srv.URL+"/metrics")
+	if after := sample(body, "cscd_gc_cycles_total"); after <= cycles {
+		t.Errorf("cscd_gc_cycles_total %v after runtime.GC, was %v", after, cycles)
 	}
 }
 
