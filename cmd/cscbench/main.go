@@ -186,7 +186,7 @@ func main() {
 	}
 	if all || *expName == "ordering" {
 		ran = true
-		run("Extension: hub-ordering shootout — degree vs random vs betweenness vs coverage", func() error {
+		run("Extension: hub-ordering shootout — degree vs random vs coverage", func() error {
 			return exp.WriteOrdering(os.Stdout, exp.Ordering(scale))
 		})
 	}

@@ -29,6 +29,15 @@
 // bootstrap flags -graph/-vertices only matter for an empty store). On
 // SIGINT/SIGTERM the daemon drains, snapshots, and exits cleanly.
 //
+// An index the daemon builds (from -graph or -vertices) ranks its hubs by
+// the coverage order (-order coverage, seeded by -order-seed): greedy
+// cover of sampled shortest cycles. On the payment ledger the daemon is
+// measured on, that stores 9% fewer label entries than the paper's
+// degree order, which -order degree selects. A snapshot records the
+// order but not its seed: a restarted daemon rebuilds merged shards
+// under the snapshot's order with seed 0, whatever the flags say. An
+// -index file carries its own order the same way.
+//
 // The daemon also participates in a replicated cluster (fronted by
 // cmd/cscrouter). With -replicate-to URL every committed batch's WAL
 // record is shipped to a follower after the local fsync, and Close
@@ -66,8 +75,8 @@ func main() {
 		indexIn   = flag.String("index", "", "bootstrap from a serialized index file (v1–v4; v1 is re-sharded on load) instead of building one")
 		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of reading it (serve before labels page in)")
 		compress  = flag.Bool("compress", false, "build with compressed label storage (delta+varint frozen arena + bloom-screened joins)")
-		orderBy   = flag.String("order", "degree", "hub-ordering strategy: degree | id | random | betweenness | coverage")
-		orderSeed = flag.Int64("order-seed", 0, "sampling seed for the betweenness/coverage/random orderings")
+		orderBy   = flag.String("order", "coverage", "hub-ordering strategy for built indexes: coverage | degree (the paper's order) | id | random")
+		orderSeed = flag.Int64("order-seed", 0, "sampling seed for the coverage and random orderings")
 		rerank    = flag.Duration("rerank", 0, "enable online per-shard hub re-ranking, checking drift at this interval (0 = off)")
 		vertices  = flag.Int("vertices", 0, "bootstrap an empty graph with this many vertices (when -graph is unset)")
 		topK      = flag.Int("k", 0, "maintain a top-k cycle-count watchlist and serve /top")

@@ -130,22 +130,23 @@ func WithCompression() Option {
 type Ordering = order.Strategy
 
 // Hub-ordering strategies for WithOrdering. Degree is the paper's
-// recommendation and the default; Betweenness ranks by sampled-BFS
-// betweenness (shortest-path load); Coverage greedily ranks by how many
-// sampled shortest paths a vertex covers that higher ranks don't. On
-// skewed-degree graphs degree is hard to beat; on uniform-degree graphs
-// (meshes, rings) it degenerates to id order and the sampled strategies
-// cut label bytes substantially (see EXPERIMENTS.md, ORD-*).
+// recommendation and the library default; Coverage greedily ranks by how
+// many sampled shortest cycles a vertex covers that higher ranks don't.
+// On skewed-degree graphs degree is hard to beat; on uniform-degree
+// graphs (meshes, rings) it degenerates to id order and coverage cuts
+// label bytes substantially (see EXPERIMENTS.md, ORD-*). cscd serves
+// coverage by default: on its payment ledger, whose large background
+// component has near-uniform degrees, coverage stores 9% fewer label
+// entries (EXPERIMENTS.md, "Hub order on the served ledger").
 const (
-	OrderDegree      = order.Degree
-	OrderID          = order.ID
-	OrderRandom      = order.Random
-	OrderBetweenness = order.Betweenness
-	OrderCoverage    = order.Coverage
+	OrderDegree   = order.Degree
+	OrderID       = order.ID
+	OrderRandom   = order.Random
+	OrderCoverage = order.Coverage
 )
 
-// ParseOrdering maps a flag string (degree | id | random | betweenness |
-// coverage) to a strategy.
+// ParseOrdering maps a flag string (degree | id | random | coverage) to a
+// strategy.
 func ParseOrdering(s string) (Ordering, error) { return order.ParseStrategy(s) }
 
 // WithOrdering selects the hub-ordering strategy construction and every
@@ -156,9 +157,9 @@ func WithOrdering(s Ordering) Option {
 	return func(c *buildConfig) { c.opts.Order = s }
 }
 
-// WithOrderingSeed seeds the sampling strategies (OrderBetweenness,
-// OrderCoverage, OrderRandom). The order is a pure function of (graph,
-// strategy, seed), so a fixed seed makes repeated builds byte-identical.
+// WithOrderingSeed seeds the sampled orders (OrderCoverage,
+// OrderRandom). The order is a pure function of (graph, strategy, seed),
+// so a fixed seed makes repeated builds byte-identical.
 func WithOrderingSeed(seed int64) Option {
 	return func(c *buildConfig) { c.opts.OrderSeed = seed }
 }

@@ -486,7 +486,7 @@ func TestOrderingOptions(t *testing.T) {
 			_ = g.AddEdge(u, v)
 		}
 	}
-	for _, s := range []Ordering{OrderDegree, OrderID, OrderRandom, OrderBetweenness, OrderCoverage} {
+	for _, s := range []Ordering{OrderDegree, OrderID, OrderRandom, OrderCoverage} {
 		idx := BuildIndex(g.Clone(), WithOrdering(s), WithOrderingSeed(9))
 		for v := 0; v < n; v++ {
 			if got, want := idx.CycleCount(v), CycleCountBFS(g, v); got != want {

@@ -63,10 +63,12 @@ type Options struct {
 	// scoped rebuild uses (order.Compute over the component's induced
 	// subgraph). The zero value is order.Degree — the paper's ordering —
 	// so existing builds are unchanged. Indexes carrying a non-degree
-	// order serialize as the v4 format.
+	// order record it: as the v4 format when compressed, as order tags
+	// in the v2 format otherwise.
 	Order order.Strategy
-	// OrderSeed seeds the sampling strategies (betweenness, coverage,
-	// random). Builds are deterministic for a fixed seed.
+	// OrderSeed seeds the sampled orders (coverage, random). Builds are
+	// deterministic for a fixed seed. No format records it: a loaded
+	// index rebuilds with seed 0.
 	OrderSeed int64
 }
 

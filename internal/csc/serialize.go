@@ -19,8 +19,9 @@ import (
 // format ("CSCIDX03", v3.go): the same structure with each shard's labels
 // as a compressed frozen arena in a flat, mmap-able layout. The v4 format
 // ("CSCIDX04") is v3 plus per-shard ordering-strategy provenance, emitted
-// only when a non-degree hub order needs recording (the hub orders
-// themselves round-trip explicitly in every format). Read dispatches on
+// only when a non-degree hub order needs recording; v2 records the same
+// provenance as optional order tags (the hub orders themselves
+// round-trip explicitly in every format). Read dispatches on
 // the magic, so consumers — cyclehub.ReadIndex, the engine's WAL/snapshot
 // recovery, the csc CLI — load any form transparently, and files written
 // before sharding or compression existed keep loading (the serving

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/graph"
+	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/pll"
 )
@@ -17,13 +18,21 @@ import (
 //	magic    [8]byte  "CSCIDX02"
 //	n        uint32   global vertex count
 //	m        uint32   global edge count (including cross-component edges)
-//	strategy uint8
+//	strategy uint8    maintenance strategy; bit 7 set: order tags follow
+//	order    uint8    (tagged only) the build's hub-order strategy
 //	edges    m × (uint32, uint32)
 //	shards   uint32   number of non-trivial components
 //	per shard, ordered by smallest member vertex:
 //	  size   uint32   member count (≥ 2)
 //	  verts  size × uint32, strictly increasing (position = local id)
+//	  order  uint8    (tagged only) the strategy of the shard's hub order
 //	  blob   the shard's Gb labeling, a complete embedded v1 stream
+//
+// The hub orders themselves ride in the v1 blobs. The order tags are
+// written exactly when v3 would need v4 (needsOrderTags), so a
+// degree-built index writes the same bytes as before the tags existed,
+// and a coverage-built one reloads knowing its order: restart rebuilds
+// then use the build's strategy, not degree.
 //
 // The global graph is authoritative for the edge set; each shard blob
 // carries the component's converted subgraph with its labels. Loading
@@ -34,6 +43,10 @@ import (
 // wrong counts.
 
 const shardedMagic = "CSCIDX02"
+
+// v2OrderTags is the bit of the v2 strategy byte that says order tags
+// follow.
+const v2OrderTags = 0x80
 
 // maxShardedVertices bounds the v2/v3 header's global vertex count. The
 // loader allocates ~20 bytes of adjacency offsets, build scratch and
@@ -54,11 +67,17 @@ func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
 	if x.opts.CompressLabels {
 		return x.writeV34(w)
 	}
+	tags := x.needsOrderTags()
 	e := pll.NewEncoder(w)
 	e.Bytes([]byte(shardedMagic))
 	e.U32(uint32(x.g.NumVertices()))
 	e.U32(uint32(x.g.NumEdges()))
-	e.U8(uint8(x.opts.Strategy))
+	if tags {
+		e.U8(uint8(x.opts.Strategy) | v2OrderTags)
+		e.U8(uint8(x.opts.Order))
+	} else {
+		e.U8(uint8(x.opts.Strategy))
+	}
 	e.Edges(x.g)
 	live := x.liveShards()
 	e.U32(uint32(len(live)))
@@ -66,6 +85,9 @@ func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
 		e.U32(uint32(len(sh.verts)))
 		for _, v := range sh.verts {
 			e.U32(uint32(v))
+		}
+		if tags {
+			e.U8(uint8(sh.strat))
 		}
 		sh.idx.eng.Encode(e)
 	}
@@ -97,6 +119,25 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 	}
 	if err := read(&strat); err != nil {
 		return nil, bad("%v", err)
+	}
+	tags := strat&v2OrderTags != 0
+	strat &^= v2OrderTags
+	readTag := func() (order.Strategy, error) {
+		var b uint8
+		if err := read(&b); err != nil {
+			return 0, bad("truncated order tag: %v", err)
+		}
+		if s := order.Strategy(b); s.Valid() {
+			return s, nil
+		}
+		return 0, bad("unknown order strategy %d", b)
+	}
+	var ostrat order.Strategy
+	if tags {
+		var err error
+		if ostrat, err = readTag(); err != nil {
+			return nil, err
+		}
 	}
 	n, m := int(n32), int(m32)
 	// The global graph carries no labeling, so the per-shard hub encoding
@@ -139,7 +180,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 
 	x := &Sharded{
 		g:       g,
-		opts:    Options{Strategy: pll.Strategy(strat)},
+		opts:    Options{Strategy: pll.Strategy(strat), Order: ostrat},
 		shardOf: make([]int32, n),
 		localID: make([]int32, n),
 	}
@@ -173,6 +214,12 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 			x.shardOf[v] = int32(sid)
 			x.localID[v] = int32(i)
 		}
+		var shardStrat order.Strategy
+		if tags {
+			if shardStrat, err = readTag(); err != nil {
+				return nil, err
+			}
+		}
 		eng, err := pll.ReadIndexFrom(br)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d labeling: %w", sid, err)
@@ -192,7 +239,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		if !graph.Equal(sub, partition.Induced(g, verts)) {
 			return nil, bad("shard %d subgraph does not match the global graph", sid)
 		}
-		x.shards = append(x.shards, &shard{verts: verts, idx: &Index{g: sub, eng: eng}})
+		x.shards = append(x.shards, &shard{verts: verts, idx: &Index{g: sub, eng: eng}, strat: shardStrat})
 	}
 	// The shard table must be exactly the graph's non-trivial SCCs — a
 	// table that omits a cyclic region (which would silently answer 0) or

@@ -61,10 +61,11 @@ const (
 	v4Magic = "CSCIDX04"
 )
 
-// needsV4 reports whether any ordering provenance would be lost in v3 —
+// needsOrderTags reports whether any ordering provenance would be lost
+// without order tags (v4 rather than v3, tagged rather than plain v2) —
 // a non-degree build default, or any live shard carrying a non-degree
 // order tag.
-func (x *Sharded) needsV4() bool {
+func (x *Sharded) needsOrderTags() bool {
 	if x.opts.Order != order.Degree {
 		return true
 	}
@@ -82,7 +83,7 @@ func (x *Sharded) needsV4() bool {
 // section copies for the untouched lists), so the written arena is
 // current.
 func (x *Sharded) writeV34(w io.Writer) (int64, error) {
-	v4 := x.needsV4()
+	v4 := x.needsOrderTags()
 	e := pll.NewEncoder(w)
 	magic := v3Magic
 	if v4 {

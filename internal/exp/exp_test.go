@@ -174,10 +174,10 @@ func TestScalingGrowsSlowly(t *testing.T) {
 
 // TestOrderingShootout gates the hub-ordering experiment on its
 // deterministic size results (timings vary, label bytes do not):
-// every strategy builds every family, no informed strategy loses to
-// random anywhere, and at least one sampled-cycle strategy beats the
-// degree baseline by ≥10% label bytes on at least one family — the
-// evidence the pluggable-order machinery pays for itself.
+// every strategy builds every family, degree beats random where degrees
+// are informative, and coverage beats the degree baseline by ≥10% label
+// bytes on at least one family — the evidence the pluggable-order
+// machinery pays for itself.
 func TestOrderingShootout(t *testing.T) {
 	rows := Ordering(Tiny)
 	strategies := orderingStrategies()
@@ -206,14 +206,12 @@ func TestOrderingShootout(t *testing.T) {
 	}
 	best := 1.0
 	for _, cells := range byFam {
-		for _, name := range []string{"betweenness", "coverage"} {
-			if r := cells[name].BytesVsDegree; r < best {
-				best = r
-			}
+		if r := cells["coverage"].BytesVsDegree; r < best {
+			best = r
 		}
 	}
 	if best > 0.90 {
-		t.Errorf("no sampled strategy beats degree by ≥10%% label bytes anywhere (best ratio %.3f)", best)
+		t.Errorf("coverage beats degree by ≥10%% label bytes nowhere (best ratio %.3f)", best)
 	}
 	var buf bytes.Buffer
 	if err := WriteOrdering(&buf, rows); err != nil {

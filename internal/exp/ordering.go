@@ -15,9 +15,9 @@ import (
 // implements, built over the same partition-stress families the sharding
 // experiment uses, measured on the three axes an ordering can move —
 // label bytes (the paper's headline: a good order prunes construction
-// BFSes early, so every list shrinks), build wall-clock (sampled
-// strategies pay per-sample BFS up front), and query latency (shorter
-// lists join faster). The ORD-* rows land in the BENCH_*.json artifact
+// BFSes early, so every list shrinks), build wall-clock (coverage pays
+// per-sample BFS up front), and query latency (shorter lists join
+// faster). The ORD-* rows land in the BENCH_*.json artifact
 // next to SHARD-*/UPD-*/QRY-*, so the ordering trajectory diffs across
 // PRs like every other figure.
 
@@ -39,10 +39,10 @@ type OrderingRow struct {
 }
 
 // orderingStrategies is the shootout sweep: the paper's degree baseline,
-// the two sampled-cycle strategies, and random as the floor every
+// the sampled-cycle coverage order, and random as the floor every
 // informed order must clear.
 func orderingStrategies() []order.Strategy {
-	return []order.Strategy{order.Degree, order.Random, order.Betweenness, order.Coverage}
+	return []order.Strategy{order.Degree, order.Random, order.Coverage}
 }
 
 // orderingSeed fixes the sampling seed so every shootout run builds the

@@ -2,10 +2,11 @@
 // label size ("Algorithmic and Hardness Results for the Hub Labeling
 // Problem", Angelidakis et al.): a good order puts the vertices that
 // intersect the most shortest cycles first, so every BFS prunes earlier
-// and every label stays shorter. Degree is the paper's heuristic; the
-// strategies here estimate cycle centrality directly from a sample of
-// shortest-cycle BFS trees and consistently produce smaller labels on
-// graphs where degree is uninformative (near-regular topologies).
+// and every label stays shorter. Degree is the paper's heuristic;
+// Coverage picks hubs greedily to cover a sample of shortest cycles and
+// produces smaller labels where degree is uninformative: near-regular
+// topologies, and the near-uniform background of the payment ledger
+// cscd serves, where degree order falls back to id order.
 //
 // Every strategy breaks ties on ascending vertex id as the final key, so
 // repeated builds over the same graph are byte-identical.
@@ -33,10 +34,11 @@ const (
 	ID
 	// Random is a seeded uniform permutation (ablation baseline).
 	Random
-	// Betweenness ranks by sampled shortest-cycle betweenness: the
-	// expected number of sampled shortest cycles running through each
-	// vertex.
-	Betweenness
+	// Wire value 3 was sampled shortest-cycle betweenness, deleted after
+	// it lost to degree or to coverage on every family measured. The
+	// value stays reserved: a file whose shard is tagged 3 still loads,
+	// and Compute ranks it by degree. It has no name to parse.
+	retired
 	// Coverage ranks by greedy set cover over materialized sampled
 	// shortest cycles: each pick covers the most yet-uncovered cycles.
 	Coverage
@@ -57,8 +59,6 @@ func (s Strategy) String() string {
 		return "id"
 	case Random:
 		return "random"
-	case Betweenness:
-		return "betweenness"
 	case Coverage:
 		return "coverage"
 	case Hits:
@@ -73,16 +73,16 @@ func (s Strategy) Valid() bool { return s < numStrategies }
 // ParseStrategy resolves a canonical name back to its Strategy.
 func ParseStrategy(name string) (Strategy, error) {
 	for s := Degree; s < numStrategies; s++ {
-		if s.String() == name {
+		if s != retired && s.String() == name {
 			return s, nil
 		}
 	}
 	return 0, fmt.Errorf("order: unknown strategy %q", name)
 }
 
-// DefaultSamples is the shortest-cycle sample size Compute uses for the
-// sampling strategies: enough for stable ranks at shard scale, cheap
-// enough to run inside a build.
+// DefaultSamples is the shortest-cycle sample size Compute uses for
+// Coverage: enough for stable ranks at shard scale, cheap enough to run
+// inside a build.
 func DefaultSamples(n int) int {
 	const limit = 64
 	if n < limit {
@@ -92,19 +92,18 @@ func DefaultSamples(n int) int {
 }
 
 // Compute builds an order for g under the named strategy. The seed feeds
-// the sampling strategies (and Random); fixed seed means deterministic
+// Coverage's sampling (and Random); fixed seed means deterministic
 // output. Hits is online-only and falls back to degree — an offline
-// rebuild has no live hit counters to consult.
+// rebuild has no live hit counters to consult — and so does the retired
+// wire value 3.
 func Compute(g *graph.Digraph, s Strategy, seed int64) (*Order, error) {
 	switch s {
-	case Degree, Hits:
+	case Degree, Hits, retired:
 		return ByDegree(g), nil
 	case ID:
 		return ByID(g.NumVertices()), nil
 	case Random:
 		return ByRandom(g.NumVertices(), seed), nil
-	case Betweenness:
-		return ByBetweenness(g, DefaultSamples(g.NumVertices()), seed), nil
 	case Coverage:
 		return ByCoverage(g, DefaultSamples(g.NumVertices()), seed), nil
 	}
@@ -122,98 +121,6 @@ func sampleVertices(n, k int, seed int64) []int {
 		return vs
 	}
 	return rand.New(rand.NewSource(seed)).Perm(n)[:k]
-}
-
-// cycleBFS runs the Algorithm-1 shortest-cycle BFS from vq, returning the
-// dist/cnt arrays, the BFS queue (dequeue order), and the cycle length
-// (NoCycle when vq lies on no cycle). dist and cnt are caller-provided
-// scratch of length n with dist primed to -1; the queue returned has every
-// enqueued vertex, dequeued prefix in FIFO order. Mirrors
-// bfscount.CycleCount but keeps the tree, which the strategies consume.
-func cycleBFS(g *graph.Digraph, vq int, dist []int32, cnt []float64, queue []int32) (int, []int32) {
-	queue = queue[:0]
-	for _, u := range g.Out(vq) {
-		if dist[u] == -1 {
-			dist[u] = 1
-			cnt[u] = 1
-			queue = append(queue, u)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		w := queue[head]
-		if int(w) == vq {
-			return int(dist[w]), queue
-		}
-		for _, wn := range g.Out(int(w)) {
-			switch {
-			case dist[wn] == -1:
-				dist[wn] = dist[w] + 1
-				cnt[wn] = cnt[w]
-				queue = append(queue, wn)
-			case dist[wn] == dist[w]+1:
-				cnt[wn] += cnt[w]
-			}
-		}
-	}
-	return -1, queue
-}
-
-// ByBetweenness ranks vertices by sampled shortest-cycle betweenness.
-// For each of up to `samples` seeded sample vertices vq it runs the
-// shortest-cycle BFS, then a backward pass over the shortest-path DAG
-// counting, for every vertex w, forward·backward path products — the
-// number of shortest cycles through vq that contain w. Credits accumulate
-// across samples; rank is descending credit, then descending degree, then
-// ascending id.
-func ByBetweenness(g *graph.Digraph, samples int, seed int64) *Order {
-	n := g.NumVertices()
-	credit := make([]float64, n)
-	dist := make([]int32, n)
-	cnt := make([]float64, n)
-	back := make([]float64, n)
-	var queue []int32
-	for i := range dist {
-		dist[i] = -1
-	}
-	for _, vq := range sampleVertices(n, samples, seed) {
-		var l int
-		l, queue = cycleBFS(g, vq, dist, cnt, queue)
-		if l >= 0 {
-			// Backward pass: back[w] = #shortest w→vq paths of length
-			// l-dist[w]. Reverse dequeue order visits non-increasing
-			// distance, so every successor is final before its
-			// predecessors read it. Vertices at distance l other than vq
-			// cannot lie on a shortest cycle and keep back = 0.
-			for _, w := range queue {
-				back[w] = 0
-			}
-			back[vq] = 1
-			for i := len(queue) - 1; i >= 0; i-- {
-				w := queue[i]
-				if int(w) == vq || int(dist[w]) >= l {
-					continue
-				}
-				for _, x := range g.Out(int(w)) {
-					if dist[x] == dist[w]+1 {
-						back[w] += back[x]
-					}
-				}
-			}
-			total := cnt[vq] // #shortest cycles through vq
-			for _, w := range queue {
-				if int(dist[w]) < l {
-					credit[w] += cnt[w] * back[w]
-				}
-			}
-			credit[vq] += total
-		}
-		// Reset only what the BFS touched.
-		for _, w := range queue {
-			dist[w] = -1
-		}
-		dist[vq] = -1 // cycleBFS sets it when the cycle closes
-	}
-	return byScore(g, credit)
 }
 
 // ByCoverage ranks vertices by greedy cover over sampled shortest
@@ -351,19 +258,13 @@ func ByWeights(g *graph.Digraph, weights []float64) *Order {
 		panic(fmt.Sprintf("order: ByWeights got %d weights for %d vertices",
 			len(weights), g.NumVertices()))
 	}
-	return byScore(g, weights)
-}
-
-// byScore ranks by descending score, then descending degree, then
-// ascending id.
-func byScore(g *graph.Digraph, score []float64) *Order {
 	n := g.NumVertices()
 	vs := make([]int, n)
 	for i := range vs {
 		vs[i] = i
 	}
 	sort.Slice(vs, func(a, b int) bool {
-		sa, sb := score[vs[a]], score[vs[b]]
+		sa, sb := weights[vs[a]], weights[vs[b]]
 		if sa != sb {
 			return sa > sb
 		}

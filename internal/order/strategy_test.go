@@ -18,6 +18,12 @@ func ring(n int) *graph.Digraph {
 
 func TestStrategyStringParseRoundTrip(t *testing.T) {
 	for s := Degree; s.Valid(); s++ {
+		if s == retired {
+			if _, err := ParseStrategy(s.String()); err == nil {
+				t.Errorf("retired wire value parses as %q", s.String())
+			}
+			continue
+		}
 		got, err := ParseStrategy(s.String())
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", s.String(), err)
@@ -26,8 +32,10 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("ParseStrategy(%q) = %v, want %v", s.String(), got, s)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("unknown name accepted")
+	for _, name := range []string{"bogus", "betweenness"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("unknown name %q accepted", name)
+		}
 	}
 	if Strategy(250).Valid() {
 		t.Error("out-of-range strategy valid")
@@ -35,9 +43,10 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 }
 
 // Wire values are a serialization contract (the v4 format stores them):
-// appending is fine, renumbering is corruption.
+// appending is fine, renumbering is corruption, and a deleted strategy's
+// value stays reserved.
 func TestStrategyWireValuesFrozen(t *testing.T) {
-	want := map[Strategy]uint8{Degree: 0, ID: 1, Random: 2, Betweenness: 3, Coverage: 4, Hits: 5}
+	want := map[Strategy]uint8{Degree: 0, ID: 1, Random: 2, retired: 3, Coverage: 4, Hits: 5}
 	for s, w := range want {
 		if uint8(s) != w {
 			t.Fatalf("strategy %s has wire value %d, want %d", s, uint8(s), w)
@@ -77,7 +86,7 @@ func TestStrategyDeterminism(t *testing.T) {
 // the tie-break that keeps orders deterministic.
 func TestStrategyTieBreaksOnVertexID(t *testing.T) {
 	g := ring(12)
-	for _, s := range []Strategy{Degree, Betweenness, Coverage, Hits} {
+	for _, s := range []Strategy{Degree, Coverage, Hits} {
 		o, err := Compute(g, s, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -93,6 +102,25 @@ func TestStrategyTieBreaksOnVertexID(t *testing.T) {
 	for r := 0; r < o.Len(); r++ {
 		if o.VertexAt(r) != r {
 			t.Fatalf("ByWeights: rank %d is vertex %d, want id order", r, o.VertexAt(r))
+		}
+	}
+}
+
+// The retired wire value 3 computes the degree order, as Hits does, so
+// a rebuild of a shard loaded with that tag still has an order.
+func TestRetiredStrategyRanksByDegree(t *testing.T) {
+	for _, ng := range testgraphs.Corpus() {
+		deg := ByDegree(ng.G)
+		for _, s := range []Strategy{retired, Hits} {
+			o, err := Compute(ng.G, s, 7)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", ng.Name, s, err)
+			}
+			for r := 0; r < o.Len(); r++ {
+				if o.VertexAt(r) != deg.VertexAt(r) {
+					t.Fatalf("%s/%s: rank %d is vertex %d, degree order has %d", ng.Name, s, r, o.VertexAt(r), deg.VertexAt(r))
+				}
+			}
 		}
 	}
 }
