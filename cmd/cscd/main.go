@@ -61,6 +61,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -223,6 +224,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("cscd: %v", err)
 	}
+	// Collect the boot's garbage (build, WAL replay and top-k warm
+	// scratch) and return its pages before listening, so serving starts
+	// from the live heap, not from wherever the boot's last collection
+	// left it.
+	debug.FreeOSMemory()
 	st := eng.Stats()
 	log.Printf("serving %d vertices / %d edges (seq %d) on %s", st.Vertices, st.Edges, st.Seq, *addr)
 
@@ -260,6 +266,7 @@ func runFollower(addr, dir string, bootstrap func() (*cyclehub.Index, error), op
 	if err != nil {
 		log.Fatalf("cscd: open follower: %v", err)
 	}
+	debug.FreeOSMemory() // as the primary does before it listens
 	log.Printf("follower serving on %s (replayed through seq %d)", addr, f.Seq())
 
 	srv := &http.Server{Addr: addr, Handler: f.Handler()}

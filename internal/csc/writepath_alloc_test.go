@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/label"
 	"repro/internal/testgraphs"
 )
 
@@ -81,5 +82,37 @@ func TestWritePathAllocBudget(t *testing.T) {
 		perPair, gbVertices, perPair/float64(gbVertices), budget)
 	if perPair > budget {
 		t.Errorf("a delete+re-insert pair allocates %.0f B, budget %.0f B", perPair, budget)
+	}
+}
+
+// TestExpandAllocatesOnlyDerivedLists pins what a reduced shard's first
+// label write allocates to expand it: the mirrored entries plus one
+// growth pad per derived list, and no second copy of the stored lists.
+// A collection that runs while the expansion holds two copies of the
+// shard's labels sets the next heap goal from both.
+func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	x, _ := deletePairs(t, 0)
+	e := x.liveShards()[0].idx.eng
+	if !e.Reduced() {
+		t.Fatal("a fresh build is not reduced")
+	}
+	stored := e.ResidentBytes() / 8
+	mirrored := e.EntryCount() - stored
+	want := 8 * (mirrored + label.ArenaPad*len(e.In))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Expand()
+	runtime.ReadMemStats(&after)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("expanding %d stored + %d mirrored entries allocated %d B (derived lists %d B)",
+		stored, mirrored, got, want)
+	if e.Reduced() || e.ResidentBytes() != 8*e.EntryCount() {
+		t.Fatalf("after Expand: reduced %v, resident %d B for %d entries", e.Reduced(), e.ResidentBytes(), e.EntryCount())
+	}
+	if slack := 16 << 10; got > want+slack { // the slab rounds up to whole pages
+		t.Errorf("Expand allocated %d B, want at most the derived lists' %d B (+%d)", got, want, slack)
 	}
 }

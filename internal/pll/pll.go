@@ -400,7 +400,7 @@ func (idx *Index) Arena() *label.Arena { return idx.arena }
 // lists it touches. The CSR arena, now shadowed, is released. A reduced
 // index is expanded first: the compressed arena holds every list.
 func (idx *Index) FreezeCompressed() {
-	idx.arena = nil // before Expand, which would re-pack it
+	idx.arena = nil
 	idx.Expand()
 	idx.frozen = label.FreezeCompressed(idx.In, idx.Out)
 }

@@ -26,9 +26,8 @@ import (
 // EntryCount still counts the logical labeling. Reads need nothing else;
 // every label mutation (INCCNT, decremental repair, vertex growth, a
 // compressed freeze) first derives the mirrors back through Expand, so
-// the dynamic algorithms always run on a full labeling laid out as a full
-// build lays it out. The writers emit the derived lists, so every
-// snapshot format is unchanged.
+// the dynamic algorithms always run on a full labeling. The writers emit
+// the derived lists, so every snapshot format is unchanged.
 
 // NewReduced allocates an empty index shell in the reduced state for a
 // construction over a bipartite conversion that stores only Lin(v_in)
@@ -50,30 +49,37 @@ func (idx *Index) CountMirrored() {
 	idx.mirrored++
 }
 
-// Expand derives the mirrored lists of a reduced index in one pass over
-// its labels and, when the labels live in a CSR arena, re-packs the arena
-// with every list, so an expanded index has the layout a full build has.
-// A full index is left as is.
+// Expand derives the mirrored lists of a reduced index into one slab
+// sized for them, each list followed by the arena's growth pad. The
+// stored lists stay where they are: re-packing the arena would hold the
+// old and the new copy of every label at once, and a collection that
+// ran during the copy would set the next heap goal from both, leaving
+// the process several MB larger for seconds. A full index is left as
+// is.
 func (idx *Index) Expand() {
 	if !idx.reduced {
 		return
 	}
-	slab := make([]bitpack.Entry, 0, idx.mirrored)
+	slab := make([]bitpack.Entry, 0, idx.mirrored+label.ArenaPad*len(idx.In))
+	wrap := func(lo int) label.List {
+		hi := len(slab)
+		for range label.ArenaPad {
+			slab = append(slab, 0)
+		}
+		return label.Wrap(slab[lo:hi:len(slab)])
+	}
 	for vin := 0; vin+1 < len(idx.In); vin += 2 {
 		vout := vin + 1
 		lo := len(slab)
 		slab = idx.deriveIn(vout, slab)
-		idx.In[vout] = label.Wrap(slab[lo:len(slab):len(slab)])
+		idx.In[vout] = wrap(lo)
 		lo = len(slab)
 		slab = idx.deriveOut(vin, slab)
-		idx.Out[vin] = label.Wrap(slab[lo:len(slab):len(slab)])
+		idx.Out[vin] = wrap(lo)
 	}
 	idx.reduced, idx.mirrored = false, 0
 	// The inverted indexes are rebuilt lazily from the full labeling.
 	idx.invIn, idx.invOut = nil, nil
-	if idx.arena != nil {
-		idx.FreezeArena()
-	}
 }
 
 // Reduce drops the mirrored lists of a full index whose mirrors all equal
