@@ -20,15 +20,43 @@ const NoCycle = -1
 // out-edges seeded with vq's out-neighbors at distance 1, accumulating
 // shortest-path counts, terminating as soon as vq itself is dequeued.
 // It returns the shortest cycle length through vq and the number of such
-// cycles, or (NoCycle, 0) when vq lies on no cycle.
+// cycles, or (NoCycle, 0) when vq lies on no cycle. It allocates two
+// n-sized arrays per call; a Counter answers many queries without them.
 func CycleCount(g *graph.Digraph, vq int) (length int, count uint64) {
-	n := g.NumVertices()
-	dist := make([]int32, n)
-	cnt := make([]uint64, n)
-	for i := range dist {
-		dist[i] = -1
+	var c Counter
+	return c.CycleCount(g, vq)
+}
+
+// Counter answers CycleCount repeatedly, reusing its BFS arrays: after
+// each query it resets only the cells that query touched, so a query
+// costs the vertices its BFS reached, not the graph's size. The zero
+// value is ready to use; a Counter is not safe for concurrent use.
+type Counter struct {
+	dist  []int32 // -1 for every vertex between queries
+	cnt   []uint64
+	queue []int32
+}
+
+// CycleCount is the package-level CycleCount on the counter's arrays,
+// which grow to the graph's vertex count on first use.
+func (c *Counter) CycleCount(g *graph.Digraph, vq int) (length int, count uint64) {
+	if n := g.NumVertices(); len(c.dist) < n {
+		c.dist = make([]int32, n)
+		c.cnt = make([]uint64, n)
+		for i := range c.dist {
+			c.dist[i] = -1
+		}
 	}
-	queue := make([]int32, 0, 16)
+	dist, cnt := c.dist, c.cnt
+	queue := c.queue[:0]
+	defer func() {
+		// Every visited vertex was queued, so the queue names every
+		// touched cell.
+		for _, w := range queue {
+			dist[w] = -1
+		}
+		c.queue = queue[:0]
+	}()
 	for _, u := range g.Out(vq) {
 		dist[u] = 1
 		cnt[u] = 1
@@ -100,8 +128,9 @@ func AllCycleCounts(g *graph.Digraph) (lengths []int, counts []uint64) {
 	n := g.NumVertices()
 	lengths = make([]int, n)
 	counts = make([]uint64, n)
+	var c Counter
 	for v := 0; v < n; v++ {
-		lengths[v], counts[v] = CycleCount(g, v)
+		lengths[v], counts[v] = c.CycleCount(g, v)
 	}
 	return lengths, counts
 }

@@ -164,3 +164,31 @@ func TestAllCycleCounts(t *testing.T) {
 		}
 	}
 }
+
+// A reused Counter answers exactly like a fresh CycleCount per query, on
+// one graph and across graphs of different sizes, and once its arrays
+// are sized a query allocates nothing.
+func TestCounterReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var c Counter
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + r.Intn(60)
+		g := graph.New(n)
+		for i := 0; i < 2*n; i++ {
+			if u, v := r.Intn(n), r.Intn(n); u != v {
+				_ = g.AddEdge(u, v)
+			}
+		}
+		for v := 0; v < n; v++ {
+			wl, wc := CycleCount(g, v)
+			if l, cnt := c.CycleCount(g, v); l != wl || cnt != wc {
+				t.Fatalf("trial %d vertex %d: reused counter (%d,%d), fresh (%d,%d)", trial, v, l, cnt, wl, wc)
+			}
+		}
+	}
+	g := testgraphs.GiantSCC(500, 2000, 3)
+	c.CycleCount(g, 0)
+	if allocs := testing.AllocsPerRun(50, func() { c.CycleCount(g, 7) }); allocs != 0 {
+		t.Errorf("a sized Counter allocates %.0f times per query", allocs)
+	}
+}

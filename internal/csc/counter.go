@@ -40,7 +40,7 @@ func AsSharded(c Counter) *Sharded {
 	if x, ok := c.(*Index); ok {
 		sx, _ := BuildSharded(x.g, Options{
 			Strategy:       x.eng.Strategy,
-			CompressLabels: x.eng.CompressedBytes() > 0,
+			CompressLabels: x.eng.Compressed(),
 		})
 		return sx
 	}

@@ -10,9 +10,12 @@
 // Construction runs on the engine's fast-path pipeline: the skipping
 // BFSes prune through the hub-indexed scatter instead of per-dequeue
 // merge-joins, hubs run in one rank-ordered loop, and the finished labels
-// freeze into the CSR arena in the paper's reduced form (§IV-E): only
-// Lin(v_in) and Lout(v_out), the two lists a query joins, are stored until
-// a write needs the rest.
+// are the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out),
+// the two lists a query joins, are stored, frozen into the delta+varint
+// arena (label.Frozen) that reads stream without decoding. A shard's
+// first label write expands it into one slab of plain slices holding all
+// four lists of every couple (pll.Index.Expand); a shard nothing writes
+// keeps the frozen form for its lifetime.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -107,9 +110,9 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 // couple and half the join queries are skipped. The couple's labels are
 // the mirrored lists of the paper's index reduction (§IV-E), so the
 // construction counts them without storing them and leaves the index in
-// pll's reduced state: only Lin(v_in) and Lout(v_out) reach the arena,
-// and the first label mutation derives the rest. The scratch the passes
-// share goes back to the pool at the end.
+// pll's reduced state: only Lin(v_in) and Lout(v_out) are stored, frozen
+// into the delta+varint arena, and the first label mutation derives the
+// rest. The scratch the passes share goes back to the pool at the end.
 func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
 	eng := pll.NewReduced(gb, ord)
 	s := pll.GetScratch(gb.NumVertices())
@@ -126,7 +129,7 @@ func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
 		outPass(eng, v, r, s)
 	}
 	pll.PutScratch(s)
-	eng.FreezeArena()
+	eng.Freeze()
 	return eng
 }
 
@@ -301,8 +304,8 @@ func (x *Index) EntryCount() int { return x.eng.EntryCount() }
 func (x *Index) Bytes() int { return x.eng.Bytes() }
 
 // ResidentBytes returns the label bytes the index physically holds
-// (pll.Index.ResidentBytes): about half of Bytes while the index is
-// reduced.
+// (pll.Index.ResidentBytes): about a quarter of Bytes while the index is
+// reduced and frozen.
 func (x *Index) ResidentBytes() int { return x.eng.ResidentBytes() }
 
 // RefreezeLabels re-packs label lists thawed by updates back into the

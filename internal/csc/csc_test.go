@@ -192,8 +192,9 @@ func TestUpdateErrorsPropagate(t *testing.T) {
 }
 
 // A fresh build is the paper's reduced index (§IV-E): it stores exactly
-// the ReducedEntryCount entries of Lin(v_in) and Lout(v_out), counts the
-// full labeling, and answers like its expanded form.
+// the ReducedEntryCount entries of Lin(v_in) and Lout(v_out), frozen in
+// the delta+varint arena, counts the full labeling, and answers like its
+// expanded form.
 func TestReducedIndex(t *testing.T) {
 	g := testgraphs.Figure2()
 	x, _ := Build(g, order.ByDegree(g), Options{})
@@ -208,8 +209,12 @@ func TestReducedIndex(t *testing.T) {
 	if stored != x.ReducedEntryCount() {
 		t.Fatalf("reduced index stores %d entries, ReducedEntryCount %d", stored, x.ReducedEntryCount())
 	}
-	if x.ResidentBytes() != x.ReducedBytes() {
-		t.Fatalf("ResidentBytes %d != ReducedBytes %d", x.ResidentBytes(), x.ReducedBytes())
+	if f := eng.FrozenArena(); f == nil || x.ResidentBytes() != f.Bytes() || f.Entries() != stored {
+		t.Fatalf("ResidentBytes %d is not the frozen store of the %d stored entries", x.ResidentBytes(), stored)
+	}
+	if x.ResidentBytes() >= x.ReducedBytes() || eng.Compressed() || x.CompressedBytes() != 0 {
+		t.Fatalf("frozen store %d B against %d B of stored entries; compressed %v (%d B)",
+			x.ResidentBytes(), x.ReducedBytes(), eng.Compressed(), x.CompressedBytes())
 	}
 	if x.ReducedBytes() >= x.Bytes() {
 		t.Fatalf("reduction did not shrink: %d >= %d", x.ReducedBytes(), x.Bytes())

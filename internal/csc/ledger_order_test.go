@@ -51,5 +51,29 @@ func TestServedLedgerOrderEntries(t *testing.T) {
 		if got := x.EntryCount(); got != c.entries {
 			t.Errorf("%s: %d label entries on the ledger, want %d", c.strat, got, c.entries)
 		}
+		if c.strat == order.Coverage {
+			assertLedgerStore(t, x)
+		}
+	}
+}
+
+// ledgerResidentBytes is what the coverage-order ledger build's label
+// store holds: the delta+varint arenas of every reduced shard, offset
+// tables included. As 8-byte CSR entries with their growth pads the same
+// stored lists took 4,537,360 B.
+const ledgerResidentBytes = 2061815
+
+// assertLedgerStore pins the served ledger's label store: exactly
+// ledgerResidentBytes, and at most half of ReducedBytes, the stored
+// lists at 8 B per entry.
+func assertLedgerStore(t *testing.T, x *Sharded) {
+	t.Helper()
+	got, reduced := x.ResidentBytes(), x.ReducedBytes()
+	t.Logf("label store %d B, %d B of stored entries at 8 B, %d B logical", got, reduced, x.Bytes())
+	if got != ledgerResidentBytes {
+		t.Errorf("the ledger's label store holds %d B, want %d", got, ledgerResidentBytes)
+	}
+	if 2*got > reduced {
+		t.Errorf("the ledger's label store holds %d B, more than half of the %d B of its stored entries", got, reduced)
 	}
 }

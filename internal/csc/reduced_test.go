@@ -2,7 +2,10 @@ package csc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -69,8 +72,9 @@ func TestReducedBuildMatchesGeneric(t *testing.T) {
 // assertReduceExpandIdentity checks, on every live shard, that expanding,
 // reducing and re-expanding leaves the logical labeling — its v1 bytes,
 // which carry every list — and the entry count unchanged, that a reduced
-// shard reduces again, and that ResidentBytes matches the entries the
-// lists hold. Each shard ends in the state it started in.
+// shard reduces again, and that ResidentBytes is a reduced shard's frozen
+// store and 8 B per entry of a full one. Each shard ends in the state it
+// started in.
 func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 	t.Helper()
 	blob := func(e *pll.Index) []byte {
@@ -110,8 +114,18 @@ func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 		for v := range e.In {
 			stored += e.In[v].Len() + e.Out[v].Len()
 		}
-		if e.ResidentBytes() != 8*stored {
-			t.Fatalf("shard %d: ResidentBytes %d, lists hold %d entries", slot, e.ResidentBytes(), stored)
+		// A reduced shard holds its stored lists in the delta+varint
+		// arena; a full one holds 8 bytes per entry.
+		resident := 8 * stored
+		if e.Reduced() {
+			f := e.FrozenArena()
+			if f == nil || f.Entries() != stored {
+				t.Fatalf("shard %d: reduced, but its frozen store does not hold its %d stored entries", slot, stored)
+			}
+			resident = f.Bytes()
+		}
+		if e.ResidentBytes() != resident {
+			t.Fatalf("shard %d: ResidentBytes %d, want %d (lists hold %d entries)", slot, e.ResidentBytes(), resident, stored)
 		}
 	}
 }
@@ -184,5 +198,85 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), file.Bytes()) {
 		t.Fatal("re-written clean file differs from the loaded one")
+	}
+}
+
+// reducedV2Digest is the sha256 of the v2 snapshot of a fresh sharded
+// build of randomGraph(seed 20261017, 150, 2), as written while reduced
+// shards still kept their stored lists in the CSR arena.
+const reducedV2Digest = "a5d684c93b71272c9f07d854012f40b90aebd53a25c007d6048ebdcaaa542fcd"
+
+// A reduced shard's frozen store is not label compression: a fresh build
+// and a v1 file re-sharded for serving write v2 with the same bytes as
+// before the store was frozen, while a compressed index still writes v3
+// or v4 holding all four lists of every couple — including when a shard
+// it writes is only reduced-frozen.
+func TestFrozenReducedIsNotCompressed(t *testing.T) {
+	base := randomGraph(rand.New(rand.NewSource(20261017)), 150, 2)
+	write := func(w interface {
+		WriteTo(io.Writer) (int64, error)
+	}) []byte {
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v2 := func(name string, data []byte) {
+		sum := sha256.Sum256(data)
+		if !bytes.HasPrefix(data, []byte(shardedMagic)) || hex.EncodeToString(sum[:]) != reducedV2Digest {
+			t.Errorf("%s: wrote %q with sha256 %x, want the v2 bytes %s", name, data[:8], sum, reducedV2Digest)
+		}
+	}
+
+	mono, _ := Build(base.Clone(), order.ByDegree(base), Options{})
+	loaded, err := Read(bytes.NewReader(write(mono)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := loaded.(*Index).Engine()
+	if !eng.Reduced() || eng.FrozenArena() == nil || eng.Compressed() || eng.CompressedBytes() != 0 {
+		t.Fatalf("v1 load: reduced %v, frozen %v, compressed %v (%d B)",
+			eng.Reduced(), eng.FrozenArena() != nil, eng.Compressed(), eng.CompressedBytes())
+	}
+	resharded := AsSharded(loaded)
+	if resharded.opts.CompressLabels || resharded.CompressedBytes() != 0 {
+		t.Fatalf("a re-sharded v1 file turned compressed (%d B)", resharded.CompressedBytes())
+	}
+	v2("re-sharded v1", write(resharded))
+	fresh, _ := BuildSharded(base.Clone(), Options{})
+	v2("fresh build", write(fresh))
+
+	// The v3 writer must compress a reduced-frozen shard in full, not
+	// copy its frozen store of the two stored lists.
+	forced, _ := BuildSharded(base.Clone(), Options{})
+	forced.opts.CompressLabels = true
+	built, _ := BuildSharded(base.Clone(), Options{CompressLabels: true})
+	if a, b := write(forced), write(built); !bytes.HasPrefix(a, []byte(v3Magic)) || !bytes.Equal(a, b) {
+		t.Fatalf("v3 of reduced-frozen shards (%q, %d B) differs from a compressed build's (%d B)", a[:8], len(a), len(b))
+	}
+	coverage, _ := BuildSharded(base.Clone(), Options{CompressLabels: true, Order: order.Coverage})
+	for name, c := range map[string]struct {
+		x     *Sharded
+		magic string
+	}{"v3": {built, v3Magic}, "v4": {coverage, v4Magic}} {
+		data := write(c.x)
+		if !bytes.HasPrefix(data, []byte(c.magic)) {
+			t.Fatalf("%s: wrote %q", name, data[:8])
+		}
+		back, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range back.(*Sharded).liveShards() {
+			e := sh.idx.eng
+			if !e.Compressed() || e.FrozenArena().Entries() != e.EntryCount() {
+				t.Fatalf("%s shard %d: compressed %v, arena holds %d of %d entries",
+					name, i, e.Compressed(), e.FrozenArena().Entries(), e.EntryCount())
+			}
+		}
+		if got, want := back.(*Sharded).EntryCount(), c.x.EntryCount(); got != want {
+			t.Fatalf("%s: reloaded %d entries, wrote %d", name, got, want)
+		}
 	}
 }

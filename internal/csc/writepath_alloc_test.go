@@ -86,9 +86,10 @@ func TestWritePathAllocBudget(t *testing.T) {
 }
 
 // TestExpandAllocatesOnlyDerivedLists pins what a reduced shard's first
-// label write allocates to expand it: the mirrored entries plus one
-// growth pad per derived list, and no second copy of the stored lists.
-// A collection that runs while the expansion holds two copies of the
+// label write allocates to expand it: one slab of exactly the full
+// labeling — every entry plus one growth pad per list — decoded from the
+// compact frozen store, and no second 8-byte copy of the stored lists. A
+// collection that runs while the expansion holds two copies of the
 // shard's labels sets the next heap goal from both.
 func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
 	if raceEnabled {
@@ -96,23 +97,22 @@ func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
 	}
 	x, _ := deletePairs(t, 0)
 	e := x.liveShards()[0].idx.eng
-	if !e.Reduced() {
-		t.Fatal("a fresh build is not reduced")
+	if !e.Reduced() || e.FrozenArena() == nil {
+		t.Fatal("a fresh build is not reduced and frozen")
 	}
-	stored := e.ResidentBytes() / 8
-	mirrored := e.EntryCount() - stored
-	want := 8 * (mirrored + label.ArenaPad*len(e.In))
+	entries, frozen := e.EntryCount(), e.FrozenArena().Bytes()
+	want := 8 * (entries + label.ArenaPad*2*len(e.In))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e.Expand()
 	runtime.ReadMemStats(&after)
 	got := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("expanding %d stored + %d mirrored entries allocated %d B (derived lists %d B)",
-		stored, mirrored, got, want)
-	if e.Reduced() || e.ResidentBytes() != 8*e.EntryCount() {
+	t.Logf("expanding %d entries from a %d B frozen store allocated %d B (slab %d B)",
+		entries, frozen, got, want)
+	if e.Reduced() || e.FrozenArena() != nil || e.ResidentBytes() != 8*e.EntryCount() {
 		t.Fatalf("after Expand: reduced %v, resident %d B for %d entries", e.Reduced(), e.ResidentBytes(), e.EntryCount())
 	}
 	if slack := 16 << 10; got > want+slack { // the slab rounds up to whole pages
-		t.Errorf("Expand allocated %d B, want at most the derived lists' %d B (+%d)", got, want, slack)
+		t.Errorf("Expand allocated %d B, want at most the full labeling's slab of %d B (+%d)", got, want, slack)
 	}
 }

@@ -30,7 +30,7 @@ type BenchResult struct {
 	Entries      int     `json:"entries"`
 	Bytes        int     `json:"bytes"`
 	ReducedBytes int     `json:"reduced_bytes"`
-	ArenaBytes   int     `json:"arena_bytes"`
+	ArenaBytes   int     `json:"arena_bytes"` // label bytes the store holds (ResidentBytes)
 	QueryNS      float64 `json:"query_ns"`
 	InsertNS     float64 `json:"insert_ns"`
 	DeleteNS     float64 `json:"delete_ns"`
@@ -118,9 +118,7 @@ func Bench(s Scale, d Dataset) BenchResult {
 		Bytes:        x.Bytes(),
 		ReducedBytes: x.ReducedBytes(),
 	}
-	if a := x.Engine().Arena(); a != nil {
-		res.ArenaBytes = a.Bytes()
-	}
+	res.ArenaBytes = x.ResidentBytes()
 
 	queries, updates := benchSamples(s)
 	r := rand.New(rand.NewSource(9))

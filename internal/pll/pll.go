@@ -18,8 +18,9 @@
 // Construction runs on the fast-path label pipeline: hub-indexed pruning
 // (the prune test probes a rank-indexed scatter of the hub's own label
 // instead of merge-joining two lists), one rank-ordered loop of hub BFSes
-// on a pooled scratch, and a post-construction freeze of all label lists
-// into one contiguous CSR arena (label.Arena).
+// on a pooled scratch, and a post-construction freeze (Freeze): a full
+// labeling packs into one contiguous CSR arena (label.Arena), a reduced
+// one (reduced.go) into the delta+varint arena (label.Frozen).
 //
 // An Index is not safe for concurrent mutation. Queries do not mutate and
 // may run concurrently with each other, but not with updates.
@@ -152,15 +153,22 @@ type Index struct {
 	reduced  bool
 	mirrored int
 
-	// arena is the frozen CSR label store, set once construction (or
-	// deserialization) freezes the lists; nil while labels are still
-	// per-vertex allocations.
+	// arena is the CSR label store of a full labeling, set once
+	// construction (or deserialization) freezes the lists; nil while
+	// labels are per-vertex allocations or live in frozen.
 	arena *label.Arena
 
-	// frozen is the compressed delta+varint arena, set by FreezeCompressed
-	// (construction opt-in, or a v3 deserialization). Updates thaw only the
-	// lists they touch; Refreeze re-packs after a quiesce.
+	// frozen is the delta+varint arena: a reduced index's stored lists
+	// (Freeze), or every list of a compressed one. Updates thaw only the
+	// lists they touch.
 	frozen *label.Frozen
+
+	// compressed marks the compression opt-in (FreezeCompressed, or a v3
+	// deserialization): frozen holds all four lists of every couple, the
+	// index stays frozen across writes, and Refreeze re-packs the lists
+	// they thawed. A reduced index's frozen store is not compressed in
+	// this sense: its first write expands it to plain slices for good.
+	compressed bool
 
 	// scr is the engine-owned scratch for the dynamic update passes. It is
 	// pooled and lazily materialized (see scratch); construction borrows
@@ -242,7 +250,7 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, BuildStats
 		idx.hubPass(v, r, false, s)
 	}
 	PutScratch(s)
-	idx.FreezeArena()
+	idx.Freeze()
 	st := idx.Stats()
 	st.Duration = time.Since(start)
 	return idx, st
@@ -382,27 +390,37 @@ func (idx *Index) ReleaseScratch() {
 	idx.scr = nil
 }
 
-// FreezeArena packs all label lists into one contiguous CSR arena
-// (label.Arena). Queries and dynamic maintenance keep working unchanged:
-// each list becomes a view of its padded span, growing in place until the
-// pad is exhausted and migrating out transparently afterwards.
-func (idx *Index) FreezeArena() {
+// Freeze packs the finished labels into the index's immutable store. A
+// reduced index's stored lists go into the delta+varint arena
+// (label.Frozen), which reads stream without decoding and Expand decodes
+// once at the first label write. A full index's lists go into one
+// contiguous CSR arena (label.Arena): each list becomes a view of its
+// padded span, growing in place until the pad is exhausted and migrating
+// out transparently afterwards.
+func (idx *Index) Freeze() {
+	if idx.reduced {
+		idx.arena, idx.frozen = nil, label.FreezeCompressed(idx.In, idx.Out)
+		return
+	}
 	idx.arena = label.Freeze(idx.In, idx.Out)
 }
 
-// Arena exposes the frozen CSR store, or nil before FreezeArena ran.
+// Arena exposes the CSR store of a full index, or nil when there is none
+// (before Freeze, for a reduced or compressed index, or once a reduced
+// index expanded into plain slices).
 func (idx *Index) Arena() *label.Arena { return idx.arena }
 
 // FreezeCompressed re-packs every label list from its current form (CSR
 // arena spans or private slices) into one delta+varint compressed arena
-// (label.Frozen). Queries stream the compressed sections — bloom
-// pre-screens, sync-block seeks — and dynamic maintenance thaws only the
-// lists it touches. The CSR arena, now shadowed, is released. A reduced
-// index is expanded first: the compressed arena holds every list.
+// (label.Frozen) and marks the index compressed. Queries stream the
+// compressed sections — bloom pre-screens, sync-block seeks — and dynamic
+// maintenance thaws only the lists it touches. The CSR arena, now
+// shadowed, is released. A reduced index is expanded first: the
+// compressed arena holds every list.
 func (idx *Index) FreezeCompressed() {
-	idx.arena = nil
 	idx.Expand()
-	idx.frozen = label.FreezeCompressed(idx.In, idx.Out)
+	idx.arena = nil
+	idx.frozen, idx.compressed = label.FreezeCompressed(idx.In, idx.Out), true
 }
 
 // Refreeze re-packs the compressed arena when updates have thawed lists
@@ -410,7 +428,7 @@ func (idx *Index) FreezeCompressed() {
 // compressed or nothing thawed). Untouched sections copy verbatim, so
 // the cost scales with the update footprint, not the index size.
 func (idx *Index) Refreeze() int {
-	if idx.frozen == nil || idx.frozen.ThawedLists() == 0 {
+	if !idx.compressed || idx.frozen.ThawedLists() == 0 {
 		return 0
 	}
 	n := idx.frozen.ThawedLists()
@@ -418,19 +436,22 @@ func (idx *Index) Refreeze() int {
 	return n
 }
 
-// Compressed reports whether the labels live in the compressed arena.
-func (idx *Index) Compressed() bool { return idx.frozen != nil }
+// Compressed reports whether the index was compressed (FreezeCompressed
+// or a v3 load): every list lives in the compressed arena until a write
+// thaws it. A reduced index's frozen store does not count.
+func (idx *Index) Compressed() bool { return idx.compressed }
 
 // CompressedBytes returns the physical footprint of the compressed arena
 // (0 when not compressed). Thawed lists' private slices are not counted.
 func (idx *Index) CompressedBytes() int {
-	if idx.frozen == nil {
+	if !idx.compressed {
 		return 0
 	}
 	return idx.frozen.Bytes()
 }
 
-// FrozenArena exposes the compressed arena for serialization, or nil.
+// FrozenArena exposes the delta+varint arena — every list of a compressed
+// index, for serialization — or nil when the index has none.
 func (idx *Index) FrozenArena() *label.Frozen { return idx.frozen }
 
 // AttachFrozen points the index's label lists at a deserialized
@@ -440,7 +461,7 @@ func (idx *Index) AttachFrozen(f *label.Frozen) error {
 	if err := label.AttachFrozen(f, idx.In, idx.Out); err != nil {
 		return err
 	}
-	idx.frozen = f
+	idx.frozen, idx.compressed = f, true
 	idx.arena = nil
 	idx.entries = f.Entries()
 	return nil

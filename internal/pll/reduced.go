@@ -23,11 +23,14 @@ import (
 //
 // A reduced index stores only Lin(v_in) and Lout(v_out) — exactly the two
 // lists an SCCnt query joins — and keeps the two mirrored lists empty.
-// EntryCount still counts the logical labeling. Reads need nothing else;
-// every label mutation (INCCNT, decremental repair, vertex growth, a
-// compressed freeze) first derives the mirrors back through Expand, so
-// the dynamic algorithms always run on a full labeling. The writers emit
-// the derived lists, so every snapshot format is unchanged.
+// EntryCount still counts the logical labeling. Its immutable form is the
+// delta+varint arena (label.Frozen, via Freeze), about 2.2x smaller than
+// the same lists as 8-byte CSR entries; reads stream its sections and
+// never decode a list into memory. Every label mutation (INCCNT,
+// decremental repair, vertex growth, a compressed freeze) first expands
+// the index through Expand, so the dynamic algorithms always run on a
+// full labeling of plain slices. The writers emit the derived lists, so
+// every snapshot format is unchanged.
 
 // NewReduced allocates an empty index shell in the reduced state for a
 // construction over a bipartite conversion that stores only Lin(v_in)
@@ -49,18 +52,19 @@ func (idx *Index) CountMirrored() {
 	idx.mirrored++
 }
 
-// Expand derives the mirrored lists of a reduced index into one slab
-// sized for them, each list followed by the arena's growth pad. The
-// stored lists stay where they are: re-packing the arena would hold the
-// old and the new copy of every label at once, and a collection that
-// ran during the copy would set the next heap goal from both, leaving
-// the process several MB larger for seconds. A full index is left as
-// is.
+// Expand turns a reduced index into a full one for its first label
+// write. It decodes the stored lists and derives the mirrored ones into
+// one slab sized for exactly the full labeling, each couple's four lists
+// side by side — Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and
+// each list followed by the CSR arena's growth pad, then drops the frozen
+// store. The source is the compact frozen form, so the expansion never
+// holds two 8-byte copies of the labels. The written index keeps plain
+// slices; nothing freezes it again. A full index is left as is.
 func (idx *Index) Expand() {
 	if !idx.reduced {
 		return
 	}
-	slab := make([]bitpack.Entry, 0, idx.mirrored+label.ArenaPad*len(idx.In))
+	slab := make([]bitpack.Entry, 0, idx.entries+label.ArenaPad*2*len(idx.In))
 	wrap := func(lo int) label.List {
 		hi := len(slab)
 		for range label.ArenaPad {
@@ -71,19 +75,26 @@ func (idx *Index) Expand() {
 	for vin := 0; vin+1 < len(idx.In); vin += 2 {
 		vout := vin + 1
 		lo := len(slab)
+		slab = appendEntries(slab, &idx.In[vin])
+		idx.In[vin] = wrap(lo)
+		lo = len(slab)
 		slab = idx.deriveIn(vout, slab)
 		idx.In[vout] = wrap(lo)
 		lo = len(slab)
 		slab = idx.deriveOut(vin, slab)
 		idx.Out[vin] = wrap(lo)
+		lo = len(slab)
+		slab = appendEntries(slab, &idx.Out[vout])
+		idx.Out[vout] = wrap(lo)
 	}
 	idx.reduced, idx.mirrored = false, 0
+	idx.arena, idx.frozen = nil, nil
 	// The inverted indexes are rebuilt lazily from the full labeling.
 	idx.invIn, idx.invOut = nil, nil
 }
 
 // Reduce drops the mirrored lists of a full index whose mirrors all equal
-// their derivation, re-packs the CSR arena without them, and reports
+// their derivation, freezes the stored lists (Freeze), and reports
 // whether the index is now reduced. An index with any mirror that differs
 // from its derivation — or a compressed one, whose arena layout is fixed —
 // stays full. Loaders call it, so a snapshot reloads as compact as the
@@ -92,7 +103,7 @@ func (idx *Index) Reduce() bool {
 	if idx.reduced {
 		return true
 	}
-	if idx.frozen != nil || len(idx.In)%2 != 0 {
+	if idx.compressed || len(idx.In)%2 != 0 {
 		return false
 	}
 	var buf []bitpack.Entry
@@ -116,9 +127,7 @@ func (idx *Index) Reduce() bool {
 	}
 	idx.reduced, idx.mirrored = true, mirrored
 	idx.invIn, idx.invOut = nil, nil
-	if idx.arena != nil {
-		idx.FreezeArena()
-	}
+	idx.Freeze()
 	return true
 }
 
@@ -159,12 +168,13 @@ func (idx *Index) derive(v int, in bool, dst []bitpack.Entry) []bitpack.Entry {
 	return idx.deriveOut(v, dst)
 }
 
-// ResidentBytes is the label payload the index physically holds: 8 bytes
-// per entry stored in the CSR arena or in a private list, or, for
-// compressed labels, the compressed arena's bytes plus 8 per entry of the
-// lists updates have thawed since the last freeze. It equals Bytes() for
-// a full uncompressed labeling and about half of it for a reduced one,
-// and costs O(1) unless thawed lists must be counted.
+// ResidentBytes is the label payload the index physically holds: the
+// delta+varint arena's bytes while the labels are frozen (a reduced
+// index's stored lists, or a compressed index's lists) plus 8 per entry
+// of any list updates have thawed since, and otherwise 8 bytes per entry
+// in the CSR arena or in plain slices. It equals Bytes() for a full
+// uncompressed labeling and is about a quarter of it for a reduced one; it
+// costs O(1) unless thawed lists must be counted.
 func (idx *Index) ResidentBytes() int {
 	if idx.frozen == nil {
 		return 8 * (idx.entries - idx.mirrored)

@@ -246,7 +246,7 @@ func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
 	}
 	// A loaded index serves the same hot paths as a built one: freeze the
 	// lists into the CSR arena for locality.
-	idx.FreezeArena()
+	idx.Freeze()
 	return idx, nil
 }
 
