@@ -3,6 +3,7 @@ package label
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitpack"
@@ -46,7 +47,7 @@ type Frozen struct {
 	lists   int
 	entries int // live entries at freeze time
 
-	thawed  []bool // sections re-materialized as mutable lists
+	thawed  []bool // sections re-materialized as mutable lists; nil until the first thaw
 	nthawed int
 }
 
@@ -96,10 +97,9 @@ func FreezeCompressed(groups ...[]List) *Frozen {
 		}
 	}
 	f := &Frozen{
-		blob:   make([]byte, 0, approx+lists),
-		off:    make([]byte, 0, 4*(lists+1)),
-		thawed: make([]bool, lists),
-		lists:  lists,
+		blob:  make([]byte, 0, approx+lists),
+		off:   make([]byte, 0, 4*(lists+1)),
+		lists: lists,
 	}
 	idx := int32(0)
 	for _, g := range groups {
@@ -117,6 +117,11 @@ func FreezeCompressed(groups ...[]List) *Frozen {
 		}
 	}
 	f.off = binary.LittleEndian.AppendUint32(f.off, uint32(len(f.blob)))
+	if slack := cap(f.blob) - len(f.blob); slack > len(f.blob)/16 {
+		// The 4 B per entry estimate ran over: an arena is held for the
+		// index's lifetime, so keep only the bytes it uses.
+		f.blob = slices.Clone(f.blob)
+	}
 	return f
 }
 
@@ -178,7 +183,7 @@ func NewFrozen(off, blob []byte) (*Frozen, error) {
 	if int(prev) != len(blob) {
 		return nil, fmt.Errorf("label: frozen blob is %d bytes, offsets end at %d", len(blob), prev)
 	}
-	f := &Frozen{blob: blob, off: off, lists: lists, thawed: make([]bool, lists)}
+	f := &Frozen{blob: blob, off: off, lists: lists}
 	for i := int32(0); i < int32(lists); i++ {
 		f.entries += f.listLen(i)
 	}
@@ -237,6 +242,9 @@ func (f *Frozen) section(i int32) []byte {
 }
 
 func (f *Frozen) markThawed(i int32) {
+	if f.thawed == nil {
+		f.thawed = make([]bool, f.lists)
+	}
 	if !f.thawed[i] {
 		f.thawed[i] = true
 		f.nthawed++
