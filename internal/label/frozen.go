@@ -295,12 +295,6 @@ func (f *Frozen) listLen(i int32) int {
 	return n
 }
 
-// listSig returns list i's bloom signature, if the section carries one.
-func (f *Frozen) listSig(i int32) (uint64, bool) {
-	_, sig, ok, _, _ := f.header(i)
-	return sig, ok
-}
-
 // decode materializes list i's entries into dst (grown as needed).
 func (f *Frozen) decode(i int32, dst []bitpack.Entry) []bitpack.Entry {
 	n, _, _, _, ent := f.header(i)
@@ -367,21 +361,23 @@ func (f *Frozen) Validate(maxHub int) error {
 // fcursor streams one frozen section in hub order without materializing
 // it. The zero value is exhausted; init with cursor().
 type fcursor struct {
-	ent  []byte // entry stream
-	sync []byte // per-block records, nil for short lists
-	n    int    // total entries
-	idx  int    // entries consumed (cur is entry idx-1)
-	pos  int    // byte position of the next entry
-	hub  int    // cur's hub (delta base)
-	cur  bitpack.Entry
-	ok   bool
+	ent    []byte // entry stream
+	sync   []byte // per-block records, nil for short lists
+	n      int    // total entries
+	idx    int    // entries consumed (cur is entry idx-1)
+	pos    int    // byte position of the next entry
+	hub    int    // cur's hub (delta base)
+	cur    bitpack.Entry
+	ok     bool
+	hasSig bool   // the section carries a bloom signature
+	sig    uint64 // the section's bloom signature, when hasSig
 }
 
 // cursor opens a streaming cursor over list i, positioned on the first
 // entry (ok is false for an empty list).
 func (f *Frozen) cursor(i int32) fcursor {
 	var c fcursor
-	c.n, _, _, c.sync, c.ent = f.header(i)
+	c.n, c.sig, c.hasSig, c.sync, c.ent = f.header(i)
 	c.next()
 	return c
 }
@@ -391,6 +387,25 @@ func (f *Frozen) cursor(i int32) fcursor {
 func (c *fcursor) next() {
 	if c.idx >= c.n {
 		c.ok = false
+		return
+	}
+	// Fast path: gap, distance and count each fit one byte, as most
+	// entries' do. One-byte values are far below every field limit.
+	if p := c.pos; p+2 < len(c.ent) && (c.ent[p]|c.ent[p+1]|c.ent[p+2]) < 0x80 {
+		v := int(c.ent[p])
+		if c.idx%bitpack.DeltaBlock == 0 {
+			c.hub = v
+		} else if v == 0 {
+			c.ok = false
+			return
+		} else if c.hub += v; c.hub > bitpack.MaxHub {
+			c.ok = false
+			return
+		}
+		c.pos = p + 3
+		c.cur = bitpack.Pack(c.hub, int(c.ent[p+1]), uint64(c.ent[p+2]))
+		c.idx++
+		c.ok = true
 		return
 	}
 	v, w := binary.Uvarint(c.ent[c.pos:])
@@ -429,6 +444,31 @@ func (c *fcursor) next() {
 	c.ok = true
 }
 
+// drain appends the current entry and every later one to dst and
+// exhausts the cursor; a malformed stream ends the list early, as next
+// does.
+func (c *fcursor) drain(dst []bitpack.Entry) []bitpack.Entry {
+	for c.ok {
+		dst = append(dst, c.cur)
+		// Decode the run of gap entries whose three fields fit one byte
+		// each in this loop; next takes block starts and wider values.
+		ent, p, hub, i := c.ent, c.pos, c.hub, c.idx
+		for i < c.n && i%bitpack.DeltaBlock != 0 && p+2 < len(ent) && (ent[p]|ent[p+1]|ent[p+2]) < 0x80 && ent[p] != 0 {
+			h := hub + int(ent[p])
+			if h > bitpack.MaxHub {
+				break
+			}
+			hub = h
+			dst = append(dst, bitpack.Pack(hub, int(ent[p+1]), uint64(ent[p+2])))
+			p += 3
+			i++
+		}
+		c.pos, c.hub, c.idx = p, hub, i
+		c.next()
+	}
+	return dst
+}
+
 // seekGE advances the cursor to the first entry with hub ≥ target. With
 // sync records it binary-searches the remaining blocks and decodes at
 // most one block linearly; without them the list is at most one block
@@ -437,11 +477,12 @@ func (c *fcursor) seekGE(target int) {
 	if !c.ok || c.cur.Hub() >= target {
 		return
 	}
-	if c.sync != nil {
-		curBlk := (c.idx - 1) / bitpack.DeltaBlock
-		// Find the last block whose starting hub is ≤ target; only a
-		// forward jump is useful.
-		lo, hi := curBlk, len(c.sync)/8 // invariant: blkHub(lo) ≤ target < blkHub(hi)
+	if curBlk := (c.idx - 1) / bitpack.DeltaBlock; c.sync != nil && 8*(curBlk+1) < len(c.sync) &&
+		int(binary.LittleEndian.Uint32(c.sync[8*(curBlk+1):])) <= target {
+		// The target lies past the current block: find the last block
+		// whose starting hub is ≤ target. A target inside the current
+		// block (most seeks of a merge) just decodes forward.
+		lo, hi := curBlk+1, len(c.sync)/8 // invariant: blkHub(lo) ≤ target < blkHub(hi)
 		for lo+1 < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if int(binary.LittleEndian.Uint32(c.sync[8*mid:])) <= target {
@@ -450,11 +491,9 @@ func (c *fcursor) seekGE(target int) {
 				hi = mid
 			}
 		}
-		if lo > curBlk {
-			c.pos = int(binary.LittleEndian.Uint32(c.sync[8*lo+4:]))
-			c.idx = lo * bitpack.DeltaBlock
-			c.next()
-		}
+		c.pos = int(binary.LittleEndian.Uint32(c.sync[8*lo+4:]))
+		c.idx = lo * bitpack.DeltaBlock
+		c.next()
 	}
 	for c.ok && c.cur.Hub() < target {
 		c.next()

@@ -63,10 +63,49 @@ func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
 		}
 		return joinSlices(in.e, out.e, maxDist)
 	}
-	if sigReject(out, in) {
+	var a, b lcur
+	a.init(out)
+	b.init(in)
+	if sigReject(&a, &b) {
 		return Unreachable, 0, -1
 	}
-	return joinCursors(out, in, maxDist)
+	if a.fc.n > joinStack || b.fc.n > joinStack {
+		return joinCursors(&a, &b, maxDist)
+	}
+	// Both lists are short enough to decode onto the stack, so the pair
+	// joins in the slice loop: the leapfrog cursors pay a call and a
+	// form branch per step.
+	var bufA, bufB [joinStack]bitpack.Entry
+	ea, eb := a.es, b.es
+	if a.frozen {
+		ea = a.fc.drain(bufA[:0])
+	}
+	if b.frozen {
+		eb = b.fc.drain(bufB[:0])
+	}
+	if len(ea) <= len(eb) {
+		return joinSlices(ea, eb, maxDist)
+	}
+	return joinSlices(eb, ea, maxDist)
+}
+
+// joinStack is the longest frozen list Join decodes onto its stack
+// instead of streaming it through a cursor.
+const joinStack = 256
+
+// sigReject reports whether the bloom signatures prove the two lists
+// share no hub. Only pairs where both sides carry a signature count as
+// checks.
+func sigReject(a, b *lcur) bool {
+	if !a.fc.hasSig || !b.fc.hasSig {
+		return false
+	}
+	bloomChecks.Add(1)
+	if a.fc.sig&b.fc.sig != 0 {
+		return false
+	}
+	bloomRejects.Add(1)
+	return true
 }
 
 // joinSlices is Join over two entry slices. Every short entry within the
@@ -144,10 +183,7 @@ func seekHub(l []bitpack.Entry, from, hub int) int {
 
 // joinCursors is Join in leapfrog-cursor form, for pairs where at least
 // one list streams a compressed section.
-func joinCursors(out, in *List, bound int) (dist int, count uint64, hub int) {
-	var a, b lcur
-	a.init(out)
-	b.init(in)
+func joinCursors(a, b *lcur, bound int) (dist int, count uint64, hub int) {
 	dist, hub = Unreachable, -1
 	for a.ok() && b.ok() {
 		ea, eb := a.cur(), b.cur()

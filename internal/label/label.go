@@ -194,32 +194,3 @@ func (l *List) Hubs() []int {
 // (8 bytes per entry, the paper's 64-bit label encoding) regardless of
 // form — compressed physical bytes are reported by Frozen.Bytes.
 func (l *List) Bytes() int { return 8 * l.Len() }
-
-// sig returns the list's bloom signature of hub membership, when it has
-// one (frozen, and long enough to carry a signature).
-func (l *List) sig() (uint64, bool) {
-	if l.fz == nil {
-		return 0, false
-	}
-	return l.fz.listSig(l.fi)
-}
-
-// sigReject reports whether the bloom signatures prove the two lists
-// share no hub. Only pairs where both sides carry a signature count as
-// checks.
-func sigReject(out, in *List) bool {
-	so, ok := out.sig()
-	if !ok {
-		return false
-	}
-	si, ok := in.sig()
-	if !ok {
-		return false
-	}
-	bloomChecks.Add(1)
-	if so&si != 0 {
-		return false
-	}
-	bloomRejects.Add(1)
-	return true
-}

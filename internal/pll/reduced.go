@@ -55,7 +55,7 @@ func (idx *Index) CountMirrored() {
 // Expand turns a reduced index into a full one for its first label
 // write. It decodes the stored lists and derives the mirrored ones into
 // one slab sized for exactly the full labeling, each couple's four lists
-// side by side — Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and
+// side by side — Lin(v_in), Lin(v_out), Lout(v_in), Lout(v_out) — and
 // each list followed by the CSR arena's growth pad, then drops the frozen
 // store. The source is the compact frozen form, so the expansion never
 // holds two 8-byte copies of the labels. The written index keeps plain
