@@ -297,17 +297,13 @@ func (f *Frozen) listLen(i int32) int {
 
 // decode materializes list i's entries into dst (grown as needed).
 func (f *Frozen) decode(i int32, dst []bitpack.Entry) []bitpack.Entry {
-	n, _, _, _, ent := f.header(i)
-	if cap(dst) < n {
-		dst = make([]bitpack.Entry, 0, n+ArenaPad)
+	c := f.cursor(i)
+	if cap(dst) < c.n {
+		dst = make([]bitpack.Entry, 0, c.n+ArenaPad)
 	} else {
 		dst = dst[:0]
 	}
-	bitpack.DecodeDeltaBlocks(ent, n, func(e bitpack.Entry) bool {
-		dst = append(dst, e)
-		return true
-	})
-	return dst
+	return c.drain(dst)
 }
 
 // Validate fully decodes every section and re-encodes it, rejecting

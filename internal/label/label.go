@@ -97,6 +97,18 @@ func (l *List) Each(fn func(bitpack.Entry) bool) {
 	}
 }
 
+// AppendTo appends the list's entries to dst in ascending hub order and
+// returns the extended slice. A frozen list decodes in one tight loop
+// without thawing; bulk readers (the writers, an expansion) use it
+// instead of Each.
+func (l *List) AppendTo(dst []bitpack.Entry) []bitpack.Entry {
+	if l.fz == nil {
+		return append(dst, l.e...)
+	}
+	c := l.fz.cursor(l.fi)
+	return c.drain(dst)
+}
+
 // Lookup finds the entry with the given hub rank. Frozen lists seek
 // through the sync records without thawing.
 func (l *List) Lookup(hub int) (bitpack.Entry, bool) {

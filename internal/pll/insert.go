@@ -28,8 +28,8 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 	// would repeat a vertex), so these seeds stay valid throughout. Both
 	// lists are rank-ascending, so merging them visits the affected hubs
 	// in descending rank order, each once.
-	hubA := appendEntries(s.seedA[:0], &idx.In[a])
-	hubB := appendEntries(s.seedB[:0], &idx.Out[b])
+	hubA := idx.In[a].AppendTo(s.seedA[:0])
+	hubB := idx.Out[b].AppendTo(s.seedB[:0])
 	s.seedA, s.seedB = hubA, hubB
 	ra, rb := idx.Ord.Rank(a), idx.Ord.Rank(b)
 	for i, j := 0, 0; i < len(hubA) || j < len(hubB); {
@@ -62,16 +62,6 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 	}
 	st.Duration = time.Since(start)
 	return st, nil
-}
-
-// appendEntries appends l's entries to dst, streaming a compressed list
-// without thawing it.
-func appendEntries(dst []bitpack.Entry, l *label.List) []bitpack.Entry {
-	l.Each(func(e bitpack.Entry) bool {
-		dst = append(dst, e)
-		return true
-	})
-	return dst
 }
 
 // updatePass is FORWARD PASS / BACKWARD PASS (Algorithm 6): a resumed BFS

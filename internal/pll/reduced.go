@@ -55,11 +55,13 @@ func (idx *Index) CountMirrored() {
 // Expand turns a reduced index into a full one for its first label
 // write. It decodes the stored lists and derives the mirrored ones into
 // one slab sized for exactly the full labeling, each couple's four lists
-// side by side — Lin(v_in), Lin(v_out), Lout(v_in), Lout(v_out) — and
+// side by side — Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and
 // each list followed by the CSR arena's growth pad, then drops the frozen
-// store. The source is the compact frozen form, so the expansion never
-// holds two 8-byte copies of the labels. The written index keeps plain
-// slices; nothing freezes it again. A full index is left as is.
+// store. Each stored list decodes once; its mirror derives from the copy
+// already in the slab. The source is the compact frozen form, so the
+// expansion never holds two 8-byte copies of the labels. The written
+// index keeps plain slices; nothing freezes it again. A full index is
+// left as is.
 func (idx *Index) Expand() {
 	if !idx.reduced {
 		return
@@ -75,17 +77,17 @@ func (idx *Index) Expand() {
 	for vin := 0; vin+1 < len(idx.In); vin += 2 {
 		vout := vin + 1
 		lo := len(slab)
-		slab = appendEntries(slab, &idx.In[vin])
+		slab = idx.In[vin].AppendTo(slab)
 		idx.In[vin] = wrap(lo)
 		lo = len(slab)
 		slab = idx.deriveIn(vout, slab)
 		idx.In[vout] = wrap(lo)
 		lo = len(slab)
+		slab = idx.Out[vout].AppendTo(slab)
+		idx.Out[vout] = wrap(lo)
+		lo = len(slab)
 		slab = idx.deriveOut(vin, slab)
 		idx.Out[vin] = wrap(lo)
-		lo = len(slab)
-		slab = appendEntries(slab, &idx.Out[vout])
-		idx.Out[vout] = wrap(lo)
 	}
 	idx.reduced, idx.mirrored = false, 0
 	idx.arena, idx.frozen = nil, nil
@@ -133,10 +135,11 @@ func (idx *Index) Reduce() bool {
 
 // deriveIn appends the derivation of Lin(vout) to dst.
 func (idx *Index) deriveIn(vout int, dst []bitpack.Entry) []bitpack.Entry {
-	idx.In[bipartite.Couple(vout)].Each(func(e bitpack.Entry) bool {
-		dst = append(dst, bitpack.Pack(e.Hub(), e.Dist()+1, e.Count()))
-		return true
-	})
+	lo := len(dst)
+	dst = idx.In[bipartite.Couple(vout)].AppendTo(dst)
+	for i, e := range dst[lo:] {
+		dst[lo+i] = bitpack.Pack(e.Hub(), e.Dist()+1, e.Count())
+	}
 	return append(dst, bitpack.Pack(idx.Ord.Rank(vout), 0, 1))
 }
 
@@ -144,13 +147,15 @@ func (idx *Index) deriveIn(vout int, dst []bitpack.Entry) []bitpack.Entry {
 func (idx *Index) deriveOut(vin int, dst []bitpack.Entry) []bitpack.Entry {
 	vout := bipartite.Couple(vin)
 	rin, rout := idx.Ord.Rank(vin), idx.Ord.Rank(vout)
-	idx.Out[vout].Each(func(e bitpack.Entry) bool {
+	lo := len(dst)
+	dst = idx.Out[vout].AppendTo(dst)
+	kept := dst[:lo]
+	for _, e := range dst[lo:] {
 		if h := e.Hub(); h != rin && h != rout {
-			dst = append(dst, bitpack.Pack(h, e.Dist()+1, e.Count()))
+			kept = append(kept, bitpack.Pack(h, e.Dist()+1, e.Count()))
 		}
-		return true
-	})
-	return append(dst, bitpack.Pack(rin, 0, 1))
+	}
+	return append(kept, bitpack.Pack(rin, 0, 1))
 }
 
 // isMirror reports whether v's in-list (in) or out-list is a mirror the

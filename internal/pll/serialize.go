@@ -54,24 +54,20 @@ func (idx *Index) Encode(e *Encoder) {
 	// A reduced index writes each mirrored list as its derivation, so the
 	// bytes match the full labeling's.
 	var buf []bitpack.Entry
-	var derived label.List
-	put := func(x bitpack.Entry) bool {
-		e.U64(uint64(x))
-		return true
-	}
 	for v := 0; v < n && e.err == nil; v++ {
 		for _, in := range [2]bool{true, false} {
-			lst := &idx.Out[v]
-			if in {
-				lst = &idx.In[v]
-			}
-			if idx.isMirror(v, in) {
+			switch {
+			case idx.isMirror(v, in):
 				buf = idx.derive(v, in, buf[:0])
-				derived = label.Wrap(buf)
-				lst = &derived
+			case in:
+				buf = idx.In[v].AppendTo(buf[:0])
+			default:
+				buf = idx.Out[v].AppendTo(buf[:0])
 			}
-			e.U32(uint32(lst.Len()))
-			lst.Each(put)
+			e.U32(uint32(len(buf)))
+			for _, x := range buf {
+				e.U64(uint64(x))
+			}
 		}
 	}
 }
