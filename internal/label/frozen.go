@@ -149,15 +149,24 @@ func appendSection(dst []byte, es []bitpack.Entry) []byte {
 	if flags&flagSync == 0 {
 		return bitpack.AppendDeltaBlocks(dst, es, nil)
 	}
-	var sync []byte
-	stream := bitpack.AppendDeltaBlocks(nil, es, func(hub, off uint32) {
-		sync = binary.LittleEndian.AppendUint32(sync, hub)
-		sync = binary.LittleEndian.AppendUint32(sync, off)
+	// One sync record per block, filled in while the stream is encoded
+	// behind them. Room for the longest possible stream is reserved
+	// first, so the records' bytes never move under the callback.
+	nsync := (len(es) + bitpack.DeltaBlock - 1) / bitpack.DeltaBlock
+	dst = binary.AppendUvarint(dst, uint64(nsync))
+	dst = slices.Grow(dst, 8*nsync+maxEntryBytes*len(es))
+	rec := len(dst)
+	dst = dst[:rec+8*nsync]
+	return bitpack.AppendDeltaBlocks(dst, es, func(hub, off uint32) {
+		binary.LittleEndian.PutUint32(dst[rec:], hub)
+		binary.LittleEndian.PutUint32(dst[rec+4:], off)
+		rec += 8
 	})
-	dst = binary.AppendUvarint(dst, uint64(len(sync)/8))
-	dst = append(dst, sync...)
-	return append(dst, stream...)
 }
+
+// maxEntryBytes bounds one entry's encoding: three uvarints of at most
+// 23 (hub), 17 (distance) and 24 (count) bits.
+const maxEntryBytes = 4 + 3 + 4
 
 // NewFrozen wraps deserialized section bytes — the v3 load path. off
 // and blob may alias a read-only mapping; only the structural offset
