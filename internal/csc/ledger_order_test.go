@@ -59,8 +59,8 @@ func TestServedLedgerOrderEntries(t *testing.T) {
 
 // ledgerResidentBytes is what the coverage-order ledger build's label
 // store holds: the delta+varint arenas of every reduced shard, offset
-// tables included. As 8-byte CSR entries with their growth pads the same
-// stored lists took 4,537,360 B.
+// tables included. The same stored lists as 8-byte CSR entries with
+// their growth pads would take 4,537,360 B.
 const ledgerResidentBytes = 2061815
 
 // assertLedgerStore pins the served ledger's label store: exactly

@@ -202,8 +202,9 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 }
 
 // reducedV2Digest is the sha256 of the v2 snapshot of a fresh sharded
-// build of randomGraph(seed 20261017, 150, 2), as written while reduced
-// shards still kept their stored lists in the CSR arena.
+// build of randomGraph(seed 20261017, 150, 2). The v2 bytes do not depend
+// on how a shard stores its labels: a CSR arena and the frozen store
+// write the same file.
 const reducedV2Digest = "a5d684c93b71272c9f07d854012f40b90aebd53a25c007d6048ebdcaaa542fcd"
 
 // A reduced shard's frozen store is not label compression: a fresh build

@@ -17,10 +17,8 @@ import (
 // always stay inside the span. The arena therefore never needs re-freezing
 // for correctness — it is a layout optimization, not an ownership change.
 //
-// Empty lists take no slots: a full labeling has none (every vertex
-// carries its self entry), and the lists a reduced CSC labeling leaves
-// unstored (pll's reduced state) are derived into private slices before
-// any write reaches them.
+// Empty lists take no slots; a full labeling has none (every vertex
+// carries its self entry).
 type Arena struct {
 	entries []bitpack.Entry
 	off     []int32 // len = lists+1; span i is entries[off[i]:off[i+1]]

@@ -8,18 +8,19 @@ import (
 // out-list and an in-list over common hubs (Equations 1-2). Every caller
 // — unbounded SCCnt reads, bounded screening reads, the INCCNT prune, the
 // online re-ranker's hub attribution — goes through Join. Two loops
-// implement it, one per list form:
+// implement it:
 //
-//   - joinSlices, when both lists are mutable (post-Freeze: views into the
-//     CSR arena): it walks the shorter list and finds each hub in the
-//     longer one, by a linear advance on balanced lengths and by galloping
-//     (exponential + binary search) on badly skewed ones — the
-//     hub-vertex-vs-leaf shape where a linear merge wastes almost all of
-//     its comparisons;
-//   - joinCursors, when either list is frozen: a leapfrog merge over lcur
-//     cursors behind the bloom pre-screen, where each side seeks to the
-//     other's hub (galloping on a mutable side, sync-record search on a
-//     compressed one).
+//   - joinSlices, over entry slices: mutable lists (plain slices or CSR
+//     arena spans), and frozen lists of up to joinStack entries, which
+//     Join first decodes onto its stack behind the bloom pre-screen. It
+//     walks the shorter list and finds each hub in the longer one, by a
+//     linear advance on balanced lengths and by galloping (exponential +
+//     binary search) on badly skewed ones — the hub-vertex-vs-leaf shape
+//     where a linear merge wastes almost all of its comparisons;
+//   - joinCursors, when a frozen list is longer than that: a leapfrog
+//     merge over lcur cursors behind the bloom pre-screen, where each
+//     side seeks to the other's hub (galloping on a mutable side,
+//     sync-record search on a compressed one).
 //
 // Both loops combine identically: the same distances, the same saturating
 // count arithmetic in the same ascending-hub order, so answers are
@@ -55,34 +56,30 @@ func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
 	if maxDist < 0 {
 		return Unreachable, 0, -1
 	}
-	if out.fz == nil && in.fz == nil {
-		// The combine step is symmetric in the two sides, so the slice
-		// loop only needs "short" and "long".
-		if len(out.e) <= len(in.e) {
-			return joinSlices(out.e, in.e, maxDist)
+	ea, eb := out.e, in.e
+	if out.fz != nil || in.fz != nil {
+		var a, b lcur
+		a.init(out)
+		b.init(in)
+		if sigReject(&a, &b) {
+			return Unreachable, 0, -1
 		}
-		return joinSlices(in.e, out.e, maxDist)
+		if a.fc.n > joinStack || b.fc.n > joinStack {
+			return joinCursors(&a, &b, maxDist)
+		}
+		// Both lists are short enough to decode onto the stack, so the
+		// pair joins in the slice loop: the leapfrog cursors pay a call
+		// and a form branch per step.
+		var bufA, bufB [joinStack]bitpack.Entry
+		if a.frozen {
+			ea = a.fc.drain(bufA[:0])
+		}
+		if b.frozen {
+			eb = b.fc.drain(bufB[:0])
+		}
 	}
-	var a, b lcur
-	a.init(out)
-	b.init(in)
-	if sigReject(&a, &b) {
-		return Unreachable, 0, -1
-	}
-	if a.fc.n > joinStack || b.fc.n > joinStack {
-		return joinCursors(&a, &b, maxDist)
-	}
-	// Both lists are short enough to decode onto the stack, so the pair
-	// joins in the slice loop: the leapfrog cursors pay a call and a
-	// form branch per step.
-	var bufA, bufB [joinStack]bitpack.Entry
-	ea, eb := a.es, b.es
-	if a.frozen {
-		ea = a.fc.drain(bufA[:0])
-	}
-	if b.frozen {
-		eb = b.fc.drain(bufB[:0])
-	}
+	// The combine step is symmetric in the two sides, so the slice loop
+	// only needs "short" and "long".
 	if len(ea) <= len(eb) {
 		return joinSlices(ea, eb, maxDist)
 	}
