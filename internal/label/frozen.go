@@ -49,6 +49,10 @@ type Frozen struct {
 
 	thawed  []bool // sections re-materialized as mutable lists; nil until the first thaw
 	nthawed int
+
+	// noStats keeps joins over these sections out of BloomStats (see
+	// SkipBloomStats).
+	noStats bool
 }
 
 const (
@@ -81,6 +85,12 @@ var bloomChecks, bloomRejects atomic.Uint64
 func BloomStats() (checks, rejects uint64) {
 	return bloomChecks.Load(), bloomRejects.Load()
 }
+
+// SkipBloomStats stops joins whose out-list lives in f from counting in
+// BloomStats. The counters are shared by every reader in the process, so
+// an arena on the default read path (a reduced index's stored lists)
+// leaves them to the compression opt-in they report on.
+func (f *Frozen) SkipBloomStats() { f.noStats = true }
 
 // FreezeCompressed packs every list of the given groups into a fresh
 // compressed arena and re-points each list at its section. Lists that
@@ -375,6 +385,7 @@ type fcursor struct {
 	cur    bitpack.Entry
 	ok     bool
 	hasSig bool   // the section carries a bloom signature
+	stats  bool   // joins over the section count in BloomStats
 	sig    uint64 // the section's bloom signature, when hasSig
 }
 
@@ -383,6 +394,7 @@ type fcursor struct {
 func (f *Frozen) cursor(i int32) fcursor {
 	var c fcursor
 	c.n, c.sig, c.hasSig, c.sync, c.ent = f.header(i)
+	c.stats = !f.noStats
 	c.next()
 	return c
 }
@@ -453,23 +465,8 @@ func (c *fcursor) next() {
 // exhausts the cursor; a malformed stream ends the list early, as next
 // does.
 func (c *fcursor) drain(dst []bitpack.Entry) []bitpack.Entry {
-	for c.ok {
+	for ; c.ok; c.next() {
 		dst = append(dst, c.cur)
-		// Decode the run of gap entries whose three fields fit one byte
-		// each in this loop; next takes block starts and wider values.
-		ent, p, hub, i := c.ent, c.pos, c.hub, c.idx
-		for i < c.n && i%bitpack.DeltaBlock != 0 && p+2 < len(ent) && (ent[p]|ent[p+1]|ent[p+2]) < 0x80 && ent[p] != 0 {
-			h := hub + int(ent[p])
-			if h > bitpack.MaxHub {
-				break
-			}
-			hub = h
-			dst = append(dst, bitpack.Pack(hub, int(ent[p+1]), uint64(ent[p+2])))
-			p += 3
-			i++
-		}
-		c.pos, c.hub, c.idx = p, hub, i
-		c.next()
 	}
 	return dst
 }

@@ -8,19 +8,18 @@ import (
 // out-list and an in-list over common hubs (Equations 1-2). Every caller
 // — unbounded SCCnt reads, bounded screening reads, the INCCNT prune, the
 // online re-ranker's hub attribution — goes through Join. Two loops
-// implement it:
+// implement it, one per list form:
 //
-//   - joinSlices, over entry slices: mutable lists (plain slices or CSR
-//     arena spans), and frozen lists of up to joinStack entries, which
-//     Join first decodes onto its stack behind the bloom pre-screen. It
-//     walks the shorter list and finds each hub in the longer one, by a
-//     linear advance on balanced lengths and by galloping (exponential +
-//     binary search) on badly skewed ones — the hub-vertex-vs-leaf shape
-//     where a linear merge wastes almost all of its comparisons;
-//   - joinCursors, when a frozen list is longer than that: a leapfrog
-//     merge over lcur cursors behind the bloom pre-screen, where each
-//     side seeks to the other's hub (galloping on a mutable side,
-//     sync-record search on a compressed one).
+//   - joinSlices, when both lists are mutable (plain slices or CSR arena
+//     spans): it walks the shorter list and finds each hub in the longer
+//     one, by a linear advance on balanced lengths and by galloping
+//     (exponential + binary search) on badly skewed ones — the
+//     hub-vertex-vs-leaf shape where a linear merge wastes almost all of
+//     its comparisons;
+//   - joinCursors, when either list is frozen: a leapfrog merge over lcur
+//     cursors behind the bloom pre-screen, where each side seeks to the
+//     other's hub (galloping on a mutable side, sync-record search on a
+//     frozen one).
 //
 // Both loops combine identically: the same distances, the same saturating
 // count arithmetic in the same ascending-hub order, so answers are
@@ -56,53 +55,38 @@ func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
 	if maxDist < 0 {
 		return Unreachable, 0, -1
 	}
-	ea, eb := out.e, in.e
-	if out.fz != nil || in.fz != nil {
-		var a, b lcur
-		a.init(out)
-		b.init(in)
-		if sigReject(&a, &b) {
-			return Unreachable, 0, -1
+	if out.fz == nil && in.fz == nil {
+		// The combine step is symmetric in the two sides, so the slice
+		// loop only needs "short" and "long".
+		if len(out.e) <= len(in.e) {
+			return joinSlices(out.e, in.e, maxDist)
 		}
-		if a.fc.n > joinStack || b.fc.n > joinStack {
-			return joinCursors(&a, &b, maxDist)
-		}
-		// Both lists are short enough to decode onto the stack, so the
-		// pair joins in the slice loop: the leapfrog cursors pay a call
-		// and a form branch per step.
-		var bufA, bufB [joinStack]bitpack.Entry
-		if a.frozen {
-			ea = a.fc.drain(bufA[:0])
-		}
-		if b.frozen {
-			eb = b.fc.drain(bufB[:0])
-		}
+		return joinSlices(in.e, out.e, maxDist)
 	}
-	// The combine step is symmetric in the two sides, so the slice loop
-	// only needs "short" and "long".
-	if len(ea) <= len(eb) {
-		return joinSlices(ea, eb, maxDist)
+	var a, b lcur
+	a.init(out)
+	b.init(in)
+	if sigReject(&a, &b) {
+		return Unreachable, 0, -1
 	}
-	return joinSlices(eb, ea, maxDist)
+	return joinCursors(&a, &b, maxDist)
 }
-
-// joinStack is the longest frozen list Join decodes onto its stack
-// instead of streaming it through a cursor.
-const joinStack = 256
 
 // sigReject reports whether the bloom signatures prove the two lists
 // share no hub. Only pairs where both sides carry a signature count as
-// checks.
+// checks, and only when the out-list's arena reports to BloomStats.
 func sigReject(a, b *lcur) bool {
 	if !a.fc.hasSig || !b.fc.hasSig {
 		return false
 	}
-	bloomChecks.Add(1)
-	if a.fc.sig&b.fc.sig != 0 {
-		return false
+	reject := a.fc.sig&b.fc.sig == 0
+	if a.fc.stats {
+		bloomChecks.Add(1)
+		if reject {
+			bloomRejects.Add(1)
+		}
 	}
-	bloomRejects.Add(1)
-	return true
+	return reject
 }
 
 // joinSlices is Join over two entry slices. Every short entry within the
