@@ -242,4 +242,16 @@ func TestBloomSignatures(t *testing.T) {
 	if c3, _ := BloomStats(); c3 != c2 {
 		t.Fatal("sig-less pair counted as a bloom check")
 	}
+
+	// An arena that skips the counters still screens: the disjoint pair
+	// answers Unreachable, and neither counter moves.
+	quiet := []List{listOf(disjointA.Entries()), listOf(disjointB.Entries())}
+	FreezeCompressed(quiet).SkipBloomStats()
+	c4, r4 := BloomStats()
+	if d, c, _ := Join(&quiet[0], &quiet[1], Unreachable); d != Unreachable || c != 0 {
+		t.Fatalf("disjoint Join over a quiet arena = (%d,%d)", d, c)
+	}
+	if c5, r5 := BloomStats(); c5 != c4 || r5 != r4 {
+		t.Fatalf("quiet arena moved the bloom counters: checks %d -> %d, rejects %d -> %d", c4, c5, r4, r5)
+	}
 }

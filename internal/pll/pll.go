@@ -400,6 +400,7 @@ func (idx *Index) ReleaseScratch() {
 func (idx *Index) Freeze() {
 	if idx.reduced {
 		idx.arena, idx.frozen = nil, label.FreezeCompressed(idx.In, idx.Out)
+		idx.frozen.SkipBloomStats()
 		return
 	}
 	idx.arena = label.Freeze(idx.In, idx.Out)
