@@ -244,7 +244,7 @@ func (x *Sharded) installTasks(tasks []*batchTask, agg *pll.UpdateStats) {
 				if len(comp) < 2 {
 					continue
 				}
-				sh := buildShard(x.g, comp, x.opts)
+				sh := buildShard(x.g, comp, x.opts, false)
 				x.install(sh)
 				x.batchRebuilds++
 				agg.EntriesAdded += sh.idx.EntryCount()
@@ -528,7 +528,7 @@ func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
 // few allocations across the whole batch.
 func (x *Sharded) runBatchTask(t *batchTask) {
 	if t.build != nil {
-		t.sh = buildShard(x.g, t.build, x.opts)
+		t.sh = buildShard(x.g, t.build, x.opts, false)
 		t.st.EntriesAdded = t.sh.idx.EntryCount()
 		t.st.Visited = len(t.build)
 		t.st.TouchedOwners = touchAll(t.build)

@@ -11,11 +11,13 @@
 // BFSes prune through the hub-indexed scatter instead of per-dequeue
 // merge-joins, hubs run in one rank-ordered loop, and the finished labels
 // are the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out),
-// the two lists a query joins, are stored, frozen into the delta+varint
-// arena (label.Frozen) that reads stream without decoding. A shard's
-// first label write expands it into one slab of plain slices holding all
-// four lists of every couple (pll.Index.Expand); a shard nothing writes
-// keeps the frozen form for its lifetime.
+// the two lists a query joins, are stored. A build at boot (Build,
+// BuildSharded) or a load freezes them into the delta+varint arena
+// (label.Frozen) that reads stream through cursors; a rebuild on the
+// write path leaves them in plain slices. A shard's first label write
+// expands it into one slab of plain slices holding all four lists of
+// every couple (pll.Index.Expand); a shard nothing writes keeps its
+// reduced form for its lifetime.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -79,6 +81,15 @@ type Options struct {
 // The original graph g is retained (not copied) and subsequently owned by
 // the index: callers must mutate it only through InsertEdge/DeleteEdge.
 func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildStats) {
+	return build(g, ord, opts, true)
+}
+
+// build is Build with the freeze of a reduced labeling optional. The
+// rebuilds on the write path pass freeze=false: the shard's next label
+// write expands it into plain slices anyway (pll.Index.Expand), so
+// freezing it would only buy a decode on that write, and until then its
+// stored lists serve from the slices the construction filled.
+func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Index, pll.BuildStats) {
 	start := time.Now()
 	gb := bipartite.Convert(g)
 	lifted := bipartite.LiftOrder(ord)
@@ -93,10 +104,13 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 		eng.Strategy = opts.Strategy
 		eng.HubFilter = bipartite.IsIn
 	}
-	if opts.CompressLabels {
+	switch {
+	case opts.CompressLabels:
 		// Every build path — monolithic, per-shard, scoped rebuilds — funnels
 		// through here, so compression survives any dynamic reconstruction.
 		eng.FreezeCompressed()
+	case freeze && eng.Reduced():
+		eng.Freeze()
 	}
 	idx := &Index{g: g, eng: eng}
 	st := eng.Stats()
@@ -110,9 +124,10 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 // couple and half the join queries are skipped. The couple's labels are
 // the mirrored lists of the paper's index reduction (§IV-E), so the
 // construction counts them without storing them and leaves the index in
-// pll's reduced state: only Lin(v_in) and Lout(v_out) are stored, frozen
-// into the delta+varint arena, and the first label mutation derives the
-// rest. The scratch the passes share goes back to the pool at the end.
+// pll's reduced state: only Lin(v_in) and Lout(v_out) are stored, and
+// the first label mutation derives the rest. The lists are left in the
+// slices the passes appended to; the caller decides whether to freeze
+// them. The scratch the passes share goes back to the pool at the end.
 func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
 	eng := pll.NewReduced(gb, ord)
 	s := pll.GetScratch(gb.NumVertices())
@@ -129,7 +144,6 @@ func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
 		outPass(eng, v, r, s)
 	}
 	pll.PutScratch(s)
-	eng.Freeze()
 	return eng
 }
 

@@ -120,7 +120,7 @@ func (r *Rebuild) Run(workers int) {
 				opts.Order = strat
 				ord = orderFor(r.subs[i], opts)
 			}
-			idx, _ := Build(r.subs[i], ord, r.opts)
+			idx, _ := build(r.subs[i], ord, r.opts, false)
 			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
 		}
 		if len(r.comps) == 1 || workers == 1 {

@@ -126,7 +126,7 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 					return
 				}
 				sid := sched[i]
-				x.shards[sid] = buildShard(g, comps[sid], opts)
+				x.shards[sid] = buildShard(g, comps[sid], opts, true)
 			}
 		}()
 	}
@@ -139,9 +139,10 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 
 // buildShard constructs one component's sub-index over its induced
 // subgraph with the component's own order under the configured strategy.
-func buildShard(g *graph.Digraph, verts []int32, opts Options) *shard {
+// freeze is false on the write path (see build).
+func buildShard(g *graph.Digraph, verts []int32, opts Options, freeze bool) *shard {
 	sub := partition.Induced(g, verts)
-	idx, _ := Build(sub, orderFor(sub, opts), opts)
+	idx, _ := build(sub, orderFor(sub, opts), opts, freeze)
 	return &shard{verts: verts, idx: idx, strat: opts.Order}
 }
 
@@ -299,7 +300,7 @@ func (x *Sharded) mergeRebuild(a int, start time.Time) pll.UpdateStats {
 		st.EntriesRemoved += x.shards[s].idx.EntryCount()
 		x.retire(s)
 	}
-	sh := buildShard(x.g, merged, x.opts)
+	sh := buildShard(x.g, merged, x.opts, false)
 	x.install(sh)
 	x.merges++
 	st.EntriesAdded = sh.idx.EntryCount()
@@ -324,7 +325,7 @@ func (x *Sharded) splitRebuild(s int32, start time.Time) pll.UpdateStats {
 		if len(comp) < 2 {
 			continue
 		}
-		sh := buildShard(x.g, comp, x.opts)
+		sh := buildShard(x.g, comp, x.opts, false)
 		x.install(sh)
 		st.EntriesAdded += sh.idx.EntryCount()
 	}

@@ -25,8 +25,10 @@ import (
 // lists an SCCnt query joins — and keeps the two mirrored lists empty.
 // EntryCount still counts the logical labeling. Its immutable form is the
 // delta+varint arena (label.Frozen, via Freeze), about 2.2x smaller than
-// the same lists as 8-byte CSR entries; reads stream its sections and
-// never decode a list into memory. Every label mutation (INCCNT,
+// the same lists as 8-byte CSR entries; reads stream its sections through
+// cursors and never decode a list into memory. A reduced index nobody
+// froze (a rebuild on the write path) keeps the stored lists in the
+// slices its construction filled. Every label mutation (INCCNT,
 // decremental repair, vertex growth, a compressed freeze) first expands
 // the index through Expand, so the dynamic algorithms always run on a
 // full labeling of plain slices. The writers emit the derived lists, so
@@ -53,20 +55,27 @@ func (idx *Index) CountMirrored() {
 }
 
 // Expand turns a reduced index into a full one for its first label
-// write. It decodes the stored lists and derives the mirrored ones into
-// one slab sized for exactly the full labeling, each couple's four lists
-// side by side — Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and
-// each list followed by the CSR arena's growth pad, then drops the frozen
-// store. Each stored list decodes once; its mirror derives from the copy
-// already in the slab. The source is the compact frozen form, so the
-// expansion never holds two 8-byte copies of the labels. The written
-// index keeps plain slices; nothing freezes it again. A full index is
-// left as is.
+// write. A frozen index decodes its stored lists and derives the mirrored
+// ones into one slab sized for exactly the full labeling, each couple's
+// four lists side by side — Lin(v_in), Lin(v_out), Lout(v_out),
+// Lout(v_in) — then drops the frozen store; each stored list decodes
+// once, and its mirror derives from the copy already in the slab. An
+// unfrozen one (a rebuild on the write path) keeps its stored slices
+// where they are and derives only the mirrors into a slab, so the
+// expansion never holds two 8-byte copies of a list. Every list in a
+// slab is followed by the CSR arena's growth pad. The written index
+// keeps plain slices; nothing freezes it again. A full index is left as
+// is.
 func (idx *Index) Expand() {
 	if !idx.reduced {
 		return
 	}
-	slab := make([]bitpack.Entry, 0, idx.entries+label.ArenaPad*2*len(idx.In))
+	decode := idx.frozen != nil
+	size, lists := idx.mirrored, len(idx.In)
+	if decode {
+		size, lists = idx.entries, 2*len(idx.In)
+	}
+	slab := make([]bitpack.Entry, 0, size+label.ArenaPad*lists)
 	wrap := func(lo int) label.List {
 		hi := len(slab)
 		for range label.ArenaPad {
@@ -77,15 +86,19 @@ func (idx *Index) Expand() {
 	for vin := 0; vin+1 < len(idx.In); vin += 2 {
 		vout := vin + 1
 		lo := len(slab)
-		slab = idx.In[vin].AppendTo(slab)
-		idx.In[vin] = wrap(lo)
-		lo = len(slab)
+		if decode {
+			slab = idx.In[vin].AppendTo(slab)
+			idx.In[vin] = wrap(lo)
+			lo = len(slab)
+		}
 		slab = idx.deriveIn(vout, slab)
 		idx.In[vout] = wrap(lo)
 		lo = len(slab)
-		slab = idx.Out[vout].AppendTo(slab)
-		idx.Out[vout] = wrap(lo)
-		lo = len(slab)
+		if decode {
+			slab = idx.Out[vout].AppendTo(slab)
+			idx.Out[vout] = wrap(lo)
+			lo = len(slab)
+		}
 		slab = idx.deriveOut(vin, slab)
 		idx.Out[vin] = wrap(lo)
 	}
@@ -99,8 +112,8 @@ func (idx *Index) Expand() {
 // their derivation, freezes the stored lists (Freeze), and reports
 // whether the index is now reduced. An index with any mirror that differs
 // from its derivation — or a compressed one, whose arena layout is fixed —
-// stays full. Loaders call it, so a snapshot reloads as compact as the
-// build that wrote it.
+// stays full. The loaders call it (ReadReducedFrom) before anything is
+// frozen, so a snapshot reloads as compact as the build that wrote it.
 func (idx *Index) Reduce() bool {
 	if idx.reduced {
 		return true
