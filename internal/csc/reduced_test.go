@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bfscount"
 	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
@@ -130,6 +131,61 @@ func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 	}
 }
 
+// TestWritePathRebuildStaysUnfrozen pins where a reduced shard's stored
+// lists are frozen: a boot build freezes them into the delta+varint
+// arena, a merge rebuild on the write path leaves them in the slices
+// its construction filled (its next label write expands them anyway),
+// and that next write expands the shard. Every step answers like the
+// BFS oracle.
+func TestWritePathRebuildStaysUnfrozen(t *testing.T) {
+	// Two 3-cycles, 0→1→2→0 and 3→4→5→3.
+	g, err := graph.FromPairs(6, []int32{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := BuildSharded(g, Options{})
+	check := func(stage string) {
+		t.Helper()
+		for v := 0; v < x.Graph().NumVertices(); v++ {
+			wl, wc := bfscount.CycleCount(x.Graph(), v)
+			if l, c := x.CycleCount(v); l != wl || c != wc {
+				t.Fatalf("%s: SCCnt(%d) = (%d,%d), oracle (%d,%d)", stage, v, l, c, wl, wc)
+			}
+		}
+	}
+	engOf := func(v int) *pll.Index { return x.shards[x.shardOf[v]].idx.eng }
+	check("boot")
+	for _, v := range []int{0, 3} {
+		if e := engOf(v); !e.Reduced() || e.FrozenArena() == nil || e.Compressed() {
+			t.Fatalf("boot shard of %d: reduced %v, frozen %v, compressed %v; want a reduced frozen store", v, e.Reduced(), e.FrozenArena() != nil, e.Compressed())
+		}
+	}
+	// 2→3 and 5→0 merge the two cycles into one component, rebuilt.
+	if _, err := x.ApplyBatch([]EdgeOp{Ins(2, 3), Ins(5, 0)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("merge")
+	e := engOf(0)
+	if engOf(3) != e || !e.Reduced() || e.FrozenArena() != nil || e.Arena() != nil {
+		t.Fatalf("merged shard: reduced %v, frozen %v, arena %v; want reduced plain slices", e.Reduced(), e.FrozenArena() != nil, e.Arena() != nil)
+	}
+	stored := 0
+	for v := range e.In {
+		stored += e.In[v].Len() + e.Out[v].Len()
+	}
+	if e.ResidentBytes() != 8*stored || stored >= e.EntryCount() {
+		t.Fatalf("merged shard holds %d bytes for %d stored of %d entries; want 8 B per stored entry", e.ResidentBytes(), stored, e.EntryCount())
+	}
+	// A write confined to the merged shard expands it.
+	if _, err := x.ApplyBatch([]EdgeOp{Ins(1, 0)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("intra-shard insert")
+	if e := engOf(0); e.Reduced() || e.FrozenArena() != nil {
+		t.Fatalf("written shard: reduced %v, frozen %v; want a full labeling of plain slices", e.Reduced(), e.FrozenArena() != nil)
+	}
+}
+
 // TestLoaderKeepsInconsistentMirrors patches one mirrored entry of a v2
 // file: the loader must keep that shard expanded (it cannot derive the
 // patched list), answer as before, and write the file back byte for byte.
@@ -163,8 +219,8 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := loaded.(*Sharded)
-	if ls.shards[0].idx.eng.Reduced() {
-		t.Fatal("a shard with an inconsistent mirror loaded reduced")
+	if e := ls.shards[0].idx.eng; e.Reduced() || e.Arena() == nil {
+		t.Fatalf("a shard with an inconsistent mirror loaded reduced %v, in the CSR arena %v; want a full arena", e.Reduced(), e.Arena() != nil)
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		wl, wc := x.CycleCount(v)
@@ -191,6 +247,10 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 	cs := clean.(*Sharded)
 	if !cs.shards[0].idx.eng.Reduced() || cs.ResidentBytes() >= cs.Bytes() {
 		t.Fatalf("clean load: reduced=%v resident %d logical %d", cs.shards[0].idx.eng.Reduced(), cs.ResidentBytes(), cs.Bytes())
+	}
+	// A clean load reduces before it freezes: no CSR arena is packed.
+	if e := cs.shards[0].idx.eng; e.Arena() != nil || e.FrozenArena() == nil {
+		t.Fatalf("clean load: CSR arena %v, frozen store %v; want only the frozen store", e.Arena() != nil, e.FrozenArena() != nil)
 	}
 	again.Reset()
 	if _, err := cs.WriteTo(&again); err != nil {

@@ -54,12 +54,11 @@ func Read(r io.Reader) (Counter, error) {
 // readMonolithic loads a v1 stream and reconstructs the original graph
 // from the bipartite conversion.
 func readMonolithic(br *bufio.Reader) (*Index, error) {
-	eng, err := pll.ReadIndexFrom(br)
+	eng, err := pll.ReadReducedFrom(br) // stays full if any mirror differs from its derivation
 	if err != nil {
 		return nil, err
 	}
 	eng.HubFilter = bipartite.IsIn // functions do not serialize; re-install
-	eng.Reduce()                   // stays full if any mirror differs from its derivation
 	g, err := originalFromGb(eng.G)
 	if err != nil {
 		return nil, err

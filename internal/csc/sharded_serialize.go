@@ -220,7 +220,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 				return nil, err
 			}
 		}
-		eng, err := pll.ReadIndexFrom(br)
+		eng, err := pll.ReadReducedFrom(br) // stays full if any mirror differs from its derivation
 		if err != nil {
 			return nil, fmt.Errorf("shard %d labeling: %w", sid, err)
 		}
@@ -228,7 +228,6 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 			return nil, bad("shard %d strategy %d != header %d", sid, eng.Strategy, strat)
 		}
 		eng.HubFilter = bipartite.IsIn
-		eng.Reduce() // stays full if any mirror differs from its derivation
 		sub, err := originalFromGb(eng.G)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sid, err)

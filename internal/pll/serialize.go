@@ -146,6 +146,34 @@ func ReadIndex(r io.Reader) (*Index, error) {
 // buffered reader never prefetches bytes that belong to the next section,
 // which a privately wrapped bufio would swallow.
 func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
+	idx, err := readIndex(br)
+	if err != nil {
+		return nil, err
+	}
+	// A loaded index serves the same hot paths as a built one: freeze the
+	// lists into the CSR arena for locality.
+	idx.Freeze()
+	return idx, nil
+}
+
+// ReadReducedFrom is ReadIndexFrom for a labeling over a bipartite
+// conversion: it reduces the loaded lists (Reduce) before anything is
+// frozen, so a clean snapshot goes straight into the delta+varint
+// arena, and packs the CSR arena only when Reduce declines — a mirror
+// that differs from its derivation keeps the index full.
+func ReadReducedFrom(br *bufio.Reader) (*Index, error) {
+	idx, err := readIndex(br)
+	if err != nil {
+		return nil, err
+	}
+	if !idx.Reduce() {
+		idx.Freeze()
+	}
+	return idx, nil
+}
+
+// readIndex deserializes an index into per-list slices, unfrozen.
+func readIndex(br *bufio.Reader) (*Index, error) {
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
 
 	var magic [8]byte
@@ -240,9 +268,6 @@ func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
 			}
 		}
 	}
-	// A loaded index serves the same hot paths as a built one: freeze the
-	// lists into the CSR arena for locality.
-	idx.Freeze()
 	return idx, nil
 }
 
