@@ -136,11 +136,11 @@ func (e *Engine) initObs() {
 		return float64(e.cacheSlots())
 	})
 	reg.CounterFunc("cscd_labels_refrozen_total", "thawed label lists folded back into the compressed arena at quiesce", e.refrozen.Load)
-	reg.CounterFunc("cscd_bloom_checks_total", "join calls screened by label bloom signatures", func() uint64 {
+	reg.CounterFunc("cscd_bloom_checks_total", "joins over compressed labels screened by bloom signatures", func() uint64 {
 		c, _ := label.BloomStats()
 		return c
 	})
-	reg.CounterFunc("cscd_bloom_rejects_total", "join calls rejected by bloom signatures without decoding an entry", func() uint64 {
+	reg.CounterFunc("cscd_bloom_rejects_total", "joins over compressed labels rejected by bloom signatures without decoding an entry", func() uint64 {
 		_, r := label.BloomStats()
 		return r
 	})

@@ -98,7 +98,7 @@ func (l *List) Each(fn func(bitpack.Entry) bool) {
 }
 
 // AppendTo appends the list's entries to dst in ascending hub order and
-// returns the extended slice. A frozen list decodes in one tight loop
+// returns the extended slice. A frozen list decodes through one cursor
 // without thawing; bulk readers (the writers, an expansion) use it
 // instead of Each.
 func (l *List) AppendTo(dst []bitpack.Entry) []bitpack.Entry {
