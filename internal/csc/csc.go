@@ -12,12 +12,16 @@
 // merge-joins, hubs run in one rank-ordered loop, and the finished labels
 // are the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out),
 // the two lists a query joins, are stored. A build at boot (Build,
-// BuildSharded) or a load freezes them into the delta+varint arena
-// (label.Frozen) that reads stream through cursors; a rebuild on the
-// write path leaves them in plain slices. A shard's first label write
-// expands it into one slab of plain slices holding all four lists of
-// every couple (pll.Index.Expand); a shard nothing writes keeps its
-// reduced form for its lifetime.
+// BuildSharded), an online re-rank or a load freezes them into the
+// delta+varint arena (label.Frozen) that reads stream through cursors,
+// and the shard turns lean: it holds that store, its induced subgraph
+// and nothing else of its labeling — no list headers and no Gb. A
+// rebuild on the write path (merge, split, deferred rebuild) leaves them
+// in one slab of plain slices. A shard's first label write gives it its
+// write form: Gb converted again from the induced subgraph, then one slab
+// of plain slices holding all four lists of every couple
+// (pll.Index.Expand); a shard nothing writes keeps its lean form for its
+// lifetime.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -84,11 +88,13 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 	return build(g, ord, opts, true)
 }
 
-// build is Build with the freeze of a reduced labeling optional. The
-// rebuilds on the write path pass freeze=false: the shard's next label
-// write expands it into plain slices anyway (pll.Index.Expand), so
-// freezing it would only buy a decode on that write, and until then its
-// stored lists serve from the slices the construction filled.
+// build is Build with the freeze of a reduced labeling optional. A
+// frozen labeling is lean: it drops its Gb and list headers, and its
+// first write converts g again (pll.Index.DropGraph). The rebuilds on
+// the write path pass freeze=false: the shard's next label write expands
+// it into plain slices anyway (pll.Index.Expand), so freezing it would
+// only buy a decode on that write; until then its stored lists serve
+// from one exactly sized slab (pll.Index.Compact).
 func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Index, pll.BuildStats) {
 	start := time.Now()
 	gb := bipartite.Convert(g)
@@ -111,6 +117,9 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 		eng.FreezeCompressed()
 	case freeze && eng.Reduced():
 		eng.Freeze()
+		eng.DropGraph(g)
+	default:
+		eng.Compact()
 	}
 	idx := &Index{g: g, eng: eng}
 	st := eng.Stats()
@@ -287,21 +296,37 @@ func (x *Index) read(v, maxLen int, bounded bool) (length int, count uint64) {
 // InsertEdge applies an edge insertion on the original graph and maintains
 // the Gb labeling with INCCNT.
 func (x *Index) InsertEdge(a, b int) (pll.UpdateStats, error) {
+	expand := x.writeForm()
 	if err := x.g.AddEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	ga, gbv := bipartite.ConvertEdge(a, b)
-	return x.eng.InsertEdge(ga, gbv)
+	st, err := x.eng.InsertEdge(ga, gbv)
+	st.Duration += expand
+	return st, err
 }
 
 // DeleteEdge applies an edge deletion on the original graph and repairs
 // the Gb labeling.
 func (x *Index) DeleteEdge(a, b int) (pll.UpdateStats, error) {
+	expand := x.writeForm()
 	if err := x.g.RemoveEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	ga, gbv := bipartite.ConvertEdge(a, b)
-	return x.eng.DeleteEdge(ga, gbv)
+	st, err := x.eng.DeleteEdge(ga, gbv)
+	st.Duration += expand
+	return st, err
+}
+
+// writeForm expands the labeling before a write changes x.g, which a
+// lean labeling converts back into its Gb (pll.Index.DropGraph), and
+// reports how long that took: the update's stats count it, as they did
+// when the expansion ran inside the update.
+func (x *Index) writeForm() time.Duration {
+	start := time.Now()
+	x.eng.Expand()
+	return time.Since(start)
 }
 
 // Graph returns the original graph. Callers must not mutate it directly.

@@ -38,7 +38,7 @@ func TestPaperTableIII(t *testing.T) {
 	v7o := bipartite.OutVertex(6)
 	r := func(b int) int { return eng.Ord.Rank(b) }
 
-	in := eng.In[v7i]
+	in := eng.InLabel(v7i)
 	if in.Len() != 2 {
 		t.Fatalf("Lin(v7i) has %d entries: %v", in.Len(), in.Entries())
 	}
@@ -49,7 +49,7 @@ func TestPaperTableIII(t *testing.T) {
 		t.Fatalf("Lin(v7i) self = %v %v", e, ok)
 	}
 
-	out := eng.Out[v7o]
+	out := eng.OutLabel(v7o)
 	if out.Len() != 3 {
 		t.Fatalf("Lout(v7o) has %d entries: %v", out.Len(), out.Entries())
 	}
@@ -202,10 +202,7 @@ func TestReducedIndex(t *testing.T) {
 	if !eng.Reduced() {
 		t.Fatal("a fresh build is not reduced")
 	}
-	stored := 0
-	for b := 0; b < 2*g.NumVertices(); b++ {
-		stored += eng.In[b].Len() + eng.Out[b].Len()
-	}
+	stored := storedEntries(eng)
 	if stored != x.ReducedEntryCount() {
 		t.Fatalf("reduced index stores %d entries, ReducedEntryCount %d", stored, x.ReducedEntryCount())
 	}

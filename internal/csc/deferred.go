@@ -58,6 +58,12 @@ type Rebuild struct {
 	ords   []*order.Order
 	strats []order.Strategy // per-component strategy tags, aligned with comps
 
+	// freeze builds the components frozen, and so lean (see build): set
+	// for a re-rank, whose shard is read-hot rather than written; a
+	// structural rebuild's shard is about to be written and stays
+	// unfrozen.
+	freeze bool
+
 	// frozenAt is when the deferral's shards froze — inherited across
 	// supersessions, so it anchors the full stale window a reader could
 	// have observed, not just the latest recomputation's.
@@ -120,7 +126,7 @@ func (r *Rebuild) Run(workers int) {
 				opts.Order = strat
 				ord = orderFor(r.subs[i], opts)
 			}
-			idx, _ := build(r.subs[i], ord, r.opts, false)
+			idx, _ := build(r.subs[i], ord, r.opts, r.freeze)
 			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
 		}
 		if len(r.comps) == 1 || workers == 1 {

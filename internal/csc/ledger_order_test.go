@@ -1,6 +1,7 @@
 package csc
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -76,4 +77,39 @@ func assertLedgerStore(t *testing.T, x *Sharded) {
 	if 2*got > reduced {
 		t.Errorf("the ledger's label store holds %d B, more than half of the %d B of its stored entries", got, reduced)
 	}
+}
+
+// ledgerLiveHeapBudget bounds the live heap the coverage-order ledger
+// build retains beyond its global graph: the frozen label stores
+// (2.06 MB), the shards' induced subgraphs, member lists and the
+// vertex→shard tables. A build whose unwritten shards kept their list
+// headers and Gb conversions held about 2 MB more.
+const ledgerLiveHeapBudget = 4_000_000
+
+// TestServedLedgerLiveHeap pins what the served ledger's index holds
+// once built: every shard is lean, and the heap retained by the build,
+// after collection, stays within ledgerLiveHeapBudget.
+func TestServedLedgerLiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 102,000-vertex ledger")
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes heap accounting")
+	}
+	g := servedLedger()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, _ := BuildSharded(g, Options{Order: order.Coverage})
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("the ledger build retains %d B of live heap (%d shards, label store %d B, graphs %d B)",
+		retained, x.NumShards(), x.ResidentBytes(), x.GraphBytes())
+	assertLean(t, "ledger build", x)
+	if retained > ledgerLiveHeapBudget {
+		t.Errorf("the ledger build retains %d B of live heap, budget %d B", retained, ledgerLiveHeapBudget)
+	}
+	runtime.KeepAlive(x)
 }

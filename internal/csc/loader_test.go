@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/order"
 	"repro/internal/pll"
+	"repro/internal/testgraphs"
 )
 
 // Every loader rejects an index whose edge records are not a simple
@@ -65,5 +67,31 @@ func TestLoadersRejectBadEdgeRecords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A v1 labeling's graph must be exactly a bipartite conversion: a lean
+// index drops it and converts the reconstructed original graph instead,
+// so an edge out of a V_in vertex beyond its couple edge — one the
+// original graph cannot express — must fail the load, not vanish.
+func TestLoaderRejectsNonConversionGb(t *testing.T) {
+	g := testgraphs.Figure2()
+	x, _ := Build(g.Clone(), order.ByDegree(g), Options{})
+	var file bytes.Buffer
+	if _, err := x.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	data := file.Bytes()
+	// Records start at byte 17, tails ascending: record 0 is v1's couple
+	// edge (0 → 1), record 1 v1_out's first converted edge (1 → 4, for
+	// v1 → v3). Moving that edge's tail to v1_in gives v1_in a second
+	// out-edge and keeps the records a simple graph.
+	rec := data[17+8 : 17+16]
+	if u, v := binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:]); u != 1 || v != 4 {
+		t.Fatalf("record 1 is (%d,%d), want (1,4)", u, v)
+	}
+	binary.LittleEndian.PutUint32(rec, 0)
+	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, pll.ErrBadFormat) {
+		t.Fatalf("a labeling graph with an edge out of v1_in to v3_in loaded: err = %v", err)
 	}
 }

@@ -10,8 +10,8 @@ func (x *Index) ReducedEntryCount() int {
 	n := x.g.NumVertices()
 	total := 0
 	for v := 0; v < n; v++ {
-		total += x.eng.In[bipartite.InVertex(v)].Len() +
-			x.eng.Out[bipartite.OutVertex(v)].Len()
+		in, out := x.eng.InLabel(bipartite.InVertex(v)), x.eng.OutLabel(bipartite.OutVertex(v))
+		total += in.Len() + out.Len()
 	}
 	return total
 }

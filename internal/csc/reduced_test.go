@@ -13,6 +13,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/order"
 	"repro/internal/pll"
 	"repro/internal/testgraphs"
@@ -45,10 +46,7 @@ func TestReducedBuildMatchesGeneric(t *testing.T) {
 		if !es.Reduced() {
 			t.Fatalf("%s: skipping build is not reduced", c.name)
 		}
-		stored := 0
-		for b := 0; b < 2*c.g.NumVertices(); b++ {
-			stored += es.In[b].Len() + es.Out[b].Len()
-		}
+		stored := storedEntries(es)
 		if stored != skip.ReducedEntryCount() {
 			t.Fatalf("%s: stores %d entries, want ReducedEntryCount %d", c.name, stored, skip.ReducedEntryCount())
 		}
@@ -68,6 +66,17 @@ func TestReducedBuildMatchesGeneric(t *testing.T) {
 			t.Fatalf("%s: expansion changed the entry count to %d", c.name, skip.EntryCount())
 		}
 	}
+}
+
+// storedEntries counts the entries e's lists hold, read through InLabel
+// and OutLabel so that a lean index is counted without expanding it.
+func storedEntries(e *pll.Index) int {
+	stored := 0
+	for v := 0; v < e.Ord.Len(); v++ {
+		in, out := e.InLabel(v), e.OutLabel(v)
+		stored += in.Len() + out.Len()
+	}
+	return stored
 }
 
 // assertReduceExpandIdentity checks, on every live shard, that expanding,
@@ -111,10 +120,7 @@ func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 		if e.Reduced() != wasReduced || e.EntryCount() != entries {
 			t.Fatalf("shard %d: reduced %v→%v, entries %d→%d", slot, wasReduced, e.Reduced(), entries, e.EntryCount())
 		}
-		stored := 0
-		for v := range e.In {
-			stored += e.In[v].Len() + e.Out[v].Len()
-		}
+		stored := storedEntries(e)
 		// A reduced shard holds its stored lists in the delta+varint
 		// arena; a full one holds 8 bytes per entry.
 		resident := 8 * stored
@@ -169,12 +175,18 @@ func TestWritePathRebuildStaysUnfrozen(t *testing.T) {
 	if engOf(3) != e || !e.Reduced() || e.FrozenArena() != nil || e.Arena() != nil {
 		t.Fatalf("merged shard: reduced %v, frozen %v, arena %v; want reduced plain slices", e.Reduced(), e.FrozenArena() != nil, e.Arena() != nil)
 	}
-	stored := 0
-	for v := range e.In {
-		stored += e.In[v].Len() + e.Out[v].Len()
-	}
+	stored := storedEntries(e)
 	if e.ResidentBytes() != 8*stored || stored >= e.EntryCount() {
 		t.Fatalf("merged shard holds %d bytes for %d stored of %d entries; want 8 B per stored entry", e.ResidentBytes(), stored, e.EntryCount())
+	}
+	// The stored lists sit in one slab without the construction's append
+	// slack: each list's capacity is its length plus the growth pad.
+	slots := 0
+	for vin := 0; vin < len(e.In); vin += 2 {
+		slots += cap(e.In[vin].Entries()) + cap(e.Out[vin+1].Entries())
+	}
+	if want := stored + label.ArenaPad*len(e.In); slots != want {
+		t.Fatalf("merged shard's %d stored entries sit in %d slots, want %d", stored, slots, want)
 	}
 	// A write confined to the merged shard expands it.
 	if _, err := x.ApplyBatch([]EdgeOp{Ins(1, 0)}, 1); err != nil {

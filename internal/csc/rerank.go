@@ -91,6 +91,7 @@ func (x *Sharded) ReorderShard(slot int, ord *order.Order, strat order.Strategy)
 		opts:     x.opts,
 		ords:     []*order.Order{ord},
 		strats:   []order.Strategy{strat},
+		freeze:   true,
 		frozenAt: time.Now(),
 	}
 	for _, v := range sh.verts {

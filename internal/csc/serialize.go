@@ -63,12 +63,15 @@ func readMonolithic(br *bufio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng.DropGraph(g)
 	return &Index{g: g, eng: eng}, nil
 }
 
 // originalFromGb inverts the bipartite conversion: couple edges are
 // checked and dropped, every (v_out → w_in) edge becomes (v, w). It
-// rejects graphs that are not a valid conversion image.
+// rejects graphs that are not a valid conversion image, so that
+// bipartite.Convert of the result is gb again, list order included — a
+// lean labeling drops gb and converts the result instead.
 func originalFromGb(gb *graph.Digraph) (*graph.Digraph, error) {
 	if gb.NumVertices()%2 != 0 {
 		return nil, fmt.Errorf("%w: odd vertex count, not a bipartite conversion", pll.ErrBadFormat)
@@ -85,6 +88,9 @@ func originalFromGb(gb *graph.Digraph) (*graph.Digraph, error) {
 			}
 			pairs = append(pairs, int32(v), int32(bipartite.Original(int(w))))
 		}
+	}
+	if gb.NumEdges() != n+len(pairs)/2 {
+		return nil, fmt.Errorf("%w: V_in vertex links beyond its couple", pll.ErrBadFormat)
 	}
 	g, err := graph.FromPairs(n, pairs)
 	if err != nil {

@@ -459,13 +459,18 @@ func (x *Sharded) ResidentBytes() int {
 }
 
 // GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
-// graph the index holds: the global graph plus each shard's subgraph and
-// its bipartite conversion Gb.
+// graph the index holds: the global graph plus each shard's subgraph and,
+// once a write gave the shard its write form, its bipartite conversion
+// Gb (a lean shard holds none).
 func (x *Sharded) GraphBytes() int {
 	total := x.g.Bytes()
 	for _, sh := range x.shards {
-		if sh != nil {
-			total += sh.idx.g.Bytes() + sh.idx.eng.G.Bytes()
+		if sh == nil {
+			continue
+		}
+		total += sh.idx.g.Bytes()
+		if gb := sh.idx.eng.G; gb != nil {
+			total += gb.Bytes()
 		}
 	}
 	return total

@@ -238,6 +238,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		if !graph.Equal(sub, partition.Induced(g, verts)) {
 			return nil, bad("shard %d subgraph does not match the global graph", sid)
 		}
+		eng.DropGraph(sub)
 		x.shards = append(x.shards, &shard{verts: verts, idx: &Index{g: sub, eng: eng}, strat: shardStrat})
 	}
 	// The shard table must be exactly the graph's non-trivial SCCs — a

@@ -81,7 +81,9 @@ func (x *Sharded) needsOrderTags() bool {
 // v4 when ordering provenance needs recording and byte-stable v3
 // otherwise. Shards whose updates thawed lists re-freeze first (verbatim
 // section copies for the untouched lists), so the written arena is
-// current.
+// current. A shard that is not compressed (a lean or written shard of
+// an index whose options turned compression on) is compressed here,
+// which gives a lean one its write form, Gb included.
 func (x *Sharded) writeV34(w io.Writer) (int64, error) {
 	v4 := x.needsOrderTags()
 	e := pll.NewEncoder(w)

@@ -3,6 +3,7 @@ package csc
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/label"
 	"repro/internal/testgraphs"
@@ -88,7 +89,8 @@ func TestWritePathAllocBudget(t *testing.T) {
 // TestExpandAllocatesOnlyDerivedLists pins what a reduced shard's first
 // label write allocates to expand it: one slab of exactly the full
 // labeling — every entry plus one growth pad per list — decoded from the
-// compact frozen store, and no second 8-byte copy of the stored lists. A
+// compact frozen store, the list headers and the Gb conversion a lean
+// shard does without, and no second 8-byte copy of the stored lists. A
 // collection that runs while the expansion holds two copies of the
 // shard's labels sets the next heap goal from both.
 func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
@@ -97,22 +99,26 @@ func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
 	}
 	x, _ := deletePairs(t, 0)
 	e := x.liveShards()[0].idx.eng
-	if !e.Reduced() || e.FrozenArena() == nil {
-		t.Fatal("a fresh build is not reduced and frozen")
+	if !e.Lean() || e.G != nil {
+		t.Fatal("a fresh build is not lean")
 	}
-	entries, frozen := e.EntryCount(), e.FrozenArena().Bytes()
-	want := 8 * (entries + label.ArenaPad*2*len(e.In))
+	entries, frozen, n := e.EntryCount(), e.FrozenArena().Bytes(), e.Ord.Len()
+	slab := 8 * (entries + label.ArenaPad*2*n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e.Expand()
 	runtime.ReadMemStats(&after)
 	got := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("expanding %d entries from a %d B frozen store allocated %d B (slab %d B)",
-		entries, frozen, got, want)
+	// bipartite.Convert allocates its edge pairs and a fromPairs stamp
+	// array besides the graph's own arrays: less than their size again.
+	headers, gb := 2*n*int(unsafe.Sizeof(label.List{})), 2*e.G.Bytes()
+	want := slab + headers + gb
+	t.Logf("expanding %d entries from a %d B frozen store allocated %d B (slab %d B, headers %d B, Gb at most %d B)",
+		entries, frozen, got, slab, headers, gb)
 	if e.Reduced() || e.FrozenArena() != nil || e.ResidentBytes() != 8*e.EntryCount() {
 		t.Fatalf("after Expand: reduced %v, resident %d B for %d entries", e.Reduced(), e.ResidentBytes(), e.EntryCount())
 	}
 	if slack := 16 << 10; got > want+slack { // the slab rounds up to whole pages
-		t.Errorf("Expand allocated %d B, want at most the full labeling's slab of %d B (+%d)", got, want, slack)
+		t.Errorf("Expand allocated %d B, want at most the full labeling's slab, headers and Gb, %d B (+%d)", got, want, slack)
 	}
 }

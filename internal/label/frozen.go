@@ -229,6 +229,13 @@ func AttachFrozen(f *Frozen, groups ...[]List) error {
 	return nil
 }
 
+// Section returns a read-only view of section i by value: a list that
+// streams the section, for an owner that keeps no List headers (a lean
+// reduced index, see pll). Reading it through Join, Each, Len, Lookup
+// or AppendTo allocates nothing. Callers only read it: a mutation would
+// thaw the copy and mark the section thawed in f.
+func (f *Frozen) Section(i int) List { return List{fz: f, fi: int32(i)} }
+
 // Lists returns the number of sections.
 func (f *Frozen) Lists() int { return f.lists }
 

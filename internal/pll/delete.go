@@ -29,10 +29,10 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	var st UpdateStats
 
 	// Step 1 must see pre-deletion distances, so validate the edge first.
+	idx.Expand()
 	if !idx.G.HasEdge(a, b) {
 		return st, idx.G.RemoveEdge(a, b) // yields the canonical error
 	}
-	idx.Expand()
 	s := idx.scratch()
 	s.beginOp(idx.G.NumVertices())
 

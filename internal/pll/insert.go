@@ -16,10 +16,10 @@ import (
 func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 	start := time.Now()
 	var st UpdateStats
+	idx.Expand()
 	if err := idx.G.AddEdge(a, b); err != nil {
 		return st, err
 	}
-	idx.Expand()
 	s := idx.scratch()
 	s.beginOp(idx.G.NumVertices())
 

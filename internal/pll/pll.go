@@ -110,12 +110,16 @@ func (idx *Index) touch(st *UpdateStats, v int) {
 
 // Index is a 2-hop counting label over a directed graph.
 type Index struct {
+	// G is the labeled graph; nil while a lean index (reduced.go) keeps
+	// only src, the graph G is the bipartite conversion of.
 	G   *graph.Digraph
 	Ord *order.Order
 
 	// In[v] holds entries (h, sd(h,v), θ) — paths from hub h to v.
 	// Out[v] holds entries (h, sd(v,h), θ) — paths from v to hub h.
-	// Hub fields store rank positions under Ord.
+	// Hub fields store rank positions under Ord. Both are nil while the
+	// index is lean: reads go through InLabel and OutLabel, which address
+	// the frozen store by vertex id.
 	In  []label.List
 	Out []label.List
 
@@ -163,6 +167,10 @@ type Index struct {
 	// lists they touch.
 	frozen *label.Frozen
 
+	// src is the graph a lean index's G converts (DropGraph); Expand
+	// converts it again and clears it.
+	src *graph.Digraph
+
 	// compressed marks the compression opt-in (FreezeCompressed, or a v3
 	// deserialization): frozen holds all four lists of every couple, the
 	// index stays frozen across writes, and Refreeze re-packs the lists
@@ -194,7 +202,7 @@ type hitCounter struct{ n atomic.Uint64 }
 // period, never concurrently with queries.
 func (idx *Index) EnableHitCounters() {
 	if idx.hubHits == nil {
-		idx.hubHits = make([]hitCounter, idx.G.NumVertices())
+		idx.hubHits = make([]hitCounter, idx.Ord.Len())
 	}
 }
 
@@ -393,14 +401,17 @@ func (idx *Index) ReleaseScratch() {
 // Freeze packs the finished labels into the index's immutable store. A
 // reduced index's stored lists go into the delta+varint arena
 // (label.Frozen), which reads stream without decoding and Expand decodes
-// once at the first label write. A full index's lists go into one
-// contiguous CSR arena (label.Arena): each list becomes a view of its
-// padded span, growing in place until the pad is exhausted and migrating
-// out transparently afterwards.
+// once at the first label write; the index turns lean (reduced.go): its
+// list headers are dropped, and In[v] is read as section v of the store,
+// Out[v] as section n+v. A full index's lists go into one contiguous CSR
+// arena (label.Arena): each list becomes a view of its padded span,
+// growing in place until the pad is exhausted and migrating out
+// transparently afterwards.
 func (idx *Index) Freeze() {
 	if idx.reduced {
 		idx.arena, idx.frozen = nil, label.FreezeCompressed(idx.In, idx.Out)
 		idx.frozen.SkipBloomStats()
+		idx.In, idx.Out = nil, nil
 		return
 	}
 	idx.arena = label.Freeze(idx.In, idx.Out)

@@ -13,7 +13,7 @@ const Unreachable = label.Unreachable
 // (Unreachable, 0). Counts saturate at bitpack.MaxCount. With hit
 // counters enabled the answer is also attributed to its winning hub.
 func (idx *Index) CountPaths(s, t int) (dist int, count uint64) {
-	d, c, hub := label.Join(&idx.Out[s], &idx.In[t], Unreachable)
+	d, c, hub := idx.join(s, t, Unreachable)
 	if idx.hubHits != nil && hub >= 0 {
 		idx.hubHits[hub].n.Add(1)
 	}
@@ -25,20 +25,52 @@ func (idx *Index) CountPaths(s, t int) (dist int, count uint64) {
 // without paying any count arithmetic for over-bound hub pairs. Bounded
 // reads are screening queries and feed no hit counters.
 func (idx *Index) CountPathsBounded(s, t, maxDist int) (dist int, count uint64) {
-	d, c, _ := label.Join(&idx.Out[s], &idx.In[t], maxDist)
+	d, c, _ := idx.join(s, t, maxDist)
 	return d, c
+}
+
+// join is label.Join of s's out-list and t's in-list: the lists
+// themselves, or on a lean index (reduced.go) views of their sections of
+// the frozen store.
+func (idx *Index) join(s, t, maxDist int) (dist int, count uint64, hub int) {
+	if idx.In == nil {
+		out, in := idx.OutLabel(s), idx.InLabel(t)
+		return label.Join(&out, &in, maxDist)
+	}
+	return label.Join(&idx.Out[s], &idx.In[t], maxDist)
 }
 
 // shorterThan reports whether the index holds an s→t path shorter than
 // d — the prune and redundancy test of INCCNT and CLEAN LABEL, answered
 // by the join bounded at d-1.
 func (idx *Index) shorterThan(s, t, d int) bool {
-	got, _, _ := label.Join(&idx.Out[s], &idx.In[t], d-1)
+	got, _, _ := idx.join(s, t, d-1)
 	return got != Unreachable
 }
 
-// InLabel exposes v's in-label list (read-only use).
-func (idx *Index) InLabel(v int) *label.List { return &idx.In[v] }
+// InLabel returns v's in-label list by value, for reading only: the
+// list itself, or on a lean index (reduced.go) a view of section v of
+// the frozen store.
+func (idx *Index) InLabel(v int) label.List {
+	if idx.In == nil {
+		return idx.frozen.Section(v)
+	}
+	return idx.In[v]
+}
 
-// OutLabel exposes v's out-label list (read-only use).
-func (idx *Index) OutLabel(v int) *label.List { return &idx.Out[v] }
+// OutLabel is InLabel for v's out-label list, section n+v of a lean
+// index's store.
+func (idx *Index) OutLabel(v int) label.List {
+	if idx.Out == nil {
+		return idx.frozen.Section(idx.Ord.Len() + v)
+	}
+	return idx.Out[v]
+}
+
+// list returns v's in-list (in) or out-list by value.
+func (idx *Index) list(v int, in bool) label.List {
+	if in {
+		return idx.InLabel(v)
+	}
+	return idx.OutLabel(v)
+}

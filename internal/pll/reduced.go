@@ -25,14 +25,20 @@ import (
 // lists an SCCnt query joins — and keeps the two mirrored lists empty.
 // EntryCount still counts the logical labeling. Its immutable form is the
 // delta+varint arena (label.Frozen, via Freeze), about 2.2x smaller than
-// the same lists as 8-byte CSR entries; reads stream its sections through
-// cursors and never decode a list into memory. A reduced index nobody
-// froze (a rebuild on the write path) keeps the stored lists in the
-// slices its construction filled. Every label mutation (INCCNT,
-// decremental repair, vertex growth, a compressed freeze) first expands
-// the index through Expand, so the dynamic algorithms always run on a
-// full labeling of plain slices. The writers emit the derived lists, so
-// every snapshot format is unchanged.
+// the same lists as 8-byte CSR entries. A frozen reduced index is lean:
+// it holds no List headers (In and Out are nil) — InLabel(v) and
+// OutLabel(v) are by-value views of sections v and n+v of the store, the
+// order FreezeCompressed lays In and Out out in — and, once its owner
+// calls DropGraph, no graph either: Expand converts the owner's graph
+// again at the first write. Reads stream the sections through cursors
+// and never decode a list into memory. A reduced index nobody froze (a
+// rebuild on the write path) keeps the stored lists in one slab
+// (Compact). Every label mutation (INCCNT, decremental repair, vertex
+// growth, a compressed freeze) first expands the index through Expand,
+// so the dynamic algorithms always run on a full labeling of plain
+// slices. The writers emit the derived lists, and a lean index writes
+// its graph's conversion edge for edge, so every snapshot format is
+// unchanged.
 
 // NewReduced allocates an empty index shell in the reduced state for a
 // construction over a bipartite conversion that stores only Lin(v_in)
@@ -54,40 +60,60 @@ func (idx *Index) CountMirrored() {
 	idx.mirrored++
 }
 
+// Lean reports whether the index is reduced and frozen: it keeps only the
+// frozen store of its stored lists, no List headers, and after DropGraph
+// no graph.
+func (idx *Index) Lean() bool { return idx.reduced && idx.frozen != nil }
+
+// DropGraph lets a lean index forget G, which must be the bipartite
+// conversion of src (bipartite.Convert): Expand converts src again at the
+// first label write, and Encode writes src's conversion. The owner must
+// not change src while the index is lean — it expands the index before
+// its first write to src. Any other index keeps G.
+func (idx *Index) DropGraph(src *graph.Digraph) {
+	if idx.Lean() {
+		idx.G, idx.src = nil, src
+	}
+}
+
 // Expand turns a reduced index into a full one for its first label
-// write. A frozen index decodes its stored lists and derives the mirrored
-// ones into one slab sized for exactly the full labeling, each couple's
-// four lists side by side — Lin(v_in), Lin(v_out), Lout(v_out),
-// Lout(v_in) — then drops the frozen store; each stored list decodes
-// once, and its mirror derives from the copy already in the slab. An
-// unfrozen one (a rebuild on the write path) keeps its stored slices
-// where they are and derives only the mirrors into a slab, so the
-// expansion never holds two 8-byte copies of a list. Every list in a
-// slab is followed by the CSR arena's growth pad. The written index
-// keeps plain slices; nothing freezes it again. A full index is left as
-// is.
+// write. A lean index first gets its graph back (bipartite.Convert of
+// the graph DropGraph named) and its List headers, then decodes its
+// stored lists and derives the mirrored ones into one slab sized for
+// exactly the full labeling, each couple's four lists side by side —
+// Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and drops the frozen
+// store; each stored list decodes once, and its mirror derives from the
+// copy already in the slab. An unfrozen one (a rebuild on the write
+// path) keeps its stored slices where they are and derives only the
+// mirrors into a slab, so the expansion never holds two 8-byte copies of
+// a list. Every list in a slab is followed by the CSR arena's growth pad.
+// The written index keeps plain slices; nothing freezes it again. A full
+// index is left as is.
 func (idx *Index) Expand() {
 	if !idx.reduced {
 		return
 	}
+	if idx.G == nil {
+		idx.G, idx.src = bipartite.Convert(idx.src), nil
+	}
+	n := idx.Ord.Len()
 	decode := idx.frozen != nil
-	size, lists := idx.mirrored, len(idx.In)
+	size, lists := idx.mirrored, n
 	if decode {
-		size, lists = idx.entries, 2*len(idx.In)
+		size, lists = idx.entries, 2*n
+		idx.In, idx.Out = make([]label.List, n), make([]label.List, n)
 	}
 	slab := make([]bitpack.Entry, 0, size+label.ArenaPad*lists)
-	wrap := func(lo int) label.List {
-		hi := len(slab)
-		for range label.ArenaPad {
-			slab = append(slab, 0)
-		}
-		return label.Wrap(slab[lo:hi:len(slab)])
+	wrap := func(lo int) (l label.List) {
+		slab, l = padList(slab, lo)
+		return l
 	}
-	for vin := 0; vin+1 < len(idx.In); vin += 2 {
+	for vin := 0; vin+1 < n; vin += 2 {
 		vout := vin + 1
 		lo := len(slab)
 		if decode {
-			slab = idx.In[vin].AppendTo(slab)
+			sec := idx.frozen.Section(vin)
+			slab = sec.AppendTo(slab)
 			idx.In[vin] = wrap(lo)
 			lo = len(slab)
 		}
@@ -95,7 +121,8 @@ func (idx *Index) Expand() {
 		idx.In[vout] = wrap(lo)
 		lo = len(slab)
 		if decode {
-			slab = idx.Out[vout].AppendTo(slab)
+			sec := idx.frozen.Section(n + vout)
+			slab = sec.AppendTo(slab)
 			idx.Out[vout] = wrap(lo)
 			lo = len(slab)
 		}
@@ -106,6 +133,38 @@ func (idx *Index) Expand() {
 	idx.arena, idx.frozen = nil, nil
 	// The inverted indexes are rebuilt lazily from the full labeling.
 	idx.invIn, idx.invOut = nil, nil
+}
+
+// Compact moves an unfrozen reduced index's stored lists into one slab
+// sized for exactly them, each list followed by the CSR arena's growth
+// pad, as Expand lays out its slab: the construction's appends leave
+// about 40% spare capacity behind, which the index would otherwise hold
+// for life. A frozen or full index is left as is.
+func (idx *Index) Compact() {
+	if !idx.reduced || idx.frozen != nil {
+		return
+	}
+	n := idx.Ord.Len()
+	stored := idx.entries - idx.mirrored
+	slab := make([]bitpack.Entry, 0, stored+label.ArenaPad*n)
+	for vin := 0; vin+1 < n; vin += 2 {
+		for _, l := range [2]*label.List{&idx.In[vin], &idx.Out[vin+1]} {
+			lo := len(slab)
+			slab = l.AppendTo(slab)
+			slab, *l = padList(slab, lo)
+		}
+	}
+}
+
+// padList appends the CSR arena's growth pad behind the entries
+// slab[lo:] and returns the grown slab and a list over those entries
+// whose spare capacity is the pad.
+func padList(slab []bitpack.Entry, lo int) ([]bitpack.Entry, label.List) {
+	hi := len(slab)
+	for range label.ArenaPad {
+		slab = append(slab, 0)
+	}
+	return slab, label.Wrap(slab[lo:hi:len(slab)])
 }
 
 // Reduce drops the mirrored lists of a full index whose mirrors all equal
@@ -149,7 +208,8 @@ func (idx *Index) Reduce() bool {
 // deriveIn appends the derivation of Lin(vout) to dst.
 func (idx *Index) deriveIn(vout int, dst []bitpack.Entry) []bitpack.Entry {
 	lo := len(dst)
-	dst = idx.In[bipartite.Couple(vout)].AppendTo(dst)
+	stored := idx.InLabel(bipartite.Couple(vout))
+	dst = stored.AppendTo(dst)
 	for i, e := range dst[lo:] {
 		dst[lo+i] = bitpack.Pack(e.Hub(), e.Dist()+1, e.Count())
 	}
@@ -161,7 +221,8 @@ func (idx *Index) deriveOut(vin int, dst []bitpack.Entry) []bitpack.Entry {
 	vout := bipartite.Couple(vin)
 	rin, rout := idx.Ord.Rank(vin), idx.Ord.Rank(vout)
 	lo := len(dst)
-	dst = idx.Out[vout].AppendTo(dst)
+	stored := idx.OutLabel(vout)
+	dst = stored.AppendTo(dst)
 	kept := dst[:lo]
 	for _, e := range dst[lo:] {
 		if h := e.Hub(); h != rin && h != rout {

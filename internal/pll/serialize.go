@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -43,11 +44,27 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 // embeds one per shard in its own stream.
 func (idx *Index) Encode(e *Encoder) {
 	e.Bytes(indexMagic[:])
-	n := idx.G.NumVertices()
+	n := idx.Ord.Len()
 	e.U32(uint32(n))
-	e.U32(uint32(idx.G.NumEdges()))
-	e.U8(uint8(idx.Strategy))
-	e.Edges(idx.G)
+	if idx.G != nil {
+		e.U32(uint32(idx.G.NumEdges()))
+		e.U8(uint8(idx.Strategy))
+		e.Edges(idx.G)
+	} else {
+		// A lean index without its graph writes the conversion of src
+		// that bipartite.Convert would lay out: the couple edge out of
+		// each v_in, then v's edges out of v_out in src's order.
+		e.U32(uint32(n/2 + idx.src.NumEdges()))
+		e.U8(uint8(idx.Strategy))
+		for v := 0; v < n/2; v++ {
+			e.U32(uint32(bipartite.InVertex(v)))
+			e.U32(uint32(bipartite.OutVertex(v)))
+			for _, w := range idx.src.Out(v) {
+				e.U32(uint32(bipartite.OutVertex(v)))
+				e.U32(uint32(bipartite.InVertex(int(w))))
+			}
+		}
+	}
 	for r := 0; r < n; r++ {
 		e.U32(uint32(idx.Ord.VertexAt(r)))
 	}
@@ -56,13 +73,11 @@ func (idx *Index) Encode(e *Encoder) {
 	var buf []bitpack.Entry
 	for v := 0; v < n && e.err == nil; v++ {
 		for _, in := range [2]bool{true, false} {
-			switch {
-			case idx.isMirror(v, in):
+			if idx.isMirror(v, in) {
 				buf = idx.derive(v, in, buf[:0])
-			case in:
-				buf = idx.In[v].AppendTo(buf[:0])
-			default:
-				buf = idx.Out[v].AppendTo(buf[:0])
+			} else {
+				l := idx.list(v, in)
+				buf = l.AppendTo(buf[:0])
 			}
 			e.U32(uint32(len(buf)))
 			for _, x := range buf {
@@ -159,8 +174,10 @@ func ReadIndexFrom(br *bufio.Reader) (*Index, error) {
 // ReadReducedFrom is ReadIndexFrom for a labeling over a bipartite
 // conversion: it reduces the loaded lists (Reduce) before anything is
 // frozen, so a clean snapshot goes straight into the delta+varint
-// arena, and packs the CSR arena only when Reduce declines — a mirror
-// that differs from its derivation keeps the index full.
+// arena and the index turns lean, and packs the CSR arena only when
+// Reduce declines — a mirror that differs from its derivation keeps the
+// index full. The index keeps G either way: the caller derives what it
+// needs from it, then may drop it (DropGraph).
 func ReadReducedFrom(br *bufio.Reader) (*Index, error) {
 	idx, err := readIndex(br)
 	if err != nil {

@@ -14,11 +14,11 @@ import (
 // paper treats vertex updates as a sequence of edge updates (§II, §V);
 // this is the missing first step of that sequence.
 func (idx *Index) AddVertex() (int, error) {
+	idx.Expand()
 	n := idx.G.NumVertices()
 	if n > bitpack.MaxHub {
 		return 0, fmt.Errorf("pll: vertex limit %d reached (23-bit hub encoding)", bitpack.MaxHub+1)
 	}
-	idx.Expand()
 	v := idx.G.AddVertex()
 	r := idx.Ord.Extend(v)
 	idx.In = append(idx.In, label.List{})
@@ -52,6 +52,7 @@ func (idx *Index) SetInEntry(v, hubRank, dist int, count uint64) {
 // DeleteEdge path, leaving v isolated (dense ids are never compacted).
 // It returns the number of edges removed.
 func (idx *Index) DetachVertex(v int) (int, error) {
+	idx.Expand()
 	removed := 0
 	// Copy the adjacency before mutating it.
 	out := append([]int32(nil), idx.G.Out(v)...)
