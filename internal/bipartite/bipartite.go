@@ -32,26 +32,31 @@ func Couple(b int) int { return b ^ 1 }
 // Original returns the G vertex a Gb vertex was split from.
 func Original(b int) int { return b / 2 }
 
-// Convert builds Gb from G (Algorithm 2, BI-G): the couple edges first,
-// then every converted edge in G's out-adjacency order.
+// Convert builds Gb from G (Algorithm 2, BI-G) from the edges EachEdge
+// lists.
 func Convert(g *graph.Digraph) *graph.Digraph {
-	n := g.NumVertices()
-	pairs := make([]int32, 0, 2*(n+g.NumEdges()))
-	for v := 0; v < n; v++ {
-		pairs = append(pairs, int32(InVertex(v)), int32(OutVertex(v)))
-	}
-	for v := 0; v < n; v++ {
-		for _, w := range g.Out(v) {
-			pairs = append(pairs, int32(OutVertex(v)), int32(InVertex(int(w))))
-		}
-	}
-	gb, err := graph.FromPairs(2*n, pairs)
+	pairs := make([]int32, 0, 2*(g.NumVertices()+g.NumEdges()))
+	EachEdge(g, func(u, v int) { pairs = append(pairs, int32(u), int32(v)) })
+	gb, err := graph.FromPairs(2*g.NumVertices(), pairs)
 	if err != nil {
 		// Unreachable for a valid self-loop-free input graph: the couple
 		// edges and converted edges are distinct by construction.
 		panic(err)
 	}
 	return gb
+}
+
+// EachEdge calls fn for every edge of Gb, tails ascending: v_in's
+// couple edge (v_in → v_out), then v_out's converted edges (v_out → w_in)
+// in G's out-adjacency order. Convert lays Gb out in this order, so a
+// writer can emit Gb's edge list from G without building Gb.
+func EachEdge(g *graph.Digraph, fn func(u, v int)) {
+	for v := 0; v < g.NumVertices(); v++ {
+		fn(InVertex(v), OutVertex(v))
+		for _, w := range g.Out(v) {
+			fn(OutVertex(v), InVertex(int(w)))
+		}
+	}
 }
 
 // ConvertEdge maps an edge (a,b) of G to its Gb counterpart

@@ -66,11 +66,3 @@ func (idx *Index) OutLabel(v int) label.List {
 	}
 	return idx.Out[v]
 }
-
-// list returns v's in-list (in) or out-list by value.
-func (idx *Index) list(v int, in bool) label.List {
-	if in {
-		return idx.InLabel(v)
-	}
-	return idx.OutLabel(v)
-}

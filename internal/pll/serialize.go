@@ -51,19 +51,15 @@ func (idx *Index) Encode(e *Encoder) {
 		e.U8(uint8(idx.Strategy))
 		e.Edges(idx.G)
 	} else {
-		// A lean index without its graph writes the conversion of src
-		// that bipartite.Convert would lay out: the couple edge out of
-		// each v_in, then v's edges out of v_out in src's order.
+		// A lean index without its graph writes src's conversion as
+		// bipartite.Convert lays it out: n/2 couple edges plus one per
+		// edge of src.
 		e.U32(uint32(n/2 + idx.src.NumEdges()))
 		e.U8(uint8(idx.Strategy))
-		for v := 0; v < n/2; v++ {
-			e.U32(uint32(bipartite.InVertex(v)))
-			e.U32(uint32(bipartite.OutVertex(v)))
-			for _, w := range idx.src.Out(v) {
-				e.U32(uint32(bipartite.OutVertex(v)))
-				e.U32(uint32(bipartite.InVertex(int(w))))
-			}
-		}
+		bipartite.EachEdge(idx.src, func(u, v int) {
+			e.U32(uint32(u))
+			e.U32(uint32(v))
+		})
 	}
 	for r := 0; r < n; r++ {
 		e.U32(uint32(idx.Ord.VertexAt(r)))
@@ -76,7 +72,10 @@ func (idx *Index) Encode(e *Encoder) {
 			if idx.isMirror(v, in) {
 				buf = idx.derive(v, in, buf[:0])
 			} else {
-				l := idx.list(v, in)
+				l := idx.OutLabel(v)
+				if in {
+					l = idx.InLabel(v)
+				}
 				buf = l.AppendTo(buf[:0])
 			}
 			e.U32(uint32(len(buf)))
