@@ -8,13 +8,13 @@
 //	cscbench -json BENCH_small.json -scale small
 //
 // Experiments: table4, fig9, fig10, fig11, fig12, case, scaling, ablation,
-// ordering, sharding, updates, queries, churn, storage, cluster, bench, or all.
+// ordering, sharding, storage, bench, or all.
 // Scales: tiny, small (default), full.
 // Figure experiments accept -dataset to restrict the run to one graph.
 // -json runs the machine-readable bench suite (see EXPERIMENTS.md) and writes
 // the BENCH_*.json file that tracks the perf trajectory across PRs;
-// -workers sets the cross-shard parallelism of sharded builds, batch
-// updates and all-vertex scans (0 = all cores).
+// -workers sets how many components a sharded build constructs at once
+// (0 = all cores).
 package main
 
 import (
@@ -28,11 +28,11 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment: table4|fig9|fig10|fig11|fig12|case|scaling|ablation|ordering|sharding|updates|queries|churn|storage|cluster|bench|all")
+		expName = flag.String("exp", "all", "experiment: table4|fig9|fig10|fig11|fig12|case|scaling|ablation|ordering|sharding|storage|bench|all")
 		scaleIn = flag.String("scale", "small", "dataset scale: tiny|small|full")
 		dataset = flag.String("dataset", "", "restrict to one dataset (e.g. G04)")
 		jsonOut = flag.String("json", "", "write the bench suite as JSON to this file (e.g. BENCH_small.json); implies -exp bench unless -exp is set")
-		workers = flag.Int("workers", 0, "cross-shard parallelism: sharded builds, batch updates, all-vertex scans (0 = all cores, 1 = sequential)")
+		workers = flag.Int("workers", 0, "components a sharded build constructs at once (0 = all cores, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -154,34 +154,10 @@ func main() {
 			return exp.WriteSharding(os.Stdout, exp.Sharding(scale))
 		})
 	}
-	if all || *expName == "updates" {
-		ran = true
-		run("Extension: batch-parallel vs per-edge update throughput", func() error {
-			return exp.WriteUpdates(os.Stdout, exp.Updates(scale))
-		})
-	}
-	if all || *expName == "queries" {
-		ran = true
-		run("Extension: read path — cold vs cached queries, dirty vs full rescore", func() error {
-			return exp.WriteQueries(os.Stdout, exp.Queries(scale))
-		})
-	}
-	if all || *expName == "churn" {
-		ran = true
-		run("Extension: read tail latency under structural churn — inline vs out-of-band rebuilds", func() error {
-			return exp.WriteChurn(os.Stdout, exp.Churn(scale))
-		})
-	}
 	if all || *expName == "storage" {
 		ran = true
 		run("Extension: compressed label storage — arena footprint, bloom screen, v3 cold start", func() error {
 			return exp.WriteStorage(os.Stdout, exp.Storage(scale))
-		})
-	}
-	if all || *expName == "cluster" {
-		ran = true
-		run("Extension: replicated cluster — routed reads, WAL shipping, failover drill", func() error {
-			return exp.WriteCluster(os.Stdout, exp.Cluster(scale))
 		})
 	}
 	if all || *expName == "ordering" {

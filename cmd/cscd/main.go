@@ -30,13 +30,13 @@
 // SIGINT/SIGTERM the daemon drains, snapshots, and exits cleanly.
 //
 // An index the daemon builds (from -graph or -vertices) ranks its hubs by
-// the coverage order (-order coverage, seeded by -order-seed): greedy
-// cover of sampled shortest cycles. On the payment ledger the daemon is
-// measured on, that stores 9% fewer label entries than the paper's
-// degree order, which -order degree selects. A snapshot records the
-// order but not its seed: a restarted daemon rebuilds merged shards
-// under the snapshot's order with seed 0, whatever the flags say. An
-// -index file carries its own order the same way.
+// the coverage order (-order coverage): greedy cover of sampled shortest
+// cycles. On the payment ledger the daemon is measured on, that stores
+// 9% fewer label entries than the paper's degree order, which -order
+// degree selects. A snapshot records the order, and the sampled orders
+// always use seed 0, so a restarted daemon rebuilds merged shards exactly
+// as the one before it would have. An -index file carries its own order
+// the same way.
 //
 // The daemon also participates in a replicated cluster (fronted by
 // cmd/cscrouter). With -replicate-to URL every committed batch's WAL
@@ -77,7 +77,6 @@ func main() {
 		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of reading it (serve before labels page in)")
 		compress  = flag.Bool("compress", false, "build with compressed label storage (delta+varint frozen arena + bloom-screened joins)")
 		orderBy   = flag.String("order", "coverage", "hub-ordering strategy for built indexes: coverage | degree (the paper's order) | id | random")
-		orderSeed = flag.Int64("order-seed", 0, "sampling seed for the coverage and random orderings")
 		rerank    = flag.Duration("rerank", 0, "enable online per-shard hub re-ranking, checking drift at this interval (0 = off)")
 		vertices  = flag.Int("vertices", 0, "bootstrap an empty graph with this many vertices (when -graph is unset)")
 		topK      = flag.Int("k", 0, "maintain a top-k cycle-count watchlist and serve /top")
@@ -112,7 +111,6 @@ func main() {
 	buildOpts := []cyclehub.Option{
 		cyclehub.WithWorkers(*workers),
 		cyclehub.WithOrdering(ordering),
-		cyclehub.WithOrderingSeed(*orderSeed),
 	}
 	if *compress {
 		buildOpts = append(buildOpts, cyclehub.WithCompression())

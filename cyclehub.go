@@ -157,13 +157,6 @@ func WithOrdering(s Ordering) Option {
 	return func(c *buildConfig) { c.opts.Order = s }
 }
 
-// WithOrderingSeed seeds the sampled orders (OrderCoverage,
-// OrderRandom). The order is a pure function of (graph, strategy, seed),
-// so a fixed seed makes repeated builds byte-identical.
-func WithOrderingSeed(seed int64) Option {
-	return func(c *buildConfig) { c.opts.OrderSeed = seed }
-}
-
 // Index answers CycleCount queries on a dynamic directed graph.
 type Index struct {
 	x *csc.Sharded

@@ -487,7 +487,7 @@ func TestOrderingOptions(t *testing.T) {
 		}
 	}
 	for _, s := range []Ordering{OrderDegree, OrderID, OrderRandom, OrderCoverage} {
-		idx := BuildIndex(g.Clone(), WithOrdering(s), WithOrderingSeed(9))
+		idx := BuildIndex(g.Clone(), WithOrdering(s))
 		for v := 0; v < n; v++ {
 			if got, want := idx.CycleCount(v), CycleCountBFS(g, v); got != want {
 				t.Fatalf("%v vertex %d: index %+v, BFS %+v", s, v, got, want)

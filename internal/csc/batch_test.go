@@ -371,6 +371,46 @@ func TestApplyBatchPlanner(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("batch plans fewer rebuilds than its ops one at a time", func(t *testing.T) {
+		// Small rings joined by random bridges, and a flap-heavy mix over
+		// their intra-shard edges: a quarter durable deletes, the rest
+		// delete+reinsert flaps of other edges. One op per batch pays a
+		// split rebuild and a merge rebuild per flap that splits its
+		// component; one batch coalesces the flaps away and plans the
+		// durable deletes once.
+		g := testgraphs.ManySmallSCC(60, 6, 120, 8)
+		one, _ := BuildSharded(g.Clone(), Options{})
+		each, _ := BuildSharded(g.Clone(), Options{})
+		var intra [][2]int
+		for _, e := range g.Edges() {
+			if s := one.ShardOf(e[0]); s >= 0 && s == one.ShardOf(e[1]) {
+				intra = append(intra, e)
+			}
+		}
+		rand.New(rand.NewSource(23)).Shuffle(len(intra), func(i, j int) { intra[i], intra[j] = intra[j], intra[i] })
+		var ops []EdgeOp
+		for _, e := range intra[:8] {
+			ops = append(ops, Del(e[0], e[1]))
+		}
+		for _, e := range intra[8:20] {
+			ops = append(ops, Del(e[0], e[1]), Ins(e[0], e[1]))
+		}
+		if _, err := one.ApplyBatch(ops, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if _, err := each.ApplyBatch([]EdgeOp{op}, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if one.BatchRebuilds() >= each.BatchRebuilds() {
+			t.Fatalf("one batch planned %d rebuilds, one op per batch %d", one.BatchRebuilds(), each.BatchRebuilds())
+		}
+		ol, oc := one.CycleCountAll(2)
+		el, ec := each.CycleCountAll(2)
+		assertSameCounts(t, "batch-vs-per-op", el, ec, ol, oc)
+	})
 }
 
 // TestValidateBatch pins the batch validation contract: rejected batches

@@ -77,7 +77,8 @@ type Options struct {
 	Order order.Strategy
 	// OrderSeed seeds the sampled orders (coverage, random). Builds are
 	// deterministic for a fixed seed. No format records it: a loaded
-	// index rebuilds with seed 0.
+	// index rebuilds with seed 0, which is the only seed the cyclehub
+	// facade and cscd build with.
 	OrderSeed int64
 }
 

@@ -18,10 +18,11 @@ import (
 // batches that merge and split components), and after every flushed
 // round each vertex is read twice through the cached path — a fill and a
 // hit — and both answers must equal an uncached index built fresh from
-// the mirrored graph. On top of that, every vertex whose answer changed
-// across the round must appear in the union of the round's dirty sets
-// (the hook payload), which is what the cache invalidated — dirty-set
-// exactness observed end to end through the serving surface.
+// the mirrored graph, so at least half of the round's reads hit. On top
+// of that, every vertex whose answer changed across the round must
+// appear in the union of the round's dirty sets (the hook payload),
+// which is what the cache invalidated — dirty-set exactness observed end
+// to end through the serving surface.
 func TestCacheConsistencyCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep is not -short")
@@ -95,6 +96,7 @@ func TestCacheConsistencyCorpus(t *testing.T) {
 					}
 				}
 				f := fresh()
+				before := e.Stats()
 				for v := 0; v < n; v++ {
 					wl, wc := f.CycleCount(v)
 					l1, c1 := e.CycleCount(v) // fill (or earlier-round hit)
@@ -109,9 +111,11 @@ func TestCacheConsistencyCorpus(t *testing.T) {
 					}
 					prevLen[v], prevCnt[v] = wl, wc
 				}
-			}
-			if st := e.Stats(); st.CacheHits == 0 {
-				t.Fatal("cache never hit across the whole stream")
+				// With no write between them, at least every second read
+				// of the round is a hit.
+				if st := e.Stats(); st.CacheHits-before.CacheHits < uint64(n) {
+					t.Fatalf("round %d: %d hits in %d reads", round, st.CacheHits-before.CacheHits, st.Queries-before.Queries)
+				}
 			}
 		})
 	}

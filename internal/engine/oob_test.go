@@ -58,23 +58,41 @@ func assertOracle(t *testing.T, tag string, e *Engine) {
 // exact post-batch one (swap landed), never garbage — and after
 // WaitRebuilds the swap has invalidated the read cache, refreshed the
 // top-k scoreboard through the post-swap hook, and cleared Degraded.
+// At threshold 0 the same batch rebuilds inline: no stale window and no
+// out-of-band rebuild.
 func TestOOBRebuildStaleWindowThenSwap(t *testing.T) {
+	merge := func(e *Engine) {
+		t.Helper()
+		// Break both rings and splice them into one 12-cycle.
+		for _, del := range [][2]int{{0, 1}, {11, 6}} {
+			if err := e.Delete(del[0], del[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ins := range [][2]int{{0, 6}, {11, 1}} {
+			if err := e.Insert(ins[0], ins[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+	}
+
+	inline := oobEngine(twoSixRings(t), 0)
+	defer inline.Close()
+	merge(inline)
+	for v := 0; v < 12; v++ {
+		if l, c := inline.CycleCount(v); l != 12 || c != 1 {
+			t.Fatalf("inline vertex %d: (%d,%d), want (12,1) at once", v, l, c)
+		}
+	}
+	if st := inline.Stats(); st.OOBRebuilds != 0 || len(st.Degraded) != 0 {
+		t.Fatalf("threshold 0 deferred: OOBRebuilds %d, Degraded %v", st.OOBRebuilds, st.Degraded)
+	}
+
 	e := oobEngine(twoSixRings(t), 8)
 	defer e.Close()
 	watch := e.WatchTopK(3)
-
-	// Merge batch: break both rings and splice them into one 12-cycle.
-	for _, del := range [][2]int{{0, 1}, {11, 6}} {
-		if err := e.Delete(del[0], del[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, ins := range [][2]int{{0, 6}, {11, 1}} {
-		if err := e.Insert(ins[0], ins[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Flush()
+	merge(e)
 
 	// The out-of-band window: the swap may or may not have landed yet,
 	// but every answer must be one of the two consistent states. Reading

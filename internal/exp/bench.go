@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/csc"
-	"repro/internal/engine"
 	"repro/internal/order"
 )
 
@@ -35,49 +34,23 @@ type BenchResult struct {
 	InsertNS     float64 `json:"insert_ns"`
 	DeleteNS     float64 `json:"delete_ns"`
 
-	// Serve is the engine-throughput experiment: queries/sec sustained by
-	// GOMAXPROCS concurrent readers at each update rate (serve.go).
-	Serve []ServePoint `json:"serve,omitempty"`
-
 	// Sharding is set on the synthetic partition-family rows the suite
 	// appends after the paper-analog datasets: the monolithic-vs-sharded
 	// build comparison (sharding.go). On those rows the standard
 	// build/size fields describe the sharded build.
 	Sharding *ShardingRow `json:"sharding,omitempty"`
 
-	// Update is set on the UPD-* rows the suite appends after the
-	// SHARD-* rows: the end-to-end update-throughput comparison of
-	// per-edge sequential maintenance against the batch planner
-	// (updates.go).
-	Update *UpdateThroughputRow `json:"update,omitempty"`
-
-	// Query is set on the QRY-* rows the suite appends after the UPD-*
-	// rows: the read-path experiment — cold vs cached serving throughput
-	// and dirty-rescore vs full-rescore top-k maintenance (queries.go).
-	Query *QueryThroughputRow `json:"query,omitempty"`
-
-	// Churn is set on the CHURN-* rows the suite appends after QRY-*:
-	// read-tail latency under structural churn, inline rebuilds vs
-	// out-of-band deferral (churn.go).
-	Churn *ChurnRow `json:"churn,omitempty"`
-
-	// Storage is set on the MEM-* rows the suite appends after CHURN-*:
+	// Storage is set on the MEM-* rows the suite appends after SHARD-*:
 	// the compressed frozen-arena footprint vs the mutable
 	// representation, bloom pre-screen reject rate, and v3 cold-start
 	// latency (storage.go).
 	Storage *StorageRow `json:"storage,omitempty"`
 
-	// Ordering is set on the ORD-* rows the suite appends after MEM-*:
-	// the hub-ordering shootout — label bytes, build time, and query
+	// Ordering is set on the ORD-* rows the suite appends last: the
+	// hub-ordering shootout — label bytes, build time, and query
 	// percentiles per strategy, normalized against the degree baseline
 	// (ordering.go).
 	Ordering *OrderingRow `json:"ordering,omitempty"`
-
-	// Cluster is set on the CLUSTER-* rows the suite appends last: the
-	// replicated-cluster experiment — routed read throughput at one vs
-	// three worker groups and the kill-a-worker failover drill
-	// (cluster.go).
-	Cluster *ClusterRow `json:"cluster,omitempty"`
 }
 
 // benchQueries and benchUpdates bound the per-dataset sample sizes.
@@ -147,24 +120,13 @@ func Bench(s Scale, d Dataset) BenchResult {
 		res.DeleteNS = float64(delTotal.Nanoseconds()) / float64(len(edges))
 		res.InsertNS = float64(insTotal.Nanoseconds()) / float64(len(edges))
 	}
-
-	// Serving throughput: re-shard the index into the serving form, hand
-	// it to a concurrent engine (it owns the graph from here — this is
-	// the benchmark's last use of x) and measure queries/sec under each
-	// update rate.
-	e := engine.New(csc.AsSharded(x), engine.Options{FlushInterval: -1})
-	res.Serve = serveBench(s, x.Graph(), e)
-	if err := e.Close(); err != nil {
-		panic(err)
-	}
 	return res
 }
 
-// BenchSuite runs Bench over the given datasets, then appends one row per
-// condensation-sharding family (Sharding) and one per update-throughput
-// point (Updates, the UPD-* rows) so the mono-vs-sharded build and the
-// batch-vs-sequential update trajectories land in the same BENCH_*.json
-// artifact.
+// BenchSuite runs Bench over the given datasets, then appends the
+// deterministic size families: one row per condensation-sharding family
+// (SHARD-*), per storage family (MEM-*) and per ordering strategy and
+// family (ORD-*), so they land in the same BENCH_*.json artifact.
 func BenchSuite(s Scale, ds []Dataset) []BenchResult {
 	var out []BenchResult
 	for _, d := range ds {
@@ -183,42 +145,6 @@ func BenchSuite(s Scale, ds []Dataset) []BenchResult {
 			Entries:     row.ShardedBytes / 8,
 			Bytes:       row.ShardedBytes,
 			Sharding:    &row,
-		})
-	}
-	for _, row := range Updates(s) {
-		row := row
-		out = append(out, BenchResult{
-			Dataset:    fmt.Sprintf("UPD-%s-b%d", row.Family, row.BatchSize),
-			Scale:      s.String(),
-			Workers:    Workers,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			N:          row.N,
-			M:          row.M,
-			Update:     &row,
-		})
-	}
-	for _, row := range Queries(s) {
-		row := row
-		out = append(out, BenchResult{
-			Dataset:    "QRY-" + row.Family,
-			Scale:      s.String(),
-			Workers:    Workers,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			N:          row.N,
-			M:          row.M,
-			Query:      &row,
-		})
-	}
-	for _, row := range Churn(s) {
-		row := row
-		out = append(out, BenchResult{
-			Dataset:    "CHURN-" + row.Family,
-			Scale:      s.String(),
-			Workers:    Workers,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			N:          row.N,
-			M:          row.M,
-			Churn:      &row,
 		})
 	}
 	for _, row := range Storage(s) {
@@ -248,18 +174,6 @@ func BenchSuite(s Scale, ds []Dataset) []BenchResult {
 			Entries:     row.Entries,
 			Bytes:       row.LabelBytes,
 			Ordering:    &row,
-		})
-	}
-	for _, row := range Cluster(s) {
-		row := row
-		out = append(out, BenchResult{
-			Dataset:    "CLUSTER-" + row.Family,
-			Scale:      s.String(),
-			Workers:    Workers,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			N:          row.N,
-			M:          row.M,
-			Cluster:    &row,
 		})
 	}
 	return out

@@ -13,8 +13,8 @@ import (
 )
 
 // Workers sets the parallelism the experiments use across shards: how
-// many components a sharded build constructs at once, and the workers of
-// batch updates and all-vertex scans (0 = all cores, 1 = sequential).
+// many components a sharded build constructs at once (0 = all cores,
+// 1 = sequential).
 // cscbench sets it from -workers. Each label construction is sequential,
 // so labels are byte-identical either way; only wall-clock figures
 // change.

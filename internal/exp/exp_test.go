@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestDatasetsRegistry(t *testing.T) {
@@ -228,246 +227,6 @@ func TestAblationConstruction(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteAblation(&buf, []AblationRow{row}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The bench suite must emit the serving-throughput points alongside the
-// static figures: GOMAXPROCS readers, every configured update rate, and
-// nonzero query counts (the JSON artifact CI uploads depends on this).
-func TestBenchSuiteEmitsServePoints(t *testing.T) {
-	d, err := DatasetByName("G04")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Bench(Tiny, d)
-	if len(res.Serve) != len(serveRates) {
-		t.Fatalf("got %d serve points, want %d", len(res.Serve), len(serveRates))
-	}
-	for i, p := range res.Serve {
-		if p.UpdateRatePerSec != serveRates[i] {
-			t.Fatalf("point %d rate %d, want %d", i, p.UpdateRatePerSec, serveRates[i])
-		}
-		if p.Readers < 1 || p.Queries == 0 || p.QueriesPerSec <= 0 {
-			t.Fatalf("degenerate serve point %+v", p)
-		}
-		if p.UpdateRatePerSec > 0 && p.OpsApplied == 0 {
-			t.Fatalf("update rate %d applied no ops — the load coalesced away", p.UpdateRatePerSec)
-		}
-	}
-}
-
-// TestUpdateThroughputExperiment is the batch-update acceptance gate: on
-// the many-small-SCC family at tiny scale, applying the batch-64 stream
-// through ApplyBatch must sustain at least 2x the updates/sec of per-edge
-// sequential maintenance, and every row of the sweep must be well-formed
-// (the UPD-* rows in BENCH_*.json come straight from these).
-func TestUpdateThroughputExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("update throughput experiment is not -short")
-	}
-	if raceEnabled {
-		// The race detector serializes goroutines and inflates every
-		// traversal unevenly; the ≥2x gate is a wall-clock ratio and
-		// only meaningful on an uninstrumented binary.
-		t.Skip("timing gate is not meaningful under -race")
-	}
-	rows := Updates(Tiny)
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 2 families x 3 batch sizes", len(rows))
-	}
-	type key struct {
-		fam string
-		bs  int
-	}
-	byKey := map[key]UpdateThroughputRow{}
-	for _, r := range rows {
-		if r.N == 0 || r.Ops == 0 || r.SeqOpsPerSec <= 0 || r.BatchOpsPerSec <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-		byKey[key{r.Family, r.BatchSize}] = r
-	}
-	for _, bs := range updateBatchSizes {
-		for _, fam := range []string{"many-small-scc", "giant-scc"} {
-			if _, ok := byKey[key{fam, bs}]; !ok {
-				t.Fatalf("missing row %s b%d", fam, bs)
-			}
-		}
-	}
-	headline := byKey[key{"many-small-scc", 64}]
-	if headline.Speedup < 2 {
-		t.Fatalf("many-small-scc batch-64 speedup %.2fx < 2x: %+v", headline.Speedup, headline)
-	}
-	var buf bytes.Buffer
-	if err := WriteUpdates(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "many-small-scc") {
-		t.Fatal("table missing family name")
-	}
-}
-
-// TestQueryThroughputExperiment is the read-path acceptance gate: on the
-// many-small-SCC family at tiny scale, refreshing the top-k scoreboard
-// by rescoring only each batch-64 dirty set must sustain at least 2x the
-// throughput of a full RescoreAll per batch, every serve point must
-// carry live cold and cached rates, and the cached arm must actually hit
-// (the QRY-* rows in BENCH_*.json come straight from these).
-func TestQueryThroughputExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("query throughput experiment is not -short")
-	}
-	if raceEnabled {
-		// Wall-clock ratio gates are meaningless on an instrumented
-		// binary (see TestUpdateThroughputExperiment).
-		t.Skip("timing gate is not meaningful under -race")
-	}
-	rows := Queries(Tiny)
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want one per family", len(rows))
-	}
-	byFam := map[string]QueryThroughputRow{}
-	for _, r := range rows {
-		if r.N == 0 || r.M == 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-		if len(r.Serve) != len(serveRates) {
-			t.Fatalf("%s: %d serve points, want %d", r.Family, len(r.Serve), len(serveRates))
-		}
-		for i, p := range r.Serve {
-			if p.UpdateRatePerSec != serveRates[i] {
-				t.Fatalf("%s point %d rate %d, want %d", r.Family, i, p.UpdateRatePerSec, serveRates[i])
-			}
-			if p.ColdQPS <= 0 || p.CachedQPS <= 0 {
-				t.Fatalf("%s: degenerate serve point %+v", r.Family, p)
-			}
-		}
-		// The read-only point walks every vertex repeatedly; after the
-		// first sweep almost every read must be a hit.
-		if p := r.Serve[0]; p.CacheHitRate < 0.5 {
-			t.Fatalf("%s: rate-0 cache hit rate %.2f < 0.5", r.Family, p.CacheHitRate)
-		}
-		if len(r.TopK) != len(topkBatchSizes) {
-			t.Fatalf("%s: %d topk rows, want %d", r.Family, len(r.TopK), len(topkBatchSizes))
-		}
-		for _, p := range r.TopK {
-			if p.N == 0 || p.Batches == 0 || p.DirtyPerSec <= 0 || p.FullPerSec <= 0 || p.AvgDirty <= 0 {
-				t.Fatalf("%s: degenerate topk row %+v", r.Family, p)
-			}
-		}
-		byFam[r.Family] = r
-	}
-	var headline TopKRescoreRow
-	for _, p := range byFam["many-small-scc"].TopK {
-		if p.BatchSize == 64 {
-			headline = p
-		}
-	}
-	if headline.Speedup < 2 {
-		t.Fatalf("many-small-scc batch-64 dirty-rescore speedup %.2fx < 2x: %+v", headline.Speedup, headline)
-	}
-	var buf bytes.Buffer
-	if err := WriteQueries(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "many-small-scc") || !strings.Contains(buf.String(), "cached-q/s") {
-		t.Fatal("table missing expected content")
-	}
-}
-
-// TestChurnExperiment is the overload-resilience acceptance gate: under
-// the bridge-flap protocol the out-of-band arm must cut the read-path
-// p99 by at least 2x against inline rebuilds (the CHURN-* rows in
-// BENCH_*.json come straight from these), both arms must quiesce to
-// oracle-identical answers (churnArm panics otherwise), and the inline
-// arm must report zero out-of-band activity.
-func TestChurnExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("churn experiment is not -short")
-	}
-	if raceEnabled {
-		// Wall-clock ratio gates are meaningless on an instrumented
-		// binary (see TestUpdateThroughputExperiment).
-		t.Skip("timing gate is not meaningful under -race")
-	}
-	rows := Churn(Tiny)
-	if len(rows) != 1 {
-		t.Fatalf("%d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.N == 0 || r.M == 0 || r.Readers == 0 {
-		t.Fatalf("degenerate row %+v", r)
-	}
-	for _, a := range []ChurnArm{r.Inline, r.OOB} {
-		if a.Reads == 0 || a.Flaps == 0 || a.P50NS <= 0 || a.P99NS < a.P50NS {
-			t.Fatalf("degenerate arm %+v", a)
-		}
-	}
-	if r.Inline.Threshold != 0 || r.Inline.Rebuilds != 0 || r.Inline.Superseded != 0 {
-		t.Fatalf("inline arm ran out-of-band rebuilds: %+v", r.Inline)
-	}
-	if r.OOB.Threshold <= 0 {
-		t.Fatalf("OOB arm threshold %d", r.OOB.Threshold)
-	}
-	if r.P99Improvement < 2 {
-		t.Fatalf("OOB p99 improvement %.2fx < 2x: inline %v vs oob %v",
-			r.P99Improvement, time.Duration(r.Inline.P99NS), time.Duration(r.OOB.P99NS))
-	}
-	var buf bytes.Buffer
-	if err := WriteChurn(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "dumbbell") || !strings.Contains(buf.String(), "p99 improvement") {
-		t.Fatal("table missing expected content")
-	}
-}
-
-// TestClusterExperiment is the replicated-cluster acceptance gate: the
-// CLUSTER-* rows in BENCH_*.json come straight from these figures.
-// Throughput arms must be non-degenerate (ReadSpeedup is reported, not
-// gated — both arms share one GOMAXPROCS pool, so it measures routing
-// overhead, not multi-host scaling), and the failover drill must lose
-// zero acknowledged writes, fail over exactly once, and bound the write
-// blackout.
-func TestClusterExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster experiment is not -short")
-	}
-	if raceEnabled {
-		// Wall-clock gates are meaningless on an instrumented binary, and
-		// the drill's correctness is already race-tested in internal/dist.
-		t.Skip("timing gate is not meaningful under -race")
-	}
-	rows := Cluster(Tiny)
-	if len(rows) != 1 {
-		t.Fatalf("%d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.N == 0 || r.M == 0 || r.Shards == 0 {
-		t.Fatalf("degenerate row %+v", r)
-	}
-	for _, a := range []ClusterThroughputArm{r.One, r.Three} {
-		if a.Reads == 0 || a.QPS <= 0 || a.P50NS <= 0 || a.P99NS < a.P50NS {
-			t.Fatalf("degenerate arm %+v", a)
-		}
-	}
-	if r.One.Groups != 1 || r.Three.Groups != 3 || r.ReadSpeedup <= 0 {
-		t.Fatalf("arm shape: %+v", r)
-	}
-	if r.AckedWrites == 0 || r.LostAckedWrites != 0 {
-		t.Fatalf("failover drill lost %d of %d acked writes", r.LostAckedWrites, r.AckedWrites)
-	}
-	if r.Failovers != 1 {
-		t.Fatalf("failovers %d, want exactly 1", r.Failovers)
-	}
-	if r.FailoverBlackoutNS <= 0 || r.FailoverBlackoutNS > (5*time.Second).Nanoseconds() {
-		t.Fatalf("blackout window %s, want (0, 5s]", time.Duration(r.FailoverBlackoutNS))
-	}
-	var buf bytes.Buffer
-	if err := WriteCluster(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "rings") || !strings.Contains(buf.String(), "failover") {
-		t.Fatal("table missing expected content")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // BFSes early, so every list shrinks), build wall-clock (coverage pays
 // per-sample BFS up front), and query latency (shorter lists join
 // faster). The ORD-* rows land in the BENCH_*.json artifact
-// next to SHARD-*/UPD-*/QRY-*, so the ordering trajectory diffs across
+// next to SHARD-*/MEM-*, so the ordering trajectory diffs across
 // PRs like every other figure.
 
 // OrderingRow is one (family, strategy) cell of the shootout.

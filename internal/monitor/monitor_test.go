@@ -3,11 +3,13 @@ package monitor
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bfscount"
 	"repro/internal/csc"
 	"repro/internal/graph"
+	"repro/internal/testgraphs"
 )
 
 func build(t *testing.T, g *graph.Digraph, k int) *TopK {
@@ -207,5 +209,69 @@ func TestTopOnAcyclicGraph(t *testing.T) {
 	top := m.Top()
 	if len(top) != 3 || !top[0].Exists || top[0].Length != 3 {
 		t.Fatalf("after closing cycle: %v", top)
+	}
+}
+
+// countingQuerier counts the vertices a scoreboard asks it for (the
+// warm pass asks from several workers at once).
+type countingQuerier struct {
+	Querier
+	asked atomic.Int64
+}
+
+func (q *countingQuerier) CycleCountMany(vs []int, lengths []int, counts []uint64) {
+	q.asked.Add(int64(len(vs)))
+	q.Querier.CycleCountMany(vs, lengths, counts)
+}
+
+// After a batch, RescoreDirty reads exactly the batch's dirty set where
+// RescoreAll reads every vertex, and the two boards agree. The batches
+// delete 32 intra-shard edges and then reinsert them, splitting and
+// re-merging small components.
+func TestRescoreDirtyReadsOnlyTheDirtySet(t *testing.T) {
+	g := testgraphs.ManySmallSCC(600, 6, 1200, 8)
+	n := g.NumVertices()
+	x, _ := csc.BuildSharded(g, csc.Options{})
+	q := &countingQuerier{Querier: indexQuerier{x}}
+	m := Watch(q, 8, 2)
+	if got := q.asked.Load(); got != int64(n) {
+		t.Fatalf("warm pass read %d vertices, want n = %d", got, n)
+	}
+
+	var intra [][2]int
+	for _, e := range g.Edges() {
+		if s := x.ShardOf(e[0]); s >= 0 && s == x.ShardOf(e[1]) {
+			intra = append(intra, e)
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(intra), func(i, j int) { intra[i], intra[j] = intra[j], intra[i] })
+	var del, ins []csc.EdgeOp
+	for _, e := range intra[:32] {
+		del = append(del, csc.Del(e[0], e[1]))
+		ins = append(ins, csc.Ins(e[0], e[1]))
+	}
+	for bi, batch := range [][]csc.EdgeOp{del, ins} {
+		st, err := x.ApplyBatch(batch, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := csc.DirtyVertices(st)
+		if len(dirty) == 0 || len(dirty) >= n {
+			t.Fatalf("batch %d dirtied %d of %d vertices", bi, len(dirty), n)
+		}
+		q.asked.Store(0)
+		m.RescoreDirty(dirty)
+		if got := q.asked.Load(); got != int64(len(dirty)) {
+			t.Fatalf("batch %d: dirty rescore read %d vertices, want len(dirty) = %d", bi, got, len(dirty))
+		}
+		full := Watch(indexQuerier{x}, 8, 2)
+		for v := 0; v < n; v++ {
+			if got, want := m.Score(v), full.Score(v); got != want {
+				t.Fatalf("batch %d vertex %d: dirty board %+v, full rescore %+v", bi, v, got, want)
+			}
+		}
+		if m.Tracked() != full.Tracked() {
+			t.Fatalf("batch %d: dirty board tracks %d vertices, full rescore %d", bi, m.Tracked(), full.Tracked())
+		}
 	}
 }
