@@ -31,7 +31,7 @@ func servedLedger() *graph.Digraph {
 }
 
 // The evidence behind cscd's default -order coverage: on the ledger the
-// daemon serves, coverage at the daemon's default seed 0 stores 9.1%
+// daemon serves, coverage at the daemon's default seed 0 stores 13.9%
 // fewer label entries than the paper's degree order. Both counts are
 // exact (orders are pure functions of graph, strategy and seed), so a
 // change to either order, to the ledger's generators or to construction
@@ -46,7 +46,7 @@ func TestServedLedgerOrderEntries(t *testing.T) {
 		entries int
 	}{
 		{order.Degree, 1184570},
-		{order.Coverage, 1076500},
+		{order.Coverage, 1019777},
 	} {
 		x, _ := BuildSharded(g.Clone(), Options{Order: c.strat})
 		if got := x.EntryCount(); got != c.entries {
@@ -60,9 +60,9 @@ func TestServedLedgerOrderEntries(t *testing.T) {
 
 // ledgerResidentBytes is what the coverage-order ledger build's label
 // store holds: the delta+varint arenas of every reduced shard, offset
-// tables included. The same stored lists as 8-byte CSR entries with
-// their growth pads would take 4,537,360 B.
-const ledgerResidentBytes = 2061815
+// tables included. The same stored lists at 8 B per entry take
+// 4,047,616 B (ReducedBytes).
+const ledgerResidentBytes = 1967916
 
 // assertLedgerStore pins the served ledger's label store: exactly
 // ledgerResidentBytes, and at most half of ReducedBytes, the stored

@@ -23,7 +23,7 @@ var maintainedDigests = map[string]string{
 	"v2":            "ffc267730f34bcb2edc8b0373715e8a376ae774e6fa98318962bd1f887ca61e0",
 	"v2-minimality": "e30e0fd87dde464bd86e2d9056a5f9bf28370cc9ab2a8704c790e7788aab51c5",
 	"v3":            "8623d84f8b320d4ff2e954b9013b831608d3d633d7f8483cc1865543c59ce785",
-	"v4":            "3d2da35cc92c3a60043f2e0eb47087c39ac8615250f0640e885c3844e724d8dc",
+	"v4":            "d4d4f157a3b2aa1f26d7479653e2bf2fb98b96d6d51d364df73119df65ec0cbc",
 }
 
 // mixedBatches is randomBatches with half of its ops deleting a present

@@ -241,9 +241,6 @@ func (m *TopK) RescoreDirty(dirty []int) {
 	}
 }
 
-// Rescore is the historical name of RescoreDirty.
-func (m *TopK) Rescore(vertices []int) { m.RescoreDirty(vertices) }
-
 // growBuffers sizes the shared result buffers for n results.
 func (m *TopK) growBuffers(n int) {
 	if cap(m.lenBuf) < n {

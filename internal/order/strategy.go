@@ -6,7 +6,10 @@
 // Coverage picks hubs greedily to cover a sample of shortest cycles and
 // produces smaller labels where degree is uninformative: near-regular
 // topologies, and the near-uniform background of the payment ledger
-// cscd serves, where degree order falls back to id order.
+// cscd serves, where degree order falls back to id order. Coverage ranks
+// its ties and its tail by (out+1)(in+1), not by total degree: on a
+// directed graph the shortest paths that can pass through v grow with
+// in-degree × out-degree, not with their sum.
 //
 // Every strategy breaks ties on ascending vertex id as the final key, so
 // repeated builds over the same graph are byte-identical.
@@ -126,9 +129,9 @@ func sampleVertices(n, k int, seed int64) []int {
 // ByCoverage ranks vertices by greedy cover over sampled shortest
 // cycles: for each seeded sample vertex one concrete shortest cycle is
 // materialized (deterministic parent pointers), then vertices are picked
-// greedily to cover the most yet-uncovered cycles. Vertices on no sampled
-// cycle follow, by degree. Ties break on descending degree then ascending
-// id everywhere.
+// greedily to cover the most yet-uncovered cycles. The vertices the cover
+// did not pick follow. Ties in the cover, and the whole tail, rank by
+// descending path product (out+1)(in+1) then ascending id.
 func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 	n := g.NumVertices()
 	dist := make([]int32, n)
@@ -190,11 +193,14 @@ func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 		dist[vq] = -1
 	}
 	// Greedy cover: repeatedly take the vertex on the most uncovered
-	// cycles (ties: degree desc, id asc).
+	// cycles (ties: path product desc, id asc). The product is computed
+	// once: the loop scans every vertex once per pick.
 	covered := make([]bool, len(cycles))
 	gain := make([]int, n)
+	product := make([]int, n)
 	for v := 0; v < n; v++ {
 		gain[v] = len(cyclesOf[v])
+		product[v] = (g.OutDegree(v) + 1) * (g.InDegree(v) + 1)
 	}
 	picked := make([]bool, n)
 	var head []int
@@ -206,7 +212,7 @@ func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 				continue
 			}
 			if best == -1 || gain[v] > gain[best] ||
-				(gain[v] == gain[best] && g.Degree(v) > g.Degree(best)) {
+				(gain[v] == gain[best] && product[v] > product[best]) {
 				best = v
 			}
 		}
@@ -228,7 +234,7 @@ func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 			}
 		}
 	}
-	// Tail: everything unpicked, by degree desc then id asc.
+	// Tail: everything unpicked, by path product desc then id asc.
 	tail := make([]int, 0, n-len(head))
 	for v := 0; v < n; v++ {
 		if !picked[v] {
@@ -236,9 +242,9 @@ func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 		}
 	}
 	sort.Slice(tail, func(a, b int) bool {
-		da, db := g.Degree(tail[a]), g.Degree(tail[b])
-		if da != db {
-			return da > db
+		pa, pb := product[tail[a]], product[tail[b]]
+		if pa != pb {
+			return pa > pb
 		}
 		return tail[a] < tail[b]
 	})

@@ -106,6 +106,37 @@ func TestStrategyTieBreaksOnVertexID(t *testing.T) {
 	}
 }
 
+// Coverage ranks ties by the path product (out+1)(in+1), not by total
+// degree: the shortest paths that can pass through v grow with
+// in-degree × out-degree. Vertices 0 and 1 hub two disjoint triangles,
+// so both cover three sampled cycles, and both have total degree 4; 1
+// has out 2/in 2 (product 9), 0 has out 3/in 1 (product 8). Off every
+// cycle, 3 (out 2/in 2), 2 (out 3/in 1) and the sink 8 (in 4) tie on
+// degree 4 too. A degree ranking would give 0 1 | 2 3 8 9 4 5 6 7 11 12 10.
+func TestCoverageRanksTiesByPathProduct(t *testing.T) {
+	g := graph.New(13)
+	for _, e := range [][2]int{
+		{1, 4}, {4, 5}, {5, 1}, {1, 8}, {9, 1}, // triangle hubbed by 1
+		{0, 6}, {6, 7}, {7, 0}, {0, 8}, {0, 10}, // triangle hubbed by 0
+		{9, 3}, {12, 3}, {3, 8}, {3, 11}, // 3: out 2/in 2, on no cycle
+		{9, 2}, {2, 8}, {2, 11}, {2, 12}, // 2: out 3/in 1, on no cycle
+	} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := ByCoverage(g, g.NumVertices(), 0)
+	// Head: 1 before 0 on equal gain and degree. Tail: 3, 2, then 8
+	// (product 5), then the exact tie at product 4 in ascending id,
+	// then 11 (3) and 10 (2).
+	want := []int{1, 0, 3, 2, 8, 4, 5, 6, 7, 9, 12, 11, 10}
+	for r, v := range want {
+		if o.VertexAt(r) != v {
+			t.Fatalf("order %v, want %v", o.VertexList(), want)
+		}
+	}
+}
+
 // The retired wire value 3 computes the degree order, as Hits does, so
 // a rebuild of a shard loaded with that tag still has an order.
 func TestRetiredStrategyRanksByDegree(t *testing.T) {
