@@ -143,8 +143,8 @@ type batchPlan struct {
 func (x *Sharded) planBatch(batch []EdgeOp) batchPlan {
 	p := batchPlan{streams: make(map[int32][]EdgeOp), dirty: make(map[int32]bool)}
 	for _, op := range batch {
-		s := x.shardOf[op.A]
-		if s >= 0 && s == x.shardOf[op.B] {
+		s := x.dir.slotOf(int(op.A))
+		if s >= 0 && s == x.dir.slotOf(int(op.B)) {
 			if _, ok := p.streams[s]; !ok {
 				p.order = append(p.order, s)
 			}
@@ -209,17 +209,7 @@ func (x *Sharded) ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, erro
 	// the final edge set, once, instead of once per edge.
 	planStart := time.Now()
 	plan := x.planBatch(batch)
-	for _, op := range batch {
-		var err error
-		if op.Kind == OpInsert {
-			err = x.g.AddEdge(int(op.A), int(op.B))
-		} else {
-			err = x.g.RemoveEdge(int(op.A), int(op.B))
-		}
-		if err != nil {
-			panic(err) // unreachable: ValidateBatch simulated this sequence
-		}
-	}
+	x.moveGraph(plan, batch)
 
 	tasks := x.reconcile(plan, &agg)
 	agg.PlanDuration = time.Since(planStart)
@@ -231,6 +221,27 @@ func (x *Sharded) ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, erro
 	return agg, nil
 }
 
+// moveGraph applies a validated, coalesced batch to the served graph.
+// Every shard the plan streams ops into takes its induced subgraph
+// first: a lean one holds none, and once the graph has moved it could
+// only be induced with the batch's edges in it.
+func (x *Sharded) moveGraph(plan batchPlan, batch []EdgeOp) {
+	for _, s := range plan.order {
+		x.subgraph(x.shards[s])
+	}
+	for _, op := range batch {
+		var err error
+		if op.Kind == OpInsert {
+			err = x.g.AddEdge(int(op.A), int(op.B))
+		} else {
+			err = x.g.RemoveEdge(int(op.A), int(op.B))
+		}
+		if err != nil {
+			panic(err) // unreachable: ValidateBatch simulated this sequence
+		}
+	}
+}
+
 // installTasks installs fresh shards and folds per-task stats; a stream
 // that failed (unreachable short of index corruption) self-heals by
 // rebuilding its shard's final components from the global graph.
@@ -239,7 +250,7 @@ func (x *Sharded) installTasks(tasks []*batchTask, agg *pll.UpdateStats) {
 		if t.err != nil {
 			agg.EntriesRemoved += t.sh.idx.EntryCount()
 			verts := t.sh.verts
-			x.retire(x.shardOf[verts[0]])
+			x.retire(x.dir.slotOf(int(verts[0])))
 			for _, comp := range partition.SCCWithin(x.g, verts) {
 				if len(comp) < 2 {
 					continue
@@ -356,7 +367,7 @@ func (x *Sharded) reconcile(plan batchPlan, agg *pll.UpdateStats) []*batchTask {
 	}
 	for _, comp := range merged {
 		for _, v := range comp {
-			s := x.shardOf[v]
+			s := x.dir.slotOf(int(v))
 			if s < 0 {
 				continue // trivial vertex, or its shard already retired
 			}
@@ -452,17 +463,19 @@ func (x *Sharded) reachesWithin(r *reachScratch, s int32, from, to int) bool {
 		clear(r.seen)
 		r.stamp = 1
 	}
-	r.seen[x.localID[from]] = r.stamp
+	_, lf := x.dir.locate(from)
+	r.seen[lf] = r.stamp
 	r.queue = append(r.queue[:0], int32(from))
 	for head := 0; head < len(r.queue); head++ {
 		for _, w := range x.g.Out(int(r.queue[head])) {
 			if int(w) == to {
 				return true
 			}
-			if x.shardOf[w] != s || r.seen[x.localID[w]] == r.stamp {
+			ws, lw := x.dir.locate(int(w))
+			if ws != s || r.seen[lw] == r.stamp {
 				continue
 			}
-			r.seen[x.localID[w]] = r.stamp
+			r.seen[lw] = r.stamp
 			r.queue = append(r.queue, w)
 		}
 	}
@@ -537,13 +550,14 @@ func (x *Sharded) runBatchTask(t *batchTask) {
 	sh := t.sh
 	defer sh.idx.eng.ReleaseScratch()
 	for _, op := range t.ops {
-		la, lb := int(x.localID[op.A]), int(x.localID[op.B])
+		_, la := x.dir.locate(int(op.A))
+		_, lb := x.dir.locate(int(op.B))
 		var st pll.UpdateStats
 		var err error
 		if op.Kind == OpInsert {
-			st, err = sh.idx.InsertEdge(la, lb)
+			st, err = sh.idx.InsertEdge(int(la), int(lb))
 		} else {
-			st, err = sh.idx.DeleteEdge(la, lb)
+			st, err = sh.idx.DeleteEdge(int(la), int(lb))
 		}
 		if err != nil {
 			t.err = err // unreachable short of corruption; caller self-heals

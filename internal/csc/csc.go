@@ -14,12 +14,13 @@
 // the two lists a query joins, are stored. A build at boot (Build,
 // BuildSharded), an online re-rank or a load freezes them into the
 // delta+varint arena (label.Frozen) that reads stream through cursors,
-// and the shard turns lean: it holds that store, its induced subgraph
-// and nothing else of its labeling — no list headers and no Gb. A
-// rebuild on the write path (merge, split, deferred rebuild) leaves them
-// in one slab of plain slices. A shard's first label write gives it its
-// write form: Gb converted again from the induced subgraph, then one slab
-// of plain slices holding all four lists of every couple
+// and the shard turns lean: it holds that store and nothing else — no
+// list headers, no Gb and no induced subgraph, which the sharded index
+// re-induces from its served graph when a write, a freeze or a re-rank
+// needs it. A rebuild on the write path (merge, split, deferred rebuild)
+// leaves them in one slab of plain slices. A shard's first label write
+// gives it its write form: its induced subgraph, Gb converted from it,
+// then one slab of plain slices holding all four lists of every couple
 // (pll.Index.Expand); a shard nothing writes keeps its lean form for its
 // lifetime.
 //
@@ -270,8 +271,18 @@ func (x *Index) CycleCount(v int) (length int, count uint64) {
 // which feeds the re-ranker's hub hit counters; bounded ones through
 // CountPathsBounded, which does not.
 func (x *Index) read(v, maxLen int, bounded bool) (length int, count uint64) {
-	// Out-of-range ids lie on no cycle, and no cycle is shorter than 2.
-	if v < 0 || v >= x.g.NumVertices() || bounded && maxLen < 2 {
+	// Out-of-range ids lie on no cycle.
+	if v < 0 || v >= x.g.NumVertices() {
+		return bfscount.NoCycle, 0
+	}
+	return x.join(v, maxLen, bounded)
+}
+
+// join is read for an in-range v: the sharded index routes only member
+// vertices here, to shards that may hold no graph.
+func (x *Index) join(v, maxLen int, bounded bool) (length int, count uint64) {
+	// No cycle is shorter than 2.
+	if bounded && maxLen < 2 {
 		return bfscount.NoCycle, 0
 	}
 	s, t := bipartite.OutVertex(v), bipartite.InVertex(v)
@@ -332,6 +343,17 @@ func (x *Index) writeForm() time.Duration {
 
 // Graph returns the original graph. Callers must not mutate it directly.
 func (x *Index) Graph() *graph.Digraph { return x.g }
+
+// shedGraph lets a lean shard's index forget its induced subgraph: its
+// labels encode the members' induced subgraph in the sharded index's
+// served graph, which Sharded.subgraph induces again before anything
+// writes it. Any other index keeps its graph.
+func (x *Index) shedGraph() {
+	if x.eng.Lean() {
+		x.g = nil
+		x.eng.DropGraph(nil)
+	}
+}
 
 // Engine exposes the underlying Gb labeling (tests, serialization, stats).
 func (x *Index) Engine() *pll.Index { return x.eng }

@@ -127,6 +127,7 @@ func (r *Rebuild) Run(workers int) {
 				ord = orderFor(r.subs[i], opts)
 			}
 			idx, _ := build(r.subs[i], ord, r.opts, r.freeze)
+			idx.shedGraph()
 			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
 		}
 		if len(r.comps) == 1 || workers == 1 {
@@ -197,17 +198,7 @@ func (x *Sharded) applyBatchDeferred(batch []EdgeOp, workers, threshold int) (pl
 
 	planStart := time.Now()
 	plan := x.planBatchDeferred(batch)
-	for _, op := range batch {
-		var err error
-		if op.Kind == OpInsert {
-			err = x.g.AddEdge(int(op.A), int(op.B))
-		} else {
-			err = x.g.RemoveEdge(int(op.A), int(op.B))
-		}
-		if err != nil {
-			panic(err) // unreachable: ValidateBatch simulated this sequence
-		}
-	}
+	x.moveGraph(plan, batch)
 
 	tasks, pending := x.reconcileDeferred(plan, &agg, threshold)
 	agg.PlanDuration = time.Since(planStart)
@@ -238,8 +229,8 @@ func (x *Sharded) planBatchDeferred(batch []EdgeOp) batchPlan {
 				p.touchedPending = true
 			}
 		}
-		s := x.shardOf[op.A]
-		if s >= 0 && s == x.shardOf[op.B] {
+		s := x.dir.slotOf(int(op.A))
+		if s >= 0 && s == x.dir.slotOf(int(op.B)) {
 			if x.stale[s] {
 				continue // frozen: the rebuild owns this op's effect
 			}
@@ -322,7 +313,7 @@ func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, thresh
 		c := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, v := range final.Comps[c] {
-			s := x.shardOf[v]
+			s := x.dir.slotOf(int(v))
 			if s < 0 || staleKept[s] {
 				continue
 			}
@@ -353,12 +344,18 @@ func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, thresh
 		s := int32(si)
 		switch {
 		case staleKept[s]:
+			// A shard freezes with its subgraph, which frozenMatches
+			// compares later. A lean one the batch streamed into took it
+			// before the graph moved; any other has no edge of the batch
+			// among its members, so inducing it now gives the same one.
+			x.subgraph(sh)
 			x.stale[s] = true
 		case intact[s]:
 			if ops, ok := plan.streams[s]; ok {
 				tasks = append(tasks, &batchTask{sh: sh, ops: ops})
 			}
 		case unfreeze[s]:
+			sh.idx.shedGraph()
 			delete(x.stale, s)
 		default:
 			c := final.Comp[sh.verts[0]]

@@ -12,16 +12,17 @@ import (
 )
 
 // assertLean fails unless every live shard of x is lean: reduced, its
-// stored lists in the frozen store, and neither list headers nor a Gb.
+// stored lists in the frozen store, and neither list headers, a Gb nor
+// an induced subgraph.
 func assertLean(t *testing.T, stage string, x *Sharded) {
 	t.Helper()
 	for slot, sh := range x.shards {
 		if sh == nil {
 			continue
 		}
-		if e := sh.idx.eng; !e.Lean() || e.In != nil || e.Out != nil || e.G != nil {
-			t.Fatalf("%s: shard %d: lean %v, headers %v, Gb %v; want only the frozen store",
-				stage, slot, e.Lean(), e.In != nil, e.G != nil)
+		if e := sh.idx.eng; !e.Lean() || e.In != nil || e.Out != nil || e.G != nil || sh.idx.g != nil {
+			t.Fatalf("%s: shard %d: lean %v, headers %v, Gb %v, subgraph %v; want only the frozen store",
+				stage, slot, e.Lean(), e.In != nil, e.G != nil, sh.idx.g != nil)
 		}
 	}
 }
@@ -75,7 +76,7 @@ func TestShardsStayLeanUntilWritten(t *testing.T) {
 
 	// 0→2 is a chord inside the first cycle's shard: only that shard
 	// takes its write form.
-	written := y.shards[y.shardOf[0]]
+	written := y.shards[y.ShardOf(0)]
 	graphBytes := y.GraphBytes()
 	if _, err := y.ApplyBatch([]EdgeOp{Ins(0, 2)}, 1); err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestShardsStayLeanUntilWritten(t *testing.T) {
 			t.Fatalf("written shard %d: lean %v, reduced %v, Gb %v, %d in-lists; want its write form",
 				slot, e.Lean(), e.Reduced(), e.G != nil, len(e.In))
 		}
-		if !graph.Equal(e.G, bipartite.Convert(sh.idx.g)) {
+		if !graph.Equal(e.G, bipartite.Convert(sh.idx.Graph())) {
 			t.Fatalf("written shard %d: its Gb is not the conversion of its subgraph", slot)
 		}
 	}

@@ -81,14 +81,18 @@ func assertLedgerStore(t *testing.T, x *Sharded) {
 
 // ledgerLiveHeapBudget bounds the live heap the coverage-order ledger
 // build retains beyond its global graph: the frozen label stores
-// (2.06 MB), the shards' induced subgraphs, member lists and the
-// vertex→shard tables. A build whose unwritten shards kept their list
-// headers and Gb conversions held about 2 MB more.
-const ledgerLiveHeapBudget = 4_000_000
+// (1,967,916 B), the shards' member lists and headers, and the vertex
+// directory (about 85 KB). It is the 2,357,472 B measured when lean
+// shards dropped their induced subgraphs and the directory replaced two
+// n-sized routing tables, plus 10%. Keeping either costs about 0.5 or
+// 0.8 MB more; a build whose unwritten shards kept their list headers
+// and Gb conversions held about 2 MB more again.
+const ledgerLiveHeapBudget = 2_593_000
 
 // TestServedLedgerLiveHeap pins what the served ledger's index holds
-// once built: every shard is lean, and the heap retained by the build,
-// after collection, stays within ledgerLiveHeapBudget.
+// once built: every shard is lean and holds no subgraph, and the heap
+// retained by the build, after collection, stays within
+// ledgerLiveHeapBudget.
 func TestServedLedgerLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 102,000-vertex ledger")
@@ -105,9 +109,18 @@ func TestServedLedgerLiveHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("the ledger build retains %d B of live heap (%d shards, label store %d B, graphs %d B)",
-		retained, x.NumShards(), x.ResidentBytes(), x.GraphBytes())
+	subgraphs := 0
+	for _, sh := range x.shards {
+		if sh != nil && sh.idx.g != nil {
+			subgraphs += sh.idx.g.Bytes()
+		}
+	}
+	t.Logf("the ledger build retains %d B of live heap (%d shards, label store %d B, graphs %d B, directory %d B, shard subgraphs %d B)",
+		retained, x.NumShards(), x.ResidentBytes(), x.GraphBytes(), x.dir.bytes(), subgraphs)
 	assertLean(t, "ledger build", x)
+	if subgraphs != 0 {
+		t.Errorf("lean shards hold %d B of induced subgraphs", subgraphs)
+	}
 	if retained > ledgerLiveHeapBudget {
 		t.Errorf("the ledger build retains %d B of live heap, budget %d B", retained, ledgerLiveHeapBudget)
 	}

@@ -93,7 +93,7 @@ func TestLedgerRepairReplay(t *testing.T) {
 	}
 	opts := Options{Order: order.Coverage}
 	x, _ := BuildSharded(mirror.Clone(), opts)
-	core := x.shards[x.shardOf[ledgerCoreLo]]
+	core := x.shards[x.ShardOf(ledgerCoreLo)]
 	if len(core.verts) != 1979 {
 		t.Fatalf("the core shard holds %d vertices, want 1979", len(core.verts))
 	}
@@ -123,7 +123,7 @@ func TestLedgerRepairReplay(t *testing.T) {
 			}
 		}
 	}
-	if m, s := x.Rebuilds(); m != 0 || s != 0 || x.shards[x.shardOf[ledgerCoreLo]] != core {
+	if m, s := x.Rebuilds(); m != 0 || s != 0 || x.shards[x.ShardOf(ledgerCoreLo)] != core {
 		t.Fatalf("non-bridge repairs rebuilt shards: %d merges, %d splits", m, s)
 	}
 	for slot, sh := range x.liveShards() {
@@ -215,7 +215,7 @@ func TestLedgerTxnReplay(t *testing.T) {
 	assertLean(t, "boot", x)
 	check := ledgerOracleCheck(t, x, mirror, opts)
 	bigShard := func() *shard {
-		if s := x.shardOf[big]; s >= 0 {
+		if s := x.ShardOf(big); s >= 0 {
 			return x.shards[s]
 		}
 		return nil

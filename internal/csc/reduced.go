@@ -7,7 +7,7 @@ import "repro/internal/bipartite"
 // SCCnt query joins and the only two a reduced index stores (see
 // pll.Index.Reduced) — the quantity Figure 9(b) compares against HP-SPC.
 func (x *Index) ReducedEntryCount() int {
-	n := x.g.NumVertices()
+	n := x.eng.Ord.Len() / 2 // Gb's couples
 	total := 0
 	for v := 0; v < n; v++ {
 		in, out := x.eng.InLabel(bipartite.InVertex(v)), x.eng.OutLabel(bipartite.OutVertex(v))

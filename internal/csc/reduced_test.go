@@ -98,6 +98,7 @@ func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 		if sh == nil {
 			continue
 		}
+		x.subgraph(sh) // a lean shard writes and expands from it
 		e := sh.idx.eng
 		wasReduced, entries := e.Reduced(), e.EntryCount()
 		want := blob(e)
@@ -159,7 +160,7 @@ func TestWritePathRebuildStaysUnfrozen(t *testing.T) {
 			}
 		}
 	}
-	engOf := func(v int) *pll.Index { return x.shards[x.shardOf[v]].idx.eng }
+	engOf := func(v int) *pll.Index { return x.shards[x.ShardOf(v)].idx.eng }
 	check("boot")
 	for _, v := range []int{0, 3} {
 		if e := engOf(v); !e.Reduced() || e.FrozenArena() == nil || e.Compressed() {
@@ -211,6 +212,7 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 	// Patch the count of Lin(v7_out)'s first entry in the one shard
 	// (every Figure 2 vertex is cyclic, so shard-local ids are global
 	// ids); the list's bytes, length prefix included, occur once.
+	x.subgraph(x.shards[0])
 	eng := x.shards[0].idx.eng
 	eng.Expand()
 	lst := eng.In[bipartite.OutVertex(6)].Entries()

@@ -81,6 +81,10 @@ func (x *Sharded) ReorderShard(slot int, ord *order.Order, strat order.Strategy)
 	if ord.Len() != len(sh.verts) {
 		return nil, fmt.Errorf("csc: order covers %d vertices, shard has %d", ord.Len(), len(sh.verts))
 	}
+	// The shard freezes with its own subgraph (frozenMatches reads it);
+	// the rebuild gets a copy, which Run may read on another goroutine
+	// while a later batch writes an unfrozen shard's.
+	x.subgraph(sh)
 	x.gen++
 	reb := &Rebuild{
 		gen:      x.gen,
@@ -120,8 +124,7 @@ func (x *Sharded) ReorderShardByHits(slot int) (*Rebuild, error) {
 	if hh == nil {
 		return nil, fmt.Errorf("csc: shard %d has no hit counters", slot)
 	}
-	sub := sh.idx.Graph()
-	weights := make([]float64, sub.NumVertices())
+	weights := make([]float64, len(sh.verts))
 	var total uint64
 	for r, n := range hh {
 		if n == 0 {
@@ -135,5 +138,5 @@ func (x *Sharded) ReorderShardByHits(slot int) (*Rebuild, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("csc: shard %d has no recorded hits", slot)
 	}
-	return x.ReorderShard(slot, order.ByWeights(sub, weights), order.Hits)
+	return x.ReorderShard(slot, order.ByWeights(x.subgraph(sh), weights), order.Hits)
 }

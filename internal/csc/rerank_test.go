@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/bfscount"
 	"repro/internal/order"
+	"repro/internal/partition"
 	"repro/internal/testgraphs"
 )
 
 // queryAll drives every vertex through the hit-counting join path.
 func queryAll(x *Sharded) {
-	for v := 0; v < len(x.shardOf); v++ {
+	for v := 0; v < x.g.NumVertices(); v++ {
 		x.CycleCount(v)
 	}
 }
@@ -112,7 +113,7 @@ func TestReorderShardByHitsPreservesAnswers(t *testing.T) {
 func TestReorderShardValidation(t *testing.T) {
 	g := testgraphs.GiantSCC(20, 60, 9)
 	x, _ := BuildSharded(g, Options{Workers: 1})
-	sub := x.liveShards()[0].idx.Graph()
+	sub := partition.Induced(x.g, x.liveShards()[0].verts)
 
 	if _, err := x.ReorderShard(5, order.ByDegree(sub), order.Degree); err == nil {
 		t.Fatal("bad slot accepted")

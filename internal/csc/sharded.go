@@ -21,8 +21,8 @@ import (
 // is a free decomposition: trivial (single-vertex) components answer
 // CycleCount = 0 with no labels at all, each non-trivial component gets
 // an independent monolithic Index over its induced subgraph, and queries
-// route through a vertex→shard table. Cross-component edges are kept in
-// the graph but carry no labels.
+// route through a directory of the cyclic vertices (directory.go).
+// Cross-component edges are kept in the graph but carry no labels.
 //
 // Dynamic updates keep the partition correct. An intra-shard edge goes
 // through the shard's own INCCNT/decremental maintenance. An insertion
@@ -40,8 +40,7 @@ type Sharded struct {
 	shards []*shard
 	free   []int32 // retired slot ids available for reuse
 
-	shardOf []int32 // vertex → shard slot, -1 for trivial components
-	localID []int32 // vertex → id inside its shard's subgraph
+	dir directory // member vertex → shard slot and local id
 
 	merges, splits int // scoped-rebuild counters (diagnostics)
 	batchRebuilds  int // fresh component builds performed by ApplyBatch
@@ -68,6 +67,12 @@ type Sharded struct {
 // position is the local id), the monolithic index over the induced
 // subgraph, and the ordering strategy that produced the index's hub
 // order (provenance — the order itself lives in the index).
+//
+// A lean shard that is not frozen holds no induced subgraph (its
+// index's graph is nil): its labels encode its members' induced
+// subgraph in the served graph, and everything that would change that
+// subgraph, freeze the shard or read it takes it first (subgraph). A
+// written, rebuilt, compressed or frozen shard keeps its own.
 type shard struct {
 	verts []int32
 	idx   *Index
@@ -80,27 +85,13 @@ type shard struct {
 func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 	start := time.Now()
 	n := g.NumVertices()
-	x := &Sharded{
-		g:       g,
-		opts:    opts,
-		shardOf: make([]int32, n),
-		localID: make([]int32, n),
-	}
-	for v := range x.shardOf {
-		x.shardOf[v] = -1
-		x.localID[v] = -1
-	}
+	x := &Sharded{g: g, opts: opts}
 	comps := partition.SCC(g).NonTrivial()
 	x.shards = make([]*shard, len(comps))
 	for sid, verts := range comps {
 		// The partition's member lists share one n-sized backing array,
 		// which a shard would otherwise keep alive: copy each exactly.
-		verts = append(make([]int32, 0, len(verts)), verts...)
-		comps[sid] = verts
-		for li, v := range verts {
-			x.shardOf[v] = int32(sid)
-			x.localID[v] = int32(li)
-		}
+		comps[sid] = append(make([]int32, 0, len(verts)), verts...)
 	}
 
 	workers := opts.Workers
@@ -131,6 +122,10 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 		}()
 	}
 	wg.Wait()
+	var err error
+	if x.dir, err = newDirectory(n, x.shards); err != nil {
+		panic(err) // unreachable: components are disjoint and in range
+	}
 
 	st := x.stats()
 	st.Duration = time.Since(start)
@@ -139,11 +134,33 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 
 // buildShard constructs one component's sub-index over its induced
 // subgraph with the component's own order under the configured strategy.
-// freeze is false on the write path (see build).
+// freeze is false on the write path (see build); a frozen build is lean
+// and sheds its subgraph.
 func buildShard(g *graph.Digraph, verts []int32, opts Options, freeze bool) *shard {
 	sub := partition.Induced(g, verts)
 	idx, _ := build(sub, orderFor(sub, opts), opts, freeze)
+	idx.shedGraph()
 	return &shard{verts: verts, idx: idx, strat: opts.Order}
+}
+
+// subgraph returns shard sh's induced subgraph, inducing it again from
+// the served graph when sh is lean and holds none. Callers take it
+// before the served graph changes an edge among sh's members; sh keeps
+// it from then on.
+func (x *Sharded) subgraph(sh *shard) *graph.Digraph {
+	if sh.idx.g == nil {
+		sh.idx.g = partition.Induced(x.g, sh.verts)
+		sh.idx.eng.DropGraph(sh.idx.g)
+	}
+	return sh.idx.g
+}
+
+// locate is Locate with out-of-range ids reported as trivial.
+func (x *Sharded) locate(v int) (slot, local int32) {
+	if v < 0 || v >= x.dir.n {
+		return -1, -1
+	}
+	return x.dir.locate(v)
 }
 
 // orderFor computes the hub order for one component's induced subgraph
@@ -189,10 +206,11 @@ func (x *Sharded) CycleCountBounded(v, maxLen int) (length int, count uint64) {
 
 // read routes one read to v's shard (Index.read has the contract).
 func (x *Sharded) read(v, maxLen int, bounded bool) (length int, count uint64) {
-	if v < 0 || v >= len(x.shardOf) || x.shardOf[v] < 0 {
+	s, local := x.locate(v)
+	if s < 0 {
 		return bfscount.NoCycle, 0
 	}
-	return x.shards[x.shardOf[v]].idx.read(int(x.localID[v]), maxLen, bounded)
+	return x.shards[s].idx.join(int(local), maxLen, bounded)
 }
 
 // CycleCountAll evaluates SCCnt for every vertex and returns the
@@ -202,7 +220,7 @@ func (x *Sharded) read(v, maxLen int, bounded bool) (length int, count uint64) {
 // goroutines. Queries are read-only, so this is safe as long as no update
 // runs concurrently.
 func (x *Sharded) CycleCountAll(workers int) (lengths []int, counts []uint64) {
-	n := len(x.shardOf)
+	n := x.dir.n
 	lengths = make([]int, n)
 	counts = make([]uint64, n)
 	if workers <= 0 {
@@ -236,13 +254,18 @@ func (x *Sharded) InsertEdge(a, b int) (pll.UpdateStats, error) {
 		st, _, err := x.applyBatchDeferred([]EdgeOp{Ins(a, b)}, 1, x.deferThreshold)
 		return st, err
 	}
+	sa, la := x.locate(a)
+	sb, lb := x.locate(b)
+	if sa >= 0 && sa == sb {
+		x.subgraph(x.shards[sa]) // before the served graph moves
+	}
 	if err := x.g.AddEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	start := time.Now()
-	if s := x.shardOf[a]; s >= 0 && s == x.shardOf[b] {
-		sh := x.shards[s]
-		st, err := sh.idx.InsertEdge(int(x.localID[a]), int(x.localID[b]))
+	if sa >= 0 && sa == sb {
+		sh := x.shards[sa]
+		st, err := sh.idx.InsertEdge(int(la), int(lb))
 		x.translateOwners(sh, &st)
 		return st, err
 	}
@@ -263,12 +286,16 @@ func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) {
 		st, _, err := x.applyBatchDeferred([]EdgeOp{Del(a, b)}, 1, x.deferThreshold)
 		return st, err
 	}
+	s, la := x.locate(a)
+	sb, lb := x.locate(b)
+	if s >= 0 && s == sb {
+		x.subgraph(x.shards[s]) // before the served graph moves
+	}
 	if err := x.g.RemoveEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	start := time.Now()
-	s := x.shardOf[a]
-	if s < 0 || s != x.shardOf[b] {
+	if s < 0 || s != sb {
 		return pll.UpdateStats{Duration: time.Since(start)}, nil
 	}
 	sh := x.shards[s]
@@ -276,7 +303,7 @@ func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) {
 	// edge: every path that used a→b reroutes through the a⇝b detour, so
 	// all mutual reachability is preserved.
 	if x.survivesDeletions(s, []EdgeOp{Del(a, b)}) {
-		st, err := sh.idx.DeleteEdge(int(x.localID[a]), int(x.localID[b]))
+		st, err := sh.idx.DeleteEdge(int(la), int(lb))
 		x.translateOwners(sh, &st)
 		return st, err
 	}
@@ -292,7 +319,7 @@ func (x *Sharded) mergeRebuild(a int, start time.Time) pll.UpdateStats {
 	var st pll.UpdateStats
 	retired := make(map[int32]struct{})
 	for _, v := range merged {
-		if s := x.shardOf[v]; s >= 0 {
+		if s := x.dir.slotOf(int(v)); s >= 0 {
 			retired[s] = struct{}{}
 		}
 	}
@@ -339,10 +366,7 @@ func (x *Sharded) splitRebuild(s int32, start time.Time) pll.UpdateStats {
 // retire clears a shard slot and unmaps its vertices (they are either
 // re-installed into a new shard or left trivial by the caller).
 func (x *Sharded) retire(s int32) {
-	for _, v := range x.shards[s].verts {
-		x.shardOf[v] = -1
-		x.localID[v] = -1
-	}
+	x.dir.remove(x.shards[s].verts)
 	x.shards[s] = nil
 	x.free = append(x.free, s)
 }
@@ -359,10 +383,7 @@ func (x *Sharded) install(sh *shard) {
 		s = int32(len(x.shards))
 		x.shards = append(x.shards, sh)
 	}
-	for li, v := range sh.verts {
-		x.shardOf[v] = s
-		x.localID[v] = int32(li)
-	}
+	x.dir.insert(sh.verts, s)
 	for int(s) >= len(x.slotRebuilds) {
 		x.slotRebuilds = append(x.slotRebuilds, 0)
 	}
@@ -398,8 +419,7 @@ func touchAll(verts []int32) []int32 {
 // component, so no shard changes.
 func (x *Sharded) AddVertex() (int, error) {
 	v := x.g.AddVertex()
-	x.shardOf = append(x.shardOf, -1)
-	x.localID = append(x.localID, -1)
+	x.dir.grow()
 	return v, nil
 }
 
@@ -459,16 +479,18 @@ func (x *Sharded) ResidentBytes() int {
 }
 
 // GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
-// graph the index holds: the global graph plus each shard's subgraph and,
-// once a write gave the shard its write form, its bipartite conversion
-// Gb (a lean shard holds none).
+// graph the index holds: the global graph plus, for each shard that is
+// not lean (or is frozen), its subgraph and, once a write gave the shard
+// its write form, its bipartite conversion Gb.
 func (x *Sharded) GraphBytes() int {
 	total := x.g.Bytes()
 	for _, sh := range x.shards {
 		if sh == nil {
 			continue
 		}
-		total += sh.idx.g.Bytes()
+		if sub := sh.idx.g; sub != nil {
+			total += sub.Bytes()
+		}
 		if gb := sh.idx.eng.G; gb != nil {
 			total += gb.Bytes()
 		}
@@ -524,15 +546,7 @@ func (x *Sharded) NumShards() int {
 
 // TrivialVertices counts vertices outside every shard — the label-free
 // share of the graph.
-func (x *Sharded) TrivialVertices() int {
-	n := 0
-	for _, s := range x.shardOf {
-		if s < 0 {
-			n++
-		}
-	}
-	return n
-}
+func (x *Sharded) TrivialVertices() int { return x.dir.n - x.dir.members() }
 
 // Rebuilds reports how many scoped rebuilds dynamic updates triggered:
 // component merges (insertions) and splits (deletions).
@@ -576,12 +590,12 @@ func (x *Sharded) ShardStats() []ShardStat {
 
 // ShardOf returns the shard slot serving v, or -1 for trivial vertices
 // (tests and diagnostics).
-func (x *Sharded) ShardOf(v int) int { return int(x.shardOf[v]) }
+func (x *Sharded) ShardOf(v int) int { return int(x.dir.slotOf(v)) }
 
 // Locate returns the shard slot serving v and v's local id inside that
 // shard, or (-1, -1) for a trivial vertex. v must be in range. The pair
 // is fixed until the slot is reinstalled (see SlotGen).
-func (x *Sharded) Locate(v int) (slot, local int32) { return x.shardOf[v], x.localID[v] }
+func (x *Sharded) Locate(v int) (slot, local int32) { return x.dir.locate(v) }
 
 // NumSlots is the length of the shard slot table, live and retired
 // slots alike.
@@ -604,8 +618,10 @@ func (x *Sharded) SlotGen(s int) (gen uint64, size int) {
 // ShardMap returns a copy of the full vertex→shard-slot table (-1 for
 // trivial vertices) — the routing-table source for a cluster deployment.
 func (x *Sharded) ShardMap() []int32 {
-	out := make([]int32, len(x.shardOf))
-	copy(out, x.shardOf)
+	out := make([]int32, x.dir.n)
+	for v := range out {
+		out[v] = x.dir.slotOf(v)
+	}
 	return out
 }
 
@@ -622,19 +638,41 @@ func (x *Sharded) liveShards() []*shard {
 	return out
 }
 
-// checkConsistent validates the vertex→shard table against the shards
-// (tests only).
+// checkConsistent validates the directory against the shards in both
+// directions (tests only): every member resolves to its shard position,
+// every vertex the directory maps is a member there, and the trivial
+// count is n minus the members.
 func (x *Sharded) checkConsistent() error {
+	if x.dir.n != x.g.NumVertices() {
+		return fmt.Errorf("csc: directory covers %d vertices, graph has %d", x.dir.n, x.g.NumVertices())
+	}
+	members := 0
 	for _, sh := range x.shards {
 		if sh == nil {
 			continue
 		}
+		members += len(sh.verts)
 		for li, v := range sh.verts {
-			s := x.shardOf[v]
-			if s < 0 || x.shards[s] != sh || int(x.localID[v]) != li {
-				return fmt.Errorf("csc: vertex %d maps to shard %d/local %d, expected %d", v, s, x.localID[v], li)
+			s, l := x.dir.locate(int(v))
+			if s < 0 || x.shards[s] != sh || int(l) != li {
+				return fmt.Errorf("csc: vertex %d maps to shard %d/local %d, expected %d", v, s, l, li)
 			}
 		}
+	}
+	for v := range x.dir.n {
+		s, l := x.dir.locate(v)
+		if s < 0 {
+			continue
+		}
+		if int(s) >= len(x.shards) || x.shards[s] == nil {
+			return fmt.Errorf("csc: vertex %d maps to dead slot %d", v, s)
+		}
+		if verts := x.shards[s].verts; int(l) >= len(verts) || verts[l] != int32(v) {
+			return fmt.Errorf("csc: vertex %d maps to slot %d/local %d, which holds another vertex", v, s, l)
+		}
+	}
+	if got, want := x.TrivialVertices(), x.dir.n-members; got != want {
+		return fmt.Errorf("csc: %d trivial vertices, %d vertices minus %d members is %d", got, x.dir.n, members, want)
 	}
 	return nil
 }

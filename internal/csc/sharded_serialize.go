@@ -89,9 +89,35 @@ func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
 		if tags {
 			e.U8(uint8(sh.strat))
 		}
-		sh.idx.eng.Encode(e)
+		if sh.idx.g != nil {
+			sh.idx.eng.Encode(e)
+		} else {
+			x.encodeLean(e, sh)
+		}
 	}
 	return e.Flush()
+}
+
+// encodeLean writes a shard that holds no subgraph as its v1 stream,
+// emitting its Gb edges straight from the served graph through the
+// directory, in the order bipartite.EachEdge lays out the conversion of
+// the induced subgraph: each member's couple edge, then its out-edges to
+// other members in served-graph order.
+func (x *Sharded) encodeLean(e *pll.Encoder, sh *shard) {
+	s := x.dir.slotOf(int(sh.verts[0]))
+	each := func(emit func(u, v int)) {
+		for li, v := range sh.verts {
+			emit(bipartite.InVertex(li), bipartite.OutVertex(li))
+			for _, w := range x.g.Out(int(v)) {
+				if ws, lw := x.dir.locate(int(w)); ws == s {
+					emit(bipartite.OutVertex(li), bipartite.InVertex(int(lw)))
+				}
+			}
+		}
+	}
+	m := 0
+	each(func(int, int) { m++ })
+	sh.idx.eng.EncodeGb(e, m, each)
 }
 
 // readSharded loads a v2 stream, validating the shard table against the
@@ -178,16 +204,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		return nil, bad("%d shards impossible for %d vertices", shardCount, n)
 	}
 
-	x := &Sharded{
-		g:       g,
-		opts:    Options{Strategy: pll.Strategy(strat), Order: ostrat},
-		shardOf: make([]int32, n),
-		localID: make([]int32, n),
-	}
-	for v := range x.shardOf {
-		x.shardOf[v] = -1
-		x.localID[v] = -1
-	}
+	x := &Sharded{g: g, opts: Options{Strategy: pll.Strategy(strat), Order: ostrat}}
 	for sid := 0; sid < int(shardCount); sid++ {
 		var size uint32
 		if err := read(&size); err != nil {
@@ -206,13 +223,8 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 			if int(v) >= n || int32(v) <= prev {
 				return nil, bad("shard %d member %d out of order or range", sid, v)
 			}
-			if x.shardOf[v] != -1 {
-				return nil, bad("vertex %d claimed by two shards", v)
-			}
 			prev = int32(v)
 			verts[i] = int32(v)
-			x.shardOf[v] = int32(sid)
-			x.localID[v] = int32(i)
 		}
 		var shardStrat order.Strategy
 		if tags {
@@ -238,8 +250,12 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		if !graph.Equal(sub, partition.Induced(g, verts)) {
 			return nil, bad("shard %d subgraph does not match the global graph", sid)
 		}
-		eng.DropGraph(sub)
-		x.shards = append(x.shards, &shard{verts: verts, idx: &Index{g: sub, eng: eng}, strat: shardStrat})
+		idx := &Index{g: sub, eng: eng}
+		idx.shedGraph() // a lean shard serves from its store alone
+		x.shards = append(x.shards, &shard{verts: verts, idx: idx, strat: shardStrat})
+	}
+	if x.dir, err = newDirectory(n, x.shards); err != nil {
+		return nil, bad("%v", err)
 	}
 	// The shard table must be exactly the graph's non-trivial SCCs — a
 	// table that omits a cyclic region (which would silently answer 0) or

@@ -301,11 +301,10 @@ func TestShardedReadRejectsBadShardTable(t *testing.T) {
 	// Forge a stream claiming only the triangle shard exists by retiring
 	// the 2-cycle shard before writing.
 	forged := &Sharded{
-		g:       x.g,
-		opts:    x.opts,
-		shards:  []*shard{x.shards[x.shardOf[0]]},
-		shardOf: x.shardOf,
-		localID: x.localID,
+		g:      x.g,
+		opts:   x.opts,
+		shards: []*shard{x.shards[x.ShardOf(0)]},
+		dir:    x.dir,
 	}
 	var buf bytes.Buffer
 	if _, err := forged.WriteTo(&buf); err != nil {

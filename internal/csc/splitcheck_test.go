@@ -22,15 +22,15 @@ func TestSplitCheckKeepsShardOnNonBridgeDelete(t *testing.T) {
 			break
 		}
 	}
-	slot := x.shardOf[a]
-	shardOf := slices.Clone(x.shardOf)
+	slot := x.ShardOf(a)
+	shardOf := x.ShardMap()
 	if _, err := x.ApplyBatch([]EdgeOp{Del(a, b)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if x.BatchRebuilds() != 0 || x.splits != 0 {
 		t.Fatalf("non-bridge delete (%d,%d) rebuilt: %d rebuilds, %d splits", a, b, x.BatchRebuilds(), x.splits)
 	}
-	if !slices.Equal(x.shardOf, shardOf) || x.shards[slot] == nil {
+	if !slices.Equal(x.ShardMap(), shardOf) || x.shards[slot] == nil {
 		t.Fatalf("non-bridge delete (%d,%d) moved the shard off slot %d", a, b, slot)
 	}
 	assertStreamState(t, x, "after non-bridge delete")
@@ -72,8 +72,8 @@ func TestSplitCheckPairwiseDisconnectingBatch(t *testing.T) {
 	assertStreamState(t, x, "both links deleted")
 
 	fresh, _ := BuildSharded(x.g.Clone(), Options{})
-	if !slices.Equal(x.shardOf, fresh.shardOf) || !slices.Equal(x.localID, fresh.localID) {
-		t.Fatalf("shard table %v/%v, fresh build %v/%v", x.shardOf, x.localID, fresh.shardOf, fresh.localID)
+	if got, want := directoryTable(x), directoryTable(fresh); !slices.Equal(got, want) {
+		t.Fatalf("directory %v, fresh build %v", got, want)
 	}
 	got, want := x.liveShards(), fresh.liveShards()
 	if len(got) != len(want) {
@@ -83,6 +83,7 @@ func TestSplitCheckPairwiseDisconnectingBatch(t *testing.T) {
 		if !slices.Equal(got[i].verts, want[i].verts) {
 			t.Fatalf("shard %d members %v, fresh build %v", i, got[i].verts, want[i].verts)
 		}
+		fresh.subgraph(want[i]) // a lean shard expands from it
 		assertEngineLabelsEqual(t, 0, i, "split shard vs fresh build", got[i].idx, want[i].idx)
 	}
 }

@@ -108,6 +108,7 @@ func (x *Sharded) writeV34(w io.Writer) (int64, error) {
 		}
 		eng := sh.idx.eng
 		if !eng.Compressed() {
+			x.subgraph(sh) // a lean shard converts it for its Gb
 			eng.FreezeCompressed()
 		}
 		eng.Refreeze()
@@ -245,16 +246,7 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 		return nil, bad("%d shards impossible for %d vertices", shardCount, n)
 	}
 
-	x := &Sharded{
-		g:       g,
-		opts:    Options{Strategy: strat, CompressLabels: true, Order: ostrat},
-		shardOf: make([]int32, n),
-		localID: make([]int32, n),
-	}
-	for v := range x.shardOf {
-		x.shardOf[v] = -1
-		x.localID[v] = -1
-	}
+	x := &Sharded{g: g, opts: Options{Strategy: strat, CompressLabels: true, Order: ostrat}}
 	for sid := 0; sid < int(shardCount); sid++ {
 		size32, err := p.u32()
 		if err != nil {
@@ -274,13 +266,8 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 			if int(v) >= n || int32(v) <= prev {
 				return nil, bad("shard %d member %d out of order or range", sid, v)
 			}
-			if x.shardOf[v] != -1 {
-				return nil, bad("vertex %d claimed by two shards", v)
-			}
 			prev = int32(v)
 			verts[i] = int32(v)
-			x.shardOf[v] = int32(sid)
-			x.localID[v] = int32(i)
 		}
 		nb32, err := p.u32()
 		if err != nil {
@@ -385,6 +372,9 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 	}
 	if p.pos != len(data) {
 		return nil, bad("%d trailing bytes", len(data)-p.pos)
+	}
+	if x.dir, err = newDirectory(n, x.shards); err != nil {
+		return nil, bad("%v", err)
 	}
 	// The shard table must be exactly the graph's non-trivial SCCs, the
 	// same invariant readSharded enforces.

@@ -98,10 +98,12 @@ func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
 		t.Skip("the race detector inflates allocation counts")
 	}
 	x, _ := deletePairs(t, 0)
-	e := x.liveShards()[0].idx.eng
-	if !e.Lean() || e.G != nil {
+	sh := x.liveShards()[0]
+	e := sh.idx.eng
+	if !e.Lean() || e.G != nil || sh.idx.g != nil {
 		t.Fatal("a fresh build is not lean")
 	}
+	x.subgraph(sh) // what the shard's first write takes first
 	entries, frozen, n := e.EntryCount(), e.FrozenArena().Bytes(), e.Ord.Len()
 	slab := 8 * (entries + label.ArenaPad*2*n)
 	var before, after runtime.MemStats

@@ -110,7 +110,7 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.ResidentBytes())
 	})
-	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, the shard subgraphs and their bipartite conversions", func() float64 {
+	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, and the subgraph and bipartite conversion of every shard that is not lean", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
 		return float64(e.ix.GraphBytes())

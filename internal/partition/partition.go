@@ -15,6 +15,7 @@ package partition
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -267,38 +268,44 @@ func reachable(g *graph.Digraph, from, to, skipU, skipV int) bool {
 }
 
 // ComponentOf returns the strongly connected component containing v as a
-// sorted vertex list: the intersection of v's forward and backward
-// reachability sets, collected in ascending id order. The sharded index
-// calls it after an insertion merged components, when only v's component
-// — not the whole decomposition — is stale.
+// sorted vertex list. The sharded index calls it after an insertion
+// merged components, when only v's component — not the whole
+// decomposition — is stale. A forward walk marks v's reach in an n-bit
+// set; a backward walk from v inside that set then reaches exactly the
+// component (every vertex on a path back to v is reachable from v), and
+// clears each member's bit as it takes it. Both walks share one pooled
+// queue, so a call allocates the bit set and the component.
 func ComponentOf(g *graph.Digraph, v int) []int32 {
-	fwd := reachSet(g, v, false)
-	bwd := reachSet(g, v, true)
-	var members []int32
-	for w, ok := range fwd {
-		if ok && bwd[w] {
-			members = append(members, int32(w))
-		}
-	}
-	return members
-}
-
-func reachSet(g *graph.Digraph, from int, reverse bool) []bool {
-	seen := make([]bool, g.NumVertices())
-	seen[from] = true
-	queue := []int32{int32(from)}
+	seen := make([]uint64, (g.NumVertices()+63)/64)
+	has := func(w int32) bool { return seen[w>>6]&(1<<(w&63)) != 0 }
+	flip := func(w int32) { seen[w>>6] ^= 1 << (w & 63) }
+	q := walkQueues.Get().(*[]int32)
+	queue := append((*q)[:0], int32(v))
+	flip(int32(v))
 	for head := 0; head < len(queue); head++ {
-		v := int(queue[head])
-		nbrs := g.Out(v)
-		if reverse {
-			nbrs = g.In(v)
-		}
-		for _, w := range nbrs {
-			if !seen[w] {
-				seen[w] = true
+		for _, w := range g.Out(int(queue[head])) {
+			if !has(w) {
+				flip(w)
 				queue = append(queue, w)
 			}
 		}
 	}
-	return seen
+	queue = append(queue[:0], int32(v))
+	flip(int32(v))
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.In(int(queue[head])) {
+			if has(w) {
+				flip(w)
+				queue = append(queue, w)
+			}
+		}
+	}
+	members := slices.Clone(queue)
+	slices.Sort(members)
+	*q = queue[:0]
+	walkQueues.Put(q)
+	return members
 }
+
+// walkQueues holds ComponentOf's BFS queues between calls.
+var walkQueues = sync.Pool{New: func() any { return new([]int32) }}

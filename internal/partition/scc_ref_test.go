@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -159,6 +161,66 @@ func TestSCCAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(3, func() { SCC(g) }); a > 32 {
 		t.Fatalf("SCC: %.0f allocs/op, budget 32", a)
+	}
+}
+
+// ComponentOf marks in n-bit sets and walks on a pooled queue: a call
+// allocates the bit set, the component and nothing that grows with the
+// walk, where two n-sized []bool cost 2n bytes.
+func TestComponentOfAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled queues at random")
+	}
+	const n = 20000
+	g := ledgerShaped(n)
+	// The largest component, and a vertex that reaches far beyond it.
+	var big []int32
+	for _, c := range SCC(g).Comps {
+		if len(c) > len(big) {
+			big = c
+		}
+	}
+	if len(big) < 100 {
+		t.Fatalf("largest component has %d vertices; the check needs a merge-sized one", len(big))
+	}
+	v := int(big[0])
+	seen := map[int32]bool{int32(v): true}
+	for queue := []int32{int32(v)}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range g.Out(int(queue[0])) {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	reach := len(seen)
+	if 4*reach < n/8+4*len(big) {
+		t.Fatalf("%d reaches %d vertices: a queue of them would fit the budget", v, reach)
+	}
+	if got := ComponentOf(g, v); !slices.Equal(got, big) {
+		t.Fatalf("ComponentOf(%d) = %d vertices, SCC says %d", v, len(got), len(big))
+	}
+	// The best of five rounds: a collection during a round may empty
+	// the pool, and the next call then grows a queue again.
+	const runs = 20
+	allocs, bytes := math.Inf(1), math.MaxInt
+	for range 5 {
+		runtime.GC()
+		ComponentOf(g, v) // fills the pooled queue
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			ComponentOf(g, v)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
+		bytes = min(bytes, int(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	// Size classes round each object up by at most an eighth.
+	budget := (n/8 + 4*len(big)) * 9 / 8
+	t.Logf("ComponentOf: %.1f allocs, %d B per call; n/8 + 4·|comp| = %d B, reach %d", allocs, bytes, n/8+4*len(big), reach)
+	if allocs > 2.5 || bytes > budget {
+		t.Fatalf("ComponentOf: %.1f allocs, %d B per call; budget 2 allocs, %d B", allocs, bytes, budget)
 	}
 }
 

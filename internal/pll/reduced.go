@@ -69,7 +69,9 @@ func (idx *Index) Lean() bool { return idx.reduced && idx.frozen != nil }
 // conversion of src (bipartite.Convert): Expand converts src again at the
 // first label write, and Encode writes src's conversion. The owner must
 // not change src while the index is lean — it expands the index before
-// its first write to src. Any other index keeps G.
+// its first write to src. src may be nil when the owner keeps its graph
+// in another form: it then names src again before the first write and
+// encodes through EncodeGb. Any other index keeps G.
 func (idx *Index) DropGraph(src *graph.Digraph) {
 	if idx.Lean() {
 		idx.G, idx.src = nil, src

@@ -43,24 +43,37 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 // Encode writes the index's v1 stream into e; the sharded v2 writer
 // embeds one per shard in its own stream.
 func (idx *Index) Encode(e *Encoder) {
+	if idx.G != nil {
+		idx.EncodeGb(e, idx.G.NumEdges(), func(emit func(u, v int)) {
+			for u := 0; u < idx.G.NumVertices(); u++ {
+				for _, v := range idx.G.Out(u) {
+					emit(u, int(v))
+				}
+			}
+		})
+		return
+	}
+	// A lean index without its graph writes src's conversion as
+	// bipartite.Convert lays it out: n/2 couple edges plus one per edge
+	// of src.
+	idx.EncodeGb(e, idx.Ord.Len()/2+idx.src.NumEdges(), func(emit func(u, v int)) {
+		bipartite.EachEdge(idx.src, emit)
+	})
+}
+
+// EncodeGb is Encode with Gb's m edges supplied by each, tails ascending
+// as Encoder.Edges writes them: the form for a lean index whose owner
+// holds its graph in another form (DropGraph(nil)).
+func (idx *Index) EncodeGb(e *Encoder, m int, each func(emit func(u, v int))) {
 	e.Bytes(indexMagic[:])
 	n := idx.Ord.Len()
 	e.U32(uint32(n))
-	if idx.G != nil {
-		e.U32(uint32(idx.G.NumEdges()))
-		e.U8(uint8(idx.Strategy))
-		e.Edges(idx.G)
-	} else {
-		// A lean index without its graph writes src's conversion as
-		// bipartite.Convert lays it out: n/2 couple edges plus one per
-		// edge of src.
-		e.U32(uint32(n/2 + idx.src.NumEdges()))
-		e.U8(uint8(idx.Strategy))
-		bipartite.EachEdge(idx.src, func(u, v int) {
-			e.U32(uint32(u))
-			e.U32(uint32(v))
-		})
-	}
+	e.U32(uint32(m))
+	e.U8(uint8(idx.Strategy))
+	each(func(u, v int) {
+		e.U32(uint32(u))
+		e.U32(uint32(v))
+	})
 	for r := 0; r < n; r++ {
 		e.U32(uint32(idx.Ord.VertexAt(r)))
 	}
