@@ -77,7 +77,6 @@ func main() {
 		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of reading it (serve before labels page in)")
 		compress  = flag.Bool("compress", false, "build with compressed label storage (delta+varint frozen arena + bloom-screened joins)")
 		orderBy   = flag.String("order", "coverage", "hub-ordering strategy for built indexes: coverage | degree (the paper's order) | id | random")
-		rerank    = flag.Duration("rerank", 0, "enable online per-shard hub re-ranking, checking drift at this interval (0 = off)")
 		vertices  = flag.Int("vertices", 0, "bootstrap an empty graph with this many vertices (when -graph is unset)")
 		topK      = flag.Int("k", 0, "maintain a top-k cycle-count watchlist and serve /top")
 		maxBatch  = flag.Int("max-batch", 256, "max update ops applied per grace period")
@@ -164,9 +163,6 @@ func main() {
 		cyclehub.WithAdmission(policy),
 		cyclehub.WithWALRetry(*walRetry),
 		cyclehub.WithOOBRebuildThreshold(*oobReb),
-	}
-	if *rerank > 0 {
-		opts = append(opts, cyclehub.WithReRanking(*rerank))
 	}
 	if *topK > 0 {
 		opts = append(opts, cyclehub.WithTopK(*topK))

@@ -529,21 +529,6 @@ func WithPprof() EngineOption {
 	return func(c *engineConfig) { c.httpOpts.Pprof = true }
 }
 
-// WithReRanking enables online per-shard hub re-ranking: the engine
-// watches per-hub hit counters on the join kernel and, every interval,
-// when one shard's query traffic has drifted away from
-// its build-time hub order (hit-weighted mean rank past a threshold), it
-// recomputes that shard's order from the observed hits and rebuilds it
-// through the out-of-band path — readers keep serving the exact current
-// answers until the re-ranked shard swaps in atomically. Answers never
-// change (the graph didn't); only label shape chases the workload.
-// Re-ranking yields to all structural work. EngineStats.ReRanks counts
-// swaps; cscd_reranks_total and the per-shard cscd_shard_order gauge expose
-// them on /metrics. 0 (the default) disables.
-func WithReRanking(interval time.Duration) EngineOption {
-	return func(c *engineConfig) { c.opts.ReRankInterval = interval }
-}
-
 // WithUpdateWorkers sets how many goroutines the writer uses to apply
 // each coalesced batch (0 = all cores, 1 = sequential). The index plans
 // every batch per strongly connected component and applies independent
@@ -795,8 +780,6 @@ type EngineStats struct {
 	ReadOnly                   bool
 	Degraded                   []int
 	OOBRebuilds, OOBSuperseded uint64
-	// ReRanks counts online hub re-rank swaps (see WithReRanking).
-	ReRanks uint64
 }
 
 // Stats snapshots the engine counters; safe concurrently with updates.
@@ -811,7 +794,6 @@ func (e *Engine) Stats() EngineStats {
 		OpsShed: s.OpsShed, OpsOverload: s.OpsOverload,
 		WALRetries: s.WALRetries, ReadOnly: s.ReadOnly, Degraded: s.Degraded,
 		OOBRebuilds: s.OOBRebuilds, OOBSuperseded: s.OOBSuperseded,
-		ReRanks: s.ReRanks,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 func buildTriangle(t *testing.T) *Index {
@@ -497,44 +496,11 @@ func TestOrderingOptions(t *testing.T) {
 	if _, err := ParseOrdering("coverage"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseOrdering("bogus"); err == nil {
-		t.Fatal("unknown ordering accepted")
-	}
-}
-
-func TestReRankingOption(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	n := 24
-	g := NewGraph(n)
-	for v := 0; v < n; v++ {
-		_ = g.AddEdge(v, (v+1)%n)
-	}
-	for i := 0; i < 2*n; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			_ = g.AddEdge(u, v)
+	for _, name := range []string{"bogus", "hits"} {
+		if _, err := ParseOrdering(name); err == nil {
+			t.Fatalf("unknown ordering %q accepted", name)
 		}
 	}
-	ref := g.Clone()
-	eng, err := NewEngine(BuildIndex(g), WithReRanking(time.Millisecond), WithoutReadCache(), WithBatch(8, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	// Feed the drift signal; whether or not a re-rank fires within the
-	// window (thresholds are conservative by default), answers never move.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		for v := 0; v < n; v++ {
-			if got, want := eng.CycleCount(v), CycleCountBFS(ref, v); got != want {
-				t.Fatalf("vertex %d: engine %+v, BFS %+v", v, got, want)
-			}
-		}
-	}
-	if err := eng.WaitRebuilds(); err != nil {
-		t.Fatal(err)
-	}
-	eng.Stats() // ReRanks is a valid field whether or not one fired
 }
 
 // Out-of-range ids answer "no cycle" through both the plain and the

@@ -12,13 +12,13 @@
 // merge-joins, hubs run in one rank-ordered loop, and the finished labels
 // are the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out),
 // the two lists a query joins, are stored. A build at boot (Build,
-// BuildSharded), an online re-rank or a load freezes them into the
-// delta+varint arena (label.Frozen) that reads stream through cursors,
-// and the shard turns lean: it holds that store and nothing else — no
-// list headers, no Gb and no induced subgraph, which the sharded index
-// re-induces from its served graph when a write, a freeze or a re-rank
-// needs it. A rebuild on the write path (merge, split, deferred rebuild)
-// leaves them in one slab of plain slices. A shard's first label write
+// BuildSharded) or a load freezes them into the delta+varint arena
+// (label.Frozen) that reads stream through cursors, and the shard turns
+// lean: it holds that store and nothing else — no list headers, no Gb
+// and no induced subgraph, which the sharded index re-induces from its
+// served graph when a write or a freeze needs it. A rebuild on the
+// write path (merge, split, deferred rebuild) leaves them in one slab
+// of plain slices. A shard's first label write
 // gives it its write form: its induced subgraph, Gb converted from it,
 // then one slab of plain slices holding all four lists of every couple
 // (pll.Index.Expand); a shard nothing writes keeps its lean form for its
@@ -268,8 +268,7 @@ func (x *Index) CycleCount(v int) (length int, count uint64) {
 // read is the one SCCnt evaluation behind CycleCount here and the
 // sharded index's per-shard reads (bounded reads only come through
 // Sharded.CycleCountBounded). Unbounded reads go through CountPaths,
-// which feeds the re-ranker's hub hit counters; bounded ones through
-// CountPathsBounded, which does not.
+// bounded ones through CountPathsBounded.
 func (x *Index) read(v, maxLen int, bounded bool) (length int, count uint64) {
 	// Out-of-range ids lie on no cycle.
 	if v < 0 || v >= x.g.NumVertices() {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/pll"
 )
@@ -43,26 +42,12 @@ import (
 // the snapshots. CompleteRebuild must run wherever index mutations are
 // serialized (the engine's writer goroutine, under its grace period).
 type Rebuild struct {
-	gen    uint64
 	stale  []int32            // frozen shard slots, ascending
 	comps  [][]int32          // final components to build (sorted members)
 	subs   []*graph.Digraph   // induced snapshots, aligned with comps
 	region map[int32]struct{} // every vertex the deferral covers
 	opts   Options
 	built  []*shard // filled by Run
-
-	// ords carries explicit per-component hub orders (aligned with comps;
-	// nil or a nil entry means Run computes the order from strats). The
-	// online re-ranker uses it to rebuild a shard under a hit-derived
-	// order no strategy could recompute offline.
-	ords   []*order.Order
-	strats []order.Strategy // per-component strategy tags, aligned with comps
-
-	// freeze builds the components frozen, and so lean (see build): set
-	// for a re-rank, whose shard is read-hot rather than written; a
-	// structural rebuild's shard is about to be written and stays
-	// unfrozen.
-	freeze bool
 
 	// frozenAt is when the deferral's shards froze — inherited across
 	// supersessions, so it anchors the full stale window a reader could
@@ -74,21 +59,8 @@ type Rebuild struct {
 // (the start of the freeze→swap window observability reports).
 func (r *Rebuild) FrozenAt() time.Time { return r.frozenAt }
 
-// Gen is the deferral generation this rebuild belongs to (diagnostics;
-// superseding is decided by identity, not generation).
-func (r *Rebuild) Gen() uint64 { return r.gen }
-
 // Components is the number of deferred component builds.
 func (r *Rebuild) Components() int { return len(r.comps) }
-
-// Vertices is the total vertex count across deferred components.
-func (r *Rebuild) Vertices() int {
-	n := 0
-	for _, c := range r.comps {
-		n += len(c)
-	}
-	return n
-}
 
 // StaleSlots returns the frozen shard slots (ascending).
 func (r *Rebuild) StaleSlots() []int {
@@ -113,22 +85,11 @@ func (r *Rebuild) Run(workers int) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		build := func(i int) {
-			strat := r.opts.Order
-			if i < len(r.strats) {
-				strat = r.strats[i]
-			}
-			var ord *order.Order
-			if i < len(r.ords) {
-				ord = r.ords[i]
-			}
-			if ord == nil {
-				opts := r.opts
-				opts.Order = strat
-				ord = orderFor(r.subs[i], opts)
-			}
-			idx, _ := build(r.subs[i], ord, r.opts, r.freeze)
+			// The components are about to be written, so they build
+			// unfrozen (see build).
+			idx, _ := build(r.subs[i], orderFor(r.subs[i], r.opts), r.opts, false)
 			idx.shedGraph()
-			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
+			built[i] = &shard{verts: r.comps[i], idx: idx, strat: r.opts.Order}
 		}
 		if len(r.comps) == 1 || workers == 1 {
 			for i := range r.comps {
@@ -390,12 +351,11 @@ func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, thresh
 		x.pendingReb = nil
 		return tasks, nil
 	}
-	x.gen++
 	frozenAt := time.Now()
 	if x.pendingReb != nil && !x.pendingReb.frozenAt.IsZero() {
 		frozenAt = x.pendingReb.frozenAt
 	}
-	reb := &Rebuild{gen: x.gen, opts: x.opts, region: make(map[int32]struct{}), frozenAt: frozenAt}
+	reb := &Rebuild{opts: x.opts, region: make(map[int32]struct{}), frozenAt: frozenAt}
 	var ids []int32
 	for c := range deferred {
 		ids = append(ids, c)

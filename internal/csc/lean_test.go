@@ -128,25 +128,3 @@ func TestLeanReadAllocatesNothing(t *testing.T) {
 		t.Fatalf("CycleCountBounded on a lean shard allocates %v times per read", a)
 	}
 }
-
-// A re-ranked shard is read-hot, not written: its rebuild is frozen and
-// lean, and answers like the oracle.
-func TestReRankedShardIsLean(t *testing.T) {
-	g := testgraphs.GiantSCC(30, 90, 9)
-	x, _ := BuildSharded(g.Clone(), Options{Workers: 1})
-	x.EnableHitCounters()
-	queryAll(x)
-	reb, err := x.ReorderShardByHits(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reb.Run(1)
-	if _, installed := x.CompleteRebuild(reb); !installed {
-		t.Fatal("re-rank not installed")
-	}
-	if sh := x.shards[0]; sh.strat != order.Hits {
-		t.Fatalf("slot 0 serves a %s-ordered shard, want the re-ranked one", sh.strat)
-	}
-	assertLean(t, "re-rank", x)
-	assertOracle(t, "re-rank", x)
-}

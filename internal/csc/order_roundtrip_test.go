@@ -11,8 +11,7 @@ import (
 	"repro/internal/testgraphs"
 )
 
-// orderedStrategies is every strategy a build can be configured with
-// (Hits is provenance-only: it tags re-ranked shards, never a build).
+// orderedStrategies is every strategy a build can be configured with.
 func orderedStrategies() []order.Strategy {
 	return []order.Strategy{order.Degree, order.ID, order.Random, order.Coverage}
 }
@@ -217,38 +216,39 @@ func TestV2RestartKeepsOrderForRebuilds(t *testing.T) {
 	assertCountersAgree(t, "merged after restart", fresh, sx, g.NumVertices())
 }
 
-// Wire value 3 once tagged betweenness shards. The strategy is gone but
-// the value stays reserved: a v4 or v2 stream carrying it must load,
-// keep the tag, answer from the stored order, and write the same bytes
-// back.
+// Wire values 3 and 5 once tagged betweenness and hit-re-ranked shards.
+// Both strategies are gone but the values stay reserved: a v4 or v2
+// stream carrying one must load, keep the tag, answer from the stored
+// order, and write the same bytes back.
 func TestRetiredOrderTagLoads(t *testing.T) {
-	retired := order.Strategy(3)
 	g := testgraphs.ManySmallSCC(6, 4, 30, 10)
-	for _, compress := range []bool{true, false} {
-		x, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: compress, Order: order.Coverage, OrderSeed: 5})
-		x.liveShards()[0].strat = retired
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if magic := string(buf.Bytes()[:8]); magic != v4Magic && magic != shardedMagic {
-			t.Fatalf("wrote magic %q, want v4 or v2", magic)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("compress=%v: stream tagged 3 rejected: %v", compress, err)
-		}
-		sx := got.(*Sharded)
-		if tag := sx.ShardStats()[0].Order; tag != retired {
-			t.Fatalf("compress=%v: shard 0 tag loaded as %s", compress, tag)
-		}
-		assertCountersAgree(t, "tag-3 reload", x, sx, g.NumVertices())
-		var again bytes.Buffer
-		if _, err := sx.WriteTo(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-			t.Fatalf("compress=%v: tag-3 stream not rewritten byte-identical", compress)
+	for _, retired := range []order.Strategy{3, 5} {
+		for _, compress := range []bool{true, false} {
+			x, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: compress, Order: order.Coverage, OrderSeed: 5})
+			x.liveShards()[0].strat = retired
+			var buf bytes.Buffer
+			if _, err := x.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if magic := string(buf.Bytes()[:8]); magic != v4Magic && magic != shardedMagic {
+				t.Fatalf("wrote magic %q, want v4 or v2", magic)
+			}
+			got, err := Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("tag %d compress=%v: stream rejected: %v", retired, compress, err)
+			}
+			sx := got.(*Sharded)
+			if tag := sx.ShardStats()[0].Order; tag != retired {
+				t.Fatalf("tag %d compress=%v: shard 0 tag loaded as %s", retired, compress, tag)
+			}
+			assertCountersAgree(t, "retired-tag reload", x, sx, g.NumVertices())
+			var again bytes.Buffer
+			if _, err := sx.WriteTo(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatalf("tag %d compress=%v: stream not rewritten byte-identical", retired, compress)
+			}
 		}
 	}
 }

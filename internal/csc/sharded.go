@@ -58,7 +58,6 @@ type Sharded struct {
 	// deferral is pending.
 	stale                       map[int32]bool
 	pendingReb                  *Rebuild
-	gen                         uint64
 	deferThreshold              int
 	oobCompleted, oobSuperseded int
 }
@@ -165,8 +164,8 @@ func (x *Sharded) locate(v int) (slot, local int32) {
 
 // orderFor computes the hub order for one component's induced subgraph
 // under the configured strategy, falling back to degree on an
-// uncomputable strategy value (Hits, or an unknown byte from a hostile
-// file — the order vector itself always round-trips explicitly).
+// uncomputable strategy value (an unknown byte from a hostile file — the
+// order vector itself always round-trips explicitly).
 func orderFor(sub *graph.Digraph, opts Options) *order.Order {
 	ord, err := order.Compute(sub, opts.Order, opts.OrderSeed)
 	if err != nil {

@@ -194,26 +194,6 @@ type Options struct {
 	// when done (Stats.Degraded lists the stale shards meanwhile). 0
 	// disables deferral: every rebuild is inline, blocking the batch.
 	OOBRebuildThreshold int
-	// ReRankInterval enables online per-shard hub re-ranking: every
-	// interval the writer turns on per-hub hit counters, measures each
-	// shard's order drift (the hit-weighted mean normalized rank of the
-	// winning hubs), and when one shard has accumulated at least
-	// ReRankMinHits hits with drift at least ReRankDrift, rebuilds that
-	// shard under a hit-weighted hub order
-	// through the out-of-band path — readers never pause, the swap is
-	// atomic. 0 (the default) disables re-ranking entirely. Structural
-	// work always wins: a tick is skipped while any batch or rebuild is
-	// pending, and a structural batch arriving mid-re-rank supersedes it.
-	ReRankInterval time.Duration
-	// ReRankMinHits is the minimum recorded hits before a shard is
-	// eligible for re-ranking (default 256 when ReRankInterval is set) —
-	// drift over a handful of queries is noise, not workload shape.
-	ReRankMinHits uint64
-	// ReRankDrift is the drift threshold in [0,1] at or above which an
-	// eligible shard re-ranks (default 0.25). 0 means the top-ranked hub
-	// answers everything (never re-rank); higher values mean answers come
-	// from deeper in the order.
-	ReRankDrift float64
 	// Replication, when set, receives every committed batch in order on
 	// the writer goroutine (after the local WAL append succeeds, before
 	// the grace period applies it), and is Closed — the in-flight shipment
@@ -242,14 +222,6 @@ func (o *Options) fill() {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 64
-	}
-	if o.ReRankInterval > 0 {
-		if o.ReRankMinHits == 0 {
-			o.ReRankMinHits = 256
-		}
-		if o.ReRankDrift == 0 {
-			o.ReRankDrift = 0.25
-		}
 	}
 }
 
@@ -299,9 +271,6 @@ type Stats struct {
 	Degraded      []int  `json:"degraded,omitempty"`
 	OOBRebuilds   uint64 `json:"oob_rebuilds,omitempty"`
 	OOBSuperseded uint64 `json:"oob_superseded,omitempty"`
-	// ReRanks counts online hub re-rank rebuilds the writer has initiated
-	// (Options.ReRankInterval).
-	ReRanks uint64 `json:"reranks,omitempty"`
 	// CacheSlots counts the result cache's per-vertex entries: one per
 	// vertex in a shard, none for trivial vertices, whose reads are
 	// answered from the slot table and count as cache hits.
@@ -346,7 +315,6 @@ type Engine struct {
 	shed, overload      *obs.Counter
 	walRetries          *obs.Counter
 	refrozen            *obs.Counter
-	reranks             *obs.Counter
 	walBytes            atomic.Int64
 
 	// Latency histograms and the trace ring, nil without Options.Metrics
@@ -447,7 +415,6 @@ func start(ix *csc.Sharded, st *Store, seq uint64, opts Options) *Engine {
 		batches: &obs.Counter{}, snaps: &obs.Counter{},
 		shed: &obs.Counter{}, overload: &obs.Counter{},
 		walRetries: &obs.Counter{}, refrozen: &obs.Counter{},
-		reranks: &obs.Counter{},
 	}
 	if !opts.NoCache {
 		e.cache = newReadCache(ix)
@@ -830,7 +797,6 @@ func (e *Engine) Stats() Stats {
 	st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)
 	st.CompressedBytes = e.ix.CompressedBytes()
 	st.LabelsRefrozen = e.refrozen.Load()
-	st.ReRanks = e.reranks.Load()
 	st.CacheSlots = e.cacheSlots()
 	m.RUnlock()
 	return st
@@ -872,14 +838,6 @@ func (e *Engine) run() {
 	defer close(e.done)
 	var timer *time.Timer
 	var timerC <-chan time.Time
-	// The re-rank ticker only exists when the feature is on; a nil channel
-	// never fires.
-	var rerankC <-chan time.Time
-	if e.opts.ReRankInterval > 0 {
-		tk := time.NewTicker(e.opts.ReRankInterval)
-		defer tk.Stop()
-		rerankC = tk.C
-	}
 	stopTimer := func() {
 		if timer != nil {
 			timer.Stop()
@@ -919,8 +877,6 @@ func (e *Engine) run() {
 			e.refreezeQuiesced()
 		case r := <-e.rebuilt:
 			e.finishRebuild(r)
-		case <-rerankC:
-			e.maybeReRank()
 		case req := <-e.ctl:
 			flushAll()
 			var err error
@@ -1274,63 +1230,6 @@ func (e *Engine) finishRebuild(d rebuildDone) {
 		}
 	}
 	e.maybeStartRebuild()
-}
-
-// maybeReRank runs on the writer goroutine at each re-rank tick. It is
-// strictly lower priority than real work: pending ops, a pending or
-// in-flight rebuild, or read-only degraded mode skip the tick entirely.
-// Otherwise it enables hit counters on every live shard (idempotent —
-// freshly swapped shards start counting from zero), picks the drifted
-// shard with the strongest evidence, and defers a hit-weighted re-rank
-// of it through the normal out-of-band path, so the background build and
-// atomic swap are the same machinery structural rebuilds use.
-func (e *Engine) maybeReRank() {
-	if e.readOnly.Load() || e.oobInflight != nil || e.oobNext != nil ||
-		len(e.pending) > 0 || len(e.mail) > 0 {
-		return
-	}
-	e.lock.lockAll()
-	reb := e.pickReRank()
-	e.lock.unlockAll()
-	if reb == nil {
-		return
-	}
-	e.reranks.Add(1)
-	e.trace.Add(obs.BatchTrace{
-		Seq:    e.seq.Load(),
-		Kind:   "re-rank",
-		Start:  time.Now(),
-		Shards: reb.StaleSlots(),
-	})
-	e.oobNext = reb
-	e.maybeStartRebuild()
-}
-
-// pickReRank selects and freezes the re-rank target under the caller's
-// grace period: the eligible shard (hits ≥ ReRankMinHits, drift ≥
-// ReRankDrift) with the highest drift. Nil when nothing qualifies —
-// including the first tick after counters turn on, which has no hits
-// recorded yet.
-func (e *Engine) pickReRank() *csc.Rebuild {
-	e.ix.EnableHitCounters()
-	best, bestDrift := -1, 0.0
-	for _, st := range e.ix.ShardStats() {
-		d, hits, ok := e.ix.ShardDrift(st.Slot)
-		if !ok || hits < e.opts.ReRankMinHits || d < e.opts.ReRankDrift {
-			continue
-		}
-		if best == -1 || d > bestDrift {
-			best, bestDrift = st.Slot, d
-		}
-	}
-	if best == -1 {
-		return nil
-	}
-	reb, err := e.ix.ReorderShardByHits(best)
-	if err != nil {
-		return nil
-	}
-	return reb
 }
 
 // awaitRebuilds runs on the writer goroutine and completes every pending

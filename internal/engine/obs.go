@@ -194,7 +194,6 @@ func (e *Engine) initObs() {
 		_, s := e.ix.OOBRebuilds()
 		return uint64(s)
 	})
-	reg.CounterFunc("cscd_reranks_total", "online hub re-rank rebuilds initiated", e.reranks.Load)
 	// Per-shard footprint, one sample per live slot. Each collector takes
 	// one shard-stats pass under a reader epoch — scrape-time only.
 	shardStats := func() []csc.ShardStat {

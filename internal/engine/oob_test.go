@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bfscount"
 	"repro/internal/csc"
 	"repro/internal/graph"
+	"repro/internal/testgraphs"
 )
 
 // twoSixRings builds ring A over 0..5 and ring B over 6..11, plus the
@@ -209,4 +213,129 @@ func TestOOBSnapshotBarrierAndRecovery(t *testing.T) {
 	if st := e2.Stats(); len(st.Degraded) != 0 {
 		t.Fatalf("recovered engine Degraded = %v", st.Degraded)
 	}
+}
+
+// The race-gated swap stress (run with -race): reader goroutines hammer
+// every vertex while a batch writer toggles random edges through a giant
+// SCC and, each round, a bridge pair that merges a 10-ring into it or
+// splits it off again. Merge and split both defer, so the shards freeze
+// and their rebuilds swap in under the readers. Readers must never
+// observe a torn answer across a swap epoch, and after every quiesce
+// the answers equal the sequential oracle exactly. The read cache is
+// off so every read joins the labels being swapped.
+func TestOOBSwapStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("swap stress is not -short")
+	}
+	const (
+		n       = 40 // giant SCC 0..n-1; the ring is n..n+ring-1
+		m       = 120
+		ring    = 10
+		readers = 4
+		rounds  = 6
+	)
+	giant := testgraphs.GiantSCC(n, m, 9)
+	g := graph.New(n + ring)
+	for u := 0; u < n; u++ {
+		for _, v := range giant.Out(u) {
+			_ = g.AddEdge(u, int(v))
+		}
+	}
+	for k := 0; k < ring; k++ {
+		_ = g.AddEdge(n+k, n+(k+1)%ring)
+	}
+	x, _ := csc.BuildSharded(g.Clone(), csc.Options{})
+	e := New(x, Options{
+		FlushInterval:       -1,
+		UpdateWorkers:       1,
+		NoCache:             true,
+		OOBRebuildThreshold: 8,
+	})
+	defer e.Close()
+	ox, _ := csc.BuildSharded(g.Clone(), csc.Options{})
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for rdr := 0; rdr < readers; rdr++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				v := r.Intn(n + ring)
+				l, c := e.CycleCount(v)
+				// Torn-read screen: every vertex lies on some cycle (the
+				// giant SCC's or the ring's), whichever epoch answers.
+				if l == 0 || (l > 0 && c == 0) {
+					t.Errorf("reader saw impossible answer (%d,%d) for %d", l, c, v)
+					return
+				}
+				if r.Intn(16) == 0 {
+					e.Stats()
+				}
+			}
+		}(int64(2000 + rdr))
+	}
+
+	apply := func(kind OpKind, u, v int) {
+		if err := e.Enqueue(Op{Kind: kind, A: int32(u), B: int32(v)}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if kind == OpInsert {
+			_, err = ox.InsertEdge(u, v)
+		} else {
+			_, err = ox.DeleteEdge(u, v)
+		}
+		if err != nil && err != graph.ErrDuplicateEdge && err != graph.ErrMissingEdge {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(13))
+	for round := 0; round < rounds; round++ {
+		// Random churn through the giant shard, mirrored to the oracle.
+		for i := 0; i < 10; i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v {
+				continue
+			}
+			kind := OpInsert
+			if r.Intn(2) == 0 {
+				kind = OpDelete
+			}
+			apply(kind, u, v)
+		}
+		// The bridge pair: even rounds merge the ring in, odd rounds
+		// split it off.
+		bridge := OpInsert
+		if round%2 == 1 {
+			bridge = OpDelete
+		}
+		apply(bridge, 0, n)
+		apply(bridge, n, 0)
+		e.Flush()
+		if err := e.WaitRebuilds(); err != nil {
+			t.Fatal(err)
+		}
+		if !graph.Equal(e.Index().Graph(), ox.Graph()) {
+			t.Fatalf("round %d: engine graph diverged from oracle", round)
+		}
+		for v := 0; v < n+ring; v++ {
+			gl, gc := e.CycleCount(v)
+			wl, wc := ox.CycleCount(v)
+			if gl != wl || gc != wc {
+				t.Fatalf("round %d vertex %d: engine (%d,%d), oracle (%d,%d)", round, v, gl, gc, wl, wc)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	st := e.Stats()
+	if st.OpsRejected != 0 {
+		t.Fatalf("writer rejected %d ops", st.OpsRejected)
+	}
+	if st.OOBRebuilds == 0 {
+		t.Fatal("no out-of-band rebuild swapped in: the stress never crossed a swap")
+	}
+	t.Logf("%d out-of-band swaps, %d superseded", st.OOBRebuilds, st.OOBSuperseded)
 }

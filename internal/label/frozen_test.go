@@ -48,14 +48,14 @@ func TestFrozenJoinMatchesMutable(t *testing.T) {
 			t.Fatalf("trial %d: out list not frozen", trial)
 		}
 
-		wd, _, _ := Join(&mo, &mi, Unreachable)
+		wd, _ := Join(&mo, &mi, Unreachable)
 		pairs := [][2]*List{{fo, fi}, {fo, &mi}, {&mo, fi}}
 		for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100, Unreachable} {
-			bd, bc, bh := Join(&mo, &mi, bound)
+			bd, bc := Join(&mo, &mi, bound)
 			for p, pr := range pairs {
-				if d, c, h := Join(pr[0], pr[1], bound); d != bd || c != bc || h != bh {
-					t.Fatalf("trial %d pair %d bound %d: Join = (%d,%d,%d), want (%d,%d,%d)",
-						trial, p, bound, d, c, h, bd, bc, bh)
+				if d, c := Join(pr[0], pr[1], bound); d != bd || c != bc {
+					t.Fatalf("trial %d pair %d bound %d: Join = (%d,%d), want (%d,%d)",
+						trial, p, bound, d, c, bd, bc)
 				}
 			}
 		}
@@ -221,7 +221,7 @@ func TestBloomSignatures(t *testing.T) {
 	group := []List{disjointA, disjointB}
 	FreezeCompressed(group)
 	c0, r0 := BloomStats()
-	if d, c, _ := Join(&group[0], &group[1], Unreachable); d != Unreachable || c != 0 {
+	if d, c := Join(&group[0], &group[1], Unreachable); d != Unreachable || c != 0 {
 		t.Fatalf("disjoint Join = (%d,%d)", d, c)
 	}
 	c1, r1 := BloomStats()
@@ -248,7 +248,7 @@ func TestBloomSignatures(t *testing.T) {
 	quiet := []List{listOf(disjointA.Entries()), listOf(disjointB.Entries())}
 	FreezeCompressed(quiet).SkipBloomStats()
 	c4, r4 := BloomStats()
-	if d, c, _ := Join(&quiet[0], &quiet[1], Unreachable); d != Unreachable || c != 0 {
+	if d, c := Join(&quiet[0], &quiet[1], Unreachable); d != Unreachable || c != 0 {
 		t.Fatalf("disjoint Join over a quiet arena = (%d,%d)", d, c)
 	}
 	if c5, r5 := BloomStats(); c5 != c4 || r5 != r4 {

@@ -6,8 +6,8 @@ import (
 
 // This file is the read path's one join kernel: the merge-join of an
 // out-list and an in-list over common hubs (Equations 1-2). Every caller
-// — unbounded SCCnt reads, bounded screening reads, the INCCNT prune, the
-// online re-ranker's hub attribution — goes through Join. Two loops
+// — unbounded SCCnt reads, bounded screening reads, the INCCNT prune —
+// goes through Join. Two loops
 // implement it, one per list form:
 //
 //   - joinSlices, when both lists are mutable (plain slices or CSR arena
@@ -36,24 +36,23 @@ const gallopRatio = 16
 
 // Join evaluates Equations (1)-(2) restricted to distances ≤ maxDist: the
 // minimum sd(s,h)+sd(h,t) over the common hubs of an out-list of s and an
-// in-list of t, the saturating sum of count products at that distance,
-// and the winning hub — the lowest-ranked common hub achieving the
-// minimum. When no common hub meets the bound it returns
-// (Unreachable, 0, -1); pass Unreachable as maxDist for the plain
-// unbounded query.
+// in-list of t and the saturating sum of count products at that
+// distance. When no common hub meets the bound it returns
+// (Unreachable, 0); pass Unreachable as maxDist for the plain unbounded
+// query.
 //
 // The bound tightens to the best distance found (larger sums can no
 // longer matter), pairs above it never enter the count arithmetic, and
 // entries whose own distance already exceeds it are skipped outright.
 // When either list is frozen, the bloom signatures screen out
 // non-intersecting pairs in O(words) before any entry decodes.
-func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
+func Join(out, in *List, maxDist int) (dist int, count uint64) {
 	// Sums at or past the Unreachable sentinel can never be answers.
 	if maxDist >= Unreachable {
 		maxDist = Unreachable - 1
 	}
 	if maxDist < 0 {
-		return Unreachable, 0, -1
+		return Unreachable, 0
 	}
 	if out.fz == nil && in.fz == nil {
 		// The combine step is symmetric in the two sides, so the slice
@@ -67,7 +66,7 @@ func Join(out, in *List, maxDist int) (dist int, count uint64, hub int) {
 	a.init(out)
 	b.init(in)
 	if sigReject(&a, &b) {
-		return Unreachable, 0, -1
+		return Unreachable, 0
 	}
 	return joinCursors(&a, &b, maxDist)
 }
@@ -94,8 +93,8 @@ func sigReject(a, b *lcur) bool {
 // lengths are comparable, a gallop (seekHub) when the long side is
 // gallopRatio times longer — so the long-side cursor only ever moves
 // forward.
-func joinSlices(short, long []bitpack.Entry, bound int) (dist int, count uint64, hub int) {
-	dist, hub = Unreachable, -1
+func joinSlices(short, long []bitpack.Entry, bound int) (dist int, count uint64) {
+	dist = Unreachable
 	gallop := len(long) >= gallopRatio*len(short)
 	j := 0
 	for _, a := range short {
@@ -124,13 +123,13 @@ func joinSlices(short, long []bitpack.Entry, bound int) (dist int, count uint64,
 			continue
 		}
 		if d < dist {
-			dist, hub, bound = d, h, d
+			dist, bound = d, d
 			count = bitpack.SatMul(a.Count(), b.Count())
 		} else { // d == dist: the bound pinned d ≤ dist already
 			count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
 		}
 	}
-	return dist, count, hub
+	return dist, count
 }
 
 // seekHub returns the first index i ≥ from with l[i].Hub() ≥ hub (len(l)
@@ -164,8 +163,8 @@ func seekHub(l []bitpack.Entry, from, hub int) int {
 
 // joinCursors is Join in leapfrog-cursor form, for pairs where at least
 // one list streams a compressed section.
-func joinCursors(a, b *lcur, bound int) (dist int, count uint64, hub int) {
-	dist, hub = Unreachable, -1
+func joinCursors(a, b *lcur, bound int) (dist int, count uint64) {
+	dist = Unreachable
 	for a.ok() && b.ok() {
 		ea, eb := a.cur(), b.cur()
 		ha, hb := ea.Hub(), eb.Hub()
@@ -182,7 +181,7 @@ func joinCursors(a, b *lcur, bound int) (dist int, count uint64, hub int) {
 				continue
 			}
 			if d < dist {
-				dist, hub, bound = d, ha, d
+				dist, bound = d, d
 				count = bitpack.SatMul(ea.Count(), eb.Count())
 			} else { // d == dist
 				count = bitpack.SatAdd(count, bitpack.SatMul(ea.Count(), eb.Count()))
@@ -193,7 +192,7 @@ func joinCursors(a, b *lcur, bound int) (dist int, count uint64, hub int) {
 			b.seekGE(ha)
 		}
 	}
-	return dist, count, hub
+	return dist, count
 }
 
 // lcur walks one list in ascending hub order regardless of its form.

@@ -54,7 +54,7 @@ func joinMergeOnly(oe, ie []bitpack.Entry) (dist int, count uint64) {
 	return dist, count
 }
 
-var sinkDist, sinkHub int
+var sinkDist int
 var sinkCount uint64
 
 // benchJoin times Join over a mutable out/in pair at the given bound.
@@ -63,7 +63,7 @@ func benchJoin(b *testing.B, nOut, nIn, maxDist int) {
 	out, in := listOf(oe), listOf(ie)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkDist, sinkCount, sinkHub = Join(&out, &in, maxDist)
+		sinkDist, sinkCount = Join(&out, &in, maxDist)
 	}
 }
 
@@ -75,7 +75,7 @@ func benchFrozenJoin(b *testing.B, nOut, nIn int) {
 	FreezeCompressed(group)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkDist, sinkCount, sinkHub = Join(&group[0], &group[1], Unreachable)
+		sinkDist, sinkCount = Join(&group[0], &group[1], Unreachable)
 	}
 }
 

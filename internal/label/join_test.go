@@ -8,14 +8,14 @@ import (
 )
 
 // refJoin is the obviously-correct reference: hash the out side, probe
-// every in entry, track the minimum within the bound, its saturating
-// count sum, and the lowest-ranked hub achieving it.
-func refJoin(oe, ie []bitpack.Entry, maxDist int) (dist int, count uint64, hub int) {
+// every in entry, track the minimum within the bound and its saturating
+// count sum.
+func refJoin(oe, ie []bitpack.Entry, maxDist int) (dist int, count uint64) {
 	byHub := make(map[int]bitpack.Entry, len(oe))
 	for _, e := range oe {
 		byHub[e.Hub()] = e
 	}
-	dist, hub = Unreachable, -1
+	dist = Unreachable
 	for _, b := range ie {
 		a, ok := byHub[b.Hub()]
 		if !ok {
@@ -26,14 +26,13 @@ func refJoin(oe, ie []bitpack.Entry, maxDist int) (dist int, count uint64, hub i
 			continue
 		}
 		if d < dist {
-			dist, hub = d, b.Hub()
+			dist = d
 			count = bitpack.SatMul(a.Count(), b.Count())
 		} else if d == dist {
 			count = bitpack.SatAdd(count, bitpack.SatMul(a.Count(), b.Count()))
-			hub = min(hub, b.Hub())
 		}
 	}
-	return dist, count, hub
+	return dist, count
 }
 
 // randList draws n distinct hubs from [0, hubSpace) in ascending order
@@ -56,7 +55,7 @@ func randList(r *rand.Rand, n, hubSpace, maxD int) []bitpack.Entry {
 	return out
 }
 
-// Join must agree with the reference — distance, count and winning hub —
+// Join must agree with the reference — distance and count —
 // on random lists in all four form pairs (mutable or frozen on each
 // side), at every skew including the shapes at and around gallopRatio on
 // either side, and at every bound from "nothing fits" to unbounded.
@@ -87,13 +86,13 @@ func TestJoinKernelsMatchReference(t *testing.T) {
 		}
 		pairs := [][2]*List{{&mo, &mi}, {fo, fi}, {fo, &mi}, {&mo, fi}}
 
-		wd, _, _ := refJoin(oe, ie, Unreachable)
+		wd, _ := refJoin(oe, ie, Unreachable)
 		for _, bound := range []int{-1, 0, 3, wd, wd + 1, 100, Unreachable} {
-			rd, rc, rh := refJoin(oe, ie, bound)
+			rd, rc := refJoin(oe, ie, bound)
 			for p, pr := range pairs {
-				if d, c, h := Join(pr[0], pr[1], bound); d != rd || c != rc || h != rh {
-					t.Fatalf("trial %d shape %v pair %d bound %d: Join = (%d,%d,%d), want (%d,%d,%d)",
-						trial, shape, p, bound, d, c, h, rd, rc, rh)
+				if d, c := Join(pr[0], pr[1], bound); d != rd || c != rc {
+					t.Fatalf("trial %d shape %v pair %d bound %d: Join = (%d,%d), want (%d,%d)",
+						trial, shape, p, bound, d, c, rd, rc)
 				}
 			}
 		}
@@ -101,22 +100,21 @@ func TestJoinKernelsMatchReference(t *testing.T) {
 }
 
 // A hand-checked pair: the bound admits nothing below the true distance,
-// everything from it up, and ties at the minimum sum their counts while
-// the lower-ranked hub wins.
+// everything from it up, and ties at the minimum sum their counts.
 func TestJoinBoundedExample(t *testing.T) {
 	var out, in List
 	out.Append(bitpack.Pack(1, 2, 3))
 	out.Append(bitpack.Pack(4, 1, 2))
 	in.Append(bitpack.Pack(1, 1, 5))
 	in.Append(bitpack.Pack(4, 2, 7))
-	if d, c, h := Join(&out, &in, Unreachable); d != 3 || c != 15+14 || h != 1 {
-		t.Fatalf("Join = (%d,%d,%d)", d, c, h)
+	if d, c := Join(&out, &in, Unreachable); d != 3 || c != 15+14 {
+		t.Fatalf("Join = (%d,%d)", d, c)
 	}
-	if d, c, h := Join(&out, &in, 2); d != Unreachable || c != 0 || h != -1 {
-		t.Fatalf("Join(bound 2) = (%d,%d,%d), want unreachable", d, c, h)
+	if d, c := Join(&out, &in, 2); d != Unreachable || c != 0 {
+		t.Fatalf("Join(bound 2) = (%d,%d), want unreachable", d, c)
 	}
-	if d, c, h := Join(&out, &in, 3); d != 3 || c != 29 || h != 1 {
-		t.Fatalf("Join(bound 3) = (%d,%d,%d)", d, c, h)
+	if d, c := Join(&out, &in, 3); d != 3 || c != 29 {
+		t.Fatalf("Join(bound 3) = (%d,%d)", d, c)
 	}
 }
 

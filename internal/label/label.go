@@ -2,9 +2,8 @@
 // baseline and the CSC index: slices of 64-bit packed entries kept sorted
 // by hub rank, so the SPCnt query (Equations 1-2 of the paper) is a single
 // merge-join of an out-list and an in-list. Join (join.go) is that one
-// kernel: it takes a distance bound and reports the winning hub, so
-// unbounded reads, bounded screening reads, update-time prunes and hub
-// attribution all share it.
+// kernel: it takes a distance bound, so unbounded reads, bounded
+// screening reads and update-time prunes all share it.
 package label
 
 import (

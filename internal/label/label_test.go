@@ -84,10 +84,10 @@ func TestJoinPaperExample2(t *testing.T) {
 	in.Append(mk(0, 3, 2))  // (v1,3,2)
 	in.Append(mk(1, 1, 1))  // (v7,1,1)
 	in.Append(mk(8, 0, 1))  // (v8,0,1)
-	// Both hubs v1 (1+3) and v7 (3+1) reach 4; the lowest rank wins.
-	d, c, hub := Join(&out, &in, Unreachable)
-	if d != 4 || c != 3 || hub != 0 {
-		t.Fatalf("Join = (%d,%d,%d), want (4,3,0)", d, c, hub)
+	// Both hubs v1 (1+3) and v7 (3+1) reach 4; their counts sum.
+	d, c := Join(&out, &in, Unreachable)
+	if d != 4 || c != 3 {
+		t.Fatalf("Join = (%d,%d), want (4,3)", d, c)
 	}
 }
 
@@ -95,11 +95,11 @@ func TestJoinDisjoint(t *testing.T) {
 	var out, in List
 	out.Append(mk(0, 1, 1))
 	in.Append(mk(1, 1, 1))
-	if d, c, hub := Join(&out, &in, Unreachable); d != Unreachable || c != 0 || hub != -1 {
-		t.Fatalf("disjoint join = (%d,%d,%d)", d, c, hub)
+	if d, c := Join(&out, &in, Unreachable); d != Unreachable || c != 0 {
+		t.Fatalf("disjoint join = (%d,%d)", d, c)
 	}
 	var empty List
-	if d, _, _ := Join(&empty, &in, Unreachable); d != Unreachable {
+	if d, _ := Join(&empty, &in, Unreachable); d != Unreachable {
 		t.Fatal("empty join should be unreachable")
 	}
 }
@@ -108,7 +108,7 @@ func TestJoinSaturates(t *testing.T) {
 	var out, in List
 	out.Append(mk(0, 1, bitpack.MaxCount))
 	in.Append(mk(0, 1, bitpack.MaxCount))
-	if _, c, _ := Join(&out, &in, Unreachable); c != bitpack.MaxCount {
+	if _, c := Join(&out, &in, Unreachable); c != bitpack.MaxCount {
 		t.Fatalf("count = %d, want saturation", c)
 	}
 }
@@ -177,7 +177,7 @@ func TestJoinMatchesNaive(t *testing.T) {
 				l.Append(mk(h, 1+r.Intn(20), uint64(1+r.Intn(50))))
 			}
 		}
-		gotD, gotC, _ := Join(&out, &in, Unreachable)
+		gotD, gotC := Join(&out, &in, Unreachable)
 		wantD, wantC := Unreachable, uint64(0)
 		for _, oe := range out.Entries() {
 			for _, ie := range in.Entries() {

@@ -45,10 +45,11 @@ const (
 	// Coverage ranks by greedy set cover over materialized sampled
 	// shortest cycles: each pick covers the most yet-uncovered cycles.
 	Coverage
-	// Hits marks an order produced online from live per-hub hit
-	// counters (ByWeights). It is a provenance tag, not recomputable
-	// offline: Compute falls back to degree.
-	Hits
+	// Wire value 5 tagged shards re-ranked online by per-hub hit
+	// counters, deleted when measurement showed hit weights grow labels
+	// rather than shrink them. Reserved like 3: it loads, computes
+	// degree, and has no name to parse.
+	retiredHits
 
 	numStrategies // sentinel for validation
 )
@@ -64,8 +65,6 @@ func (s Strategy) String() string {
 		return "random"
 	case Coverage:
 		return "coverage"
-	case Hits:
-		return "hits"
 	}
 	return fmt.Sprintf("strategy(%d)", uint8(s))
 }
@@ -76,7 +75,7 @@ func (s Strategy) Valid() bool { return s < numStrategies }
 // ParseStrategy resolves a canonical name back to its Strategy.
 func ParseStrategy(name string) (Strategy, error) {
 	for s := Degree; s < numStrategies; s++ {
-		if s != retired && s.String() == name {
+		if s != retired && s != retiredHits && s.String() == name {
 			return s, nil
 		}
 	}
@@ -96,12 +95,10 @@ func DefaultSamples(n int) int {
 
 // Compute builds an order for g under the named strategy. The seed feeds
 // Coverage's sampling (and Random); fixed seed means deterministic
-// output. Hits is online-only and falls back to degree — an offline
-// rebuild has no live hit counters to consult — and so does the retired
-// wire value 3.
+// output. The retired wire values 3 and 5 rank by degree.
 func Compute(g *graph.Digraph, s Strategy, seed int64) (*Order, error) {
 	switch s {
-	case Degree, Hits, retired:
+	case Degree, retired, retiredHits:
 		return ByDegree(g), nil
 	case ID:
 		return ByID(g.NumVertices()), nil
@@ -251,38 +248,6 @@ func ByCoverage(g *graph.Digraph, samples int, seed int64) *Order {
 	o, err := FromVertexList(append(head, tail...))
 	if err != nil {
 		panic(err) // unreachable: head+tail is a permutation by construction
-	}
-	return o
-}
-
-// ByWeights ranks vertices by descending weight — the online re-ranker
-// feeds per-hub hit counters through this. Ties break on descending
-// degree, then ascending id, so a uniformly-hit shard degenerates to the
-// degree order rather than an arbitrary one.
-func ByWeights(g *graph.Digraph, weights []float64) *Order {
-	if len(weights) != g.NumVertices() {
-		panic(fmt.Sprintf("order: ByWeights got %d weights for %d vertices",
-			len(weights), g.NumVertices()))
-	}
-	n := g.NumVertices()
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = i
-	}
-	sort.Slice(vs, func(a, b int) bool {
-		sa, sb := weights[vs[a]], weights[vs[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		da, db := g.Degree(vs[a]), g.Degree(vs[b])
-		if da != db {
-			return da > db
-		}
-		return vs[a] < vs[b]
-	})
-	o, err := FromVertexList(vs)
-	if err != nil {
-		panic(err) // unreachable: vs is a permutation by construction
 	}
 	return o
 }

@@ -18,7 +18,7 @@ func ring(n int) *graph.Digraph {
 
 func TestStrategyStringParseRoundTrip(t *testing.T) {
 	for s := Degree; s.Valid(); s++ {
-		if s == retired {
+		if s == retired || s == retiredHits {
 			if _, err := ParseStrategy(s.String()); err == nil {
 				t.Errorf("retired wire value parses as %q", s.String())
 			}
@@ -32,7 +32,7 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("ParseStrategy(%q) = %v, want %v", s.String(), got, s)
 		}
 	}
-	for _, name := range []string{"bogus", "betweenness"} {
+	for _, name := range []string{"bogus", "betweenness", "hits"} {
 		if _, err := ParseStrategy(name); err == nil {
 			t.Errorf("unknown name %q accepted", name)
 		}
@@ -46,7 +46,7 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 // appending is fine, renumbering is corruption, and a deleted strategy's
 // value stays reserved.
 func TestStrategyWireValuesFrozen(t *testing.T) {
-	want := map[Strategy]uint8{Degree: 0, ID: 1, Random: 2, retired: 3, Coverage: 4, Hits: 5}
+	want := map[Strategy]uint8{Degree: 0, ID: 1, Random: 2, retired: 3, Coverage: 4, retiredHits: 5}
 	for s, w := range want {
 		if uint8(s) != w {
 			t.Fatalf("strategy %s has wire value %d, want %d", s, uint8(s), w)
@@ -86,7 +86,7 @@ func TestStrategyDeterminism(t *testing.T) {
 // the tie-break that keeps orders deterministic.
 func TestStrategyTieBreaksOnVertexID(t *testing.T) {
 	g := ring(12)
-	for _, s := range []Strategy{Degree, Coverage, Hits} {
+	for _, s := range []Strategy{Degree, Coverage} {
 		o, err := Compute(g, s, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -95,13 +95,6 @@ func TestStrategyTieBreaksOnVertexID(t *testing.T) {
 			if o.VertexAt(r) != r {
 				t.Fatalf("%s: rank %d is vertex %d, want id order on uniform ring", s, r, o.VertexAt(r))
 			}
-		}
-	}
-	// ByWeights with uniform weights is the same situation.
-	o := ByWeights(g, make([]float64, 12))
-	for r := 0; r < o.Len(); r++ {
-		if o.VertexAt(r) != r {
-			t.Fatalf("ByWeights: rank %d is vertex %d, want id order", r, o.VertexAt(r))
 		}
 	}
 }
@@ -137,12 +130,12 @@ func TestCoverageRanksTiesByPathProduct(t *testing.T) {
 	}
 }
 
-// The retired wire value 3 computes the degree order, as Hits does, so
-// a rebuild of a shard loaded with that tag still has an order.
+// The retired wire values 3 and 5 compute the degree order, so a
+// rebuild of a shard loaded with either tag still has an order.
 func TestRetiredStrategyRanksByDegree(t *testing.T) {
 	for _, ng := range testgraphs.Corpus() {
 		deg := ByDegree(ng.G)
-		for _, s := range []Strategy{retired, Hits} {
+		for _, s := range []Strategy{retired, retiredHits} {
 			o, err := Compute(ng.G, s, 7)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ng.Name, s, err)
@@ -160,27 +153,6 @@ func TestComputeRejectsUnknownStrategy(t *testing.T) {
 	if _, err := Compute(ring(3), Strategy(99), 0); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-}
-
-func TestByWeightsRanksHeavyFirst(t *testing.T) {
-	g := ring(5)
-	o := ByWeights(g, []float64{0, 10, 3, 10, 0})
-	// 10s first (tie → id: 1 then 3), then 3, then 0s by id.
-	want := []int{1, 3, 2, 0, 4}
-	for r, v := range want {
-		if o.VertexAt(r) != v {
-			t.Fatalf("rank %d: vertex %d, want %d", r, o.VertexAt(r), v)
-		}
-	}
-}
-
-func TestByWeightsPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched weights length")
-		}
-	}()
-	ByWeights(ring(4), make([]float64, 3))
 }
 
 func TestDefaultSamples(t *testing.T) {

@@ -27,7 +27,6 @@
 package pll
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitpack"
@@ -184,43 +183,6 @@ type Index struct {
 	// built or deserialized shards, shards between update batches — pin
 	// no scratch memory.
 	scr *Scratch
-
-	// hubHits, when non-nil, counts per rank how often the join kernel
-	// answered a CountPaths query through that hub — the online
-	// re-ranker's drift signal. Increments are atomic (concurrent
-	// readers); enabling/disabling must happen where index mutations are
-	// serialized, since queries race on the slice header itself.
-	hubHits []hitCounter
-}
-
-// hitCounter is one per-rank hub-hit cell.
-type hitCounter struct{ n atomic.Uint64 }
-
-// EnableHitCounters allocates the per-rank hub-hit counters (idempotent;
-// one cell per rank). Call only where index mutations are serialized —
-// the engine enables counters on its writer goroutine under the grace
-// period, never concurrently with queries.
-func (idx *Index) EnableHitCounters() {
-	if idx.hubHits == nil {
-		idx.hubHits = make([]hitCounter, idx.Ord.Len())
-	}
-}
-
-// HitCountersEnabled reports whether hub-hit recording is on.
-func (idx *Index) HitCountersEnabled() bool { return idx.hubHits != nil }
-
-// HubHits snapshots the per-rank hit counters (nil when disabled). Safe
-// concurrently with queries; each cell is read atomically, the snapshot
-// as a whole is only as consistent as a running workload allows.
-func (idx *Index) HubHits() []uint64 {
-	if idx.hubHits == nil {
-		return nil
-	}
-	out := make([]uint64, len(idx.hubHits))
-	for i := range idx.hubHits {
-		out[i] = idx.hubHits[i].n.Load()
-	}
-	return out
 }
 
 // NewEmpty allocates an index shell with self-label-free empty lists;

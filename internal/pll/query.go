@@ -10,29 +10,22 @@ const Unreachable = label.Unreachable
 
 // CountPaths evaluates SPCnt(s,t) (Equations 1-2): the shortest distance
 // from s to t and the number of shortest paths. Unreachable pairs return
-// (Unreachable, 0). Counts saturate at bitpack.MaxCount. With hit
-// counters enabled the answer is also attributed to its winning hub.
+// (Unreachable, 0). Counts saturate at bitpack.MaxCount.
 func (idx *Index) CountPaths(s, t int) (dist int, count uint64) {
-	d, c, hub := idx.join(s, t, Unreachable)
-	if idx.hubHits != nil && hub >= 0 {
-		idx.hubHits[hub].n.Add(1)
-	}
-	return d, c
+	return idx.join(s, t, Unreachable)
 }
 
 // CountPathsBounded is CountPaths restricted to distances ≤ maxDist: it
 // returns (Unreachable, 0) when the true distance exceeds the bound,
-// without paying any count arithmetic for over-bound hub pairs. Bounded
-// reads are screening queries and feed no hit counters.
+// without paying any count arithmetic for over-bound hub pairs.
 func (idx *Index) CountPathsBounded(s, t, maxDist int) (dist int, count uint64) {
-	d, c, _ := idx.join(s, t, maxDist)
-	return d, c
+	return idx.join(s, t, maxDist)
 }
 
 // join is label.Join of s's out-list and t's in-list: the lists
 // themselves, or on a lean index (reduced.go) views of their sections of
 // the frozen store.
-func (idx *Index) join(s, t, maxDist int) (dist int, count uint64, hub int) {
+func (idx *Index) join(s, t, maxDist int) (dist int, count uint64) {
 	if idx.In == nil {
 		out, in := idx.OutLabel(s), idx.InLabel(t)
 		return label.Join(&out, &in, maxDist)
@@ -44,7 +37,7 @@ func (idx *Index) join(s, t, maxDist int) (dist int, count uint64, hub int) {
 // d — the prune and redundancy test of INCCNT and CLEAN LABEL, answered
 // by the join bounded at d-1.
 func (idx *Index) shorterThan(s, t, d int) bool {
-	got, _, _ := idx.join(s, t, d-1)
+	got, _ := idx.join(s, t, d-1)
 	return got != Unreachable
 }
 
