@@ -7,22 +7,25 @@
 // are maintained by the INCCNT and decremental algorithms of §V running
 // on the Gb labeling.
 //
-// Construction runs on the engine's fast-path pipeline: the skipping
-// BFSes prune through the hub-indexed scatter instead of per-dequeue
-// merge-joins, hubs run in one rank-ordered loop, and the finished labels
-// are the paper's reduced form (§IV-E): only Lin(v_in) and Lout(v_out),
-// the two lists a query joins, are stored. A build at boot (Build,
-// BuildSharded) or a load freezes them into the delta+varint arena
-// (label.Frozen) that reads stream through cursors, and the shard turns
-// lean: it holds that store and nothing else — no list headers, no Gb
-// and no induced subgraph, which the sharded index re-induces from its
-// served graph when a write or a freeze needs it. A rebuild on the
-// write path (merge, split, deferred rebuild) leaves them in one slab
-// of plain slices. A shard's first label write
-// gives it its write form: its induced subgraph, Gb converted from it,
-// then one slab of plain slices holding all four lists of every couple
-// (pll.Index.Expand); a shard nothing writes keeps its lean form for its
-// lifetime.
+// Construction runs in rank space: the skipping BFSes walk the shard's
+// subgraph relabeled by hub rank, one CSR per direction whose neighbor
+// lists descend by rank, so each scan stops at the first neighbor that
+// ranks too high to queue. They prune through a rank-indexed scatter of
+// the hub's own label instead of per-dequeue merge-joins and append to
+// plain per-rank slices; hubs run in one rank-ordered loop. The finished
+// labels are the paper's reduced form (§IV-E): only Lin(v_in) and
+// Lout(v_out), the two lists a query joins, are stored. A build at boot
+// (Build, BuildSharded) or a load freezes them into the delta+varint
+// arena (label.Frozen) that reads stream through cursors, and the shard
+// turns lean: it holds that store and nothing else — no list headers, no
+// Gb and no induced subgraph, which the sharded index re-induces from its
+// served graph when a write or a freeze needs it. A boot build never
+// converts Gb at all. A rebuild on the write path (merge, split,
+// deferred rebuild) leaves the stored lists in one slab of plain slices.
+// A shard's first label write gives it its write form: its induced
+// subgraph, Gb converted from it, then one slab of plain slices holding
+// all four lists of every couple (pll.Index.Expand); a shard nothing
+// writes keeps its lean form for its lifetime.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -33,12 +36,14 @@
 package csc
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bfscount"
 	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/order"
 	"repro/internal/pll"
 )
@@ -91,24 +96,29 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 }
 
 // build is Build with the freeze of a reduced labeling optional. A
-// frozen labeling is lean: it drops its Gb and list headers, and its
-// first write converts g again (pll.Index.DropGraph). The rebuilds on
+// frozen labeling is lean: it holds no Gb and no list headers, and its
+// first write converts g (pll.Index.DropGraph). The rebuilds on
 // the write path pass freeze=false: the shard's next label write expands
 // it into plain slices anyway (pll.Index.Expand), so freezing it would
 // only buy a decode on that write; until then its stored lists serve
 // from one exactly sized slab (pll.Index.Compact).
 func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Index, pll.BuildStats) {
 	start := time.Now()
-	gb := bipartite.Convert(g)
 	lifted := bipartite.LiftOrder(ord)
 	var eng *pll.Index
 	if opts.GenericConstruction {
-		eng, _ = pll.Build(gb, lifted, pll.Options{
+		eng, _ = pll.Build(bipartite.Convert(g), lifted, pll.Options{
 			Strategy:  opts.Strategy,
 			HubFilter: bipartite.IsIn,
 		})
 	} else {
-		eng = buildSkipping(gb, lifted)
+		// A frozen build drops its Gb right after the freeze, so it never
+		// converts g; the first write converts it (pll.Index.Expand).
+		var gb *graph.Digraph
+		if opts.CompressLabels || !freeze {
+			gb = bipartite.Convert(g)
+		}
+		eng = buildSkipping(g, gb, ord, lifted)
 		eng.Strategy = opts.Strategy
 		eng.HubFilter = bipartite.IsIn
 	}
@@ -129,131 +139,246 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 	return idx, st
 }
 
-// buildSkipping is the couple-vertex-skipping construction (Algorithm 3):
-// only V_in vertices run hub BFSes; each labeled vertex also labels its
-// couple one step further, so the queue only ever holds one vertex per
-// couple and half the join queries are skipped. The couple's labels are
-// the mirrored lists of the paper's index reduction (§IV-E), so the
-// construction counts them without storing them and leaves the index in
-// pll's reduced state: only Lin(v_in) and Lout(v_out) are stored, and
-// the first label mutation derives the rest. The lists are left in the
-// slices the passes appended to; the caller decides whether to freeze
-// them. The scratch the passes share goes back to the pool at the end.
-func buildSkipping(gb *graph.Digraph, ord *order.Order) *pll.Index {
-	eng := pll.NewReduced(gb, ord)
-	s := pll.GetScratch(gb.NumVertices())
-	for r := 0; r < ord.Len(); r++ {
-		v := ord.VertexAt(r)
-		if !bipartite.IsIn(v) {
-			// A V_out vertex only gets its self labels (Alg 3 l.6-8); the
-			// in-side one belongs to the mirrored Lin(v_out).
-			eng.AppendOut(v, bitpack.Pack(r, 0, 1))
-			eng.CountMirrored()
-			continue
-		}
-		inPass(eng, v, r, s)
-		outPass(eng, v, r, s)
+// buildSkipping is the couple-vertex-skipping construction (Algorithm 3)
+// over g with base order ord; the index it returns is over gb (nil for a
+// build that freezes and drops its Gb at once) under lifted, ord lifted
+// to Gb. Only V_in vertices run hub BFSes; each labeled vertex also
+// labels its couple one step further, so the queue only ever holds one
+// vertex per couple and half the join queries are skipped. The couple's
+// labels are the mirrored lists of the paper's index reduction (§IV-E),
+// so the construction counts them without storing them and leaves the
+// index in pll's reduced state: only Lin(v_in) and Lout(v_out) are
+// stored, and the first label mutation derives the rest. The caller
+// decides whether to freeze them.
+//
+// The passes run in rank space: base rank b stands for its couple, whose
+// Gb ranks are 2b (v_in) and 2b+1 (v_out), and every array is indexed by
+// base rank. An in-pass queues V_in vertices only and an out-pass V_out
+// vertices only, so one distance array serves both, and the couple one
+// step further is never stamped: nothing a pass reads would see it.
+// Neighbor lists hold ranks in descending order, so a scan stops at the
+// first neighbor ranked at or above the hub, which no pass may queue.
+func buildSkipping(g, gb *graph.Digraph, ord, lifted *order.Order) *pll.Index {
+	n := ord.Len()
+	sk := &skipBuild{
+		fwd:  rankAdjacency(g, ord, (*graph.Digraph).In),
+		bwd:  rankAdjacency(g, ord, (*graph.Digraph).Out),
+		in:   make([][]bitpack.Entry, n),
+		out:  make([][]bitpack.Entry, n),
+		dist: make([]int32, n),
+		cnt:  make([]uint64, n),
+		hub:  make([]int32, 2*n),
 	}
-	pll.PutScratch(s)
-	return eng
+	for i := range sk.dist {
+		sk.dist[i] = -1
+	}
+	for i := range sk.hub {
+		sk.hub[i] = unscattered
+	}
+	for b := range n {
+		sk.inPass(b)
+		sk.outPass(b)
+		// v_out only gets its self labels (Alg 3 l.6-8); the in-side one
+		// belongs to the mirrored Lin(v_out).
+		sk.out[b] = append(sk.out[b], bitpack.Pack(2*b+1, 0, 1))
+		sk.mirrored++
+	}
+	in, out := make([]label.List, 2*n), make([]label.List, 2*n)
+	for b := range n {
+		v := ord.VertexAt(b)
+		in[bipartite.InVertex(v)] = label.Wrap(sk.in[b])
+		out[bipartite.OutVertex(v)] = label.Wrap(sk.out[b])
+	}
+	return pll.NewReduced(gb, lifted, in, out, sk.mirrored)
 }
 
-// inPass generates in-labels with hub v_in = v (rank r). The queue holds
-// V_in vertices only; each popped w also stamps its couple w_out at
-// distance D[w]+1 (couple-vertex skipping), whose Lin(w_out) entry is
+// unscattered marks a hub rank the anchor list lacks; any sum with it is
+// at least bitpack.MaxDist, which no BFS distance reaches.
+const unscattered = int32(bitpack.MaxDist)
+
+// skipBuild is the state of one rank-space construction. fwd lists each
+// base rank's out-neighbors and bwd its in-neighbors, as base ranks in
+// descending order; in[b] and out[b] are Lin(v_in) and Lout(v_out) of
+// base rank b's couple. dist and cnt are the current pass's tentative
+// distances and counts by base rank (-1: unvisited), queue its FIFO, and
+// hub the scatter of the pass's anchor list by Gb hub rank, maxHub that
+// list's largest hub.
+type skipBuild struct {
+	fwd, bwd rankCSR
+	in, out  [][]bitpack.Entry
+	mirrored int
+
+	dist   []int32
+	cnt    []uint64
+	queue  []int32
+	hub    []int32
+	maxHub int
+}
+
+// rankCSR is an adjacency relabeled by base rank: nbrs(r) is r's list.
+type rankCSR struct {
+	off, adj []int32
+}
+
+func (c *rankCSR) nbrs(r int32) []int32 { return c.adj[c.off[r]:c.off[r+1]] }
+
+// rankAdjacency relabels one direction of g by ord: the list at rank r
+// holds, in descending order, the ranks t whose vertex has r's vertex
+// among its rev neighbors — with rev In, the out-neighbors of r's
+// vertex; with rev Out, its in-neighbors. It walks t from the last rank
+// down, appending t to the lists of its rev neighbors' ranks, so the
+// lists come out sorted in O(n+m) with no sort.
+func rankAdjacency(g *graph.Digraph, ord *order.Order, rev func(*graph.Digraph, int) []int32) rankCSR {
+	n := ord.Len()
+	c := rankCSR{off: make([]int32, n+1)}
+	for t := range n {
+		for _, u := range rev(g, ord.VertexAt(t)) {
+			c.off[ord.Rank(int(u))+1]++
+		}
+	}
+	for r := range n {
+		c.off[r+1] += c.off[r]
+	}
+	c.adj = make([]int32, c.off[n])
+	next := slices.Clone(c.off[:n])
+	for t := n - 1; t >= 0; t-- {
+		for _, u := range rev(g, ord.VertexAt(t)) {
+			r := ord.Rank(int(u))
+			c.adj[next[r]] = int32(t)
+			next[r]++
+		}
+	}
+	return c
+}
+
+// inPass generates in-labels with hub v_in of base rank b (Gb rank 2b).
+// The queue holds V_in vertices; each labeled w also labels its couple
+// w_out at D[w]+1 (couple-vertex skipping), whose Lin(w_out) entry is
 // mirrored: counted, not stored. Alg 3 l.14's Query joins Lout(v) with
 // Lin(w); Lout(v) is mirrored, and before v's own out-pass it is exactly
 // Lout(v_out) one step further, so the prune test probes Lin(w) against
-// the scatter of Lout(v_out) with shift 1. Appends write through: a V_in
-// list is probed only at its single dequeue, before it is appended to.
-func inPass(eng *pll.Index, v, r int, s *pll.Scratch) {
-	gb, ord := eng.G, eng.Ord
-	anchor := &eng.Out[bipartite.Couple(v)]
-	s.Scatter(anchor, 1)
-	defer s.Unscatter(anchor)
-	defer s.Reset()
-
-	s.Visit(v, 0, 1)
-	s.Queue = append(s.Queue, int32(v))
-	for head := 0; head < len(s.Queue); head++ {
-		w := int(s.Queue[head])
-		dw := int(s.Dist[w])
-		if w != v {
-			if dq := s.Probe(&eng.In[w], dw); dq < dw {
-				continue // Alg 3 l.14-15: v not top-ranked on any path
-			}
+// the scatter of Lout(v_out) with shift 1. Only neighbors ranked below b
+// may be queued, so each scan stops at the first rank ≤ b.
+func (sk *skipBuild) inPass(b int) {
+	anchor := sk.out[b]
+	sk.scatter(anchor, 1)
+	h := int32(b)
+	sk.dist[h], sk.cnt[h] = 0, 1
+	q := append(sk.queue[:0], h)
+	for head := 0; head < len(q); head++ {
+		w := q[head]
+		dw, cw := sk.dist[w], sk.cnt[w]
+		if head > 0 && sk.pruned(sk.in[w], dw) {
+			continue // Alg 3 l.14-15: v not top-ranked on any path
 		}
-		// INSERT LABEL (Algorithm 4): label w and its couple at +1.
-		wo := bipartite.Couple(w)
-		cw := s.Cnt[w]
-		eng.AppendIn(w, bitpack.Pack(r, dw, cw))
-		eng.CountMirrored() // Lin(wo) gains (r, dw+1, cw)
-		s.Visit(wo, int32(dw+1), cw)
-		for _, wn := range gb.Out(wo) {
-			switch {
-			case s.Dist[wn] == -1:
-				if ord.Rank(int(wn)) > r { // v ≺ wn
-					s.Visit(int(wn), int32(dw+2), cw)
-					s.Queue = append(s.Queue, wn)
-				}
-			case int(s.Dist[wn]) == dw+2:
-				s.Cnt[wn] = bitpack.SatAdd(s.Cnt[wn], cw)
+		// INSERT LABEL (Algorithm 4): label w, and its couple at +1.
+		sk.in[w] = append(sk.in[w], bitpack.Pack(2*b, int(dw), cw))
+		sk.mirrored++ // Lin(w_out) gains (2b, dw+1, cw)
+		for _, x := range sk.fwd.nbrs(w) {
+			if x <= h {
+				break
+			}
+			switch sk.dist[x] {
+			case -1:
+				sk.dist[x], sk.cnt[x] = dw+2, cw
+				q = append(q, x)
+			case dw + 2:
+				sk.cnt[x] = bitpack.SatAdd(sk.cnt[x], cw)
 			}
 		}
 	}
+	sk.finish(q, anchor)
 }
 
-// outPass generates out-labels with hub v_in = v (rank r), walking the
-// reverse direction. After the first dequeue the queue holds V_out
-// vertices only; reaching the hub's own couple v_out yields the cycle
-// entry in Lout(v_out) and prunes (§IV-C distinction 4). The prune test
-// probes the scatter of Lin(v) against Lout(w). Lout entries of V_in
-// vertices are mirrored: counted, not stored.
-func outPass(eng *pll.Index, v, r int, s *pll.Scratch) {
-	gb, ord := eng.G, eng.Ord
-	s.Scatter(&eng.In[v], 0)
-	defer s.Unscatter(&eng.In[v])
-	defer s.Reset()
-
-	// First dequeue (distinction 3): self label only, then expand v's
+// outPass generates out-labels with hub v_in of base rank b, walking the
+// reverse direction. The queue holds V_out vertices; reaching the hub's
+// own couple v_out yields the cycle entry in Lout(v_out) and prunes
+// (§IV-C distinction 4). The prune test probes the scatter of Lin(v_in)
+// against Lout(w). Lout entries of V_in vertices are mirrored: counted,
+// not stored. v_out ranks right below the hub, so each scan stops at the
+// first rank < b.
+func (sk *skipBuild) outPass(b int) {
+	anchor := sk.in[b]
+	sk.scatter(anchor, 0)
+	h := int32(b)
+	// First dequeue (distinction 3): v_in's self label only, then its
 	// in-neighbors, which are V_out vertices.
-	eng.CountMirrored() // Lout(v) gains (r, 0, 1)
-	s.Visit(v, 0, 1)
-	for _, u := range gb.In(v) {
-		if ord.Rank(int(u)) > r {
-			s.Visit(int(u), 1, 1)
-			s.Queue = append(s.Queue, u)
+	sk.mirrored++ // Lout(v_in) gains (2b, 0, 1)
+	q := sk.queue[:0]
+	for _, u := range sk.bwd.nbrs(h) {
+		if u < h {
+			break
 		}
+		sk.dist[u], sk.cnt[u] = 1, 1
+		q = append(q, u)
 	}
-	for head := 0; head < len(s.Queue); head++ {
-		w := int(s.Queue[head])
-		dw := int(s.Dist[w])
-		if dq := s.Probe(&eng.Out[w], dw); dq < dw {
+	for head := 0; head < len(q); head++ {
+		w := q[head]
+		dw, cw := sk.dist[w], sk.cnt[w]
+		if sk.pruned(sk.out[w], dw) {
 			continue
 		}
-		cw := s.Cnt[w]
-		eng.AppendOut(w, bitpack.Pack(r, dw, cw))
-		if w == bipartite.Couple(v) {
+		sk.out[w] = append(sk.out[w], bitpack.Pack(2*b, int(dw), cw))
+		if w == h {
 			// Distinction 4: the cycle entry. Label only Lout(v_out); the
 			// couple is the hub itself, and no shortest path to the hub
 			// can continue through it.
 			continue
 		}
-		wi := bipartite.Couple(w)
-		eng.CountMirrored() // Lout(wi) gains (r, dw+1, cw)
-		s.Visit(wi, int32(dw+1), cw)
-		for _, wn := range gb.In(wi) {
-			switch {
-			case s.Dist[wn] == -1:
-				if ord.Rank(int(wn)) > r {
-					s.Visit(int(wn), int32(dw+2), cw)
-					s.Queue = append(s.Queue, wn)
-				}
-			case int(s.Dist[wn]) == dw+2:
-				s.Cnt[wn] = bitpack.SatAdd(s.Cnt[wn], cw)
+		sk.mirrored++ // Lout(w_in) gains (2b, dw+1, cw)
+		for _, x := range sk.bwd.nbrs(w) {
+			if x < h {
+				break
+			}
+			switch sk.dist[x] {
+			case -1:
+				sk.dist[x], sk.cnt[x] = dw+2, cw
+				q = append(q, x)
+			case dw + 2:
+				sk.cnt[x] = bitpack.SatAdd(sk.cnt[x], cw)
 			}
 		}
 	}
+	sk.finish(q, anchor)
+}
+
+// scatter loads the anchor list into hub by hub rank, every distance
+// raised by shift.
+func (sk *skipBuild) scatter(anchor []bitpack.Entry, shift int32) {
+	sk.maxHub = -1
+	for _, e := range anchor {
+		sk.hub[e.Hub()] = int32(e.Dist()) + shift
+		sk.maxHub = e.Hub()
+	}
+}
+
+// pruned is the prune test: whether some hub of the anchor reaches w in
+// fewer than dw steps through l, w's list from higher-ranked hubs. Lists
+// ascend by hub, so the scan stops at the first entry past the anchor's
+// largest hub, which compares as a packed entry.
+func (sk *skipBuild) pruned(l []bitpack.Entry, dw int32) bool {
+	hub, past := sk.hub, bitpack.Pack(sk.maxHub+1, 0, 0)
+	for _, e := range l {
+		if e >= past {
+			return false
+		}
+		if hub[e.Hub()]+int32(e.Dist()) < dw {
+			return true
+		}
+	}
+	return false
+}
+
+// finish resets what a pass visited, the queue q, and unscatters its
+// anchor, keeping q's capacity for the next pass.
+func (sk *skipBuild) finish(q []int32, anchor []bitpack.Entry) {
+	for _, w := range q {
+		sk.dist[w] = -1
+	}
+	for _, e := range anchor {
+		sk.hub[e.Hub()] = unscattered
+	}
+	sk.queue = q[:0]
 }
 
 // CycleCount answers SCCnt(v): the length of the shortest cycles through v

@@ -1,6 +1,9 @@
 package csc
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"testing"
 
@@ -54,9 +57,23 @@ func TestServedLedgerOrderEntries(t *testing.T) {
 		}
 		if c.strat == order.Coverage {
 			assertLedgerStore(t, x)
+			var buf bytes.Buffer
+			if _, err := x.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != ledgerSnapshotDigest {
+				t.Errorf("the ledger's v2 snapshot sha256 = %s, want %s", got, ledgerSnapshotDigest)
+			}
 		}
 	}
 }
+
+// ledgerSnapshotDigest is the sha256 of the coverage-order ledger build's
+// v2 snapshot (WriteTo, 10,032,234 B): it carries every label list and
+// both orders, so a construction change that moves any entry of the
+// served index shows here.
+const ledgerSnapshotDigest = "7471944d5b426c0f965ba3e75ebf149beb4df930ab0e5795048c8f2eb6f999a7"
 
 // ledgerResidentBytes is what the coverage-order ledger build's label
 // store holds: the delta+varint arenas of every reduced shard, offset

@@ -23,7 +23,9 @@ import (
 // generic engine: a fresh skipping build stores only Lin(v_in) and
 // Lout(v_out), counts the full labeling, and expands to the generic
 // construction's labels entry for entry — on the conformance corpus, 40
-// random graphs, and one 300-vertex single-SCC graph.
+// random graphs, and one 300-vertex single-SCC graph, each under the
+// degree, coverage and random orders (the rank-space passes stop their
+// scans by comparing ranks, so each order cuts them differently).
 func TestReducedBuildMatchesGeneric(t *testing.T) {
 	type tc struct {
 		name string
@@ -38,33 +40,59 @@ func TestReducedBuildMatchesGeneric(t *testing.T) {
 		cases = append(cases, tc{"random", randomGraph(r, 4+r.Intn(30), 1+r.Intn(4))})
 	}
 	cases = append(cases, tc{"giant-scc", testgraphs.GiantSCC(300, 1200, 7)})
-	for _, c := range cases {
-		ord := order.ByDegree(c.g)
-		skip, _ := Build(c.g.Clone(), ord, Options{})
-		generic, _ := Build(c.g.Clone(), ord, Options{GenericConstruction: true})
-		es, eg := skip.Engine(), generic.Engine()
-		if !es.Reduced() {
-			t.Fatalf("%s: skipping build is not reduced", c.name)
+	for i, c := range cases {
+		for _, ord := range testOrders(c.g, int64(i)) {
+			assertReducedMatchesGeneric(t, c.name+"/"+ord.name, c.g, ord.ord)
 		}
-		stored := storedEntries(es)
-		if stored != skip.ReducedEntryCount() {
-			t.Fatalf("%s: stores %d entries, want ReducedEntryCount %d", c.name, stored, skip.ReducedEntryCount())
+	}
+}
+
+// namedOrder is one hub order of a test graph.
+type namedOrder struct {
+	name string
+	ord  *order.Order
+}
+
+// testOrders returns g under the orders the identity tests build with:
+// degree, coverage and random, the sampled ones seeded with seed.
+func testOrders(g *graph.Digraph, seed int64) []namedOrder {
+	n := g.NumVertices()
+	return []namedOrder{
+		{"degree", order.ByDegree(g)},
+		{"coverage", order.ByCoverage(g, order.DefaultSamples(n), seed)},
+		{"random", order.ByRandom(n, seed)},
+	}
+}
+
+// assertReducedMatchesGeneric builds g under ord with the skipping and
+// the generic construction and checks that the first is reduced, stores
+// what it reports, and expands to the second entry for entry.
+func assertReducedMatchesGeneric(t *testing.T, name string, g *graph.Digraph, ord *order.Order) {
+	t.Helper()
+	skip, _ := Build(g.Clone(), ord, Options{})
+	generic, _ := Build(g.Clone(), ord, Options{GenericConstruction: true})
+	es, eg := skip.Engine(), generic.Engine()
+	if !es.Reduced() {
+		t.Fatalf("%s: skipping build is not reduced", name)
+	}
+	stored := storedEntries(es)
+	if stored != skip.ReducedEntryCount() {
+		t.Fatalf("%s: stores %d entries, want ReducedEntryCount %d", name, stored, skip.ReducedEntryCount())
+	}
+	if skip.EntryCount() != generic.EntryCount() {
+		t.Fatalf("%s: reduced build counts %d entries, generic %d", name, skip.EntryCount(), generic.EntryCount())
+	}
+	es.Expand()
+	for b := 0; b < 2*g.NumVertices(); b++ {
+		if !entriesEqual(es.In[b].Entries(), eg.In[b].Entries()) {
+			t.Fatalf("%s: Lin(%d): expanded %v != generic %v", name, b, es.In[b].Entries(), eg.In[b].Entries())
 		}
-		if skip.EntryCount() != generic.EntryCount() {
-			t.Fatalf("%s: reduced build counts %d entries, generic %d", c.name, skip.EntryCount(), generic.EntryCount())
+		if !entriesEqual(es.Out[b].Entries(), eg.Out[b].Entries()) {
+			t.Fatalf("%s: Lout(%d): expanded %v != generic %v", name, b, es.Out[b].Entries(), eg.Out[b].Entries())
 		}
-		es.Expand()
-		for b := 0; b < 2*c.g.NumVertices(); b++ {
-			if !entriesEqual(es.In[b].Entries(), eg.In[b].Entries()) {
-				t.Fatalf("%s: Lin(%d): expanded %v != generic %v", c.name, b, es.In[b].Entries(), eg.In[b].Entries())
-			}
-			if !entriesEqual(es.Out[b].Entries(), eg.Out[b].Entries()) {
-				t.Fatalf("%s: Lout(%d): expanded %v != generic %v", c.name, b, es.Out[b].Entries(), eg.Out[b].Entries())
-			}
-		}
-		if skip.EntryCount() != generic.EntryCount() {
-			t.Fatalf("%s: expansion changed the entry count to %d", c.name, skip.EntryCount())
-		}
+	}
+	if skip.EntryCount() != generic.EntryCount() {
+		t.Fatalf("%s: expansion changed the entry count to %d", name, skip.EntryCount())
 	}
 }
 

@@ -185,8 +185,8 @@ type Index struct {
 	scr *Scratch
 }
 
-// NewEmpty allocates an index shell with self-label-free empty lists;
-// internal/csc uses it to run its own specialized construction.
+// NewEmpty allocates an index shell with self-label-free empty lists,
+// which Build and the loaders fill.
 func NewEmpty(g *graph.Digraph, ord *order.Order) *Index {
 	n := g.NumVertices()
 	return &Index{

@@ -40,25 +40,24 @@ import (
 // its graph's conversion edge for edge, so every snapshot format is
 // unchanged.
 
-// NewReduced allocates an empty index shell in the reduced state for a
-// construction over a bipartite conversion that stores only Lin(v_in)
-// and Lout(v_out). The construction must count every mirrored entry it
-// does not store (CountMirrored).
-func NewReduced(gb *graph.Digraph, ord *order.Order) *Index {
-	idx := NewEmpty(gb, ord)
-	idx.reduced = true
+// NewReduced returns an index in the reduced state over a bipartite
+// conversion gb under ord, whose stored lists are in (Lin(v_in), empty at
+// every V_out vertex) and out (Lout(v_out), empty at every V_in vertex),
+// both by Gb vertex id, and whose mirrored lists hold mirrored entries.
+// The index takes the lists over. gb may be nil when the caller freezes
+// the index and drops its graph (DropGraph) before anything else reads
+// it.
+func NewReduced(gb *graph.Digraph, ord *order.Order, in, out []label.List, mirrored int) *Index {
+	idx := &Index{G: gb, Ord: ord, In: in, Out: out, reduced: true, mirrored: mirrored}
+	idx.entries = mirrored
+	for i := range in {
+		idx.entries += in[i].Len() + out[i].Len()
+	}
 	return idx
 }
 
 // Reduced reports whether the index stores only Lin(v_in) and Lout(v_out).
 func (idx *Index) Reduced() bool { return idx.reduced }
-
-// CountMirrored records one entry of a mirrored list that a reduced
-// construction does not store.
-func (idx *Index) CountMirrored() {
-	idx.entries++
-	idx.mirrored++
-}
 
 // Lean reports whether the index is reduced and frozen: it keeps only the
 // frozen store of its stored lists, no List headers, and after DropGraph
