@@ -12,18 +12,22 @@
 // connected component, so BuildIndex partitions the graph by condensation,
 // leaves the acyclic share completely label-free, builds independent
 // sub-indexes per component (in parallel across components), and routes
-// queries through a vertex→shard table. Updates that merge or
+// queries through a directory of the cyclic vertices: an n-bit membership
+// set plus a shard slot and local id per member. Updates that merge or
 // split components trigger scoped rebuilds of only the affected shards.
 // Index files written before sharding existed (the v1 format) still load:
 // they are re-sharded on load.
 //
-// Each component's labels are built by one rank-ordered loop of hub BFSes,
-// and components build in parallel on every core by default (see
-// WithWorkers). Pruning inside each BFS probes a rank-indexed scatter of
-// the hub's own label instead of merge-joining two lists per visited
-// vertex. The finished labels are frozen into a single contiguous CSR
-// arena with a small mutable tail per vertex, so queries walk sequential
-// memory and later edge updates keep working without a rebuild.
+// Each component's labels are built by one rank-ordered loop of hub BFSes
+// over the component relabeled by hub rank, so every neighbor scan stops
+// at the first neighbor ranked too high to visit, and components build in
+// parallel on every core by default (see WithWorkers). Pruning inside
+// each BFS probes a rank-indexed scatter of the hub's own label instead
+// of merge-joining two lists per visited vertex. A freshly built or
+// loaded component stores only the two label lists a query joins (the
+// paper's index reduction), frozen in a delta+varint arena that reads
+// stream without decoding; its first edge update expands them into plain
+// slices, so later updates keep working without a rebuild.
 //
 // # Quick start
 //

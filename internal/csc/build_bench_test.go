@@ -32,9 +32,8 @@ func BenchmarkBuildLedgerCore(b *testing.B) {
 	}
 	sub := partition.Induced(g, verts)
 	ord := orderFor(sub, Options{Order: order.Coverage})
-	b.ResetTimer()
 	var x *Index
-	for range b.N {
+	for b.Loop() {
 		x, _ = Build(sub, ord, Options{})
 	}
 	b.ReportMetric(float64(x.EntryCount()), "entries")

@@ -157,7 +157,8 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 // vertices only, so one distance array serves both, and the couple one
 // step further is never stamped: nothing a pass reads would see it.
 // Neighbor lists hold ranks in descending order, so a scan stops at the
-// first neighbor ranked at or above the hub, which no pass may queue.
+// first neighbor the pass may not queue: one ranked at or above the hub
+// in an in-pass, above it in an out-pass.
 func buildSkipping(g, gb *graph.Digraph, ord, lifted *order.Order) *pll.Index {
 	n := ord.Len()
 	sk := &skipBuild{
