@@ -8,7 +8,7 @@
 //	cscbench -json BENCH_small.json -scale small
 //
 // Experiments: table4, fig9, fig10, fig11, fig12, case, scaling, ablation,
-// ordering, sharding, storage, bench, or all.
+// ordering, sharding, bench, or all.
 // Scales: tiny, small (default), full.
 // Figure experiments accept -dataset to restrict the run to one graph.
 // -json runs the machine-readable bench suite (see EXPERIMENTS.md) and writes
@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment: table4|fig9|fig10|fig11|fig12|case|scaling|ablation|ordering|sharding|storage|bench|all")
+		expName = flag.String("exp", "all", "experiment: table4|fig9|fig10|fig11|fig12|case|scaling|ablation|ordering|sharding|bench|all")
 		scaleIn = flag.String("scale", "small", "dataset scale: tiny|small|full")
 		dataset = flag.String("dataset", "", "restrict to one dataset (e.g. G04)")
 		jsonOut = flag.String("json", "", "write the bench suite as JSON to this file (e.g. BENCH_small.json); implies -exp bench unless -exp is set")
@@ -152,12 +152,6 @@ func main() {
 		ran = true
 		run("Extension: condensation sharding vs monolithic build", func() error {
 			return exp.WriteSharding(os.Stdout, exp.Sharding(scale))
-		})
-	}
-	if all || *expName == "storage" {
-		ran = true
-		run("Extension: compressed label storage — arena footprint, bloom screen, v3 cold start", func() error {
-			return exp.WriteStorage(os.Stdout, exp.Storage(scale))
 		})
 	}
 	if all || *expName == "ordering" {

@@ -8,9 +8,10 @@
 //	cscd -addr :8337 -data /var/lib/cscd -graph net.txt -k 10
 //
 // or point it at a serialized index file (any of the v1–v4 formats; a v1
-// file is re-sharded on load) — with -mmap and a v3/v4 file (a
-// compressed index written by WriteTo) the labels stay file-backed and
-// page in on demand, so the daemon serves before the arena is read:
+// file is re-sharded on load) — with -mmap and a v3/v4 file (the
+// read-only compressed formats) the labels stay file-backed: the load
+// skips the copy and the strict decode of the label arena, and a
+// component's first write decodes its labels into memory:
 //
 //	cscd -addr :8337 -index graph.csc -mmap
 //
@@ -73,9 +74,8 @@ func main() {
 		addr      = flag.String("addr", ":8337", "HTTP listen address")
 		data      = flag.String("data", "", "store directory for WAL + snapshots (empty: in-memory only)")
 		graphIn   = flag.String("graph", "", "bootstrap graph file (\"n m\" + \"u v\" edge-list format)")
-		indexIn   = flag.String("index", "", "bootstrap from a serialized index file (v1–v4; v1 is re-sharded on load) instead of building one")
-		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of reading it (serve before labels page in)")
-		compress  = flag.Bool("compress", false, "build with compressed label storage (delta+varint frozen arena + bloom-screened joins)")
+		indexIn   = flag.String("index", "", "bootstrap from a serialized index file (v1–v4; v1 is re-sharded on load; snapshots are written as v2) instead of building one")
+		useMmap   = flag.Bool("mmap", false, "with -index and a v3/v4 file: mmap the label arena instead of copying it and skip its strict decode")
 		orderBy   = flag.String("order", "coverage", "hub-ordering strategy for built indexes: coverage | degree (the paper's order) | id | random")
 		vertices  = flag.Int("vertices", 0, "bootstrap an empty graph with this many vertices (when -graph is unset)")
 		topK      = flag.Int("k", 0, "maintain a top-k cycle-count watchlist and serve /top")
@@ -110,9 +110,6 @@ func main() {
 	buildOpts := []cyclehub.Option{
 		cyclehub.WithWorkers(*workers),
 		cyclehub.WithOrdering(ordering),
-	}
-	if *compress {
-		buildOpts = append(buildOpts, cyclehub.WithCompression())
 	}
 	bootstrap := func() (*cyclehub.Index, error) {
 		if *indexIn != "" {

@@ -16,7 +16,9 @@
 // set plus a shard slot and local id per member. Updates that merge or
 // split components trigger scoped rebuilds of only the affected shards.
 // Index files written before sharding existed (the v1 format) still load:
-// they are re-sharded on load.
+// they are re-sharded on load. The compressed v3/v4 files earlier
+// versions wrote load read-only (see ReadIndexFile); every sharded index
+// writes the v2 format.
 //
 // Each component's labels are built by one rank-ordered loop of hub BFSes
 // over the component relabeled by hub rank, so every neighbor scan stops
@@ -111,19 +113,6 @@ func WithMinimality() Option {
 // from it.
 func WithWorkers(n int) Option {
 	return func(c *buildConfig) { c.opts.Workers = n }
-}
-
-// WithCompression stores the labels in the frozen delta+varint arena
-// instead of the mutable 8-byte-entry form: hubs are rank-sorted, so
-// consecutive gaps encode in one or two bytes, and each list carries a
-// bloom signature of its hub set that screens non-intersecting joins
-// before any entry decodes. Answers are byte-identical to the
-// uncompressed form; edge updates thaw only the touched lists and the
-// serving engine re-freezes them on the next quiet moment. A compressed
-// sharded index serializes as the mmap-able v3 format (see
-// ReadIndexFile).
-func WithCompression() Option {
-	return func(c *buildConfig) { c.opts.CompressLabels = true }
 }
 
 // Ordering names a hub-ordering strategy: the total order construction
@@ -318,12 +307,14 @@ func ReadIndex(r io.Reader) (*Index, error) {
 }
 
 // ReadIndexFile loads an index file (v1–v4) by path. With useMmap and a
-// v3 or v4 file (a compressed index, see WithCompression), the label
-// sections alias a read-only mapping of the file: the index serves its
-// first query after a structural check only, and label bytes page in
-// from disk on first touch — the cold-start path for indexes larger than
-// RAM. v1/v2 files and platforms without mmap support fall back to a
-// normal strict read, so the flag is always safe to pass.
+// v3 or v4 file (the compressed formats earlier versions wrote; they
+// load but are no longer written), the label sections alias a read-only
+// mapping of the file: the load neither copies the label bytes nor
+// decodes every entry, checking the structure and each section's entry
+// count only. A component's first edge update decodes its labels into
+// memory; nothing writes the file. v1/v2 files and platforms without
+// mmap support fall back to a normal strict read, so the flag is always
+// safe to pass. WriteTo writes any loaded index as v2.
 func ReadIndexFile(path string, useMmap bool) (*Index, error) {
 	x, err := csc.ReadFile(path, useMmap)
 	if err != nil {

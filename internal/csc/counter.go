@@ -31,17 +31,14 @@ var (
 // AsSharded is the one conversion from a loaded index to the serving
 // form. A sharded index is returned unchanged; a monolithic one (a v1
 // file, or a pre-sharding snapshot) is re-sharded over its own graph,
-// keeping its maintenance strategy and label compression. Answers are
+// keeping its maintenance strategy. Answers are
 // identical either way — SCCnt is a pure function of the graph — so every
 // file that loads keeps serving the same counts. The monolithic index
 // must not be used afterwards: the sharded one takes ownership of its
 // graph.
 func AsSharded(c Counter) *Sharded {
 	if x, ok := c.(*Index); ok {
-		sx, _ := BuildSharded(x.g, Options{
-			Strategy:       x.eng.Strategy,
-			CompressLabels: x.eng.Compressed(),
-		})
+		sx, _ := BuildSharded(x.g, Options{Strategy: x.eng.Strategy})
 		return sx
 	}
 	sx, _ := c.(*Sharded)

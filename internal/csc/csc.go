@@ -68,18 +68,11 @@ type Options struct {
 	// construction, so Build (one component) ignores it, and labels are
 	// identical at any value.
 	Workers int
-	// CompressLabels freezes finished labels into the delta+varint
-	// compressed arena (label.Frozen): queries stream compressed sections
-	// behind bloom pre-screens, updates thaw only the lists they touch,
-	// and the engine re-freezes on quiesce. Sharded indexes built with it
-	// serialize as the mmap-able v3 format.
-	CompressLabels bool
 	// Order selects the hub-ordering strategy every shard build and
 	// scoped rebuild uses (order.Compute over the component's induced
 	// subgraph). The zero value is order.Degree — the paper's ordering —
-	// so existing builds are unchanged. Indexes carrying a non-degree
-	// order record it: as the v4 format when compressed, as order tags
-	// in the v2 format otherwise.
+	// so existing builds are unchanged. A sharded index carrying a
+	// non-degree order records it as order tags in the v2 format.
 	Order order.Strategy
 	// OrderSeed seeds the sampled orders (coverage, random). Builds are
 	// deterministic for a fixed seed. No format records it: a loaded
@@ -115,7 +108,7 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 		// A frozen build drops its Gb right after the freeze, so it never
 		// converts g; the first write converts it (pll.Index.Expand).
 		var gb *graph.Digraph
-		if opts.CompressLabels || !freeze {
+		if !freeze {
 			gb = bipartite.Convert(g)
 		}
 		eng = buildSkipping(g, gb, ord, lifted)
@@ -123,10 +116,6 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 		eng.HubFilter = bipartite.IsIn
 	}
 	switch {
-	case opts.CompressLabels:
-		// Every build path — monolithic, per-shard, scoped rebuilds — funnels
-		// through here, so compression survives any dynamic reconstruction.
-		eng.FreezeCompressed()
 	case freeze && eng.Reduced():
 		eng.Freeze()
 		eng.DropGraph(g)
@@ -495,11 +484,6 @@ func (x *Index) Bytes() int { return x.eng.Bytes() }
 // reduced and frozen.
 func (x *Index) ResidentBytes() int { return x.eng.ResidentBytes() }
 
-// RefreezeLabels re-packs label lists thawed by updates back into the
-// compressed arena, returning how many lists re-encoded (0 when labels
-// are uncompressed or nothing thawed). The engine calls it on quiesce.
-func (x *Index) RefreezeLabels() int { return x.eng.Refreeze() }
-
-// CompressedBytes is the physical compressed label footprint, or 0 when
-// labels live uncompressed.
+// CompressedBytes is the footprint of the v3/v4 file arena the index
+// serves (pll.Index.Compressed), or 0 when it serves none.
 func (x *Index) CompressedBytes() int { return x.eng.CompressedBytes() }

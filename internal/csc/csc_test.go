@@ -40,7 +40,7 @@ func TestPaperTableIII(t *testing.T) {
 
 	in := eng.InLabel(v7i)
 	if in.Len() != 2 {
-		t.Fatalf("Lin(v7i) has %d entries: %v", in.Len(), in.Entries())
+		t.Fatalf("Lin(v7i) has %d entries: %v", in.Len(), in.AppendTo(nil))
 	}
 	if e, ok := in.Lookup(r(bipartite.InVertex(0))); !ok || e.Dist() != 4 || e.Count() != 2 {
 		t.Fatalf("Lin(v7i) hub v1i = %v %v, want (4,2)", e, ok)
@@ -51,7 +51,7 @@ func TestPaperTableIII(t *testing.T) {
 
 	out := eng.OutLabel(v7o)
 	if out.Len() != 3 {
-		t.Fatalf("Lout(v7o) has %d entries: %v", out.Len(), out.Entries())
+		t.Fatalf("Lout(v7o) has %d entries: %v", out.Len(), out.AppendTo(nil))
 	}
 	if e, ok := out.Lookup(r(bipartite.InVertex(0))); !ok || e.Dist() != 7 || e.Count() != 1 {
 		t.Fatalf("Lout(v7o) hub v1i = %v %v, want (7,1)", e, ok)

@@ -3,6 +3,7 @@ package csc
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,9 +12,9 @@ import (
 	"repro/internal/order"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the serialization golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the v1 and v2 serialization golden files")
 
-// goldenGraph is the fixed graph behind both golden files: two components
+// goldenGraph is the fixed graph behind the golden files: two components
 // plus trivial vertices, so the v2 file exercises a multi-shard table.
 func goldenGraph() *graph.Digraph {
 	g, err := graph.FromEdges(9, [][2]int{
@@ -27,6 +28,9 @@ func goldenGraph() *graph.Digraph {
 	return g
 }
 
+// goldenBytes returns a golden file's bytes: a fresh sequential build's
+// serialization for v1 and v2, the checked-in file for v3 and v4, which
+// nothing writes any more.
 func goldenBytes(t *testing.T, version int) []byte {
 	t.Helper()
 	g := goldenGraph()
@@ -42,39 +46,39 @@ func goldenBytes(t *testing.T, version int) []byte {
 		if _, err := x.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-	case 3:
-		x, _ := BuildSharded(g, Options{Workers: 1, CompressLabels: true})
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-	case 4:
-		// A non-degree strategy forces the order-provenance tag, and with
-		// it the v4 magic (a degree build emits byte-identical v3).
-		x, _ := BuildSharded(g, Options{Workers: 1, CompressLabels: true, Order: order.Coverage, OrderSeed: 7})
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
+	case 3, 4:
+		return readFixture(t, fmt.Sprintf("golden_v%d.csc", version))
 	}
 	return buf.Bytes()
 }
 
 // TestGoldenFiles pins all four on-disk formats: the checked-in v1, v2,
-// v3, and v4 files must load, answer exactly the oracle counts, and
-// re-serialize to the stored bytes. A failure means the format changed —
-// bump the magic and keep the old reader instead of breaking deployed
-// index files.
+// v3, and v4 files must load through the stream and the mmap readers,
+// answer exactly the oracle counts, and re-serialize to pinned bytes:
+// v1 and v2 to the stored bytes, which a fresh sequential build must
+// also write; v3 to golden_v2's bytes, and v4 to the v2 bytes of a
+// fresh coverage build under the seed it was written with. A failure
+// means a format changed — bump the magic and keep the old reader
+// instead of breaking deployed index files.
 func TestGoldenFiles(t *testing.T) {
+	g := goldenGraph()
+	coverage, _ := BuildSharded(g, Options{Workers: 1, Order: order.Coverage, OrderSeed: 7})
+	var coverageV2 bytes.Buffer
+	if _, err := coverage.WriteTo(&coverageV2); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		file    string
 		version int
+		writes  []byte // nil: the stored bytes
 	}{
-		{"golden_v1.csc", 1},
-		{"golden_v2.csc", 2},
-		{"golden_v3.csc", 3},
-		{"golden_v4.csc", 4},
+		{"golden_v1.csc", 1, nil},
+		{"golden_v2.csc", 2, nil},
+		{"golden_v3.csc", 3, readFixture(t, "golden_v2.csc")},
+		{"golden_v4.csc", 4, coverageV2.Bytes()},
 	} {
 		path := filepath.Join("testdata", tc.file)
-		if *updateGolden {
+		if *updateGolden && tc.version <= 2 {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -86,24 +90,40 @@ func TestGoldenFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v (run with -update-golden to create)", tc.file, err)
 		}
-		if want := goldenBytes(t, tc.version); !bytes.Equal(data, want) {
-			t.Fatalf("%s: stored bytes differ from a fresh sequential build's serialization", tc.file)
+		if tc.writes == nil {
+			if want := goldenBytes(t, tc.version); !bytes.Equal(data, want) {
+				t.Fatalf("%s: stored bytes differ from a fresh sequential build's serialization", tc.file)
+			}
+			tc.writes = data
 		}
 		loaded, err := Read(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
+		mapped, err := ReadFile(path, true)
+		if err != nil {
+			t.Fatalf("%s: mmap load: %v", tc.file, err)
+		}
 		wantCounts := map[int][2]int{ // vertex → (length, count); others no-cycle
 			0: {3, 1}, 1: {3, 1}, 2: {3, 1}, 4: {2, 1}, 5: {2, 1},
 		}
-		for v := 0; v < loaded.Graph().NumVertices(); v++ {
-			l, c := loaded.CycleCount(v)
-			if want, ok := wantCounts[v]; ok {
-				if l != want[0] || uint64(want[1]) != c {
-					t.Fatalf("%s: vertex %d = (%d,%d), want %v", tc.file, v, l, c, want)
+		for _, c := range []Counter{loaded, mapped} {
+			for v := 0; v < c.Graph().NumVertices(); v++ {
+				l, n := c.CycleCount(v)
+				if want, ok := wantCounts[v]; ok {
+					if l != want[0] || uint64(want[1]) != n {
+						t.Fatalf("%s: vertex %d = (%d,%d), want %v", tc.file, v, l, n, want)
+					}
+				} else if n != 0 {
+					t.Fatalf("%s: vertex %d = (%d,%d), want no cycle", tc.file, v, l, n)
 				}
-			} else if c != 0 {
-				t.Fatalf("%s: vertex %d = (%d,%d), want no cycle", tc.file, v, l, c)
+			}
+			var out bytes.Buffer
+			if _, err := c.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), tc.writes) {
+				t.Fatalf("%s: re-serialization (%d B) differs from the pinned bytes (%d B)", tc.file, out.Len(), len(tc.writes))
 			}
 		}
 	}
@@ -115,7 +135,7 @@ func TestGoldenFiles(t *testing.T) {
 // corruptions of the v2 shard table and the v3 label arena.
 func FuzzRead(f *testing.F) {
 	g := goldenGraph()
-	var v1, v2, v3, v4 bytes.Buffer
+	var v1, v2 bytes.Buffer
 	mono, _ := Build(g.Clone(), order.ByDegree(g), Options{Workers: 1})
 	if _, err := mono.WriteTo(&v1); err != nil {
 		f.Fatal(err)
@@ -124,14 +144,8 @@ func FuzzRead(f *testing.F) {
 	if _, err := sh.WriteTo(&v2); err != nil {
 		f.Fatal(err)
 	}
-	comp, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: true})
-	if _, err := comp.WriteTo(&v3); err != nil {
-		f.Fatal(err)
-	}
-	ordered, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: true, Order: order.Coverage, OrderSeed: 7})
-	if _, err := ordered.WriteTo(&v4); err != nil {
-		f.Fatal(err)
-	}
+	v3 := bytes.NewBuffer(readFixture(f, "golden_v3.csc"))
+	v4 := bytes.NewBuffer(readFixture(f, "golden_v4.csc"))
 	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
 	f.Add(v3.Bytes())

@@ -2,7 +2,7 @@ package csc
 
 import (
 	"bytes"
-	"os"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -16,88 +16,54 @@ func orderedStrategies() []order.Strategy {
 	return []order.Strategy{order.Degree, order.ID, order.Random, order.Coverage}
 }
 
-// A non-degree build must write the v4 magic and round-trip its ordering
-// provenance exactly: the global strategy, every per-shard strategy tag,
-// every per-shard hub order, and the answers — through both the strict
-// stream reader and the lazy mmap reader — then re-serialize
-// byte-identically.
+// A v4 file carries ordering provenance: the global strategy, every
+// per-shard strategy tag and every per-shard hub order must load
+// through both the strict stream reader and the lazy mmap reader, equal
+// to a fresh build's under the same strategy and seed, answer like it,
+// and write back as exactly its v2 bytes (order tags included).
 func TestV4RoundTrip(t *testing.T) {
-	g := testgraphs.ManySmallSCC(6, 4, 30, 10)
-	n := g.NumVertices()
 	for _, strat := range []order.Strategy{order.Random, order.Coverage} {
-		x, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: true, Order: strat, OrderSeed: 5})
-
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: WriteTo: %v", strat, err)
-		}
-		raw := buf.Bytes()
+		name := "v4_many_small_" + strat.String() + ".csc"
+		raw := readFixture(t, name)
 		if string(raw[:8]) != v4Magic {
-			t.Fatalf("%s: non-degree build wrote magic %q, want v4", strat, raw[:8])
+			t.Fatalf("%s: magic %q, want v4", name, raw[:8])
 		}
-
-		got, err := Read(bytes.NewReader(raw))
+		stream, err := Read(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("%s: Read(v4): %v", strat, err)
+			t.Fatalf("%s: Read(v4): %v", name, err)
 		}
-		sx := got.(*Sharded)
-		if sx.opts.Order != strat {
-			t.Fatalf("%s: global strategy loaded as %s", strat, sx.opts.Order)
+		mapped, err := ReadFile(filepath.Join("testdata", name), true)
+		if err != nil {
+			t.Fatalf("%s: ReadFile(mmap): %v", name, err)
 		}
-		for _, st := range sx.ShardStats() {
-			if st.Order != strat {
-				t.Fatalf("%s: shard %d strategy loaded as %s", strat, st.Slot, st.Order)
+		g := stream.Graph()
+		x, _ := BuildSharded(g.Clone(), Options{Workers: 1, Order: strat, OrderSeed: 5})
+		for _, got := range []Counter{stream, mapped} {
+			sx := got.(*Sharded)
+			if sx.opts.Order != strat {
+				t.Fatalf("%s: global strategy loaded as %s", name, sx.opts.Order)
 			}
-		}
-		for si, sh := range x.liveShards() {
-			lsh := sx.liveShards()[si]
-			a, b := sh.idx.eng.Ord, lsh.idx.eng.Ord
-			if a.Len() != b.Len() {
-				t.Fatalf("%s: shard %d order length differs", strat, si)
-			}
-			for r := 0; r < a.Len(); r++ {
-				if a.VertexAt(r) != b.VertexAt(r) {
-					t.Fatalf("%s: shard %d order differs at rank %d", strat, si, r)
+			for _, st := range sx.ShardStats() {
+				if st.Order != strat {
+					t.Fatalf("%s: shard %d strategy loaded as %s", name, st.Slot, st.Order)
 				}
 			}
+			for si, sh := range x.liveShards() {
+				a, b := sh.idx.eng.Ord, sx.liveShards()[si].idx.eng.Ord
+				if a.Len() != b.Len() {
+					t.Fatalf("%s: shard %d order length differs", name, si)
+				}
+				for r := 0; r < a.Len(); r++ {
+					if a.VertexAt(r) != b.VertexAt(r) {
+						t.Fatalf("%s: shard %d order differs at rank %d", name, si, r)
+					}
+				}
+			}
+			assertCountersAgree(t, name+" reload", x, got, g.NumVertices())
+			if !bytes.Equal(writeV2(t, got), writeV2(t, x)) {
+				t.Fatalf("%s: v4 load does not write the fresh build's v2 bytes", name)
+			}
 		}
-		assertCountersAgree(t, "v4 stream reload", x, got, n)
-
-		var buf2 bytes.Buffer
-		if _, err := sx.WriteTo(&buf2); err != nil {
-			t.Fatalf("%s: re-serialize: %v", strat, err)
-		}
-		if !bytes.Equal(raw, buf2.Bytes()) {
-			t.Fatalf("%s: v4 re-serialization not byte-identical", strat)
-		}
-
-		path := filepath.Join(t.TempDir(), "index.csc")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mm, err := ReadFile(path, true)
-		if err != nil {
-			t.Fatalf("%s: ReadFile(mmap): %v", strat, err)
-		}
-		assertCountersAgree(t, "v4 mmap reload", x, mm, n)
-		if ms := mm.(*Sharded); ms.opts.Order != strat {
-			t.Fatalf("%s: mmap load lost strategy (got %s)", strat, ms.opts.Order)
-		}
-	}
-}
-
-// A degree build carries no provenance worth a format bump: it must keep
-// emitting byte-stable v3, so files written before v4 existed and the
-// golden fixtures stay valid.
-func TestDegreeBuildStaysV3(t *testing.T) {
-	g := testgraphs.ManySmallSCC(6, 4, 30, 10)
-	x, _ := BuildSharded(g, Options{Workers: 1, CompressLabels: true})
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf.Bytes()[:8]) != v3Magic {
-		t.Fatalf("degree build wrote magic %q, want v3", buf.Bytes()[:8])
 	}
 }
 
@@ -143,7 +109,7 @@ func TestV2RoundTripKeepsOrders(t *testing.T) {
 func TestRepeatedBuildsByteIdentical(t *testing.T) {
 	g := testgraphs.DAGHeavy(150, 450, 4, 9)
 	for _, strat := range orderedStrategies() {
-		opts := Options{Workers: 1, CompressLabels: true, Order: strat, OrderSeed: 11}
+		opts := Options{Workers: 1, Order: strat, OrderSeed: 11}
 		var a, b bytes.Buffer
 		x1, _ := BuildSharded(g.Clone(), opts)
 		if _, err := x1.WriteTo(&a); err != nil {
@@ -219,35 +185,38 @@ func TestV2RestartKeepsOrderForRebuilds(t *testing.T) {
 // Wire values 3 and 5 once tagged betweenness and hit-re-ranked shards.
 // Both strategies are gone but the values stay reserved: a v4 or v2
 // stream carrying one must load, keep the tag, answer from the stored
-// order, and write the same bytes back.
+// order, and write it back — a v2 stream byte-identical, a v4 file as
+// v2 bytes that reload with the tag and rewrite byte-identical.
 func TestRetiredOrderTagLoads(t *testing.T) {
 	g := testgraphs.ManySmallSCC(6, 4, 30, 10)
 	for _, retired := range []order.Strategy{3, 5} {
-		for _, compress := range []bool{true, false} {
-			x, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: compress, Order: order.Coverage, OrderSeed: 5})
-			x.liveShards()[0].strat = retired
-			var buf bytes.Buffer
-			if _, err := x.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if magic := string(buf.Bytes()[:8]); magic != v4Magic && magic != shardedMagic {
-				t.Fatalf("wrote magic %q, want v4 or v2", magic)
-			}
-			got, err := Read(bytes.NewReader(buf.Bytes()))
+		x, _ := BuildSharded(g.Clone(), Options{Workers: 1, Order: order.Coverage, OrderSeed: 5})
+		x.liveShards()[0].strat = retired
+		v4 := readFixture(t, fmt.Sprintf("v4_retired_tag%d.csc", retired))
+		for _, file := range [][]byte{v4, writeV2(t, x)} {
+			magic := string(file[:8])
+			got, err := Read(bytes.NewReader(file))
 			if err != nil {
-				t.Fatalf("tag %d compress=%v: stream rejected: %v", retired, compress, err)
+				t.Fatalf("tag %d %s: stream rejected: %v", retired, magic, err)
 			}
 			sx := got.(*Sharded)
 			if tag := sx.ShardStats()[0].Order; tag != retired {
-				t.Fatalf("tag %d compress=%v: shard 0 tag loaded as %s", retired, compress, tag)
+				t.Fatalf("tag %d %s: shard 0 tag loaded as %s", retired, magic, tag)
 			}
 			assertCountersAgree(t, "retired-tag reload", x, sx, g.NumVertices())
-			var again bytes.Buffer
-			if _, err := sx.WriteTo(&again); err != nil {
+			v2 := writeV2(t, sx)
+			if magic == shardedMagic && !bytes.Equal(file, v2) {
+				t.Fatalf("tag %d %s: stream not rewritten byte-identical", retired, magic)
+			}
+			back, err := Read(bytes.NewReader(v2))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-				t.Fatalf("tag %d compress=%v: stream not rewritten byte-identical", retired, compress)
+			if tag := back.(*Sharded).ShardStats()[0].Order; tag != retired {
+				t.Fatalf("tag %d %s: the v2 rewrite loads shard 0 as %s", retired, magic, tag)
+			}
+			if !bytes.Equal(writeV2(t, back), v2) {
+				t.Fatalf("tag %d %s: the v2 rewrite does not rewrite byte-identical", retired, magic)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -281,6 +280,41 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 		t.Fatal("re-written file differs from the loaded one")
 	}
 
+	// The same labeling served as a file arena (all four lists of every
+	// couple, as a v3/v4 shard holds them) keeps the inconsistent mirror:
+	// its v1 stream before and after the first write's expansion, and
+	// every list Expand lays out, equal the full labeling's.
+	full := ls.shards[0].idx.eng
+	ls.subgraph(ls.shards[0])
+	lists := func(side []label.List) []label.List {
+		out := make([]label.List, len(side))
+		for i := range side {
+			out[i] = side[i].Clone()
+		}
+		return out
+	}
+	fa := pll.NewFileArena(full.G, full.Ord, label.FreezeCompressed(lists(full.In), lists(full.Out)))
+	stream := func(idx *pll.Index) []byte {
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := stream(full)
+	if !bytes.Equal(stream(fa), want) {
+		t.Fatal("a file arena with an inconsistent mirror writes a different v1 stream")
+	}
+	fa.Expand()
+	for v := range full.In {
+		if !entriesEqual(fa.In[v].Entries(), full.In[v].Entries()) || !entriesEqual(fa.Out[v].Entries(), full.Out[v].Entries()) {
+			t.Fatalf("expanded file arena: lists of Gb vertex %d differ from the full labeling", v)
+		}
+	}
+	if !bytes.Equal(stream(fa), want) {
+		t.Fatal("an expanded file arena writes a different v1 stream")
+	}
+
 	// The unpatched file loads reduced and writes back byte for byte too.
 	clean, err := Read(bytes.NewReader(file.Bytes()))
 	if err != nil {
@@ -309,22 +343,14 @@ func TestLoaderKeepsInconsistentMirrors(t *testing.T) {
 // write the same file.
 const reducedV2Digest = "a5d684c93b71272c9f07d854012f40b90aebd53a25c007d6048ebdcaaa542fcd"
 
-// A reduced shard's frozen store is not label compression: a fresh build
-// and a v1 file re-sharded for serving write v2 with the same bytes as
-// before the store was frozen, while a compressed index still writes v3
-// or v4 holding all four lists of every couple — including when a shard
-// it writes is only reduced-frozen.
+// A reduced shard's frozen store is not a file arena: a fresh build and
+// a v1 file re-sharded for serving write v2 with the same bytes as
+// before the store was frozen, and report no compressed bytes. A v3 or
+// v4 file holds all four lists of every couple; its load serves them as
+// the file arena, and writes back the v2 bytes of a fresh build under
+// its order — for the degree-built v3 file, the pinned digest.
 func TestFrozenReducedIsNotCompressed(t *testing.T) {
 	base := randomGraph(rand.New(rand.NewSource(20261017)), 150, 2)
-	write := func(w interface {
-		WriteTo(io.Writer) (int64, error)
-	}) []byte {
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	v2 := func(name string, data []byte) {
 		sum := sha256.Sum256(data)
 		if !bytes.HasPrefix(data, []byte(shardedMagic)) || hex.EncodeToString(sum[:]) != reducedV2Digest {
@@ -333,7 +359,7 @@ func TestFrozenReducedIsNotCompressed(t *testing.T) {
 	}
 
 	mono, _ := Build(base.Clone(), order.ByDegree(base), Options{})
-	loaded, err := Read(bytes.NewReader(write(mono)))
+	loaded, err := Read(bytes.NewReader(writeV2(t, mono)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,29 +369,22 @@ func TestFrozenReducedIsNotCompressed(t *testing.T) {
 			eng.Reduced(), eng.FrozenArena() != nil, eng.Compressed(), eng.CompressedBytes())
 	}
 	resharded := AsSharded(loaded)
-	if resharded.opts.CompressLabels || resharded.CompressedBytes() != 0 {
+	if resharded.CompressedBytes() != 0 {
 		t.Fatalf("a re-sharded v1 file turned compressed (%d B)", resharded.CompressedBytes())
 	}
-	v2("re-sharded v1", write(resharded))
+	v2("re-sharded v1", writeV2(t, resharded))
 	fresh, _ := BuildSharded(base.Clone(), Options{})
-	v2("fresh build", write(fresh))
+	v2("fresh build", writeV2(t, fresh))
 
-	// The v3 writer must compress a reduced-frozen shard in full, not
-	// copy its frozen store of the two stored lists.
-	forced, _ := BuildSharded(base.Clone(), Options{})
-	forced.opts.CompressLabels = true
-	built, _ := BuildSharded(base.Clone(), Options{CompressLabels: true})
-	if a, b := write(forced), write(built); !bytes.HasPrefix(a, []byte(v3Magic)) || !bytes.Equal(a, b) {
-		t.Fatalf("v3 of reduced-frozen shards (%q, %d B) differs from a compressed build's (%d B)", a[:8], len(a), len(b))
-	}
-	coverage, _ := BuildSharded(base.Clone(), Options{CompressLabels: true, Order: order.Coverage})
+	coverage, _ := BuildSharded(base.Clone(), Options{Order: order.Coverage})
 	for name, c := range map[string]struct {
-		x     *Sharded
+		file  string
 		magic string
-	}{"v3": {built, v3Magic}, "v4": {coverage, v4Magic}} {
-		data := write(c.x)
+		x     *Sharded
+	}{"v3": {"v3_random150.csc", v3Magic, fresh}, "v4": {"v4_random150.csc", v4Magic, coverage}} {
+		data := readFixture(t, c.file)
 		if !bytes.HasPrefix(data, []byte(c.magic)) {
-			t.Fatalf("%s: wrote %q", name, data[:8])
+			t.Fatalf("%s: %s holds %q", name, c.file, data[:8])
 		}
 		back, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -373,13 +392,20 @@ func TestFrozenReducedIsNotCompressed(t *testing.T) {
 		}
 		for i, sh := range back.(*Sharded).liveShards() {
 			e := sh.idx.eng
-			if !e.Compressed() || e.FrozenArena().Entries() != e.EntryCount() {
-				t.Fatalf("%s shard %d: compressed %v, arena holds %d of %d entries",
-					name, i, e.Compressed(), e.FrozenArena().Entries(), e.EntryCount())
+			if !e.Compressed() || e.Reduced() || e.FrozenArena().Entries() != e.EntryCount() {
+				t.Fatalf("%s shard %d: compressed %v, reduced %v, arena holds %d of %d entries",
+					name, i, e.Compressed(), e.Reduced(), e.FrozenArena().Entries(), e.EntryCount())
 			}
 		}
 		if got, want := back.(*Sharded).EntryCount(), c.x.EntryCount(); got != want {
-			t.Fatalf("%s: reloaded %d entries, wrote %d", name, got, want)
+			t.Fatalf("%s: loaded %d entries, a fresh build holds %d", name, got, want)
+		}
+		written := writeV2(t, back)
+		if name == "v3" {
+			v2("v3 load", written)
+		}
+		if !bytes.Equal(written, writeV2(t, c.x)) {
+			t.Fatalf("%s: load does not write the fresh build's v2 bytes", name)
 		}
 	}
 }

@@ -10,22 +10,23 @@ import (
 	"repro/internal/pll"
 )
 
-// Four on-disk forms exist. A monolithic Index serializes as the v1
-// format ("CSCIDX01"): its Gb labeling, self-contained, with the original
-// graph reconstructed from the conversion structure on load. A Sharded
-// index serializes as the v2 format ("CSCIDX02", sharded_serialize.go):
-// the global graph plus the shard table and one embedded v1 labeling blob
-// per shard — or, when built with Options.CompressLabels, as the v3
-// format ("CSCIDX03", v3.go): the same structure with each shard's labels
-// as a compressed frozen arena in a flat, mmap-able layout. The v4 format
-// ("CSCIDX04") is v3 plus per-shard ordering-strategy provenance, emitted
-// only when a non-degree hub order needs recording; v2 records the same
-// provenance as optional order tags (the hub orders themselves
-// round-trip explicitly in every format). Read dispatches on
-// the magic, so consumers — cyclehub.ReadIndex, the engine's WAL/snapshot
-// recovery, the csc CLI — load any form transparently, and files written
-// before sharding or compression existed keep loading (the serving
-// layers re-shard a v1 load through AsSharded).
+// Four on-disk forms load; two are written. A monolithic Index
+// serializes as the v1 format ("CSCIDX01"): its Gb labeling,
+// self-contained, with the original graph reconstructed from the
+// conversion structure on load. A Sharded index serializes as the v2
+// format ("CSCIDX02", sharded_serialize.go): the global graph plus the
+// shard table and one embedded v1 labeling blob per shard, with optional
+// order tags recording a non-degree hub order (the hub orders themselves
+// round-trip explicitly in every format). The v3 format ("CSCIDX03",
+// v3.go) is read-only: the same structure with each shard's labels as a
+// compressed frozen arena in a flat, mmap-able layout; v4 ("CSCIDX04")
+// is v3 plus per-shard ordering-strategy provenance. A v3/v4 load
+// serves its arena in place until a shard's first write, and writes
+// back as v2. Read dispatches on the magic, so consumers —
+// cyclehub.ReadIndex, the engine's WAL/snapshot recovery, the csc CLI —
+// load any form transparently, and files written before sharding
+// existed keep loading (the serving layers re-shard a v1 load through
+// AsSharded).
 
 // WriteTo serializes the index (the Gb labeling is self-contained; the
 // original graph is reconstructed on load from the conversion structure).

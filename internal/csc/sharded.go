@@ -466,7 +466,7 @@ func (x *Sharded) Bytes() int { return 8 * x.EntryCount() }
 
 // ResidentBytes sums the label bytes the shards physically hold: the
 // stored lists of reduced shards, every list of shards a write expanded,
-// and compressed arenas at their compressed size.
+// and v3/v4 file arenas at their compressed size.
 func (x *Sharded) ResidentBytes() int {
 	total := 0
 	for _, sh := range x.shards {
@@ -497,20 +497,9 @@ func (x *Sharded) GraphBytes() int {
 	return total
 }
 
-// RefreezeLabels re-packs every shard's thawed label lists back into
-// its compressed arena, returning the total lists re-encoded.
-func (x *Sharded) RefreezeLabels() int {
-	total := 0
-	for _, sh := range x.shards {
-		if sh != nil {
-			total += sh.idx.RefreezeLabels()
-		}
-	}
-	return total
-}
-
-// CompressedBytes sums the physical compressed label footprint across
-// shards (0 when labels are uncompressed).
+// CompressedBytes sums the footprint of the v3/v4 file arenas that
+// shards not yet written serve (0 for an index built or loaded from
+// v1/v2).
 func (x *Sharded) CompressedBytes() int {
 	total := 0
 	for _, sh := range x.shards {

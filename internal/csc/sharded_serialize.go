@@ -29,7 +29,7 @@ import (
 //	  blob   the shard's Gb labeling, a complete embedded v1 stream
 //
 // The hub orders themselves ride in the v1 blobs. The order tags are
-// written exactly when v3 would need v4 (needsOrderTags), so a
+// written exactly when some order is not degree (needsOrderTags), so a
 // degree-built index writes the same bytes as before the tags existed,
 // and a coverage-built one reloads knowing its order: restart rebuilds
 // then use the build's strategy, not degree.
@@ -59,14 +59,25 @@ const v2OrderTags = 0x80
 // format revision, not a bigger constant.
 const maxShardedVertices = 1 << 21
 
-// WriteTo serializes the sharded index: the compressed v3/v4 format
-// when the index was built with Options.CompressLabels (v4 exactly when
-// a non-degree ordering strategy needs recording), the v2 format
-// otherwise.
-func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
-	if x.opts.CompressLabels {
-		return x.writeV34(w)
+// needsOrderTags reports whether any ordering provenance would be lost
+// without order tags — a non-degree build default, or any live shard
+// carrying a non-degree order tag.
+func (x *Sharded) needsOrderTags() bool {
+	if x.opts.Order != order.Degree {
+		return true
 	}
+	for _, sh := range x.shards {
+		if sh != nil && sh.strat != order.Degree {
+			return true
+		}
+	}
+	return false
+}
+
+// WriteTo serializes the sharded index in the v2 format, however it was
+// built or loaded: a shard serving a v3/v4 file arena writes every list
+// the arena holds.
+func (x *Sharded) WriteTo(w io.Writer) (int64, error) {
 	tags := x.needsOrderTags()
 	e := pll.NewEncoder(w)
 	e.Bytes([]byte(shardedMagic))

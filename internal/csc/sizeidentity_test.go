@@ -60,8 +60,9 @@ func TestReducedSizeIdentityWithHPSPC(t *testing.T) {
 				t.Errorf("%s: Lin(%d) length %d vs %d", name, v, hpIn.Len(), cscIn.Len())
 				continue
 			}
-			for i := 0; i < hpIn.Len(); i++ {
-				he, ce := hpIn.At(i), cscIn.At(i)
+			hpEntries, cscEntries := hpIn.AppendTo(nil), cscIn.AppendTo(nil)
+			for i := range hpEntries {
+				he, ce := hpEntries[i], cscEntries[i]
 				if ce.Dist() != 2*he.Dist() || ce.Count() != he.Count() {
 					t.Errorf("%s: Lin(%d)[%d]: csc (d=%d,c=%d) vs hp (d=%d,c=%d)",
 						name, v, i, ce.Dist(), ce.Count(), he.Dist(), he.Count())

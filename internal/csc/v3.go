@@ -18,11 +18,11 @@ import (
 )
 
 // Sharded binary format v3 (little endian): the compressed-label form of
-// v2. The structural layout is flat — no embedded self-delimiting blobs —
-// so a single parse over one byte slice computes every section's offsets
-// without copying, which is what lets the label bytes alias a read-only
-// mmap of the file: a cold daemon validates the (small) graph and shard
-// table up front and serves queries while label pages fault in on demand.
+// v2, which this package reads but no longer writes (a loaded index
+// writes back as v2). The structural layout is flat — no embedded
+// self-delimiting blobs — so a single parse over one byte slice computes
+// every section's offsets without copying, which is what lets the label
+// bytes alias a read-only mmap of the file.
 //
 //	magic    [8]byte  "CSCIDX03"
 //	n        uint32   global vertex count
@@ -42,95 +42,27 @@ import (
 //	  bloblen uint64
 //	  blob    bloblen bytes         label.Frozen section blob
 //
-// Label lists are ordered In[0..nb) then Out[0..nb) — the order
-// pll.Index.FreezeCompressed packs and AttachFrozen expects. Stream loads
-// (csc.Read) run the strict full decode over every label section; mmap
-// loads check only the structural invariants so label pages stay cold.
+// Label lists are ordered In[0..nb) then Out[0..nb): section v is In(v)
+// and section nb+v is Out(v), the layout of a reduced shard's frozen
+// store, so a loaded shard serves the arena in place through the same
+// section reads (pll.NewFileArena) until its first write decodes it.
+// Stream loads (csc.Read) copy the image and run the strict full decode
+// over every label section. Mmap loads skip both: they check the offset
+// tables and cross-check each shard's entry count against the sum of
+// its section headers, which reads the first bytes of every section.
 //
 // Format v4 ("CSCIDX04") is v3 plus ordering-strategy provenance: one
 // global order-strategy byte after the maintenance strategy byte, and
 // one per-shard order-strategy byte immediately before each shard's
 // order vector — so a loaded index knows which strategy produced each
 // shard's hub order (the order itself always round-trips explicitly).
-// The writer emits v3 whenever every strategy is degree, so indexes
-// built with the defaults stay byte-identical to pre-v4 files; readers
-// accept both.
+// The retired writer emitted v3 whenever every strategy was degree;
+// readers accept both.
 
 const (
 	v3Magic = "CSCIDX03"
 	v4Magic = "CSCIDX04"
 )
-
-// needsOrderTags reports whether any ordering provenance would be lost
-// without order tags (v4 rather than v3, tagged rather than plain v2) —
-// a non-degree build default, or any live shard carrying a non-degree
-// order tag.
-func (x *Sharded) needsOrderTags() bool {
-	if x.opts.Order != order.Degree {
-		return true
-	}
-	for _, sh := range x.shards {
-		if sh != nil && sh.strat != order.Degree {
-			return true
-		}
-	}
-	return false
-}
-
-// writeV34 serializes the sharded index with compressed label arenas, as
-// v4 when ordering provenance needs recording and byte-stable v3
-// otherwise. Shards whose updates thawed lists re-freeze first (verbatim
-// section copies for the untouched lists), so the written arena is
-// current. A shard that is not compressed (a lean or written shard of
-// an index whose options turned compression on) is compressed here,
-// which gives a lean one its write form, Gb included.
-func (x *Sharded) writeV34(w io.Writer) (int64, error) {
-	v4 := x.needsOrderTags()
-	e := pll.NewEncoder(w)
-	magic := v3Magic
-	if v4 {
-		magic = v4Magic
-	}
-	e.Bytes([]byte(magic))
-	e.U32(uint32(x.g.NumVertices()))
-	e.U32(uint32(x.g.NumEdges()))
-	e.U8(uint8(x.opts.Strategy))
-	if v4 {
-		e.U8(uint8(x.opts.Order))
-	}
-	e.Edges(x.g)
-	live := x.liveShards()
-	e.U32(uint32(len(live)))
-	for _, sh := range live {
-		e.U32(uint32(len(sh.verts)))
-		for _, v := range sh.verts {
-			e.U32(uint32(v))
-		}
-		eng := sh.idx.eng
-		if !eng.Compressed() {
-			x.subgraph(sh) // a lean shard converts it for its Gb
-			eng.FreezeCompressed()
-		}
-		eng.Refreeze()
-		nb := eng.G.NumVertices()
-		e.U32(uint32(nb))
-		e.U32(uint32(eng.G.NumEdges()))
-		e.Edges(eng.G)
-		if v4 {
-			e.U8(uint8(sh.strat))
-		}
-		for r := 0; r < nb; r++ {
-			e.U32(uint32(eng.Ord.VertexAt(r)))
-		}
-		f := eng.FrozenArena()
-		off, blob := f.Raw()
-		e.U64(uint64(f.Entries()))
-		e.Bytes(off)
-		e.U64(uint64(len(blob)))
-		e.Bytes(blob)
-	}
-	return e.Flush()
-}
 
 // v3parser walks a v3 byte image with bounds-checked reads; take slices
 // alias the image (zero-copy — the point of the flat layout).
@@ -181,8 +113,9 @@ func (p *v3parser) pairs(m int) ([]int32, error) {
 
 // parseV34 loads a complete v3 or v4 image (dispatching on the magic).
 // With lazyLabels the label sections are only structurally checked
-// (offset-table invariants), never decoded — the mmap cold-start path;
-// stream loads pass false and get the full strict per-entry validation.
+// (offset tables, entry-count cross-check), never decoded — the mmap
+// path; stream loads pass false and get the full strict per-entry
+// validation.
 func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", pll.ErrBadFormat, fmt.Sprintf(format, args...))
@@ -246,7 +179,7 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 		return nil, bad("%d shards impossible for %d vertices", shardCount, n)
 	}
 
-	x := &Sharded{g: g, opts: Options{Strategy: strat, CompressLabels: true, Order: ostrat}}
+	x := &Sharded{g: g, opts: Options{Strategy: strat, Order: ostrat}}
 	for sid := 0; sid < int(shardCount); sid++ {
 		size32, err := p.u32()
 		if err != nil {
@@ -352,12 +285,9 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 				return nil, fmt.Errorf("%w: shard %d: %v", pll.ErrBadFormat, sid, err)
 			}
 		}
-		eng := pll.NewEmpty(gb, ord)
+		eng := pll.NewFileArena(gb, ord, f)
 		eng.Strategy = strat
 		eng.HubFilter = bipartite.IsIn
-		if err := eng.AttachFrozen(f); err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %v", pll.ErrBadFormat, sid, err)
-		}
 		sub, err := originalFromGb(gb)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sid, err)
@@ -368,7 +298,9 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 		if !graph.Equal(sub, partition.Induced(g, verts)) {
 			return nil, bad("shard %d subgraph does not match the global graph", sid)
 		}
-		x.shards = append(x.shards, &shard{verts: verts, idx: &Index{g: sub, eng: eng}, strat: shardStrat})
+		idx := &Index{g: sub, eng: eng}
+		idx.shedGraph() // the shard serves from its file arena alone
+		x.shards = append(x.shards, &shard{verts: verts, idx: idx, strat: shardStrat})
 	}
 	if p.pos != len(data) {
 		return nil, bad("%d trailing bytes", len(data)-p.pos)
@@ -410,10 +342,13 @@ func readV34(br *bufio.Reader) (*Sharded, error) {
 
 // ReadFile loads an index file. With useMmap and a v3/v4 file, the label
 // sections alias a read-only mapping of the file and are only
-// structurally checked: queries serve immediately and label pages fault
-// in on first touch. The mapping lives for the process lifetime (it backs
-// live label sections) and is deliberately never unmapped. Other formats
-// and platforms without mmap support fall back to a normal strict read.
+// structurally checked: the load neither copies the label bytes nor
+// decodes every entry, though its entry-count cross-check reads each
+// section's header once. A shard's first write decodes its sections
+// into memory; nothing ever writes the mapping. The mapping lives for
+// the process lifetime (it backs live label sections) and is
+// deliberately never unmapped. Other formats and platforms without mmap
+// support fall back to a normal strict read.
 func ReadFile(path string, useMmap bool) (Counter, error) {
 	if useMmap {
 		if data, err := mmapFile(path); err == nil {

@@ -2,19 +2,20 @@ package csc
 
 import (
 	"bytes"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/order"
+	"repro/internal/label"
+	"repro/internal/partition"
 	"repro/internal/testgraphs"
 )
 
 // assertCountersAgree compares two Counter forms over every vertex and a
 // spread of bounds — the byte-identical-answers contract between the
-// mutable, compressed, and mmap'd index forms.
+// built, loaded, and mmap'd index forms.
 func assertCountersAgree(t *testing.T, ctx string, a, b Counter, n int) {
 	t.Helper()
 	for v := 0; v < n; v++ {
@@ -43,136 +44,70 @@ func boundedRead(c Counter, v, maxLen int) (int, uint64) {
 	return c.(*Sharded).CycleCountBounded(v, maxLen)
 }
 
-// Compressed indexes must answer byte-identically to uncompressed ones —
-// at build time, through dynamic updates (which thaw touched lists), and
-// after an explicit refreeze.
-func TestCompressedMatchesUncompressed(t *testing.T) {
-	graphs := []*graph.Digraph{
-		testgraphs.Figure2(), testgraphs.DiamondCycles(), testgraphs.DAG(),
-		testgraphs.DAGHeavy(200, 600, 4, 7),
-		testgraphs.ManySmallSCC(8, 4, 40, 8),
+// readFixture returns a file of testdata. The v3/v4 files there were
+// written by the retired v3/v4 writer (testdata/README.md).
+func readFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(41))
-	for seed := 0; seed < 6; seed++ {
-		graphs = append(graphs, randomGraph(r, 8+r.Intn(16), 2))
-	}
-	for gi, g := range graphs {
-		plain, _ := BuildSharded(g.Clone(), Options{Workers: 1})
-		comp, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: true})
-		if comp.CompressedBytes() == 0 && comp.EntryCount() > 0 {
-			t.Fatalf("graph %d: compressed index reports 0 compressed bytes", gi)
-		}
-		n := g.NumVertices()
-		assertCountersAgree(t, "built", plain, comp, n)
-
-		// Monolithic compressed form too.
-		mono, _ := Build(g.Clone(), order.ByDegree(g), Options{CompressLabels: true})
-		assertCountersAgree(t, "monolithic", plain, mono, n)
-
-		// Updates thaw only what they touch; answers must track exactly.
-		for step := 0; step < 12; step++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u == v {
-				continue
-			}
-			if plain.Graph().HasEdge(u, v) {
-				_, err1 := plain.DeleteEdge(u, v)
-				_, err2 := comp.DeleteEdge(u, v)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("graph %d step %d: delete divergence", gi, step)
-				}
-			} else {
-				_, err1 := plain.InsertEdge(u, v)
-				_, err2 := comp.InsertEdge(u, v)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("graph %d step %d: insert divergence", gi, step)
-				}
-			}
-		}
-		assertCountersAgree(t, "after updates", plain, comp, n)
-		comp.RefreezeLabels()
-		assertCountersAgree(t, "after refreeze", plain, comp, n)
-	}
+	return data
 }
 
-// The v3 format must round-trip through the strict stream reader and the
-// lazy mmap reader with identical answers, and re-serialize
-// byte-identically.
-func TestV3RoundTrip(t *testing.T) {
-	graphs := []*graph.Digraph{
-		testgraphs.Figure2(),
-		testgraphs.DAGHeavy(120, 360, 4, 9),
-		testgraphs.ManySmallSCC(6, 4, 30, 10),
-		testgraphs.GiantSCC(24, 90, 11),
+// writeV2 serializes x and returns the bytes.
+func writeV2(t *testing.T, x Counter) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for gi, g := range graphs {
-		n := g.NumVertices()
-		x, _ := BuildSharded(g.Clone(), Options{Workers: 1, CompressLabels: true})
-
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatalf("graph %d: WriteTo: %v", gi, err)
+	if !bytes.HasPrefix(buf.Bytes(), []byte(shardedMagic)) {
+		if _, mono := x.(*Index); !mono {
+			t.Fatalf("a sharded index wrote magic %q, want v2", buf.Bytes()[:8])
 		}
-		raw := buf.Bytes()
+	}
+	return buf.Bytes()
+}
+
+// v3 files must load through the strict stream reader, the lazy mmap
+// reader and the plain file reader with the answers of a fresh build of
+// their graph, serve every shard from its file arena, and write back as
+// exactly the fresh build's v2 bytes.
+func TestV3RoundTrip(t *testing.T) {
+	for _, name := range []string{"v3_figure2.csc", "v3_dag_heavy.csc", "v3_many_small.csc", "v3_giant_scc.csc"} {
+		raw := readFixture(t, name)
 		if string(raw[:8]) != v3Magic {
-			t.Fatalf("graph %d: compressed index wrote magic %q", gi, raw[:8])
+			t.Fatalf("%s: magic %q, want v3", name, raw[:8])
 		}
-
 		got, err := Read(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("graph %d: Read(v3): %v", gi, err)
+			t.Fatalf("%s: Read(v3): %v", name, err)
 		}
 		sx, ok := got.(*Sharded)
 		if !ok {
-			t.Fatalf("graph %d: v3 loaded as %T", gi, got)
+			t.Fatalf("%s: v3 loaded as %T", name, got)
 		}
-		if !sx.opts.CompressLabels {
-			t.Fatalf("graph %d: v3 load lost CompressLabels", gi)
-		}
-		assertCountersAgree(t, "stream reload", x, got, n)
-
-		// Re-serialization is byte-stable: nothing thawed on the read side.
-		var buf2 bytes.Buffer
-		if _, err := sx.WriteTo(&buf2); err != nil {
-			t.Fatalf("graph %d: re-serialize: %v", gi, err)
-		}
-		if !bytes.Equal(raw, buf2.Bytes()) {
-			t.Fatalf("graph %d: v3 re-serialization not byte-identical (%d vs %d bytes)",
-				gi, len(raw), len(buf2.Bytes()))
-		}
-
-		// The mmap path: lazy structural load from a file.
-		path := filepath.Join(t.TempDir(), "index.csc")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mm, err := ReadFile(path, true)
-		if err != nil {
-			t.Fatalf("graph %d: ReadFile(mmap): %v", gi, err)
-		}
-		assertCountersAgree(t, "mmap reload", x, mm, n)
-
-		// ReadFile without mmap takes the strict path and agrees too.
-		plain, err := ReadFile(path, false)
-		if err != nil {
-			t.Fatalf("graph %d: ReadFile: %v", gi, err)
-		}
-		assertCountersAgree(t, "file reload", x, plain, n)
-
-		// A loaded v3 index keeps serving through updates.
-	insert:
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u != v && !sx.Graph().HasEdge(u, v) {
-					if _, err := sx.InsertEdge(u, v); err != nil {
-						t.Fatalf("graph %d: insert on reloaded index: %v", gi, err)
-					}
-					break insert
-				}
+		n := sx.Graph().NumVertices()
+		fresh, _ := BuildSharded(sx.Graph().Clone(), Options{Workers: 1})
+		assertCountersAgree(t, name+" stream reload", fresh, got, n)
+		for i, sh := range sx.liveShards() {
+			if e := sh.idx.eng; !e.Compressed() || !e.Lean() || e.G != nil || sh.idx.g != nil {
+				t.Fatalf("%s shard %d: compressed %v, lean %v, holds Gb %v, subgraph %v; want a file arena alone",
+					name, i, e.Compressed(), e.Lean(), e.G != nil, sh.idx.g != nil)
 			}
 		}
-		if sx.RefreezeLabels() < 0 {
-			t.Fatal("negative refreeze")
+		if !bytes.Equal(writeV2(t, sx), writeV2(t, fresh)) {
+			t.Fatalf("%s: v3 load does not write the fresh build's v2 bytes", name)
+		}
+
+		path := filepath.Join("testdata", name)
+		for _, mmap := range []bool{true, false} {
+			c, err := ReadFile(path, mmap)
+			if err != nil {
+				t.Fatalf("%s: ReadFile(mmap=%v): %v", name, mmap, err)
+			}
+			assertCountersAgree(t, name+" file reload", fresh, c, n)
 		}
 	}
 }
@@ -195,4 +130,142 @@ func TestReadFileMmapFallsBackOnV2(t *testing.T) {
 		t.Fatalf("ReadFile(v2, mmap): %v", err)
 	}
 	assertCountersAgree(t, "v2 via mmap path", x, got, g.NumVertices())
+}
+
+// A shard serving a v3/v4 file arena decodes it at its first write and
+// never writes the file. Stream and mmap loads of a fixture take
+// inserts and deletes — one merge and one split among them — and answer
+// like the BFS oracle after each op; afterwards the file and the arenas
+// still served hold the bytes they held, a shard written in place holds
+// 8 B per entry, and the v2 re-serialization reloads to the same
+// answers, hub orders and order tags.
+func TestCompressedMatchesUncompressed(t *testing.T) {
+	for _, name := range []string{"v3_many_small.csc", "v4_many_small_coverage.csc"} {
+		path := filepath.Join("testdata", name)
+		for _, mmap := range []bool{false, true} {
+			ctx := name + map[bool]string{false: " stream", true: " mmap"}[mmap]
+			c, err := ReadFile(path, mmap)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			x := c.(*Sharded)
+			mirror := x.Graph().Clone()
+			file := readFixture(t, name)
+			assertDirectory(t, ctx+" load", x)
+			assertOracle(t, ctx+" load", x)
+
+			// Every shard serves its arena; keep a copy of each arena's
+			// bytes to compare after the writes.
+			type arena struct {
+				f    *label.Frozen
+				want []byte
+			}
+			var arenas []arena
+			for i, sh := range x.liveShards() {
+				e := sh.idx.eng
+				if !e.Compressed() || e.CompressedBytes() == 0 || e.FrozenArena().Entries() != e.EntryCount() {
+					t.Fatalf("%s shard %d: compressed %v, arena holds %d of %d entries",
+						ctx, i, e.Compressed(), e.FrozenArena().Entries(), e.EntryCount())
+				}
+				off, blob := e.FrozenArena().Raw()
+				arenas = append(arenas, arena{e.FrozenArena(), slices.Concat(off, blob)})
+			}
+			live := x.liveShards()
+			if len(live) < 3 {
+				t.Fatalf("%s: %d shards, want at least 3", ctx, len(live))
+			}
+			a, b := int(live[0].verts[0]), int(live[1].verts[0])
+			if mirror.HasEdge(a, b) || mirror.HasEdge(b, a) {
+				t.Fatalf("%s: shards 0 and 1 already joined by an edge", ctx)
+			}
+			// A within-shard insert and delete on the third shard: the
+			// incremental update path, which decodes its arena in place.
+			third := live[2]
+			u, w := int(third.verts[0]), -1
+			for _, v := range third.verts[1:] {
+				if !mirror.HasEdge(u, int(v)) {
+					w = int(v)
+					break
+				}
+			}
+			if w < 0 {
+				t.Fatalf("%s: the third shard is complete", ctx)
+			}
+			ops := []struct {
+				ins  bool
+				u, v int
+			}{
+				{true, u, w}, {true, a, b}, {true, b, a}, // the last merges
+				{false, u, w}, {false, b, a}, {false, a, b}, // one of these splits
+			}
+			shards := x.NumShards()
+			merged, split := false, false
+			for i, op := range ops {
+				var err error
+				if op.ins {
+					_, err = x.InsertEdge(op.u, op.v)
+					_ = mirror.AddEdge(op.u, op.v)
+				} else {
+					_, err = x.DeleteEdge(op.u, op.v)
+					_ = mirror.RemoveEdge(op.u, op.v)
+				}
+				if err != nil {
+					t.Fatalf("%s op %d: %v", ctx, i, err)
+				}
+				if got, want := x.NumShards(), len(partition.SCC(mirror).NonTrivial()); got != want {
+					t.Fatalf("%s op %d: %d shards, want %d", ctx, i, got, want)
+				}
+				merged = merged || x.NumShards() < shards
+				split = split || x.NumShards() > shards
+				shards = x.NumShards()
+				if !graph.Equal(x.Graph(), mirror) {
+					t.Fatalf("%s op %d: served graph drifted from the mirror", ctx, i)
+				}
+				assertOracle(t, ctx, x)
+			}
+			if !merged || !split {
+				t.Fatalf("%s: merged %v, split %v; want both", ctx, merged, split)
+			}
+			assertDirectory(t, ctx+" written", x)
+
+			if !bytes.Equal(readFixture(t, name), file) {
+				t.Fatalf("%s: the file changed", ctx)
+			}
+			for i, ar := range arenas {
+				if off, blob := ar.f.Raw(); !bytes.Equal(slices.Concat(off, blob), ar.want) {
+					t.Fatalf("%s: arena %d changed under the writes", ctx, i)
+				}
+			}
+			e := x.shards[x.ShardOf(u)].idx.eng
+			if e.Compressed() || e.Lean() || e.ResidentBytes() != 8*e.EntryCount() {
+				t.Fatalf("%s: written shard compressed %v, lean %v, %d B for %d entries; want 8 B per entry",
+					ctx, e.Compressed(), e.Lean(), e.ResidentBytes(), e.EntryCount())
+			}
+			if x.CompressedBytes() == 0 {
+				t.Fatalf("%s: no shard serves its file arena any more", ctx)
+			}
+
+			back, err := Read(bytes.NewReader(writeV2(t, x)))
+			if err != nil {
+				t.Fatalf("%s: v2 reload: %v", ctx, err)
+			}
+			y := back.(*Sharded)
+			assertCountersAgree(t, ctx+" v2 reload", x, y, mirror.NumVertices())
+			if y.opts.Order != x.opts.Order {
+				t.Fatalf("%s: v2 reload strategy %s, want %s", ctx, y.opts.Order, x.opts.Order)
+			}
+			for i, sh := range x.liveShards() {
+				ysh := y.liveShards()[i]
+				if ysh.strat != sh.strat || !slices.Equal(ysh.verts, sh.verts) {
+					t.Fatalf("%s: v2 reload shard %d: tag %s members %v, want %s %v", ctx, i, ysh.strat, ysh.verts, sh.strat, sh.verts)
+				}
+				o, yo := sh.idx.eng.Ord, ysh.idx.eng.Ord
+				for r := 0; r < o.Len(); r++ {
+					if o.VertexAt(r) != yo.VertexAt(r) {
+						t.Fatalf("%s: v2 reload shard %d order differs at rank %d", ctx, i, r)
+					}
+				}
+			}
+		}
+	}
 }

@@ -18,12 +18,21 @@ import (
 // repair and INCCNT included — so any writer or maintenance change that
 // moves a single byte of a maintained index shows up here. The 6-vertex
 // goldens pin only freshly built indexes.
+//
+// The retired v3/v4 writer's bytes of the same two maintained indexes
+// (degree, and coverage under seed 3) are kept as testdata files, pinned
+// by maintainedFileDigests: each loads and writes exactly the v2 bytes
+// of the same maintenance run under the same order, every list the file
+// holds included.
 var maintainedDigests = map[string]string{
 	"v1":            "2d3948061b317cb2d05b91a5b4ac12a16a202a7623751211dc9bcf2a0db4fda2",
 	"v2":            "ffc267730f34bcb2edc8b0373715e8a376ae774e6fa98318962bd1f887ca61e0",
 	"v2-minimality": "e30e0fd87dde464bd86e2d9056a5f9bf28370cc9ab2a8704c790e7788aab51c5",
-	"v3":            "8623d84f8b320d4ff2e954b9013b831608d3d633d7f8483cc1865543c59ce785",
-	"v4":            "d4d4f157a3b2aa1f26d7479653e2bf2fb98b96d6d51d364df73119df65ec0cbc",
+}
+
+var maintainedFileDigests = map[string]string{
+	"v3_maintained.csc": "8623d84f8b320d4ff2e954b9013b831608d3d633d7f8483cc1865543c59ce785",
+	"v4_maintained.csc": "d4d4f157a3b2aa1f26d7479653e2bf2fb98b96d6d51d364df73119df65ec0cbc",
 }
 
 // mixedBatches is randomBatches with half of its ops deleting a present
@@ -60,13 +69,16 @@ func TestMaintainedSnapshotDigests(t *testing.T) {
 	base := randomGraph(rand.New(rand.NewSource(seed)), 150, 2)
 	batches := mixedBatches(rand.New(rand.NewSource(seed+1)), base, 40, 8)
 
+	sha := func(data []byte) string {
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
+	}
 	digest := func(w io.WriterTo) string {
 		var buf bytes.Buffer
 		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		return hex.EncodeToString(sum[:])
+		return sha(buf.Bytes())
 	}
 	sharded := func(opts Options) string {
 		x, _ := BuildSharded(base.Clone(), opts)
@@ -97,12 +109,27 @@ func TestMaintainedSnapshotDigests(t *testing.T) {
 		"v1":            digest(mono),
 		"v2":            sharded(Options{}),
 		"v2-minimality": sharded(Options{Strategy: pll.Minimality}),
-		"v3":            sharded(Options{CompressLabels: true}),
-		"v4":            sharded(Options{CompressLabels: true, Order: order.Coverage, OrderSeed: 3}),
+	}
+	sameRun := map[string]string{
+		"v3_maintained.csc": got["v2"],
+		"v4_maintained.csc": sharded(Options{Order: order.Coverage, OrderSeed: 3}),
 	}
 	for name, want := range maintainedDigests {
 		if got[name] != want {
 			t.Errorf("%s snapshot sha256 = %s, want %s", name, got[name], want)
+		}
+	}
+	for name, want := range maintainedFileDigests {
+		data := readFixture(t, name)
+		if sha(data) != want {
+			t.Fatalf("%s sha256 = %s, want %s", name, sha(data), want)
+		}
+		loaded, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v2 := digest(loaded); v2 != sameRun[name] {
+			t.Errorf("%s writes v2 with sha256 %s, the same maintenance run %s", name, v2, sameRun[name])
 		}
 	}
 }

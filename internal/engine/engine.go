@@ -259,11 +259,10 @@ type Stats struct {
 	// durability-lost degraded mode (heals on a successful snapshot).
 	WALRetries uint64 `json:"wal_retries,omitempty"`
 	ReadOnly   bool   `json:"read_only,omitempty"`
-	// CompressedBytes is the frozen-arena label footprint (zero when the
-	// index was not built with compressed labels); LabelsRefrozen counts
-	// thawed lists folded back into the arena at writer quiesce.
-	CompressedBytes int    `json:"compressed_bytes,omitempty"`
-	LabelsRefrozen  uint64 `json:"labels_refrozen,omitempty"`
+	// CompressedBytes is the footprint of the v3/v4 file arenas that
+	// shards not yet written serve (zero for an index built or loaded
+	// from v1/v2).
+	CompressedBytes int `json:"compressed_bytes,omitempty"`
 	// Degraded lists shard slots currently serving stale answers while an
 	// out-of-band rebuild is pending; OOBRebuilds counts completed
 	// background swaps, OOBSuperseded rebuilds discarded because later
@@ -314,7 +313,6 @@ type Engine struct {
 	batches, snaps      *obs.Counter
 	shed, overload      *obs.Counter
 	walRetries          *obs.Counter
-	refrozen            *obs.Counter
 	walBytes            atomic.Int64
 
 	// Latency histograms and the trace ring, nil without Options.Metrics
@@ -414,7 +412,7 @@ func start(ix *csc.Sharded, st *Store, seq uint64, opts Options) *Engine {
 		coalesced: &obs.Counter{}, rejected: &obs.Counter{},
 		batches: &obs.Counter{}, snaps: &obs.Counter{},
 		shed: &obs.Counter{}, overload: &obs.Counter{},
-		walRetries: &obs.Counter{}, refrozen: &obs.Counter{},
+		walRetries: &obs.Counter{},
 	}
 	if !opts.NoCache {
 		e.cache = newReadCache(ix)
@@ -796,7 +794,6 @@ func (e *Engine) Stats() Stats {
 	c, s := e.ix.OOBRebuilds()
 	st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)
 	st.CompressedBytes = e.ix.CompressedBytes()
-	st.LabelsRefrozen = e.refrozen.Load()
 	st.CacheSlots = e.cacheSlots()
 	m.RUnlock()
 	return st
@@ -854,7 +851,6 @@ func (e *Engine) run() {
 			e.applyPending()
 		}
 		stopTimer()
-		e.refreezeQuiesced()
 	}
 	for {
 		select {
@@ -865,7 +861,6 @@ func (e *Engine) run() {
 			case len(e.pending) >= e.opts.MaxBatch || e.opts.FlushInterval < 0:
 				e.applyPending()
 				stopTimer()
-				e.refreezeQuiesced()
 			case timerC == nil:
 				timer = time.NewTimer(e.opts.FlushInterval)
 				timerC = timer.C
@@ -874,7 +869,6 @@ func (e *Engine) run() {
 			timer = nil
 			timerC = nil
 			e.applyPending()
-			e.refreezeQuiesced()
 		case r := <-e.rebuilt:
 			e.finishRebuild(r)
 		case req := <-e.ctl:
@@ -903,25 +897,6 @@ func (e *Engine) run() {
 			}
 			return
 		}
-	}
-}
-
-// refreezeQuiesced folds label lists thawed by dynamic updates back into
-// the compressed frozen arena once the writer has nothing queued. Runs on
-// the writer goroutine at quiesce points (timer flush, full-batch apply,
-// flushAll) so a sustained update storm never pays the arena rebuild —
-// only the first idle moment after one does. On an uncompressed index the
-// call is a no-op with no thawed lists, so the lock sweep is the only
-// cost and it is skipped unless a batch just ran.
-func (e *Engine) refreezeQuiesced() {
-	if len(e.pending) > 0 || len(e.mail) > 0 {
-		return
-	}
-	e.lock.lockAll()
-	n := e.ix.RefreezeLabels()
-	e.lock.unlockAll()
-	if n > 0 {
-		e.refrozen.Add(uint64(n))
 	}
 }
 

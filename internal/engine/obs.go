@@ -115,12 +115,12 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.GraphBytes())
 	})
-	reg.GaugeFunc("cscd_label_compressed_bytes", "compressed frozen-arena label footprint in bytes (0 when labels are uncompressed)", func() float64 {
+	reg.GaugeFunc("cscd_label_compressed_bytes", "bytes of the v3/v4 file label arenas that unwritten shards serve (0 when none)", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
 		return float64(e.ix.CompressedBytes())
 	})
-	reg.GaugeFunc("cscd_label_bytes_per_entry", "compressed label bytes per entry (0 when labels are uncompressed)", func() float64 {
+	reg.GaugeFunc("cscd_label_bytes_per_entry", "file-arena label bytes per label entry (0 when no shard serves a v3/v4 file arena)", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
 		n := e.ix.EntryCount()
@@ -135,7 +135,6 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.cacheSlots())
 	})
-	reg.CounterFunc("cscd_labels_refrozen_total", "thawed label lists folded back into the compressed arena at quiesce", e.refrozen.Load)
 	reg.CounterFunc("cscd_bloom_checks_total", "joins over compressed labels screened by bloom signatures", func() uint64 {
 		c, _ := label.BloomStats()
 		return c

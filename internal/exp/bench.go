@@ -40,12 +40,6 @@ type BenchResult struct {
 	// build/size fields describe the sharded build.
 	Sharding *ShardingRow `json:"sharding,omitempty"`
 
-	// Storage is set on the MEM-* rows the suite appends after SHARD-*:
-	// the compressed frozen-arena footprint vs the mutable
-	// representation, bloom pre-screen reject rate, and v3 cold-start
-	// latency (storage.go).
-	Storage *StorageRow `json:"storage,omitempty"`
-
 	// Ordering is set on the ORD-* rows the suite appends last: the
 	// hub-ordering shootout — label bytes, build time, and query
 	// percentiles per strategy, normalized against the degree baseline
@@ -125,8 +119,8 @@ func Bench(s Scale, d Dataset) BenchResult {
 
 // BenchSuite runs Bench over the given datasets, then appends the
 // deterministic size families: one row per condensation-sharding family
-// (SHARD-*), per storage family (MEM-*) and per ordering strategy and
-// family (ORD-*), so they land in the same BENCH_*.json artifact.
+// (SHARD-*) and per ordering strategy and family (ORD-*), so they land
+// in the same BENCH_*.json artifact.
 func BenchSuite(s Scale, ds []Dataset) []BenchResult {
 	var out []BenchResult
 	for _, d := range ds {
@@ -145,20 +139,6 @@ func BenchSuite(s Scale, ds []Dataset) []BenchResult {
 			Entries:     row.ShardedBytes / 8,
 			Bytes:       row.ShardedBytes,
 			Sharding:    &row,
-		})
-	}
-	for _, row := range Storage(s) {
-		row := row
-		out = append(out, BenchResult{
-			Dataset:    "MEM-" + row.Family,
-			Scale:      s.String(),
-			Workers:    Workers,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			N:          row.N,
-			M:          row.M,
-			Entries:    row.Entries,
-			Bytes:      row.CompressedBytes,
-			Storage:    &row,
 		})
 	}
 	for _, row := range Ordering(s) {

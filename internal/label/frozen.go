@@ -30,11 +30,9 @@ import (
 //	entry stream              bitpack.AppendDeltaBlocks encoding
 //
 // Queries read sections through cursors without materializing entries;
-// the sync records keep the join kernels' seeks sub-linear. A dynamic
-// update thaws only the touched list back to its mutable slice form
-// (marking the section dead here); FreezeCompressed re-freezes a group
-// by copying still-frozen sections verbatim and re-encoding only the
-// thawed ones.
+// the sync records keep the join kernels' seeks sub-linear. An arena is
+// never written after it is built: its owner decodes the sections into
+// mutable lists before the first label write.
 //
 // The blob and offset table may alias a read-only mmap'd file: nothing
 // here ever writes through them. Decoding arbitrary (corrupt) bytes is
@@ -45,10 +43,7 @@ type Frozen struct {
 	off  []byte // raw LE uint32 × (lists+1); section i is blob[off[i]:off[i+1]]
 
 	lists   int
-	entries int // live entries at freeze time
-
-	thawed  []bool // sections re-materialized as mutable lists; nil until the first thaw
-	nthawed int
+	entries int // entries at freeze (or load) time
 
 	// noStats keeps joins over these sections out of BloomStats (see
 	// SkipBloomStats).
@@ -89,15 +84,13 @@ func BloomStats() (checks, rejects uint64) {
 // SkipBloomStats stops joins whose out-list lives in f from counting in
 // BloomStats. The counters are shared by every reader in the process, so
 // an arena on the default read path (a reduced index's stored lists)
-// leaves them to the compression opt-in they report on.
+// leaves them to the v3/v4 file arenas they report on.
 func (f *Frozen) SkipBloomStats() { f.noStats = true }
 
-// FreezeCompressed packs every list of the given groups into a fresh
-// compressed arena and re-points each list at its section. Lists that
-// are already frozen copy their sections verbatim (no decode); mutable
-// lists — fresh ones, or lists thawed by updates since the last freeze —
-// are re-encoded. The lists remain fully usable afterwards: queries
-// stream the compressed form, mutations thaw the touched list first.
+// FreezeCompressed packs every list of the given groups, which must all
+// be mutable, into a fresh compressed arena and re-points each list at
+// its section: from then on the lists are read-only views that stream
+// the compressed form.
 func FreezeCompressed(groups ...[]List) *Frozen {
 	lists, approx := 0, 0
 	for _, g := range groups {
@@ -117,11 +110,7 @@ func FreezeCompressed(groups ...[]List) *Frozen {
 			l := &g[i]
 			f.off = binary.LittleEndian.AppendUint32(f.off, uint32(len(f.blob)))
 			f.entries += l.Len()
-			if l.fz != nil {
-				f.blob = append(f.blob, l.fz.section(l.fi)...)
-			} else {
-				f.blob = appendSection(f.blob, l.e)
-			}
+			f.blob = appendSection(f.blob, l.Entries())
 			*l = List{fz: f, fi: idx}
 			idx++
 		}
@@ -178,11 +167,14 @@ func appendSection(dst []byte, es []bitpack.Entry) []byte {
 // 23 (hub), 17 (distance) and 24 (count) bits.
 const maxEntryBytes = 4 + 3 + 4
 
-// NewFrozen wraps deserialized section bytes — the v3 load path. off
-// and blob may alias a read-only mapping; only the structural offset
-// invariants are checked here (cheap, O(lists)), so a cold mmap'd
-// daemon serves before label pages fault in. Call Validate for the full
-// strict decode used on trusted (stream) loads.
+// NewFrozen wraps deserialized section bytes — the v3/v4 load path. off
+// and blob may alias a read-only mapping, which NewFrozen neither copies
+// nor decodes in full: it checks the offset invariants and sums every
+// section's header entry count for the caller to cross-check against
+// the file's total. That reads the first bytes of every section, so an
+// mmap'd load touches each label page once; what it skips is the copy
+// and the strict per-entry decode. Call Validate for that decode, as
+// stream loads do.
 func NewFrozen(off, blob []byte) (*Frozen, error) {
 	if len(off) < 8 || len(off)%4 != 0 {
 		return nil, fmt.Errorf("label: frozen offset table of %d bytes", len(off))
@@ -209,31 +201,10 @@ func NewFrozen(off, blob []byte) (*Frozen, error) {
 	return f, nil
 }
 
-// AttachFrozen points each list of the given groups at its section of
-// f, in the same group order FreezeCompressed walks. The v3 reader uses
-// this to bring deserialized lists up without decoding anything.
-func AttachFrozen(f *Frozen, groups ...[]List) error {
-	idx := int32(0)
-	for _, g := range groups {
-		for i := range g {
-			if int(idx) >= f.lists {
-				break
-			}
-			g[i] = List{fz: f, fi: idx}
-			idx++
-		}
-	}
-	if int(idx) != f.lists {
-		return fmt.Errorf("label: frozen arena has %d sections for %d lists", f.lists, idx)
-	}
-	return nil
-}
-
 // Section returns a read-only view of section i by value: a list that
 // streams the section, for an owner that keeps no List headers (a lean
-// reduced index, see pll). Reading it through Join, Each, Len, Lookup
-// or AppendTo allocates nothing. Callers only read it: a mutation would
-// thaw the copy and mark the section thawed in f.
+// index, see pll). Reading it through Join, Each, Len, Lookup or
+// AppendTo allocates nothing; a mutating call panics.
 func (f *Frozen) Section(i int) List { return List{fz: f, fi: int32(i)} }
 
 // Lists returns the number of sections.
@@ -245,18 +216,9 @@ func (f *Frozen) Entries() int { return f.entries }
 // Bytes returns the compressed footprint: blob plus offset table.
 func (f *Frozen) Bytes() int { return len(f.blob) + len(f.off) }
 
-// ArenaBytes returns what the same lists cost in the uncompressed CSR
-// arena form: 8 bytes per entry plus 8×ArenaPad per list.
-func (f *Frozen) ArenaBytes() int { return 8 * (f.entries + ArenaPad*f.lists) }
-
-// ThawedLists returns how many sections updates have thawed back to
-// mutable form since the freeze — the re-freeze trigger.
-func (f *Frozen) ThawedLists() int { return f.nthawed }
-
-// Raw exposes the arena's backing bytes for serialization: the raw
-// little-endian offset table and the section blob. Callers must not
-// write through them, and must re-freeze first if any list has thawed
-// (the thawed sections here are stale).
+// Raw exposes the arena's backing bytes: the raw little-endian offset
+// table and the section blob, the form NewFrozen takes back. Callers
+// must not write through them.
 func (f *Frozen) Raw() (off, blob []byte) { return f.off, f.blob }
 
 func (f *Frozen) offAt(i int32) int {
@@ -267,18 +229,8 @@ func (f *Frozen) section(i int32) []byte {
 	return f.blob[f.offAt(i):f.offAt(i+1)]
 }
 
-func (f *Frozen) markThawed(i int32) {
-	if f.thawed == nil {
-		f.thawed = make([]bool, f.lists)
-	}
-	if !f.thawed[i] {
-		f.thawed[i] = true
-		f.nthawed++
-	}
-}
-
 // header parses list i's section header. Corrupt headers parse as empty
-// — cursors and thaws degrade gracefully; Validate rejects them loudly.
+// — cursors and decodes degrade gracefully; Validate rejects them loudly.
 func (f *Frozen) header(i int32) (n int, sig uint64, hasSig bool, sync, ent []byte) {
 	sp := f.section(i)
 	v, w := binary.Uvarint(sp)
@@ -319,17 +271,6 @@ func (f *Frozen) header(i int32) (n int, sig uint64, hasSig bool, sync, ent []by
 func (f *Frozen) listLen(i int32) int {
 	n, _, _, _, _ := f.header(i)
 	return n
-}
-
-// decode materializes list i's entries into dst (grown as needed).
-func (f *Frozen) decode(i int32, dst []bitpack.Entry) []bitpack.Entry {
-	c := f.cursor(i)
-	if cap(dst) < c.n {
-		dst = make([]bitpack.Entry, 0, c.n+ArenaPad)
-	} else {
-		dst = dst[:0]
-	}
-	return c.drain(dst)
 }
 
 // Validate fully decodes every section and re-encodes it, rejecting

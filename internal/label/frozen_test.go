@@ -62,10 +62,10 @@ func TestFrozenJoinMatchesMutable(t *testing.T) {
 	}
 }
 
-// Freezing must preserve every accessor, thawing must restore the exact
-// mutable contents, and a mutation after thaw must leave other lists of
-// the arena untouched.
-func TestFreezeThawPreserves(t *testing.T) {
+// Freezing must preserve every read accessor, and a frozen list must be
+// read-only: every call that needs the mutable slice panics and leaves
+// the arena's bytes as they were.
+func TestFreezePreservesReadOnly(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	lists := make([]List, 6)
 	want := make([][]bitpack.Entry, 6)
@@ -77,11 +77,14 @@ func TestFreezeThawPreserves(t *testing.T) {
 	if f.Entries() != 0+1+3+10+40+90 {
 		t.Fatalf("frozen entries = %d", f.Entries())
 	}
-	if f.Bytes() >= f.ArenaBytes() {
-		t.Fatalf("compressed %d bytes not smaller than arena %d", f.Bytes(), f.ArenaBytes())
+	if f.Bytes() >= 8*f.Entries() {
+		t.Fatalf("compressed %d bytes not smaller than %d entries at 8 B", f.Bytes(), f.Entries())
 	}
 	for i := range lists {
 		l := &lists[i]
+		if !l.Frozen() {
+			t.Fatalf("list %d not frozen", i)
+		}
 		if l.Len() != len(want[i]) {
 			t.Fatalf("list %d: Len = %d, want %d", i, l.Len(), len(want[i]))
 		}
@@ -91,15 +94,11 @@ func TestFreezeThawPreserves(t *testing.T) {
 		var got []bitpack.Entry
 		l.Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
 		entriesEqual(t, "Each", got, want[i])
-		if l.Frozen() != (len(want[i]) > 0) {
-			// Empty lists still point at the arena; only content matters.
-			_ = l
-		}
+		entriesEqual(t, "AppendTo", l.AppendTo(nil), want[i])
+		sec := f.Section(i)
+		entriesEqual(t, "Section", sec.AppendTo(nil), want[i])
 		cl := l.Clone()
 		entriesEqual(t, "Clone", cl.Entries(), want[i])
-		if l.Frozen() != (l.fz != nil) {
-			t.Fatal("Frozen() out of sync")
-		}
 		for _, e := range want[i] {
 			got, ok := l.Lookup(e.Hub())
 			if !ok || got != e {
@@ -110,39 +109,42 @@ func TestFreezeThawPreserves(t *testing.T) {
 			t.Fatalf("list %d: Lookup past the end succeeded", i)
 		}
 	}
-	// Thaw list 4 via mutation; the others stay frozen and intact.
-	lists[4].Set(bitpack.Pack(500, 1, 1))
-	if lists[4].Frozen() {
-		t.Fatal("mutated list still frozen")
-	}
-	if f.ThawedLists() != 1 {
-		t.Fatalf("ThawedLists = %d", f.ThawedLists())
-	}
-	entriesEqual(t, "thawed", lists[4].Entries()[:len(want[4])], want[4])
-	var got []bitpack.Entry
-	lists[5].Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
-	entriesEqual(t, "sibling after thaw", got, want[5])
 
-	// Refreeze: the untouched sections copy verbatim, the thawed one
-	// re-encodes; everything still reads back exactly.
-	f2 := FreezeCompressed(lists)
-	if f2.ThawedLists() != 0 {
-		t.Fatalf("fresh arena reports %d thawed", f2.ThawedLists())
+	off, blob := f.Raw()
+	before := string(off) + string(blob)
+	for name, call := range map[string]func(l *List){
+		"Entries": func(l *List) { l.Entries() },
+		"Append":  func(l *List) { l.Append(bitpack.Pack(500, 1, 1)) },
+		"Set":     func(l *List) { l.Set(bitpack.Pack(7, 1, 1)) },
+		"Remove":  func(l *List) { l.Remove(want[4][0].Hub()) },
+		"Reset":   func(l *List) { l.Reset() },
+	} {
+		for _, l := range []*List{&lists[4], func() *List { sec := f.Section(4); return &sec }()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s on a frozen list did not panic", name)
+					}
+				}()
+				call(l)
+			}()
+			if !l.Frozen() {
+				t.Fatalf("%s detached the frozen list", name)
+			}
+		}
 	}
-	want[4] = append(want[4], bitpack.Pack(500, 1, 1))
-	for i := range lists {
-		got = got[:0]
-		lists[i].Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
-		entriesEqual(t, "refrozen", got, want[i])
+	if off, blob := f.Raw(); string(off)+string(blob) != before {
+		t.Fatal("a mutating call changed the arena's bytes")
 	}
-	if err := f2.Validate(bitpack.MaxHub + 1); err != nil {
-		t.Fatalf("Validate(refrozen): %v", err)
+	entriesEqual(t, "after refused writes", lists[4].AppendTo(nil), want[4])
+	if err := f.Validate(bitpack.MaxHub + 1); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 }
 
 // The serialization path: raw (off, blob) bytes round-trip through
-// NewFrozen + AttachFrozen into lists that answer identically, and
-// Validate accepts exactly the canonical encoding.
+// NewFrozen into sections that answer identically, and Validate accepts
+// exactly the canonical encoding.
 func TestFrozenRawRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	in := make([]List, 4)
@@ -171,21 +173,15 @@ func TestFrozenRawRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded arena: %d lists %d entries, want %d/%d",
 			f2.Lists(), f2.Entries(), f.Lists(), f.Entries())
 	}
-	in2 := make([]List, 4)
-	out2 := make([]List, 4)
-	if err := AttachFrozen(f2, in2, out2); err != nil {
-		t.Fatalf("AttachFrozen: %v", err)
-	}
-	for i := range in2 {
+	for i := range in {
 		var got []bitpack.Entry
-		in2[i].Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
+		in2 := f2.Section(i)
+		in2.Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
 		entriesEqual(t, "reloaded in", got, want["in"+string(rune('0'+i))])
 		got = got[:0]
-		out2[i].Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
+		out2 := f2.Section(len(in) + i)
+		out2.Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
 		entriesEqual(t, "reloaded out", got, want["out"+string(rune('0'+i))])
-	}
-	if err := AttachFrozen(f2, in2); err == nil {
-		t.Fatal("AttachFrozen with too few lists succeeded")
 	}
 
 	// Structural rejects.
@@ -243,15 +239,38 @@ func TestBloomSignatures(t *testing.T) {
 		t.Fatal("sig-less pair counted as a bloom check")
 	}
 
-	// An arena that skips the counters still screens: the disjoint pair
-	// answers Unreachable, and neither counter moves.
-	quiet := []List{listOf(disjointA.Entries()), listOf(disjointB.Entries())}
-	FreezeCompressed(quiet).SkipBloomStats()
-	c4, r4 := BloomStats()
-	if d, c := Join(&quiet[0], &quiet[1], Unreachable); d != Unreachable || c != 0 {
-		t.Fatalf("disjoint Join over a quiet arena = (%d,%d)", d, c)
+	// A reduced store (pll's lean index) is one arena of stored lists
+	// read as sections: Lin at section v, Lout at section n+v. Its
+	// Section views screen too — a disjoint pair is rejected from the
+	// signatures, an intersecting one is checked and joined — and once
+	// the store skips the counters, as pll's freeze does, the same
+	// joins answer identically without moving them.
+	store := FreezeCompressed(
+		[]List{listOf(disjointA.Entries()), listOf(disjointB.Entries())},
+		[]List{listOf(disjointB.Entries()), listOf(disjointA.Entries())})
+	join := func(out, in int) (int, uint64) {
+		o, i := store.Section(out), store.Section(in)
+		return Join(&o, &i, Unreachable)
 	}
-	if c5, r5 := BloomStats(); c5 != c4 || r5 != r4 {
-		t.Fatalf("quiet arena moved the bloom counters: checks %d -> %d, rejects %d -> %d", c4, c5, r4, r5)
+	c4, r4 := BloomStats()
+	if d, c := join(2, 0); d != Unreachable || c != 0 {
+		t.Fatalf("disjoint Join over a reduced store = (%d,%d)", d, c)
+	}
+	if d, c := join(2, 1); d != 2 || c != 4 {
+		t.Fatalf("intersecting Join over a reduced store = (%d,%d), want (2,4)", d, c)
+	}
+	if c5, r5 := BloomStats(); c5 != c4+2 || r5 != r4+1 {
+		t.Fatalf("reduced store: checks %d -> %d, rejects %d -> %d; want +2 and +1", c4, c5, r4, r5)
+	}
+	store.SkipBloomStats()
+	c6, r6 := BloomStats()
+	if d, c := join(2, 0); d != Unreachable || c != 0 {
+		t.Fatalf("disjoint Join over a quiet store = (%d,%d)", d, c)
+	}
+	if d, c := join(2, 1); d != 2 || c != 4 {
+		t.Fatalf("intersecting Join over a quiet store = (%d,%d), want (2,4)", d, c)
+	}
+	if c7, r7 := BloomStats(); c7 != c6 || r7 != r6 {
+		t.Fatalf("quiet store moved the bloom counters: checks %d -> %d, rejects %d -> %d", c6, c7, r6, r7)
 	}
 }

@@ -21,15 +21,16 @@ const Unreachable = int(bitpack.MaxDist)
 // order. The zero value is an empty, ready-to-use list.
 //
 // A list lives in one of two forms. The mutable form backs entries with a
-// plain slice (possibly a span of the CSR Arena). After FreezeCompressed
-// the slice is released and the list reads its section of a compressed
-// Frozen arena through streaming cursors — Each, Lookup, and Join never
-// materialize entries. Any mutation (or an explicit Entries /
-// At call) thaws the list first: the section decodes back into a private
-// slice and the list detaches from the arena until the next freeze.
+// plain slice (possibly a span of the CSR Arena). A frozen list is a
+// read-only view of one section of a Frozen arena (FreezeCompressed,
+// Frozen.Section): Each, AppendTo, Lookup and Join stream the section
+// through cursors and never materialize it. The section may alias a
+// read-only mapping of an index file, so every call that needs the
+// mutable slice (Entries, Append, Set, Remove, Reset) panics on a frozen
+// list; its owner decodes the section into a fresh list first.
 type List struct {
 	e  []bitpack.Entry
-	fz *Frozen // non-nil while frozen; thawing detaches
+	fz *Frozen // non-nil for a frozen view
 	fi int32   // section index within fz
 }
 
@@ -37,21 +38,15 @@ type List struct {
 // entries. The list takes e over: the caller must not use it afterwards.
 func Wrap(e []bitpack.Entry) List { return List{e: e} }
 
-// Frozen reports whether the list currently reads from a compressed
-// arena.
+// Frozen reports whether the list is a read-only view of a compressed
+// arena section.
 func (l *List) Frozen() bool { return l.fz != nil }
 
-// thaw decodes the frozen section back into a private mutable slice and
-// detaches the list from the arena. Thawing is driven by the single
-// writer (updates); concurrent readers are the caller's concern, exactly
-// as for slice mutation.
-func (l *List) thaw() {
-	if l.fz == nil {
-		return
+// mutable panics on a frozen list, whose section is read-only.
+func (l *List) mutable() {
+	if l.fz != nil {
+		panic("label: a frozen list is read-only")
 	}
-	l.e = l.fz.decode(l.fi, l.e)
-	l.fz.markThawed(l.fi)
-	l.fz = nil
 }
 
 // Len returns the number of entries.
@@ -62,17 +57,10 @@ func (l *List) Len() int {
 	return len(l.e)
 }
 
-// At returns the i-th entry in rank order, thawing a frozen list (random
-// access wants the materialized form; hot read paths use Each).
-func (l *List) At(i int) bitpack.Entry {
-	l.thaw()
-	return l.e[i]
-}
-
-// Entries exposes the backing slice for read-only iteration, thawing a
-// frozen list first. Read paths that must not thaw use Each.
+// Entries exposes the backing slice of a mutable list for read-only
+// iteration. A frozen list has none: read it with Each or AppendTo.
 func (l *List) Entries() []bitpack.Entry {
-	l.thaw()
+	l.mutable()
 	return l.e
 }
 
@@ -97,9 +85,8 @@ func (l *List) Each(fn func(bitpack.Entry) bool) {
 }
 
 // AppendTo appends the list's entries to dst in ascending hub order and
-// returns the extended slice. A frozen list decodes through one cursor
-// without thawing; bulk readers (the writers, an expansion) use it
-// instead of Each.
+// returns the extended slice. A frozen list decodes through one cursor;
+// bulk readers (the writers, an expansion) use it instead of Each.
 func (l *List) AppendTo(dst []bitpack.Entry) []bitpack.Entry {
 	if l.fz == nil {
 		return append(dst, l.e...)
@@ -109,7 +96,7 @@ func (l *List) AppendTo(dst []bitpack.Entry) []bitpack.Entry {
 }
 
 // Lookup finds the entry with the given hub rank. Frozen lists seek
-// through the sync records without thawing.
+// through the sync records.
 func (l *List) Lookup(hub int) (bitpack.Entry, bool) {
 	if l.fz != nil {
 		c := l.fz.cursor(l.fi)
@@ -135,7 +122,7 @@ func (l *List) search(hub int) int {
 // plain append; out-of-order hubs fall back to a sorted insert. Appending
 // an existing hub replaces its entry.
 func (l *List) Append(e bitpack.Entry) {
-	l.thaw()
+	l.mutable()
 	if n := len(l.e); n == 0 || l.e[n-1].Hub() < e.Hub() {
 		l.e = append(l.e, e)
 		return
@@ -146,7 +133,7 @@ func (l *List) Append(e bitpack.Entry) {
 // Set inserts e at its sorted position, replacing any entry with the same
 // hub. It reports whether a new entry was inserted (vs. replaced).
 func (l *List) Set(e bitpack.Entry) bool {
-	l.thaw()
+	l.mutable()
 	i := l.search(e.Hub())
 	if i < len(l.e) && l.e[i].Hub() == e.Hub() {
 		l.e[i] = e
@@ -161,7 +148,7 @@ func (l *List) Set(e bitpack.Entry) bool {
 // Remove deletes the entry with the given hub rank, reporting whether one
 // existed.
 func (l *List) Remove(hub int) bool {
-	l.thaw()
+	l.mutable()
 	i := l.search(hub)
 	if i >= len(l.e) || l.e[i].Hub() != hub {
 		return false
@@ -171,23 +158,18 @@ func (l *List) Remove(hub int) bool {
 }
 
 // Clone returns an independent mutable copy. Cloning a frozen list
-// decodes its section without thawing the original.
+// decodes its section.
 func (l *List) Clone() List {
 	if l.fz != nil {
-		return List{e: l.fz.decode(l.fi, nil)}
+		c := l.fz.cursor(l.fi)
+		return List{e: c.drain(make([]bitpack.Entry, 0, c.n))}
 	}
 	return List{e: append([]bitpack.Entry(nil), l.e...)}
 }
 
-// Reset empties the list, keeping capacity. A frozen list just detaches
-// (nothing to decode).
+// Reset empties the list, keeping capacity.
 func (l *List) Reset() {
-	if l.fz != nil {
-		l.fz.markThawed(l.fi)
-		l.fz = nil
-		l.e = nil
-		return
-	}
+	l.mutable()
 	l.e = l.e[:0]
 }
 

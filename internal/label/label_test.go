@@ -22,7 +22,7 @@ func TestAppendKeepsOrder(t *testing.T) {
 		t.Fatalf("len = %d", l.Len())
 	}
 	for i := 1; i < l.Len(); i++ {
-		if l.At(i-1).Hub() >= l.At(i).Hub() {
+		if l.Entries()[i-1].Hub() >= l.Entries()[i].Hub() {
 			t.Fatal("not sorted")
 		}
 	}
@@ -148,7 +148,7 @@ func TestListMatchesReferenceMap(t *testing.T) {
 			return false
 		}
 		for i := 1; i < l.Len(); i++ {
-			if l.At(i-1).Hub() >= l.At(i).Hub() {
+			if l.Entries()[i-1].Hub() >= l.Entries()[i].Hub() {
 				return false
 			}
 		}

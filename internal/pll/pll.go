@@ -161,21 +161,15 @@ type Index struct {
 	// labels are per-vertex allocations or live in frozen.
 	arena *label.Arena
 
-	// frozen is the delta+varint arena: a reduced index's stored lists
-	// (Freeze), or every list of a compressed one. Updates thaw only the
-	// lists they touch.
+	// frozen is the delta+varint arena of a lean index: a reduced
+	// index's stored lists (Freeze), or every list of a v3/v4 file
+	// (NewFileArena). Nothing writes it; Expand decodes it at the first
+	// label write and drops it.
 	frozen *label.Frozen
 
 	// src is the graph a lean index's G converts (DropGraph); Expand
 	// converts it again and clears it.
 	src *graph.Digraph
-
-	// compressed marks the compression opt-in (FreezeCompressed, or a v3
-	// deserialization): frozen holds all four lists of every couple, the
-	// index stays frozen across writes, and Refreeze re-packs the lists
-	// they thawed. A reduced index's frozen store is not compressed in
-	// this sense: its first write expands it to plain slices for good.
-	compressed bool
 
 	// scr is the engine-owned scratch for the dynamic update passes. It is
 	// pooled and lazily materialized (see scratch); construction borrows
@@ -380,66 +374,27 @@ func (idx *Index) Freeze() {
 }
 
 // Arena exposes the CSR store of a full index, or nil when there is none
-// (before Freeze, for a reduced or compressed index, or once a reduced
-// index expanded into plain slices).
+// (before Freeze, for a lean index, or once a reduced index expanded
+// into plain slices).
 func (idx *Index) Arena() *label.Arena { return idx.arena }
 
-// FreezeCompressed re-packs every label list from its current form (CSR
-// arena spans or private slices) into one delta+varint compressed arena
-// (label.Frozen) and marks the index compressed. Queries stream the
-// compressed sections — bloom pre-screens, sync-block seeks — and dynamic
-// maintenance thaws only the lists it touches. The CSR arena, now
-// shadowed, is released. A reduced index is expanded first: the
-// compressed arena holds every list.
-func (idx *Index) FreezeCompressed() {
-	idx.Expand()
-	idx.arena = nil
-	idx.frozen, idx.compressed = label.FreezeCompressed(idx.In, idx.Out), true
-}
+// Compressed reports whether the index serves a v3/v4 file's label
+// arena (NewFileArena), which holds every list of the labeling, until
+// its first label write. A reduced index's frozen store does not count.
+func (idx *Index) Compressed() bool { return idx.frozen != nil && !idx.reduced }
 
-// Refreeze re-packs the compressed arena when updates have thawed lists
-// since the last freeze, returning how many lists re-encoded (0 when not
-// compressed or nothing thawed). Untouched sections copy verbatim, so
-// the cost scales with the update footprint, not the index size.
-func (idx *Index) Refreeze() int {
-	if !idx.compressed || idx.frozen.ThawedLists() == 0 {
-		return 0
-	}
-	n := idx.frozen.ThawedLists()
-	idx.frozen = label.FreezeCompressed(idx.In, idx.Out)
-	return n
-}
-
-// Compressed reports whether the index was compressed (FreezeCompressed
-// or a v3 load): every list lives in the compressed arena until a write
-// thaws it. A reduced index's frozen store does not count.
-func (idx *Index) Compressed() bool { return idx.compressed }
-
-// CompressedBytes returns the physical footprint of the compressed arena
-// (0 when not compressed). Thawed lists' private slices are not counted.
+// CompressedBytes returns the footprint of the file arena the index
+// serves (0 when it serves none; see Compressed).
 func (idx *Index) CompressedBytes() int {
-	if !idx.compressed {
+	if !idx.Compressed() {
 		return 0
 	}
 	return idx.frozen.Bytes()
 }
 
-// FrozenArena exposes the delta+varint arena — every list of a compressed
-// index, for serialization — or nil when the index has none.
+// FrozenArena exposes the delta+varint arena of a lean index, or nil
+// when the index has none.
 func (idx *Index) FrozenArena() *label.Frozen { return idx.frozen }
-
-// AttachFrozen points the index's label lists at a deserialized
-// compressed arena (the v3 load path): no entries decode, the lists
-// stream their sections on demand.
-func (idx *Index) AttachFrozen(f *label.Frozen) error {
-	if err := label.AttachFrozen(f, idx.In, idx.Out); err != nil {
-		return err
-	}
-	idx.frozen, idx.compressed = f, true
-	idx.arena = nil
-	idx.entries = f.Entries()
-	return nil
-}
 
 // EntryCount returns the total number of label entries (O(1); the counter
 // is maintained by every mutation path).

@@ -28,17 +28,18 @@ import (
 // the same lists as 8-byte CSR entries. A frozen reduced index is lean:
 // it holds no List headers (In and Out are nil) — InLabel(v) and
 // OutLabel(v) are by-value views of sections v and n+v of the store, the
-// order FreezeCompressed lays In and Out out in — and, once its owner
-// calls DropGraph, no graph either: Expand converts the owner's graph
-// again at the first write. Reads stream the sections through cursors
-// and never decode a list into memory. A reduced index nobody froze (a
-// rebuild on the write path) keeps the stored lists in one slab
-// (Compact). Every label mutation (INCCNT, decremental repair, vertex
-// growth, a compressed freeze) first expands the index through Expand,
-// so the dynamic algorithms always run on a full labeling of plain
-// slices. The writers emit the derived lists, and a lean index writes
-// its graph's conversion edge for edge, so every snapshot format is
-// unchanged.
+// order label.FreezeCompressed lays In and Out out in — and, once its
+// owner calls DropGraph, no graph either: Expand converts the owner's
+// graph again at the first write. Reads stream the sections through
+// cursors and never decode a list into memory. A v3/v4 file's arena
+// (NewFileArena) is served the same way, with all four lists of every
+// couple in the same layout. A reduced index nobody froze (a rebuild on
+// the write path) keeps the stored lists in one slab (Compact). Every
+// label mutation (INCCNT, decremental repair, vertex growth) first
+// expands the index through Expand, so the dynamic algorithms always
+// run on a full labeling of plain slices. The writers emit the derived
+// lists, and a lean index writes its graph's conversion edge for edge,
+// so every snapshot format is unchanged.
 
 // NewReduced returns an index in the reduced state over a bipartite
 // conversion gb under ord, whose stored lists are in (Lin(v_in), empty at
@@ -56,13 +57,23 @@ func NewReduced(gb *graph.Digraph, ord *order.Order, in, out []label.List, mirro
 	return idx
 }
 
+// NewFileArena returns a lean index over gb under ord that serves f, a
+// v3/v4 file's label arena holding every list of the labeling: In[v] is
+// section v and Out[v] section n+v, the layout of a reduced store. f may
+// alias a read-only mapping of the file; nothing writes it. The first
+// label write decodes it into plain slices (Expand), and nothing freezes
+// the index again.
+func NewFileArena(gb *graph.Digraph, ord *order.Order, f *label.Frozen) *Index {
+	return &Index{G: gb, Ord: ord, frozen: f, entries: f.Entries()}
+}
+
 // Reduced reports whether the index stores only Lin(v_in) and Lout(v_out).
 func (idx *Index) Reduced() bool { return idx.reduced }
 
-// Lean reports whether the index is reduced and frozen: it keeps only the
-// frozen store of its stored lists, no List headers, and after DropGraph
-// no graph.
-func (idx *Index) Lean() bool { return idx.reduced && idx.frozen != nil }
+// Lean reports whether the index serves a frozen store — a frozen
+// reduced index's stored lists or a file arena — through sections: it
+// keeps no List headers, and after DropGraph no graph.
+func (idx *Index) Lean() bool { return idx.frozen != nil }
 
 // DropGraph lets a lean index forget G, which must be the bipartite
 // conversion of src (bipartite.Convert): Expand converts src again at the
@@ -77,21 +88,23 @@ func (idx *Index) DropGraph(src *graph.Digraph) {
 	}
 }
 
-// Expand turns a reduced index into a full one for its first label
-// write. A lean index first gets its graph back (bipartite.Convert of
-// the graph DropGraph named) and its List headers, then decodes its
-// stored lists and derives the mirrored ones into one slab sized for
-// exactly the full labeling, each couple's four lists side by side —
-// Lin(v_in), Lin(v_out), Lout(v_out), Lout(v_in) — and drops the frozen
-// store; each stored list decodes once, and its mirror derives from the
-// copy already in the slab. An unfrozen one (a rebuild on the write
-// path) keeps its stored slices where they are and derives only the
-// mirrors into a slab, so the expansion never holds two 8-byte copies of
-// a list. Every list in a slab is followed by the CSR arena's growth pad.
-// The written index keeps plain slices; nothing freezes it again. A full
-// index is left as is.
+// Expand turns a reduced or lean index into a full one of plain slices
+// for its first label write. A lean index first gets its graph back
+// (bipartite.Convert of the graph DropGraph named) and its List headers,
+// then fills one slab sized for exactly the full labeling, each couple's
+// four lists side by side — Lin(v_in), Lin(v_out), Lout(v_out),
+// Lout(v_in) — and drops the frozen store: a list the store holds
+// decodes once, and only a mirror it does not hold derives, from the
+// copy already in the slab. A file arena holds every list, so a
+// maintained mirror that drifted from its derivation survives byte for
+// byte. An unfrozen reduced index (a rebuild on the write path) keeps
+// its stored slices where they are and derives only the mirrors into a
+// slab, so the expansion never holds two 8-byte copies of a list. Every
+// list in a slab is followed by the CSR arena's growth pad. The written
+// index keeps plain slices; nothing freezes it again. A full index of
+// plain slices or a CSR arena is left as is.
 func (idx *Index) Expand() {
-	if !idx.reduced {
+	if !idx.reduced && idx.frozen == nil {
 		return
 	}
 	if idx.G == nil {
@@ -105,30 +118,32 @@ func (idx *Index) Expand() {
 		idx.In, idx.Out = make([]label.List, n), make([]label.List, n)
 	}
 	slab := make([]bitpack.Entry, 0, size+label.ArenaPad*lists)
-	wrap := func(lo int) (l label.List) {
-		slab, l = padList(slab, lo)
-		return l
-	}
 	for vin := 0; vin+1 < n; vin += 2 {
 		vout := vin + 1
-		lo := len(slab)
-		if decode {
-			sec := idx.frozen.Section(vin)
-			slab = sec.AppendTo(slab)
-			idx.In[vin] = wrap(lo)
-			lo = len(slab)
+		for _, l := range [4]struct {
+			v  int
+			in bool
+		}{{vin, true}, {vout, true}, {vout, false}, {vin, false}} {
+			lo := len(slab)
+			switch {
+			case idx.isMirror(l.v, l.in):
+				slab = idx.derive(l.v, l.in, slab)
+			case decode:
+				sec := l.v
+				if !l.in {
+					sec += n
+				}
+				view := idx.frozen.Section(sec)
+				slab = view.AppendTo(slab)
+			default:
+				continue // an unfrozen stored list stays where it is
+			}
+			list := &idx.Out[l.v]
+			if l.in {
+				list = &idx.In[l.v]
+			}
+			slab, *list = padList(slab, lo)
 		}
-		slab = idx.deriveIn(vout, slab)
-		idx.In[vout] = wrap(lo)
-		lo = len(slab)
-		if decode {
-			sec := idx.frozen.Section(n + vout)
-			slab = sec.AppendTo(slab)
-			idx.Out[vout] = wrap(lo)
-			lo = len(slab)
-		}
-		slab = idx.deriveOut(vin, slab)
-		idx.Out[vin] = wrap(lo)
 	}
 	idx.reduced, idx.mirrored = false, 0
 	idx.arena, idx.frozen = nil, nil
@@ -168,17 +183,17 @@ func padList(slab []bitpack.Entry, lo int) ([]bitpack.Entry, label.List) {
 	return slab, label.Wrap(slab[lo:hi:len(slab)])
 }
 
-// Reduce drops the mirrored lists of a full index whose mirrors all equal
-// their derivation, freezes the stored lists (Freeze), and reports
-// whether the index is now reduced. An index with any mirror that differs
-// from its derivation — or a compressed one, whose arena layout is fixed —
-// stays full. The loaders call it (ReadReducedFrom) before anything is
-// frozen, so a snapshot reloads as compact as the build that wrote it.
+// Reduce drops the mirrored lists of a full index of plain slices whose
+// mirrors all equal their derivation, freezes the stored lists (Freeze),
+// and reports whether the index is now reduced. An index with any mirror
+// that differs from its derivation stays full. The loaders call it
+// (ReadReducedFrom) before anything is frozen, so a snapshot reloads as
+// compact as the build that wrote it.
 func (idx *Index) Reduce() bool {
 	if idx.reduced {
 		return true
 	}
-	if idx.compressed || len(idx.In)%2 != 0 {
+	if len(idx.In)%2 != 0 {
 		return false
 	}
 	var buf []bitpack.Entry
@@ -249,25 +264,14 @@ func (idx *Index) derive(v int, in bool, dst []bitpack.Entry) []bitpack.Entry {
 }
 
 // ResidentBytes is the label payload the index physically holds: the
-// delta+varint arena's bytes while the labels are frozen (a reduced
-// index's stored lists, or a compressed index's lists) plus 8 per entry
-// of any list updates have thawed since, and otherwise 8 bytes per entry
-// in the CSR arena or in plain slices. It equals Bytes() for a full
-// uncompressed labeling and is about a quarter of it for a reduced one; it
-// costs O(1) unless thawed lists must be counted.
+// delta+varint arena's bytes while it is lean (a reduced index's stored
+// lists, or a file arena's lists), and otherwise 8 bytes per stored
+// entry in the CSR arena or in plain slices. It equals Bytes() for a
+// full labeling of plain slices and is about a quarter of it for a
+// frozen reduced one; it costs O(1).
 func (idx *Index) ResidentBytes() int {
-	if idx.frozen == nil {
-		return 8 * (idx.entries - idx.mirrored)
+	if idx.frozen != nil {
+		return idx.frozen.Bytes()
 	}
-	b := idx.frozen.Bytes()
-	if idx.frozen.ThawedLists() > 0 {
-		for _, side := range [][]label.List{idx.In, idx.Out} {
-			for i := range side {
-				if !side[i].Frozen() {
-					b += side[i].Bytes()
-				}
-			}
-		}
-	}
-	return b
+	return 8 * (idx.entries - idx.mirrored)
 }

@@ -168,8 +168,7 @@ func (s *Scratch) Reset() {
 // distance raised by shift (a reduced CSC construction scatters Lout(v_out)
 // with shift 1 for the Lout(v_in) it mirrors). Every Scatter must be
 // paired with an Unscatter of the same list before the scratch is reused.
-// Streaming through Each keeps a compressed-frozen anchor frozen; hubs
-// ascend, so the last entry seen carries maxHub.
+// Hubs ascend, so the last entry seen carries maxHub.
 func (s *Scratch) Scatter(l *label.List, shift int) {
 	s.maxHub = -1
 	l.Each(func(e bitpack.Entry) bool {
@@ -202,24 +201,6 @@ func (s *Scratch) Unscatter(l *label.List) {
 func (s *Scratch) Probe(l *label.List, below int) int {
 	min := int32(bitpack.MaxDist)
 	b := int32(below)
-	if l.Frozen() {
-		// Stream the compressed list without thawing; the early-stop rules
-		// are identical to the slice loop below.
-		l.Each(func(e bitpack.Entry) bool {
-			h := int32(e.Hub())
-			if h > s.maxHub {
-				return false // rank-ascending: no further shared hub possible
-			}
-			if d := s.hub[h] + int32(e.Dist()); d < min {
-				min = d
-				if d < b {
-					return false
-				}
-			}
-			return true
-		})
-		return int(min)
-	}
 	for _, e := range l.Entries() {
 		h := int32(e.Hub())
 		if h > s.maxHub {
