@@ -28,8 +28,9 @@
 // of merge-joining two lists per visited vertex. A freshly built or
 // loaded component stores only the two label lists a query joins (the
 // paper's index reduction), frozen in a delta+varint arena that reads
-// stream without decoding; its first edge update expands them into plain
-// slices, so later updates keep working without a rebuild.
+// stream without decoding; its first edge update decodes them into plain
+// slices and maintains those two lists alone, so later updates keep
+// working without a rebuild.
 //
 // # Quick start
 //

@@ -5,7 +5,7 @@
 // answered as SPCnt(v_out, v_in) in Gb — a single merge-join of two label
 // lists, independent of v's degree. Edge insertions and deletions on G
 // are maintained by the INCCNT and decremental algorithms of §V running
-// on the Gb labeling.
+// on the Gb labeling, in couple form over G itself (below).
 //
 // Construction runs in rank space: the skipping BFSes walk the shard's
 // subgraph relabeled by hub rank, one CSR per direction whose neighbor
@@ -19,13 +19,20 @@
 // arena (label.Frozen) that reads stream through cursors, and the shard
 // turns lean: it holds that store and nothing else — no list headers, no
 // Gb and no induced subgraph, which the sharded index re-induces from its
-// served graph when a write or a freeze needs it. A boot build never
-// converts Gb at all. A rebuild on the write path (merge, split,
-// deferred rebuild) leaves the stored lists in one slab of plain slices.
-// A shard's first label write gives it its write form: its induced
-// subgraph, Gb converted from it, then one slab of plain slices holding
-// all four lists of every couple (pll.Index.Expand); a shard nothing
-// writes keeps its lean form for its lifetime.
+// served graph when a write or a freeze needs it. A skipping build
+// never converts Gb. A rebuild on the write path (merge, split, deferred rebuild) leaves
+// the stored lists in one slab of plain slices. A shard's first label
+// write under Redundancy gives it its couple form: its induced subgraph,
+// and its two stored lists decoded into one exactly sized slab of plain
+// slices (pll.Index.Thaw). INCCNT and the decremental repair then walk
+// the subgraph and update those two lists alone (pll.Index.InsertCouple,
+// DeleteCouple), so a written shard stays reduced, with no Gb and no
+// mirrored list. Minimality and a labeling that is not reduced (a
+// generic construction, a load whose mirrors are no derivations of its
+// stored lists, a v3/v4 file arena) write through the generic engine
+// instead, which converts Gb and holds all four lists of every couple
+// (pll.Index.Expand). A shard nothing writes keeps its lean form for its
+// lifetime.
 //
 // The serving form is the SCC-sharded Sharded index (sharded.go), which
 // partitions by condensation, keeps the acyclic share label-free, and
@@ -89,12 +96,12 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 }
 
 // build is Build with the freeze of a reduced labeling optional. A
-// frozen labeling is lean: it holds no Gb and no list headers, and its
-// first write converts g (pll.Index.DropGraph). The rebuilds on
-// the write path pass freeze=false: the shard's next label write expands
-// it into plain slices anyway (pll.Index.Expand), so freezing it would
-// only buy a decode on that write; until then its stored lists serve
-// from one exactly sized slab (pll.Index.Compact).
+// reduced labeling holds no Gb: a frozen one is lean, holds no list
+// headers either, and its first write decodes its stored lists
+// (pll.Index.Thaw). The rebuilds on the write path pass freeze=false:
+// the shard's next label write would only decode the store again, so
+// its stored lists serve from one exactly sized slab
+// (pll.Index.Compact) instead.
 func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Index, pll.BuildStats) {
 	start := time.Now()
 	lifted := bipartite.LiftOrder(ord)
@@ -105,23 +112,17 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 			HubFilter: bipartite.IsIn,
 		})
 	} else {
-		// A frozen build drops its Gb right after the freeze, so it never
-		// converts g; the first write converts it (pll.Index.Expand).
-		var gb *graph.Digraph
-		if !freeze {
-			gb = bipartite.Convert(g)
-		}
-		eng = buildSkipping(g, gb, ord, lifted)
+		eng = buildSkipping(g, ord, lifted)
 		eng.Strategy = opts.Strategy
 		eng.HubFilter = bipartite.IsIn
 	}
 	switch {
 	case freeze && eng.Reduced():
 		eng.Freeze()
-		eng.DropGraph(g)
 	default:
 		eng.Compact()
 	}
+	eng.DropGraph(g)
 	idx := &Index{g: g, eng: eng}
 	st := eng.Stats()
 	st.Duration = time.Since(start)
@@ -129,16 +130,15 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 }
 
 // buildSkipping is the couple-vertex-skipping construction (Algorithm 3)
-// over g with base order ord; the index it returns is over gb (nil for a
-// build that freezes and drops its Gb at once) under lifted, ord lifted
-// to Gb. Only V_in vertices run hub BFSes; each labeled vertex also
+// over g with base order ord; the index it returns labels g's
+// conversion Gb under lifted, ord lifted to Gb, and holds no Gb. Only V_in vertices run hub BFSes; each labeled vertex also
 // labels its couple one step further, so the queue only ever holds one
 // vertex per couple and half the join queries are skipped. The couple's
 // labels are the mirrored lists of the paper's index reduction (§IV-E),
 // so the construction counts them without storing them and leaves the
 // index in pll's reduced state: only Lin(v_in) and Lout(v_out) are
-// stored, and the first label mutation derives the rest. The caller
-// decides whether to freeze them.
+// stored, and the couple-form writes (pll.Index.InsertCouple,
+// DeleteCouple) keep it so. The caller decides whether to freeze them.
 //
 // The passes run in rank space: base rank b stands for its couple, whose
 // Gb ranks are 2b (v_in) and 2b+1 (v_out), and every array is indexed by
@@ -148,7 +148,7 @@ func build(g *graph.Digraph, ord *order.Order, opts Options, freeze bool) (*Inde
 // Neighbor lists hold ranks in descending order, so a scan stops at the
 // first neighbor the pass may not queue: one ranked at or above the hub
 // in an in-pass, above it in an out-pass.
-func buildSkipping(g, gb *graph.Digraph, ord, lifted *order.Order) *pll.Index {
+func buildSkipping(g *graph.Digraph, ord, lifted *order.Order) *pll.Index {
 	n := ord.Len()
 	sk := &skipBuild{
 		fwd:  rankAdjacency(g, ord, (*graph.Digraph).In),
@@ -179,7 +179,7 @@ func buildSkipping(g, gb *graph.Digraph, ord, lifted *order.Order) *pll.Index {
 		in[bipartite.InVertex(v)] = label.Wrap(sk.in[b])
 		out[bipartite.OutVertex(v)] = label.Wrap(sk.out[b])
 	}
-	return pll.NewReduced(gb, lifted, in, out, sk.mirrored)
+	return pll.NewReduced(lifted, in, out, sk.mirrored)
 }
 
 // unscattered marks a hub rank the anchor list lacks; any sum with it is
@@ -420,39 +420,61 @@ func (x *Index) join(v, maxLen int, bounded bool) (length int, count uint64) {
 }
 
 // InsertEdge applies an edge insertion on the original graph and maintains
-// the Gb labeling with INCCNT.
+// the labeling with INCCNT: in couple form over the original graph when
+// the labeling is reduced under Redundancy, and otherwise through the
+// generic engine over Gb.
 func (x *Index) InsertEdge(a, b int) (pll.UpdateStats, error) {
-	expand := x.writeForm()
+	couple, prep := x.writeForm()
+	if couple {
+		st, err := x.eng.InsertCouple(x.g, a, b)
+		st.Duration += prep
+		return st, err
+	}
 	if err := x.g.AddEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	ga, gbv := bipartite.ConvertEdge(a, b)
 	st, err := x.eng.InsertEdge(ga, gbv)
-	st.Duration += expand
+	st.Duration += prep
 	return st, err
 }
 
 // DeleteEdge applies an edge deletion on the original graph and repairs
-// the Gb labeling.
+// the labeling, in couple form or through the generic engine as
+// InsertEdge chooses.
 func (x *Index) DeleteEdge(a, b int) (pll.UpdateStats, error) {
-	expand := x.writeForm()
+	couple, prep := x.writeForm()
+	if couple {
+		st, err := x.eng.DeleteCouple(x.g, a, b)
+		st.Duration += prep
+		return st, err
+	}
 	if err := x.g.RemoveEdge(a, b); err != nil {
 		return pll.UpdateStats{}, err
 	}
 	ga, gbv := bipartite.ConvertEdge(a, b)
 	st, err := x.eng.DeleteEdge(ga, gbv)
-	st.Duration += expand
+	st.Duration += prep
 	return st, err
 }
 
-// writeForm expands the labeling before a write changes x.g, which a
-// lean labeling converts back into its Gb (pll.Index.DropGraph), and
-// reports how long that took: the update's stats count it, as they did
-// when the expansion ran inside the update.
-func (x *Index) writeForm() time.Duration {
+// writeForm readies the labeling for a write before it changes x.g and
+// reports which form the write takes and how long readying it took: the
+// update's stats count that time. A reduced labeling under Redundancy is
+// written in couple form (pll.Index.CoupleForm): a frozen store decodes
+// its two stored lists (pll.Index.Thaw). Anything else — Minimality, a
+// generic construction, a loaded labeling whose mirrors are not
+// derivations of its stored lists, a v3/v4 file arena — expands to the
+// generic engine's four lists over Gb (pll.Index.Expand), which converts
+// x.g as it stands.
+func (x *Index) writeForm() (couple bool, prep time.Duration) {
 	start := time.Now()
-	x.eng.Expand()
-	return time.Since(start)
+	if couple = x.eng.CoupleForm(); couple {
+		x.eng.Thaw(x.g)
+	} else {
+		x.eng.Expand()
+	}
+	return couple, time.Since(start)
 }
 
 // Graph returns the original graph. Callers must not mutate it directly.
@@ -483,6 +505,10 @@ func (x *Index) Bytes() int { return x.eng.Bytes() }
 // (pll.Index.ResidentBytes): about a quarter of Bytes while the index is
 // reduced and frozen.
 func (x *Index) ResidentBytes() int { return x.eng.ResidentBytes() }
+
+// StoredEntries counts the label entries the index physically holds
+// (pll.Index.StoredEntries): those ResidentBytes spends its bytes on.
+func (x *Index) StoredEntries() int { return x.eng.StoredEntries() }
 
 // CompressedBytes is the footprint of the v3/v4 file arena the index
 // serves (pll.Index.Compressed), or 0 when it serves none.

@@ -2,6 +2,7 @@ package csc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,9 @@ func TestPaperTableIII(t *testing.T) {
 }
 
 // The couple-vertex-skipping construction must produce labels identical to
-// the generic engine restricted to V_in hubs — entry for entry.
+// the generic engine restricted to V_in hubs — entry for entry — and so
+// must a maintained update stream through the two write paths
+// (writePaths).
 func TestSkippingEqualsGenericConstruction(t *testing.T) {
 	graphs := []*graph.Digraph{
 		testgraphs.Figure2(),
@@ -79,21 +82,10 @@ func TestSkippingEqualsGenericConstruction(t *testing.T) {
 		graphs = append(graphs, randomGraph(r, 4+r.Intn(16), 3))
 	}
 	for gi, g := range graphs {
-		ord := order.ByDegree(g)
-		a, _ := Build(g.Clone(), ord, Options{})
-		b, _ := Build(g.Clone(), ord, Options{GenericConstruction: true})
-		ea, eb := a.Engine(), b.Engine()
-		ea.Expand()
-		for v := 0; v < 2*g.NumVertices(); v++ {
-			if !entriesEqual(ea.In[v].Entries(), eb.In[v].Entries()) {
-				t.Fatalf("graph %d: Lin(%d): skipping %v != generic %v",
-					gi, v, ea.In[v].Entries(), eb.In[v].Entries())
-			}
-			if !entriesEqual(ea.Out[v].Entries(), eb.Out[v].Entries()) {
-				t.Fatalf("graph %d: Lout(%d): skipping %v != generic %v",
-					gi, v, ea.Out[v].Entries(), eb.Out[v].Entries())
-			}
-		}
+		w := newWritePaths(g.Clone(), order.ByDegree(g))
+		what := fmt.Sprintf("graph %d: skipping vs generic", gi)
+		assertLabelingsEqual(t, what, w.couple.Engine(), w.generic.Engine())
+		randomToggles(t, what, w, r, 20)
 	}
 }
 

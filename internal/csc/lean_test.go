@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bfscount"
-	"repro/internal/bipartite"
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/testgraphs"
@@ -39,8 +38,8 @@ func assertOracle(t *testing.T, stage string, x *Sharded) {
 }
 
 // A boot build and a v2 reload leave every shard lean; a write to one
-// shard gives that shard alone its write form (Gb, headers, plain
-// slices), and every step answers like the oracle and writes the same
+// shard gives that shard alone its couple form (its subgraph, headers,
+// its two stored lists as plain slices, no Gb), and every step answers like the oracle and writes the same
 // snapshot bytes as the unwritten index would.
 func TestShardsStayLeanUntilWritten(t *testing.T) {
 	// Three disjoint cycles: 0→1→2→0, 3→4→5→3 and 6→7→6.
@@ -77,7 +76,6 @@ func TestShardsStayLeanUntilWritten(t *testing.T) {
 	// 0→2 is a chord inside the first cycle's shard: only that shard
 	// takes its write form.
 	written := y.shards[y.ShardOf(0)]
-	graphBytes := y.GraphBytes()
 	if _, err := y.ApplyBatch([]EdgeOp{Ins(0, 2)}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +88,13 @@ func TestShardsStayLeanUntilWritten(t *testing.T) {
 			}
 			continue
 		}
-		if e.Lean() || e.Reduced() || e.G == nil || len(e.In) != 2*len(sh.verts) {
-			t.Fatalf("written shard %d: lean %v, reduced %v, Gb %v, %d in-lists; want its write form",
-				slot, e.Lean(), e.Reduced(), e.G != nil, len(e.In))
-		}
-		if !graph.Equal(e.G, bipartite.Convert(sh.idx.Graph())) {
-			t.Fatalf("written shard %d: its Gb is not the conversion of its subgraph", slot)
+		if e.Lean() || !e.Reduced() || e.G != nil || len(e.In) != 2*len(sh.verts) || sh.idx.g == nil {
+			t.Fatalf("written shard %d: lean %v, reduced %v, Gb %v, %d in-lists, subgraph %v; want its couple form",
+				slot, e.Lean(), e.Reduced(), e.G != nil, len(e.In), sh.idx.g != nil)
 		}
 	}
-	if got := y.GraphBytes(); got <= graphBytes {
-		t.Fatalf("GraphBytes %d after the write, %d before: the written shard's Gb is not counted", got, graphBytes)
+	if got, sub := y.GraphBytes(), written.idx.g.Bytes(); got != y.g.Bytes()+sub {
+		t.Fatalf("GraphBytes %d after the write: want the served graph's %d B and the written shard's subgraph (%d B), no Gb", got, y.g.Bytes(), sub)
 	}
 }
 

@@ -143,3 +143,60 @@ func TestServedLedgerLiveHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(x)
 }
+
+// ledgerWrittenHeapBudget bounds the heap the served ledger's index
+// retains after its first repair pair, one delete and re-insert of a
+// core edge: the boot build's lean shards plus the written core in
+// couple form — its subgraph and its two stored lists decoded into one
+// slab of plain slices — in place of the core's frozen store. It is the
+// 4,482,016 B measured when writes took the couple form, plus 10%; the
+// generic engine's write form (the core's four lists in one slab, and
+// its Gb) retained 7,462,688 B.
+const ledgerWrittenHeapBudget = 4_930_000
+
+// TestWrittenLedgerLiveHeap pins the written form's heap: after the first
+// repair pair, the core shard is reduced and holds no Gb (GraphBytes
+// counts the served graph and its subgraph only), every other shard is
+// still lean, and the retained heap stays within
+// ledgerWrittenHeapBudget.
+func TestWrittenLedgerLiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 102,000-vertex ledger")
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes heap accounting")
+	}
+	g := servedLedger()
+	e := ledgerRepairPool(g)[0]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, _ := BuildSharded(g, Options{Order: order.Coverage})
+	for _, op := range []EdgeOp{Del(e[0], e[1]), Ins(e[0], e[1])} {
+		if _, err := x.ApplyBatch([]EdgeOp{op}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	core := x.shards[x.ShardOf(ledgerCoreLo)]
+	t.Logf("after the first repair pair the ledger index retains %d B of live heap (label store %d B, core %d B for %d stored entries, graphs %d B, core subgraph %d B)",
+		retained, x.ResidentBytes(), core.idx.ResidentBytes(), storedEntries(core.idx.eng), x.GraphBytes(), core.idx.g.Bytes())
+	if e := core.idx.eng; !e.Reduced() || e.Lean() || e.G != nil {
+		t.Errorf("written core: reduced %v, lean %v, Gb %v; want its couple form", e.Reduced(), e.Lean(), e.G != nil)
+	}
+	if got, want := x.GraphBytes(), x.g.Bytes()+core.idx.g.Bytes(); got != want {
+		t.Errorf("GraphBytes %d, want the served graph and the core's subgraph, %d B", got, want)
+	}
+	for slot, sh := range x.liveShards() {
+		if sh != core && !sh.idx.eng.Lean() {
+			t.Errorf("shard %d, which no op wrote, is not lean", slot)
+		}
+	}
+	if retained > ledgerWrittenHeapBudget {
+		t.Errorf("the written ledger retains %d B of live heap, budget %d B", retained, ledgerWrittenHeapBudget)
+	}
+	runtime.KeepAlive(x)
+}

@@ -75,8 +75,9 @@ func ledgerOracleCheck(t *testing.T, x *Sharded, mirror *graph.Digraph, opts Opt
 // re-inserted through ApplyBatch on the coverage-order build. Every 30
 // ops every cyclic vertex is checked against the BFS oracle on a mirror
 // graph, and every other vertex must answer no cycle. The first delete
-// gives the lean 1,979-vertex core shard its write form; every other
-// shard stays lean throughout. The drift of the maintained
+// gives the lean 1,979-vertex core shard its couple form (its two stored
+// lists decoded into plain slices, its subgraph, no Gb), which every
+// later write keeps; every other shard stays lean throughout. The drift of the maintained
 // labeling's entry count from a fresh build of the same graph is logged.
 func TestLedgerRepairReplay(t *testing.T) {
 	if testing.Short() {
@@ -114,8 +115,8 @@ func TestLedgerRepairReplay(t *testing.T) {
 				_ = mirror.RemoveEdge(e[0], e[1])
 			}
 			if ops++; ops == 1 {
-				if e := core.idx.eng; e.Reduced() || e.FrozenArena() != nil || e.G == nil {
-					t.Fatal("the first delete did not give the core shard its write form")
+				if e := core.idx.eng; !e.Reduced() || e.FrozenArena() != nil || e.G != nil || core.idx.g == nil {
+					t.Fatal("the first delete did not give the core shard its couple form: two stored lists of plain slices over its subgraph, no Gb")
 				}
 			}
 			if ops%30 == 0 {
@@ -180,8 +181,8 @@ func (s *ledgerTxnStream) next() (ins, del [2]int) {
 // insert+delete transactions, one ApplyBatch each, on the coverage-order
 // build. The slice merges into and splits the 3,616-vertex background
 // component, so components rebuild at ledger scale, and later
-// transactions write inside those rebuilt shards, which take their write
-// form. (Its writes never land inside an unwritten boot shard: every
+// transactions write inside those rebuilt shards in couple form, which
+// keeps them reduced. (Its writes never land inside an unwritten boot shard: every
 // boot shard they touch is retired by a rebuild. TestLedgerRepairReplay
 // covers a lean shard's first write.) Every 40 ops every cyclic vertex
 // is checked against the BFS oracle on a mirror graph, and every other
@@ -232,7 +233,13 @@ func TestLedgerTxnReplay(t *testing.T) {
 	for range pairs {
 		ins, del := stream.next()
 		sh := bigShard()
-		before, reduced := size(sh), sh != nil && sh.idx.eng.Reduced()
+		// A rebuild on the write path is never frozen; a write confined
+		// to it runs in couple form and keeps it reduced.
+		rebuilt := sh != nil && sh.idx.eng.FrozenArena() == nil
+		inside := func(e [2]int) bool {
+			return sh != nil && x.ShardOf(e[0]) == x.ShardOf(big) && x.ShardOf(e[1]) == x.ShardOf(big)
+		}
+		before, intra := size(sh), inside(ins) || inside(del)
 		if _, err := x.ApplyBatch([]EdgeOp{Ins(ins[0], ins[1]), Del(del[0], del[1])}, 1); err != nil {
 			t.Fatalf("op %d: %v", ops, err)
 		}
@@ -243,16 +250,19 @@ func TestLedgerTxnReplay(t *testing.T) {
 			merged++
 		case before >= 3000 && size(now) < before:
 			split++
-		case now == sh && reduced && !now.idx.eng.Reduced():
-			written++ // the first write inside a rebuilt component
+		case now == sh && rebuilt && intra:
+			if e := now.idx.eng; !e.Reduced() || e.G != nil {
+				t.Fatalf("op %d: a write left the rebuilt large component reduced %v, holding a Gb %v", ops, e.Reduced(), e.G != nil)
+			}
+			written++ // a write inside a rebuilt component
 		}
 		if ops += 2; ops%checkEvery == 0 {
 			check(ops)
 		}
 	}
-	t.Logf("replayed %d ops in %v: %d merges into and %d splits of the large component, %d rebuilds of it expanded by a write, %d component rebuilds",
+	t.Logf("replayed %d ops in %v: %d merges into and %d splits of the large component, %d couple-form writes inside a rebuild of it, %d component rebuilds",
 		ops, time.Since(start).Round(time.Millisecond), merged, split, written, x.BatchRebuilds())
 	if merged == 0 || split == 0 || written == 0 {
-		t.Fatalf("the slice did not exercise the write paths: %d merges, %d splits, %d expansions of the large component", merged, split, written)
+		t.Fatalf("the slice did not exercise the write paths: %d merges, %d splits, %d writes inside a rebuilt large component", merged, split, written)
 	}
 }

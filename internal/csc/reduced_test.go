@@ -20,8 +20,9 @@ import (
 
 // TestReducedBuildMatchesGeneric pins the reduced construction to the
 // generic engine: a fresh skipping build stores only Lin(v_in) and
-// Lout(v_out), counts the full labeling, and expands to the generic
-// construction's labels entry for entry — on the conformance corpus, 40
+// Lout(v_out), counts the full labeling, and derives the generic
+// construction's labels entry for entry, and an update stream through
+// the two write paths keeps them so — on the conformance corpus, 40
 // random graphs, and one 300-vertex single-SCC graph, each under the
 // degree, coverage and random orders (the rank-space passes stop their
 // scans by comparing ranks, so each order cuts them differently).
@@ -65,7 +66,10 @@ func testOrders(g *graph.Digraph, seed int64) []namedOrder {
 
 // assertReducedMatchesGeneric builds g under ord with the skipping and
 // the generic construction and checks that the first is reduced, stores
-// what it reports, and expands to the second entry for entry.
+// what it reports, and holds the second's labeling entry for entry, its
+// mirrors derived; then it runs an update stream through both write
+// paths (writePaths), 10 ops on graphs of 100 vertices or more and 20
+// on the rest.
 func assertReducedMatchesGeneric(t *testing.T, name string, g *graph.Digraph, ord *order.Order) {
 	t.Helper()
 	skip, _ := Build(g.Clone(), ord, Options{})
@@ -78,21 +82,13 @@ func assertReducedMatchesGeneric(t *testing.T, name string, g *graph.Digraph, or
 	if stored != skip.ReducedEntryCount() {
 		t.Fatalf("%s: stores %d entries, want ReducedEntryCount %d", name, stored, skip.ReducedEntryCount())
 	}
-	if skip.EntryCount() != generic.EntryCount() {
-		t.Fatalf("%s: reduced build counts %d entries, generic %d", name, skip.EntryCount(), generic.EntryCount())
+	assertLabelingsEqual(t, name, es, eg)
+	ops := 20
+	if g.NumVertices() >= 100 {
+		ops = 10
 	}
-	es.Expand()
-	for b := 0; b < 2*g.NumVertices(); b++ {
-		if !entriesEqual(es.In[b].Entries(), eg.In[b].Entries()) {
-			t.Fatalf("%s: Lin(%d): expanded %v != generic %v", name, b, es.In[b].Entries(), eg.In[b].Entries())
-		}
-		if !entriesEqual(es.Out[b].Entries(), eg.Out[b].Entries()) {
-			t.Fatalf("%s: Lout(%d): expanded %v != generic %v", name, b, es.Out[b].Entries(), eg.Out[b].Entries())
-		}
-	}
-	if skip.EntryCount() != generic.EntryCount() {
-		t.Fatalf("%s: expansion changed the entry count to %d", name, skip.EntryCount())
-	}
+	w := &writePaths{g: g.Clone(), generic: generic, couple: skip}
+	randomToggles(t, name, w, rand.New(rand.NewSource(int64(g.NumEdges()))), ops)
 }
 
 // storedEntries counts the entries e's lists hold, read through InLabel
@@ -168,9 +164,9 @@ func assertReduceExpandIdentity(t testing.TB, x *Sharded) {
 // TestWritePathRebuildStaysUnfrozen pins where a reduced shard's stored
 // lists are frozen: a boot build freezes them into the delta+varint
 // arena, a merge rebuild on the write path leaves them in the slices
-// its construction filled (its next label write expands them anyway),
-// and that next write expands the shard. Every step answers like the
-// BFS oracle.
+// its construction filled (its next label write would only decode them
+// again), and that next write keeps the shard reduced, in couple form,
+// holding no Gb. Every step answers like the BFS oracle.
 func TestWritePathRebuildStaysUnfrozen(t *testing.T) {
 	// Two 3-cycles, 0→1→2→0 and 3→4→5→3.
 	g, err := graph.FromPairs(6, []int32{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3})
@@ -216,13 +212,16 @@ func TestWritePathRebuildStaysUnfrozen(t *testing.T) {
 	if want := stored + label.ArenaPad*len(e.In); slots != want {
 		t.Fatalf("merged shard's %d stored entries sit in %d slots, want %d", stored, slots, want)
 	}
-	// A write confined to the merged shard expands it.
+	if e.G != nil {
+		t.Fatal("the merged shard holds a Gb")
+	}
+	// A write confined to the merged shard runs in couple form.
 	if _, err := x.ApplyBatch([]EdgeOp{Ins(1, 0)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	check("intra-shard insert")
-	if e := engOf(0); e.Reduced() || e.FrozenArena() != nil {
-		t.Fatalf("written shard: reduced %v, frozen %v; want a full labeling of plain slices", e.Reduced(), e.FrozenArena() != nil)
+	if e := engOf(0); !e.Reduced() || e.FrozenArena() != nil || e.G != nil {
+		t.Fatalf("written shard: reduced %v, frozen %v, Gb %v; want its stored lists of plain slices", e.Reduced(), e.FrozenArena() != nil, e.G != nil)
 	}
 }
 

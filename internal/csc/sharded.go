@@ -465,8 +465,9 @@ func (x *Sharded) EntryCount() int {
 func (x *Sharded) Bytes() int { return 8 * x.EntryCount() }
 
 // ResidentBytes sums the label bytes the shards physically hold: the
-// stored lists of reduced shards, every list of shards a write expanded,
-// and v3/v4 file arenas at their compressed size.
+// stored lists of reduced shards (frozen, or 8 B per entry once written
+// in couple form), every list of shards the generic engine wrote, and
+// v3/v4 file arenas at their compressed size.
 func (x *Sharded) ResidentBytes() int {
 	total := 0
 	for _, sh := range x.shards {
@@ -477,10 +478,23 @@ func (x *Sharded) ResidentBytes() int {
 	return total
 }
 
+// StoredEntries sums the label entries the shards physically hold
+// (Index.StoredEntries), the entries ResidentBytes holds.
+func (x *Sharded) StoredEntries() int {
+	total := 0
+	for _, sh := range x.shards {
+		if sh != nil {
+			total += sh.idx.StoredEntries()
+		}
+	}
+	return total
+}
+
 // GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
 // graph the index holds: the global graph plus, for each shard that is
-// not lean (or is frozen), its subgraph and, once a write gave the shard
-// its write form, its bipartite conversion Gb.
+// not lean (or is frozen), its subgraph and, once the generic engine
+// wrote the shard, its bipartite conversion Gb (a couple-form write
+// holds none).
 func (x *Sharded) GraphBytes() int {
 	total := x.g.Bytes()
 	for _, sh := range x.shards {

@@ -45,7 +45,7 @@ func deletePair(tb testing.TB, x *Sharded, e [2]int) {
 
 func BenchmarkShardDeletePair(b *testing.B) {
 	x, chords := deletePairs(b, 64)
-	deletePair(b, x, chords[0]) // the first label write expands the reduced shard
+	deletePair(b, x, chords[0]) // the first label write decodes the frozen store
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +69,7 @@ func TestWritePathAllocBudget(t *testing.T) {
 		t.Skip("the race detector inflates allocation counts")
 	}
 	x, chords := deletePairs(t, 9)
-	deletePair(t, x, chords[0]) // the first label write expands the reduced shard
+	deletePair(t, x, chords[0]) // the first label write decodes the frozen store
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, e := range chords[1:] {
@@ -122,5 +122,36 @@ func TestExpandAllocatesOnlyDerivedLists(t *testing.T) {
 	}
 	if slack := 16 << 10; got > want+slack { // the slab rounds up to whole pages
 		t.Errorf("Expand allocated %d B, want at most the full labeling's slab, headers and Gb, %d B (+%d)", got, want, slack)
+	}
+}
+
+// TestThawAllocatesOnlyStoredLists pins what a lean shard's first
+// couple-form write allocates to decode its frozen store
+// (pll.Index.Thaw): one slab of exactly the stored lists — their entries
+// plus one growth pad per list — and the list headers, and neither a Gb
+// conversion nor a mirrored list.
+func TestThawAllocatesOnlyStoredLists(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	x, _ := deletePairs(t, 0)
+	sh := x.liveShards()[0]
+	e := sh.idx.eng
+	g := x.subgraph(sh) // what the shard's first write takes first
+	stored, frozen, n := e.StoredEntries(), e.FrozenArena().Bytes(), e.Ord.Len()
+	slab := 8 * (stored + label.ArenaPad*n)
+	headers := 2 * n * int(unsafe.Sizeof(label.List{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Thaw(g)
+	runtime.ReadMemStats(&after)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("decoding %d stored of %d entries from a %d B frozen store allocated %d B (slab %d B, headers %d B)",
+		stored, e.EntryCount(), frozen, got, slab, headers)
+	if !e.Reduced() || e.Lean() || e.G != nil || e.ResidentBytes() != 8*stored {
+		t.Fatalf("after Thaw: reduced %v, lean %v, Gb %v, resident %d B for %d stored entries", e.Reduced(), e.Lean(), e.G != nil, e.ResidentBytes(), stored)
+	}
+	if slack := 16 << 10; got > slab+headers+slack { // the slab rounds up to whole pages
+		t.Errorf("Thaw allocated %d B, want at most the stored lists' slab and the headers, %d B (+%d)", got, slab+headers, slack)
 	}
 }

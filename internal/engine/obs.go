@@ -110,7 +110,7 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.ResidentBytes())
 	})
-	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, and the subgraph and bipartite conversion of every shard that is not lean", func() float64 {
+	reg.GaugeFunc("cscd_graph_bytes", "adjacency footprint in bytes: the global graph, the subgraph of every shard that is not lean, and the bipartite conversion of every shard the generic engine wrote", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
 		return float64(e.ix.GraphBytes())
@@ -120,15 +120,14 @@ func (e *Engine) initObs() {
 		defer m.RUnlock()
 		return float64(e.ix.CompressedBytes())
 	})
-	reg.GaugeFunc("cscd_label_bytes_per_entry", "file-arena label bytes per label entry (0 when no shard serves a v3/v4 file arena)", func() float64 {
+	reg.GaugeFunc("cscd_label_bytes_per_entry", "label bytes the store holds per entry it holds: cscd_label_resident_bytes over the stored entries (a reduced shard derives its mirrored ones); 0 when it holds none", func() float64 {
 		m := e.lock.rlock(0)
 		defer m.RUnlock()
-		n := e.ix.EntryCount()
-		b := e.ix.CompressedBytes()
-		if n == 0 || b == 0 {
+		n := e.ix.StoredEntries()
+		if n == 0 {
 			return 0
 		}
-		return float64(b) / float64(n)
+		return float64(e.ix.ResidentBytes()) / float64(n)
 	})
 	reg.GaugeFunc("cscd_cache_slots", "result-cache entries: one per vertex in a shard, none for trivial vertices", func() float64 {
 		m := e.lock.rlock(0)

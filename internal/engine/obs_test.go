@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,4 +195,68 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cscd_label_bytes_per_entry is the label store's bytes per entry it
+// holds. On an mmap'd v4 boot every shard serves its file arena, all four
+// lists of every couple; writing one shard decodes its arena into plain
+// 8-byte entries, so the ratio rises with the resident bytes (a ratio
+// over the unwritten arenas' bytes alone fell from 6.32 to 2.37 B/entry
+// here while the store grew).
+func TestLabelBytesPerEntryGauge(t *testing.T) {
+	loaded, err := csc.ReadFile("../csc/testdata/golden_v4.csc", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := csc.AsSharded(loaded)
+	reg := obs.New()
+	e := New(x, Options{FlushInterval: -1, Metrics: reg})
+	defer e.Close()
+	gauge := func(name string) float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s in the scrape", name)
+		return 0
+	}
+	check := func(stage string) float64 {
+		t.Helper()
+		resident, stored := x.ResidentBytes(), x.StoredEntries()
+		got := gauge("cscd_label_bytes_per_entry")
+		if want := float64(resident) / float64(stored); stored == 0 || math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: cscd_label_bytes_per_entry %v, want %d resident bytes / %d stored entries", stage, got, resident, stored)
+		}
+		if r := gauge("cscd_label_resident_bytes"); r != float64(resident) {
+			t.Fatalf("%s: cscd_label_resident_bytes %v, want %d", stage, r, resident)
+		}
+		return got
+	}
+	boot, resident := check("boot"), x.ResidentBytes()
+	if x.CompressedBytes() != resident || x.StoredEntries() != x.EntryCount() {
+		t.Fatalf("boot: %d compressed of %d resident bytes, %d stored of %d entries; want every shard a file arena", x.CompressedBytes(), resident, x.StoredEntries(), x.EntryCount())
+	}
+	if err := e.Insert(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if l, _ := e.CycleCount(0); l != 2 {
+		t.Fatalf("after inserting (1,0) vertex 0 answers length %d, want 2", l)
+	}
+	written := check("after one shard's write")
+	if x.CompressedBytes() == 0 || x.ResidentBytes() <= resident || written <= boot {
+		t.Fatalf("after one shard's write: %d compressed bytes, resident %d → %d, %v → %v B/entry; want one arena left, and the store and the ratio up",
+			x.CompressedBytes(), resident, x.ResidentBytes(), boot, written)
+	}
+	t.Logf("bytes per stored entry %.2f at boot, %.2f after one shard's write (resident %d → %d B)", boot, written, resident, x.ResidentBytes())
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bitpack"
+	"repro/internal/graph"
 	"repro/internal/label"
 )
 
@@ -37,8 +38,8 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	s.beginOp(idx.G.NumVertices())
 
 	d := s.deletion(idx.G.NumVertices())
-	distToA, distToB := idx.bfsDistances(a, false, d.dist[0], s), idx.bfsDistances(b, false, d.dist[1], s)
-	distFromA, distFromB := idx.bfsDistances(a, true, d.dist[2], s), idx.bfsDistances(b, true, d.dist[3], s)
+	distToA, distToB := bfsDistances(idx.G, a, false, d.dist[0], s), bfsDistances(idx.G, b, false, d.dist[1], s)
+	distFromA, distFromB := bfsDistances(idx.G, a, true, d.dist[2], s), bfsDistances(idx.G, b, true, d.dist[3], s)
 
 	n := idx.G.NumVertices()
 	for v := 0; v < n; v++ {
@@ -155,16 +156,20 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	return st, nil
 }
 
-// bfsDistances runs a plain BFS from src over out-edges (forward) or
-// in-edges (!forward) into d, which must hold -1 everywhere (the
+// bfsDistances runs a plain BFS of g from src over out-edges (forward)
+// or in-edges (!forward) into d, which must hold -1 everywhere (the
 // deletion scratch's reset state), and returns it. The walk queues on
 // s.Queue, which it leaves empty.
-func (idx *Index) bfsDistances(src int, forward bool, d []int32, s *Scratch) []int32 {
+func bfsDistances(g *graph.Digraph, src int, forward bool, d []int32, s *Scratch) []int32 {
 	d[src] = 0
 	s.Queue = append(s.Queue[:0], int32(src))
 	for head := 0; head < len(s.Queue); head++ {
 		w := int(s.Queue[head])
-		for _, u := range idx.neighbors(w, forward) {
+		nbrs := g.In(w)
+		if forward {
+			nbrs = g.Out(w)
+		}
+		for _, u := range nbrs {
 			if d[u] == -1 {
 				d[u] = d[w] + 1
 				s.Queue = append(s.Queue, u)

@@ -32,6 +32,26 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 	hubB := idx.Out[b].AppendTo(s.seedB[:0])
 	s.seedA, s.seedB = hubA, hubB
 	ra, rb := idx.Ord.Rank(a), idx.Ord.Rank(b)
+	eachAffectedHub(hubA, hubB, func(rk int, fromA, fromB *bitpack.Entry) {
+		st.AffectedHubs++
+		if idx.HubFilter != nil && !idx.HubFilter(idx.Ord.VertexAt(rk)) {
+			return // never a hub; a pass could only create unneeded entries
+		}
+		if fromA != nil && rk < rb { // vk ≺ b
+			idx.updatePass(rk, b, fromA.Dist()+1, fromA.Count(), true, &st)
+		}
+		if fromB != nil && rk < ra { // vk ≺ a
+			idx.updatePass(rk, a, fromB.Dist()+1, fromB.Count(), false, &st)
+		}
+	})
+	st.Duration = time.Since(start)
+	return st, nil
+}
+
+// eachAffectedHub merges an insertion's seed lists, both rank-ascending,
+// and calls fn once per hub rank in descending rank order with the hub's
+// entry in each list (nil where it has none).
+func eachAffectedHub(hubA, hubB []bitpack.Entry, fn func(rk int, fromA, fromB *bitpack.Entry)) {
 	for i, j := 0, 0; i < len(hubA) || j < len(hubB); {
 		rk := math.MaxInt
 		if i < len(hubA) {
@@ -49,19 +69,8 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 			fromB = &hubB[j]
 			j++
 		}
-		st.AffectedHubs++
-		if idx.HubFilter != nil && !idx.HubFilter(idx.Ord.VertexAt(rk)) {
-			continue // never a hub; a pass could only create unneeded entries
-		}
-		if fromA != nil && rk < rb { // vk ≺ b
-			idx.updatePass(rk, b, fromA.Dist()+1, fromA.Count(), true, &st)
-		}
-		if fromB != nil && rk < ra { // vk ≺ a
-			idx.updatePass(rk, a, fromB.Dist()+1, fromB.Count(), false, &st)
-		}
+		fn(rk, fromA, fromB)
 	}
-	st.Duration = time.Since(start)
-	return st, nil
 }
 
 // updatePass is FORWARD PASS / BACKWARD PASS (Algorithm 6): a resumed BFS

@@ -7,7 +7,10 @@
 //     conversion Gb with only incoming vertices serving as hubs (the
 //     couple-vertex-skipping construction in internal/csc produces labels
 //     identical to this engine's once its reduced form is expanded — a
-//     property the tests assert).
+//     property the tests assert). Its writes run in couple form
+//     (couple.go): the same INCCNT and repair over the base graph, on
+//     the reduced form's two stored lists, with this engine as their
+//     oracle and the fallback for what couple form does not cover.
 //
 // The engine covers construction under the Exact Shortest Path Covering
 // constraint with canonical and non-canonical labels, SPCnt queries
@@ -151,8 +154,8 @@ type Index struct {
 	// reduced marks a CSC labeling that stores only Lin(v_in) and
 	// Lout(v_out) and derives the two mirrored lists on demand
 	// (reduced.go); mirrored counts the entries of those lists, which
-	// entries includes. A reduced index is never mutated, so mirrored
-	// holds until Expand zeroes it.
+	// entries includes. The couple-form writes (couple.go) keep it
+	// exact; Expand zeroes it.
 	reduced  bool
 	mirrored int
 
@@ -163,11 +166,12 @@ type Index struct {
 
 	// frozen is the delta+varint arena of a lean index: a reduced
 	// index's stored lists (Freeze), or every list of a v3/v4 file
-	// (NewFileArena). Nothing writes it; Expand decodes it at the first
-	// label write and drops it.
+	// (NewFileArena). Nothing writes it; the first label write decodes
+	// it (Thaw, or Expand) and drops it.
 	frozen *label.Frozen
 
-	// src is the graph a lean index's G converts (DropGraph); Expand
+	// src is the base graph a reduced or lean index's G converts
+	// (DropGraph): couple-form writes walk and change it, and Expand
 	// converts it again and clears it.
 	src *graph.Digraph
 
@@ -337,9 +341,9 @@ func (idx *Index) neighbors(w int, forward bool) []int32 {
 // into an out-of-bounds access.
 func (idx *Index) scratch() *Scratch {
 	if idx.scr == nil {
-		idx.scr = GetScratch(idx.G.NumVertices())
+		idx.scr = GetScratch(idx.Ord.Len())
 	} else {
-		idx.scr.Grow(idx.G.NumVertices())
+		idx.scr.Grow(idx.Ord.Len())
 	}
 	return idx.scr
 }
@@ -356,8 +360,8 @@ func (idx *Index) ReleaseScratch() {
 
 // Freeze packs the finished labels into the index's immutable store. A
 // reduced index's stored lists go into the delta+varint arena
-// (label.Frozen), which reads stream without decoding and Expand decodes
-// once at the first label write; the index turns lean (reduced.go): its
+// (label.Frozen), which reads stream without decoding and the first
+// label write decodes once (Thaw); the index turns lean (reduced.go): its
 // list headers are dropped, and In[v] is read as section v of the store,
 // Out[v] as section n+v. A full index's lists go into one contiguous CSR
 // arena (label.Arena): each list becomes a view of its padded span,
@@ -374,8 +378,8 @@ func (idx *Index) Freeze() {
 }
 
 // Arena exposes the CSR store of a full index, or nil when there is none
-// (before Freeze, for a lean index, or once a reduced index expanded
-// into plain slices).
+// (before Freeze, for a lean or reduced index, or once a reduced index
+// expanded into plain slices).
 func (idx *Index) Arena() *label.Arena { return idx.arena }
 
 // Compressed reports whether the index serves a v3/v4 file's label

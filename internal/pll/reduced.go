@@ -28,28 +28,32 @@ import (
 // the same lists as 8-byte CSR entries. A frozen reduced index is lean:
 // it holds no List headers (In and Out are nil) — InLabel(v) and
 // OutLabel(v) are by-value views of sections v and n+v of the store, the
-// order label.FreezeCompressed lays In and Out out in — and, once its
-// owner calls DropGraph, no graph either: Expand converts the owner's
-// graph again at the first write. Reads stream the sections through
-// cursors and never decode a list into memory. A v3/v4 file's arena
-// (NewFileArena) is served the same way, with all four lists of every
-// couple in the same layout. A reduced index nobody froze (a rebuild on
-// the write path) keeps the stored lists in one slab (Compact). Every
-// label mutation (INCCNT, decremental repair, vertex growth) first
-// expands the index through Expand, so the dynamic algorithms always
-// run on a full labeling of plain slices. The writers emit the derived
-// lists, and a lean index writes its graph's conversion edge for edge,
-// so every snapshot format is unchanged.
+// order label.FreezeCompressed lays In and Out out in. Reads stream the
+// sections through cursors and never decode a list into memory. A v3/v4
+// file's arena (NewFileArena) is served the same way, with all four
+// lists of every couple in the same layout. A reduced index nobody froze
+// (a rebuild on the write path) keeps the stored lists in one slab
+// (Compact). A reduced index holds no Gb: its owner names the base graph
+// Gb converts (DropGraph). Under Redundancy, INCCNT and the decremental
+// repair run in couple form (couple.go): the first write only decodes a
+// frozen store's stored lists into one slab (Thaw), and every write walks
+// the base graph and updates those two lists, so the index stays reduced
+// for life. Minimality, vertex growth and a full index (a generic
+// construction, a load whose mirrors are no derivations, a file arena)
+// write through the generic engine over Gb, which Expand first builds:
+// Gb converted from the base graph and all four lists in plain slices.
+// The writers emit the derived lists, and an index without its Gb writes
+// the base graph's conversion edge for edge, so every snapshot format is
+// unchanged.
 
 // NewReduced returns an index in the reduced state over a bipartite
-// conversion gb under ord, whose stored lists are in (Lin(v_in), empty at
+// conversion under ord, whose stored lists are in (Lin(v_in), empty at
 // every V_out vertex) and out (Lout(v_out), empty at every V_in vertex),
 // both by Gb vertex id, and whose mirrored lists hold mirrored entries.
-// The index takes the lists over. gb may be nil when the caller freezes
-// the index and drops its graph (DropGraph) before anything else reads
-// it.
-func NewReduced(gb *graph.Digraph, ord *order.Order, in, out []label.List, mirrored int) *Index {
-	idx := &Index{G: gb, Ord: ord, In: in, Out: out, reduced: true, mirrored: mirrored}
+// The index takes the lists over. It holds no graph: the caller names
+// the base graph (DropGraph) before anything reads one.
+func NewReduced(ord *order.Order, in, out []label.List, mirrored int) *Index {
+	idx := &Index{Ord: ord, In: in, Out: out, reduced: true, mirrored: mirrored}
 	idx.entries = mirrored
 	for i := range in {
 		idx.entries += in[i].Len() + out[i].Len()
@@ -75,25 +79,26 @@ func (idx *Index) Reduced() bool { return idx.reduced }
 // keeps no List headers, and after DropGraph no graph.
 func (idx *Index) Lean() bool { return idx.frozen != nil }
 
-// DropGraph lets a lean index forget G, which must be the bipartite
-// conversion of src (bipartite.Convert): Expand converts src again at the
-// first label write, and Encode writes src's conversion. The owner must
-// not change src while the index is lean — it expands the index before
-// its first write to src. src may be nil when the owner keeps its graph
-// in another form: it then names src again before the first write and
-// encodes through EncodeGb. Any other index keeps G.
+// DropGraph lets a reduced or lean index forget G, which must be the
+// bipartite conversion of src (bipartite.Convert): a couple-form write
+// walks src itself, Expand converts it again, and Encode writes its
+// conversion. The owner changes src only through the couple-form writes,
+// or expands the index first. src may be nil when the owner keeps its
+// graph in another form: it then names src again before the first write
+// and encodes through EncodeGb. A full index keeps G.
 func (idx *Index) DropGraph(src *graph.Digraph) {
-	if idx.Lean() {
+	if idx.Lean() || idx.reduced {
 		idx.G, idx.src = nil, src
 	}
 }
 
 // Expand turns a reduced or lean index into a full one of plain slices
-// for its first label write. A lean index first gets its graph back
-// (bipartite.Convert of the graph DropGraph named) and its List headers,
-// then fills one slab sized for exactly the full labeling, each couple's
-// four lists side by side — Lin(v_in), Lin(v_out), Lout(v_out),
-// Lout(v_in) — and drops the frozen store: a list the store holds
+// for the generic engine's first label write (see CoupleForm for the
+// writes that need none). The index first gets its Gb back
+// (bipartite.Convert of the graph DropGraph named), a lean one its List
+// headers, then fills one slab sized for exactly the full labeling,
+// each couple's four lists side by side — Lin(v_in), Lin(v_out),
+// Lout(v_out), Lout(v_in) — and drops the frozen store: a list the store holds
 // decodes once, and only a mirror it does not hold derives, from the
 // copy already in the slab. A file arena holds every list, so a
 // maintained mirror that drifted from its derivation survives byte for
@@ -157,19 +162,33 @@ func (idx *Index) Expand() {
 // about 40% spare capacity behind, which the index would otherwise hold
 // for life. A frozen or full index is left as is.
 func (idx *Index) Compact() {
-	if !idx.reduced || idx.frozen != nil {
-		return
+	if idx.reduced && idx.frozen == nil {
+		idx.packStored()
 	}
+}
+
+// packStored moves a reduced index's stored lists — plain slices, or
+// the sections of its frozen store, which it then drops — into one slab
+// sized for exactly them, each list followed by the CSR arena's growth
+// pad.
+func (idx *Index) packStored() {
 	n := idx.Ord.Len()
-	stored := idx.entries - idx.mirrored
-	slab := make([]bitpack.Entry, 0, stored+label.ArenaPad*n)
+	in, out := idx.In, idx.Out
+	if in == nil {
+		in, out = make([]label.List, n), make([]label.List, n)
+	}
+	slab := make([]bitpack.Entry, 0, idx.StoredEntries()+label.ArenaPad*n)
 	for vin := 0; vin+1 < n; vin += 2 {
-		for _, l := range [2]*label.List{&idx.In[vin], &idx.Out[vin+1]} {
+		for _, l := range [2]struct {
+			src label.List
+			dst *label.List
+		}{{idx.InLabel(vin), &in[vin]}, {idx.OutLabel(vin + 1), &out[vin+1]}} {
 			lo := len(slab)
-			slab = l.AppendTo(slab)
-			slab, *l = padList(slab, lo)
+			slab = l.src.AppendTo(slab)
+			slab, *l.dst = padList(slab, lo)
 		}
 	}
+	idx.In, idx.Out, idx.frozen = in, out, nil
 }
 
 // padList appends the CSR arena's growth pad behind the entries
@@ -184,34 +203,21 @@ func padList(slab []bitpack.Entry, lo int) ([]bitpack.Entry, label.List) {
 }
 
 // Reduce drops the mirrored lists of a full index of plain slices whose
-// mirrors all equal their derivation, freezes the stored lists (Freeze),
-// and reports whether the index is now reduced. An index with any mirror
-// that differs from its derivation stays full. The loaders call it
-// (ReadReducedFrom) before anything is frozen, so a snapshot reloads as
-// compact as the build that wrote it.
+// mirrors all equal their derivation (MirrorsDerived), freezes the
+// stored lists (Freeze), and reports whether the index is now reduced.
+// An index with any mirror that differs from its derivation stays full.
+// The loaders call it (ReadReducedFrom) before anything is frozen, so a
+// snapshot reloads as compact as the build that wrote it.
 func (idx *Index) Reduce() bool {
 	if idx.reduced {
 		return true
 	}
-	if len(idx.In)%2 != 0 {
+	if !idx.MirrorsDerived() {
 		return false
 	}
-	var buf []bitpack.Entry
 	mirrored := 0
 	for vin := 0; vin < len(idx.In); vin += 2 {
-		vout := vin + 1
-		buf = idx.deriveIn(vout, buf[:0])
-		if !slices.Equal(idx.In[vout].Entries(), buf) {
-			return false
-		}
-		mirrored += len(buf)
-		buf = idx.deriveOut(vin, buf[:0])
-		if !slices.Equal(idx.Out[vin].Entries(), buf) {
-			return false
-		}
-		mirrored += len(buf)
-	}
-	for vin := 0; vin < len(idx.In); vin += 2 {
+		mirrored += idx.In[vin+1].Len() + idx.Out[vin].Len()
 		idx.In[vin+1] = label.List{}
 		idx.Out[vin] = label.List{}
 	}
@@ -219,6 +225,48 @@ func (idx *Index) Reduce() bool {
 	idx.invIn, idx.invOut = nil, nil
 	idx.Freeze()
 	return true
+}
+
+// MirrorsDerived reports whether every mirrored list of a labeling over
+// a bipartite conversion — Lin(v_out) and Lout(v_in) of every couple —
+// equals its derivation from the couple's stored lists. A reduced index
+// derives them, so it reports true; the generic engine's deletes can
+// leave a full one false (couple.go).
+func (idx *Index) MirrorsDerived() bool {
+	if idx.reduced {
+		return true
+	}
+	n := idx.Ord.Len()
+	if n%2 != 0 {
+		return false
+	}
+	var want, got []bitpack.Entry
+	for vin := 0; vin < n; vin += 2 {
+		// The couple's mirrors: Lin(v_out), then Lout(v_in).
+		for _, v := range [2]int{vin + 1, vin} {
+			in := v != vin
+			want = idx.derive(v, in, want[:0])
+			got = idx.AppendList(v, in, got[:0])
+			if !slices.Equal(got, want) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// AppendList appends v's in-list (in) or out-list to dst: the list the
+// index holds, or the derivation of a mirror a reduced index does not
+// store.
+func (idx *Index) AppendList(v int, in bool, dst []bitpack.Entry) []bitpack.Entry {
+	if idx.isMirror(v, in) {
+		return idx.derive(v, in, dst)
+	}
+	l := idx.OutLabel(v)
+	if in {
+		l = idx.InLabel(v)
+	}
+	return l.AppendTo(dst)
 }
 
 // deriveIn appends the derivation of Lin(vout) to dst.
@@ -263,6 +311,10 @@ func (idx *Index) derive(v int, in bool, dst []bitpack.Entry) []bitpack.Entry {
 	return idx.deriveOut(v, dst)
 }
 
+// StoredEntries counts the entries the index physically holds: every
+// entry but a reduced index's mirrored ones, which it derives.
+func (idx *Index) StoredEntries() int { return idx.entries - idx.mirrored }
+
 // ResidentBytes is the label payload the index physically holds: the
 // delta+varint arena's bytes while it is lean (a reduced index's stored
 // lists, or a file arena's lists), and otherwise 8 bytes per stored
@@ -273,5 +325,5 @@ func (idx *Index) ResidentBytes() int {
 	if idx.frozen != nil {
 		return idx.frozen.Bytes()
 	}
-	return 8 * (idx.entries - idx.mirrored)
+	return 8 * idx.StoredEntries()
 }

@@ -48,12 +48,13 @@ type Scratch struct {
 	del *deletionScratch
 }
 
-// deletionScratch holds DeleteEdge's step-1 working set: the four
-// pre-deletion BFS distance arrays, the SA/SB membership flags and lists,
-// and the repair pass ranks.
+// deletionScratch holds the step-1 working set of DeleteEdge (over Gb)
+// and DeleteCouple (over the base graph): the four pre-deletion BFS
+// distance arrays, the SA/SB membership flags and lists, and the repair
+// pass ranks.
 type deletionScratch struct {
 	dist   [4][]int32 // sd(·,a), sd(·,b), sd(a,·), sd(b,·); -1 = unreachable
-	side   []uint8    // inSA | inSB flags per vertex
+	side   []uint8    // inSA | inSB | outSA flags per vertex
 	sa, sb []int32
 	ranks  []int
 	drop   []int
@@ -63,6 +64,7 @@ type deletionScratch struct {
 const (
 	inSA uint8 = 1 << iota
 	inSB
+	outSA // the couple form's v_out ∈ SA, which differs from v_in ∈ SA at b
 )
 
 // deletion returns the scratch's deletion state reset for an n-vertex

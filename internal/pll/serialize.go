@@ -82,15 +82,7 @@ func (idx *Index) EncodeGb(e *Encoder, m int, each func(emit func(u, v int))) {
 	var buf []bitpack.Entry
 	for v := 0; v < n && e.err == nil; v++ {
 		for _, in := range [2]bool{true, false} {
-			if idx.isMirror(v, in) {
-				buf = idx.derive(v, in, buf[:0])
-			} else {
-				l := idx.OutLabel(v)
-				if in {
-					l = idx.InLabel(v)
-				}
-				buf = l.AppendTo(buf[:0])
-			}
+			buf = idx.AppendList(v, in, buf[:0])
 			e.U32(uint32(len(buf)))
 			for _, x := range buf {
 				e.U64(uint64(x))
