@@ -151,7 +151,7 @@ func TestServedLedgerLiveHeap(t *testing.T) {
 // slab of plain slices — in place of the core's frozen store. It is the
 // 4,482,016 B measured when writes took the couple form, plus 10%; the
 // generic engine's write form (the core's four lists in one slab, and
-// its Gb) retained 7,462,688 B.
+// its Gb) retained 7,471,136 B.
 const ledgerWrittenHeapBudget = 4_930_000
 
 // TestWrittenLedgerLiveHeap pins the written form's heap: after the first
