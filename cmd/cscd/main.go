@@ -87,7 +87,6 @@ func main() {
 		updWork   = flag.Int("update-workers", 0, "batch-apply parallelism: per-shard update streams per batch (0 = all cores, 1 = sequential)")
 		noCache   = flag.Bool("no-read-cache", false, "disable the per-vertex result cache (every /cycle read re-joins labels)")
 		admit     = flag.String("admission", "block", "full-mailbox policy: block (backpressure), reject (429), shed (drop + count)")
-		oobReb    = flag.Int("oob-rebuild-threshold", 0, "defer structural shard rebuilds of at least this many vertices off the write path (0 = always inline)")
 		walRetry  = flag.Int("wal-retry", 3, "WAL append retries before degrading to read-only (with -data)")
 		noMetrics = flag.Bool("no-metrics", false, "disable the /metrics + /debug/trace observability surface")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -159,7 +158,6 @@ func main() {
 		cyclehub.WithUpdateWorkers(*updWork),
 		cyclehub.WithAdmission(policy),
 		cyclehub.WithWALRetry(*walRetry),
-		cyclehub.WithOOBRebuildThreshold(*oobReb),
 	}
 	if *topK > 0 {
 		opts = append(opts, cyclehub.WithTopK(*topK))

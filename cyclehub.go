@@ -484,16 +484,6 @@ func WithWALRetry(n int) EngineOption {
 	return func(c *engineConfig) { c.opts.WALRetry = n }
 }
 
-// WithOOBRebuildThreshold moves structural shard rebuilds of at least n
-// vertices off the write path: the batch commits its cheap incremental
-// work immediately, affected shards keep serving their pre-batch
-// answers (listed in EngineStats.Degraded), and the rebuild runs out of
-// band and swaps in atomically when done. 0 (the default) keeps every
-// rebuild inline.
-func WithOOBRebuildThreshold(n int) EngineOption {
-	return func(c *engineConfig) { c.opts.OOBRebuildThreshold = n }
-}
-
 // WithMetrics enables the engine's observability layer: a metrics
 // registry (latency histograms, counters, per-shard gauges) served by
 // the Handler's GET /metrics in Prometheus text exposition format, and
@@ -769,13 +759,9 @@ type EngineStats struct {
 	QueueDepth, MailboxCap int
 	OpsShed, OpsOverload   uint64
 	// WALRetries counts retried WAL appends; ReadOnly reports the
-	// durability-lost degraded mode. Degraded lists shard slots serving
-	// stale answers while an out-of-band rebuild is pending; OOBRebuilds
-	// and OOBSuperseded count completed and discarded background rebuilds.
-	WALRetries                 uint64
-	ReadOnly                   bool
-	Degraded                   []int
-	OOBRebuilds, OOBSuperseded uint64
+	// durability-lost degraded mode.
+	WALRetries uint64
+	ReadOnly   bool
 }
 
 // Stats snapshots the engine counters; safe concurrently with updates.
@@ -788,15 +774,9 @@ func (e *Engine) Stats() EngineStats {
 		Batches: s.Batches, Seq: s.Seq, Snapshots: s.Snapshots, WALBytes: s.WALBytes,
 		QueueDepth: s.QueueDepth, MailboxCap: s.MailboxCap,
 		OpsShed: s.OpsShed, OpsOverload: s.OpsOverload,
-		WALRetries: s.WALRetries, ReadOnly: s.ReadOnly, Degraded: s.Degraded,
-		OOBRebuilds: s.OOBRebuilds, OOBSuperseded: s.OOBSuperseded,
+		WALRetries: s.WALRetries, ReadOnly: s.ReadOnly,
 	}
 }
-
-// WaitRebuilds flushes and blocks until no out-of-band rebuild is
-// pending (only meaningful with WithOOBRebuildThreshold): afterwards
-// every shard serves fresh answers.
-func (e *Engine) WaitRebuilds() error { return e.e.WaitRebuilds() }
 
 // Err reports the first durability error, if any. After one the engine
 // serves reads only: updates fail with engine.ErrReadOnly until a

@@ -130,10 +130,6 @@ type batchPlan struct {
 	streams    map[int32][]EdgeOp // shard slot → its intra-shard ops, in batch order
 	dirty      map[int32]bool     // stream shards holding at least one delete
 	structural []EdgeOp           // ops crossing shards or touching trivial vertices
-	// touchedPending marks an op landing inside the pending deferral's
-	// region (set by planBatchDeferred only): the deferral must be
-	// recomputed against the batch's final edge set.
-	touchedPending bool
 }
 
 // planBatch groups the batch's ops by shard. An op whose endpoints sit in
@@ -181,13 +177,6 @@ type batchTask struct {
 // Ops confined to trivial components that close no cycle touch no labels
 // at all.
 func (x *Sharded) ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		// A deferral is pending: the plain planner would stream into frozen
-		// shards. Route through the deferral-aware path, which keeps (or
-		// recomputes) the pending rebuild.
-		st, _, err := x.applyBatchDeferred(batch, workers, x.deferThreshold)
-		return st, err
-	}
 	var agg pll.UpdateStats
 	if len(batch) == 0 {
 		return agg, nil

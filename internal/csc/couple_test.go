@@ -184,6 +184,53 @@ func TestCoupleFormMatchesGenericStreams(t *testing.T) {
 	t.Logf("%d ops, %d deletes left a generic mirror that is no derivation", ops, resyncs)
 }
 
+// TestCoupleFormWritesIntoMergeRebuild streams writes into a shard the
+// write path rebuilt: two 200-vertex SCCs merge through one ApplyBatch,
+// whose rebuild leaves the merged shard reduced, unfrozen, holding its
+// stored lists in one exactly sized slab (pll.Index.Compact) and no Gb.
+// 120 random toggles inside the shard then run in couple form on that
+// slab, each checked against the BFS oracle and against a generic
+// construction of the same subgraph under the same order (writePaths).
+func TestCoupleFormWritesIntoMergeRebuild(t *testing.T) {
+	const half = 200
+	g := graph.New(2 * half)
+	for i, seed := range []int64{3, 4} {
+		part := testgraphs.GiantSCC(half, 700, seed)
+		for u := 0; u < half; u++ {
+			for _, v := range part.Out(u) {
+				if err := g.AddEdge(i*half+u, i*half+int(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	x, _ := BuildSharded(g, Options{})
+	if x.NumShards() != 2 {
+		t.Fatalf("%d shards before the merge, want 2", x.NumShards())
+	}
+	if _, err := x.ApplyBatch([]EdgeOp{Ins(0, half), Ins(half, 0)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if merges, _ := x.Rebuilds(); merges == 0 || x.NumShards() != 1 || x.BatchRebuilds() != 1 {
+		t.Fatalf("%d merges, %d shards, %d rebuilds after the bridge pair; want one merge rebuild into one shard", merges, x.NumShards(), x.BatchRebuilds())
+	}
+	sh := x.shards[x.ShardOf(0)]
+	if len(sh.verts) != 2*half {
+		t.Fatalf("the merged shard has %d vertices, want %d", len(sh.verts), 2*half)
+	}
+	e := sh.idx.eng
+	if !e.CoupleForm() || e.G != nil || e.FrozenArena() != nil || e.Arena() != nil {
+		t.Fatalf("merged shard: couple form %v, Gb %v, frozen %v, arena %v; want couple form over an unfrozen slab without Gb",
+			e.CoupleForm(), e.G != nil, e.FrozenArena() != nil, e.Arena() != nil)
+	}
+	sub := x.subgraph(sh)
+	generic, _ := Build(sub.Clone(), orderFor(sub, x.opts), Options{GenericConstruction: true})
+	w := &writePaths{g: sub.Clone(), generic: generic, couple: sh.idx}
+	w.check(t, "merge rebuild", true)
+	randomToggles(t, "merged shard", w, rand.New(rand.NewSource(7)), 120)
+	t.Logf("120 ops, %d deletes left a generic mirror that is no derivation", w.resyncs)
+}
+
 // TestCoupleFormHeadCoupleDelete is the first divergence a one-off run
 // of 90 streams found (GiantSCC(120,400), PowerLaw(150,600) and
 // DAGHeavy(150,400,6), seeds 1–30, 150 random toggles each, coverage

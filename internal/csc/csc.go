@@ -19,9 +19,9 @@
 // arena (label.Frozen) that reads stream through cursors, and the shard
 // turns lean: it holds that store and nothing else — no list headers, no
 // Gb and no induced subgraph, which the sharded index re-induces from its
-// served graph when a write or a freeze needs it. A skipping build
-// never converts Gb. A rebuild on the write path (merge, split, deferred rebuild) leaves
-// the stored lists in one slab of plain slices. A shard's first label
+// served graph when a write needs it. A skipping build never converts
+// Gb. A rebuild on the write path (a merge or a split) leaves the stored
+// lists in one slab of plain slices. A shard's first label
 // write under Redundancy gives it its couple form: its induced subgraph,
 // and its two stored lists decoded into one exactly sized slab of plain
 // slices (pll.Index.Thaw). INCCNT and the decremental repair then walk

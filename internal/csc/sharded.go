@@ -50,16 +50,6 @@ type Sharded struct {
 	// the per-shard gauge tracks churn at the serving slot, which is the
 	// granularity /metrics exposes.
 	slotRebuilds []uint64
-
-	// Out-of-band rebuild state (deferred.go). stale marks shard slots
-	// frozen at their pre-deferral answers; pendingReb is the deferral
-	// that will replace them; deferThreshold remembers the last deferral
-	// threshold so per-op and plain-batch entry points stay sound while a
-	// deferral is pending.
-	stale                       map[int32]bool
-	pendingReb                  *Rebuild
-	deferThreshold              int
-	oobCompleted, oobSuperseded int
 }
 
 // shard is one non-trivial SCC: its member vertices (sorted ascending —
@@ -67,11 +57,10 @@ type Sharded struct {
 // subgraph, and the ordering strategy that produced the index's hub
 // order (provenance — the order itself lives in the index).
 //
-// A lean shard that is not frozen holds no induced subgraph (its
-// index's graph is nil): its labels encode its members' induced
-// subgraph in the served graph, and everything that would change that
-// subgraph, freeze the shard or read it takes it first (subgraph). A
-// written, rebuilt, compressed or frozen shard keeps its own.
+// A lean shard holds no induced subgraph (its index's graph is nil): its
+// labels encode its members' induced subgraph in the served graph, and
+// everything that would change that subgraph or read it takes it first
+// (subgraph). A written, rebuilt or compressed shard keeps its own.
 type shard struct {
 	verts []int32
 	idx   *Index
@@ -246,13 +235,6 @@ func (x *Sharded) CycleCountAll(workers int) (lengths []int, counts []uint64) {
 // its tail merges components and rebuilds exactly the merged one; any
 // other cross-component edge is recorded label-free.
 func (x *Sharded) InsertEdge(a, b int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		// A deferral is pending: route through the deferral-aware batch
-		// path so frozen shards stay frozen and the pending region tracks
-		// this edge.
-		st, _, err := x.applyBatchDeferred([]EdgeOp{Ins(a, b)}, 1, x.deferThreshold)
-		return st, err
-	}
 	sa, la := x.locate(a)
 	sb, lb := x.locate(b)
 	if sa >= 0 && sa == sb {
@@ -281,10 +263,6 @@ func (x *Sharded) InsertEdge(a, b int) (pll.UpdateStats, error) {
 // labels decrementally (component intact) or rebuilds the component's
 // surviving sub-components (component split).
 func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		st, _, err := x.applyBatchDeferred([]EdgeOp{Del(a, b)}, 1, x.deferThreshold)
-		return st, err
-	}
 	s, la := x.locate(a)
 	sb, lb := x.locate(b)
 	if s >= 0 && s == sb {
@@ -492,9 +470,8 @@ func (x *Sharded) StoredEntries() int {
 
 // GraphBytes sums the adjacency footprint (graph.Digraph.Bytes) of every
 // graph the index holds: the global graph plus, for each shard that is
-// not lean (or is frozen), its subgraph and, once the generic engine
-// wrote the shard, its bipartite conversion Gb (a couple-form write
-// holds none).
+// not lean, its subgraph and, once the generic engine wrote the shard,
+// its bipartite conversion Gb (a couple-form write holds none).
 func (x *Sharded) GraphBytes() int {
 	total := x.g.Bytes()
 	for _, sh := range x.shards {
@@ -561,7 +538,6 @@ type ShardStat struct {
 	Entries    int            // label entries
 	LabelBytes int            // label footprint (8 bytes per entry)
 	Rebuilds   uint64         // fresh installs this slot has served
-	Stale      bool           // frozen, serving pre-deferral answers
 	Order      order.Strategy // strategy that produced the shard's hub order
 }
 
@@ -579,7 +555,6 @@ func (x *Sharded) ShardStats() []ShardStat {
 			Vertices:   len(sh.verts),
 			Entries:    entries,
 			LabelBytes: 8 * entries,
-			Stale:      x.stale[int32(si)],
 			Order:      sh.strat,
 		}
 		if si < len(x.slotRebuilds) {

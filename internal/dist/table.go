@@ -99,7 +99,6 @@ func FetchTable(workerURL string, nGroups int, c *http.Client) (*Table, error) {
 			Vertices:   sh.Vertices,
 			Entries:    sh.Entries,
 			LabelBytes: sh.LabelBytes,
-			Stale:      sh.Stale,
 		})
 	}
 	return BuildTable(tbl.ShardOf, stats, nGroups), nil

@@ -186,14 +186,6 @@ type Options struct {
 	// set), > 0 forces a ring of that depth even without metrics, < 0
 	// disables tracing.
 	TraceRingSize int
-	// OOBRebuildThreshold moves structural component rebuilds of at
-	// least this many vertices out of the writer's grace period: the
-	// batch commits its cheap intra-shard work immediately, affected
-	// shards keep serving their pre-batch (stale) answers, and the
-	// rebuild runs on a background goroutine and swaps in atomically
-	// when done (Stats.Degraded lists the stale shards meanwhile). 0
-	// disables deferral: every rebuild is inline, blocking the batch.
-	OOBRebuildThreshold int
 	// Replication, when set, receives every committed batch in order on
 	// the writer goroutine (after the local WAL append succeeds, before
 	// the grace period applies it), and is Closed — the in-flight shipment
@@ -263,13 +255,6 @@ type Stats struct {
 	// shards not yet written serve (zero for an index built or loaded
 	// from v1/v2).
 	CompressedBytes int `json:"compressed_bytes,omitempty"`
-	// Degraded lists shard slots currently serving stale answers while an
-	// out-of-band rebuild is pending; OOBRebuilds counts completed
-	// background swaps, OOBSuperseded rebuilds discarded because later
-	// batches changed the pending region first.
-	Degraded      []int  `json:"degraded,omitempty"`
-	OOBRebuilds   uint64 `json:"oob_rebuilds,omitempty"`
-	OOBSuperseded uint64 `json:"oob_superseded,omitempty"`
 	// CacheSlots counts the result cache's per-vertex entries: one per
 	// vertex in a shard, none for trivial vertices, whose reads are
 	// answered from the slot table and count as cache hits.
@@ -320,8 +305,6 @@ type Engine struct {
 	// cache-miss kernels — a cache hit executes zero instrumentation.
 	joinNS, boundedNS *obs.Histogram
 	batchNS, snapNS   *obs.Histogram
-	staleHist         *obs.Histogram
-	oobRunNS          *obs.Histogram
 	stageNS           stageHists
 	trace             *obs.Ring
 
@@ -334,22 +317,12 @@ type Engine struct {
 	errMu sync.Mutex
 	errv  error // first durability error; nil again after a clean snapshot
 
-	// rebuilt carries finished out-of-band rebuilds back to the writer
-	// goroutine. Buffered one deep: at most one rebuild is ever running,
-	// so the background goroutine's send never blocks.
-	rebuilt chan rebuildDone
-
 	// Writer-goroutine state.
 	pending   []Op
 	sinceSnap int
 	// firstOpAt is when the oldest op of the pending batch entered the
 	// writer's hands — the trace's enqueue-wait stage.
 	firstOpAt time.Time
-	// oobInflight is the rebuild currently running on the background
-	// goroutine; oobNext the one queued behind it (a newer deferral
-	// supersedes anything queued, so one slot suffices).
-	oobInflight *csc.Rebuild
-	oobNext     *csc.Rebuild
 }
 
 type ctlReq struct {
@@ -407,7 +380,6 @@ func start(ix *csc.Sharded, st *Store, seq uint64, opts Options) *Engine {
 		store:    st,
 		queries:  make([]paddedCount, len(lock.shards)),
 		hits:     make([]paddedCount, len(lock.shards)),
-		rebuilt:  make(chan rebuildDone, 1),
 		enqueued: &obs.Counter{}, applied: &obs.Counter{},
 		coalesced: &obs.Counter{}, rejected: &obs.Counter{},
 		batches: &obs.Counter{}, snaps: &obs.Counter{},
@@ -701,7 +673,6 @@ func (e *Engine) Snapshot() error {
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	err := e.do(func() error {
-		e.awaitRebuilds() // a stale shard must not be serialized
 		var werr error
 		n, werr = e.ix.WriteTo(w)
 		return werr
@@ -790,9 +761,6 @@ func (e *Engine) Stats() Stats {
 	st.LabelBytes = e.ix.Bytes()
 	st.LabelResidentBytes = e.ix.ResidentBytes()
 	st.GraphBytes = e.ix.GraphBytes()
-	st.Degraded = e.ix.StaleShards()
-	c, s := e.ix.OOBRebuilds()
-	st.OOBRebuilds, st.OOBSuperseded = uint64(c), uint64(s)
 	st.CompressedBytes = e.ix.CompressedBytes()
 	st.CacheSlots = e.cacheSlots()
 	m.RUnlock()
@@ -869,8 +837,6 @@ func (e *Engine) run() {
 			timer = nil
 			timerC = nil
 			e.applyPending()
-		case r := <-e.rebuilt:
-			e.finishRebuild(r)
 		case req := <-e.ctl:
 			flushAll()
 			var err error
@@ -880,7 +846,6 @@ func (e *Engine) run() {
 			req.ack <- err
 		case <-e.quit:
 			flushAll()
-			e.awaitRebuilds()
 			// Replication barrier before the store closes: every batch the
 			// flush above committed has been handed to the sink, and Close
 			// blocks until in-flight shipments land (or the sink's own
@@ -978,7 +943,7 @@ func (e *Engine) applyPending() {
 		shipNS = time.Since(shipStart).Nanoseconds()
 	}
 	applyStart := time.Now()
-	touched, st, deferred := e.apply(batch, seq)
+	touched, st := e.apply(batch, seq)
 	applyNS := time.Since(applyStart).Nanoseconds()
 	e.seq.Store(seq)
 	e.batches.Add(1)
@@ -991,15 +956,10 @@ func (e *Engine) applyPending() {
 		h(batch, touched)
 	}
 	hooksNS := time.Since(hooksStart).Nanoseconds()
-	e.recordBatch(seq, start, raw, batch, touched, st, deferred, waitNS, coalesceNS, walNS, shipNS, applyNS, hooksNS)
+	e.recordBatch(seq, start, raw, batch, touched, st, waitNS, coalesceNS, walNS, shipNS, applyNS, hooksNS)
 	if e.store != nil && e.opts.SnapshotEvery > 0 {
 		e.sinceSnap++
-		// Periodic snapshots wait out any pending out-of-band rebuild
-		// (serializing a stale shard would persist its pre-batch labels),
-		// so skip the cadence while one is in flight rather than stall the
-		// writer; sinceSnap keeps accumulating and the next quiet batch
-		// triggers it.
-		if e.sinceSnap >= e.opts.SnapshotEvery && e.oobInflight == nil && e.oobNext == nil {
+		if e.sinceSnap >= e.opts.SnapshotEvery {
 			_ = e.snapshotNow()
 		}
 	}
@@ -1082,24 +1042,21 @@ func batchOps(batch []Op) []csc.EdgeOp {
 
 // apply runs one batch inside the grace period through the index's batch
 // planner — independent per-shard update streams on UpdateWorkers
-// goroutines, merge/split effects computed once for the whole batch, and
-// structural rebuilds of at least OOBRebuildThreshold vertices deferred
-// out of band (a zero threshold defers nothing) — and returns the batch's
-// dirty set: the sorted original-graph vertices whose labels it touched,
-// which is exactly the set whose query answers can differ
-// (csc.DirtyVertices). The result cache is expired for those vertices
-// before the grace period ends, so no reader ever pairs a post-batch
-// epoch with a pre-batch value.
-func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats, deferred bool) {
+// goroutines, merge/split effects computed once for the whole batch and
+// rebuilt inline — and returns the batch's dirty set: the sorted
+// original-graph vertices whose labels it touched, which is exactly the
+// set whose query answers can differ (csc.DirtyVertices). The result
+// cache is expired for those vertices before the grace period ends, so no
+// reader ever pairs a post-batch epoch with a pre-batch value.
+func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats) {
 	e.lock.lockAll()
-	st, pending, err := e.ix.ApplyBatchDeferred(batchOps(batch), e.opts.UpdateWorkers, e.opts.OOBRebuildThreshold)
+	st, err := e.ix.ApplyBatch(batchOps(batch), e.opts.UpdateWorkers)
 	if err != nil {
 		// Coalescing computed the batch against the live graph, so a
 		// rejected batch is unreachable short of index corruption. Fall
 		// back to per-op application so one bad op cannot take the whole
 		// batch down with it.
 		st = e.applyPerOp(batch)
-		pending = e.ix.PendingRebuild()
 	}
 	dirty = csc.DirtyVertices(st)
 	if e.cache != nil {
@@ -1107,121 +1064,7 @@ func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats,
 		e.cache.invalidate(e.ix, dirty, seq)
 	}
 	e.lock.unlockAll()
-	e.scheduleRebuild(pending)
-	return dirty, st, pending != nil
-}
-
-// scheduleRebuild reconciles the writer's rebuild slots with the index's
-// pending deferral after a batch. pending is one of: nil (nothing
-// deferred, or the previous deferral dissolved — a flapped bridge edge
-// re-inserted before its rebuild ran owes no rebuild at all), the
-// rebuild already running in the background (the batch left it current),
-// or a new deferral that supersedes whatever was queued.
-func (e *Engine) scheduleRebuild(pending *csc.Rebuild) {
-	if pending != nil && pending == e.oobInflight {
-		e.oobNext = nil
-		return
-	}
-	e.oobNext = pending
-	e.maybeStartRebuild()
-}
-
-// maybeStartRebuild hands the queued deferral to a background goroutine.
-// At most one rebuild runs at a time, so the goroutine's send into the
-// 1-buffered rebuilt channel can never block.
-func (e *Engine) maybeStartRebuild() {
-	if e.oobInflight != nil || e.oobNext == nil {
-		return
-	}
-	r := e.oobNext
-	e.oobNext = nil
-	e.oobInflight = r
-	workers := e.opts.UpdateWorkers
-	go func() {
-		t0 := time.Now()
-		r.Run(workers)
-		e.rebuilt <- rebuildDone{r: r, runNS: time.Since(t0).Nanoseconds()}
-	}()
-}
-
-// finishRebuild swaps a finished out-of-band rebuild into the index
-// under a grace period. The swap changes answers for the rebuilt region
-// without a WAL record of its own — every edge behind it is already
-// logged — so it bumps the sequence number purely as a cache epoch (the
-// WAL tolerates the gap: replay only requires increasing sequence
-// numbers). A rebuild superseded while it ran is discarded here by the
-// index (CompleteRebuild reports false) and the still-pending deferral,
-// if any, has already been queued by the superseding batch.
-func (e *Engine) finishRebuild(d rebuildDone) {
-	r := d.r
-	e.oobInflight = nil
-	seq := e.seq.Load() + 1
-	swapStart := time.Now()
-	e.lock.lockAll()
-	st, installed := e.ix.CompleteRebuild(r)
-	var dirty []int
-	if installed {
-		dirty = csc.DirtyVertices(st)
-		if e.cache != nil {
-			e.cache.sync(e.ix)
-			e.cache.invalidate(e.ix, dirty, seq)
-		}
-		e.seq.Store(seq)
-	}
-	e.lock.unlockAll()
-	if installed {
-		// The freeze→swap window: how long the rebuilt shards served
-		// stale answers, measured from the deferral's (inherited) freeze
-		// point to the swap landing.
-		var staleNS int64
-		if fa := r.FrozenAt(); !fa.IsZero() {
-			staleNS = time.Since(fa).Nanoseconds()
-		}
-		e.staleHist.Observe(staleNS)
-		e.oobRunNS.Observe(d.runNS)
-		swapNS := time.Since(swapStart).Nanoseconds()
-		e.trace.Add(obs.BatchTrace{
-			Seq:    seq,
-			Kind:   "oob-swap",
-			Start:  swapStart,
-			Shards: r.StaleSlots(),
-			Stages: []obs.Stage{
-				{Name: "rebuild", DurNS: d.runNS},
-				{Name: "swap", DurNS: swapNS},
-			},
-			StaleNS: staleNS,
-			TotalNS: d.runNS + swapNS,
-		})
-	}
-	if installed && len(dirty) > 0 {
-		// The swap is a batch commit as far as consumers are concerned:
-		// the top-k monitor must rescore the now-fresh region. No ops to
-		// report — the edges were already in earlier batches' hooks.
-		e.hookMu.Lock()
-		hooks := e.hooks
-		e.hookMu.Unlock()
-		for _, h := range hooks {
-			h(nil, dirty)
-		}
-	}
-	e.maybeStartRebuild()
-}
-
-// awaitRebuilds runs on the writer goroutine and completes every pending
-// out-of-band rebuild synchronously — the barrier before operations that
-// must see a fully fresh index (snapshots, WriteTo, close).
-func (e *Engine) awaitRebuilds() {
-	e.maybeStartRebuild()
-	for e.oobInflight != nil {
-		e.finishRebuild(<-e.rebuilt)
-	}
-}
-
-// WaitRebuilds flushes the mailbox and blocks until no out-of-band
-// rebuild is pending: every shard serves fresh answers afterward (until
-// the next deferring batch). The quiesce point for tests and benchmarks.
-func (e *Engine) WaitRebuilds() error {
-	return e.do(func() error { e.awaitRebuilds(); return nil })
+	return dirty, st
 }
 
 // applyPerOp is the degraded path behind apply: one edge at a time,
@@ -1256,9 +1099,6 @@ func (e *Engine) snapshotNow() error {
 	if e.store == nil {
 		return errors.New("engine: no store configured")
 	}
-	// A pending out-of-band rebuild must land first: serializing a stale
-	// shard would persist pre-batch labels that disagree with the graph.
-	e.awaitRebuilds()
 	snapStart := time.Now()
 	if err := e.store.WriteSnapshot(e.seq.Load(), e.ix); err != nil {
 		// A half-done snapshot cannot be trusted to leave the WAL in an

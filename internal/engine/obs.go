@@ -28,14 +28,6 @@ type stageHists struct {
 	coalesce, wal, ship, plan, apply, rebuild, hooks *obs.Histogram
 }
 
-// rebuildDone carries a finished out-of-band rebuild back to the writer
-// goroutine, with how long the background Run took (the trace's rebuild
-// stage — the writer never observed that time itself).
-type rebuildDone struct {
-	r     *csc.Rebuild
-	runNS int64
-}
-
 // initObs wires the engine's observability: the trace ring (on whenever
 // metrics are, or explicitly sized), and — with a registry — the full
 // metric surface. One registry serves one engine; a second engine needs
@@ -173,25 +165,6 @@ func (e *Engine) initObs() {
 		e.store.fsyncNS = reg.Histogram("cscd_wal_fsync_seconds", "WAL fsync latency")
 	}
 
-	e.staleHist = reg.Histogram("cscd_oob_stale_seconds", "out-of-band rebuild freeze-to-swap stale window")
-	e.oobRunNS = reg.Histogram("cscd_oob_rebuild_seconds", "out-of-band background rebuild run time")
-	reg.GaugeFunc("cscd_degraded_shards", "shard slots currently serving stale answers", func() float64 {
-		m := e.lock.rlock(0)
-		defer m.RUnlock()
-		return float64(len(e.ix.StaleShards()))
-	})
-	reg.CounterFunc("cscd_oob_rebuilds_total", "out-of-band rebuild components completed", func() uint64 {
-		m := e.lock.rlock(0)
-		defer m.RUnlock()
-		c, _ := e.ix.OOBRebuilds()
-		return uint64(c)
-	})
-	reg.CounterFunc("cscd_oob_superseded_total", "out-of-band rebuilds superseded before completing", func() uint64 {
-		m := e.lock.rlock(0)
-		defer m.RUnlock()
-		_, s := e.ix.OOBRebuilds()
-		return uint64(s)
-	})
 	// Per-shard footprint, one sample per live slot. Each collector takes
 	// one shard-stats pass under a reader epoch — scrape-time only.
 	shardStats := func() []csc.ShardStat {
@@ -224,15 +197,6 @@ func (e *Engine) initObs() {
 			emit(strconv.Itoa(s.Slot), float64(s.Order))
 		}
 	})
-	reg.Collect("cscd_shard_stale", "1 while the shard slot serves stale answers", "shard", func(emit func(string, float64)) {
-		for _, s := range shardStats() {
-			v := 0.0
-			if s.Stale {
-				v = 1
-			}
-			emit(strconv.Itoa(s.Slot), v)
-		}
-	})
 }
 
 // defaultTraceRing is the trace ring depth when metrics are enabled and
@@ -252,7 +216,7 @@ func (e *Engine) Traces() []obs.BatchTrace { return e.trace.Snapshot() }
 // here is nil-safe, so the uninstrumented engine pays only the
 // time.Now() reads in applyPending.
 func (e *Engine) recordBatch(seq uint64, start time.Time, raw int, batch []Op, dirty []int,
-	st pll.UpdateStats, deferred bool, waitNS, coalesceNS, walNS, shipNS, applyNS, hooksNS int64) {
+	st pll.UpdateStats, waitNS, coalesceNS, walNS, shipNS, applyNS, hooksNS int64) {
 	planNS := st.PlanDuration.Nanoseconds()
 	rebuildNS := st.BuildDuration.Nanoseconds()
 	e.stageNS.coalesce.Observe(coalesceNS)
@@ -286,16 +250,15 @@ func (e *Engine) recordBatch(seq uint64, start time.Time, raw int, batch []Op, d
 		obs.Stage{Name: "hooks", DurNS: hooksNS},
 	)
 	e.trace.Add(obs.BatchTrace{
-		Seq:      seq,
-		Kind:     "batch",
-		Start:    start,
-		Raw:      raw,
-		Ops:      len(batch),
-		Shards:   e.dirtyShards(dirty),
-		Deferred: deferred,
-		WaitNS:   waitNS,
-		Stages:   stages,
-		TotalNS:  time.Since(start).Nanoseconds(),
+		Seq:     seq,
+		Kind:    "batch",
+		Start:   start,
+		Raw:     raw,
+		Ops:     len(batch),
+		Shards:  e.dirtyShards(dirty),
+		WaitNS:  waitNS,
+		Stages:  stages,
+		TotalNS: time.Since(start).Nanoseconds(),
 	})
 }
 

@@ -106,61 +106,6 @@ func TestBatchLifecycleTrace(t *testing.T) {
 	}
 }
 
-// TestOOBSwapTrace: a deferring batch marks itself Deferred, and the
-// background rebuild's swap lands as its own trace entry carrying the
-// freeze→swap stale window.
-func TestOOBSwapTrace(t *testing.T) {
-	reg := obs.New()
-	x, _ := csc.BuildSharded(twoSixRings(t), csc.Options{})
-	e := New(x, Options{FlushInterval: -1, UpdateWorkers: 1, OOBRebuildThreshold: 8, Metrics: reg})
-	defer e.Close()
-
-	for _, del := range [][2]int{{0, 1}, {11, 6}} {
-		if err := e.Delete(del[0], del[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, ins := range [][2]int{{0, 6}, {11, 1}} {
-		if err := e.Insert(ins[0], ins[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Flush()
-	if err := e.WaitRebuilds(); err != nil {
-		t.Fatal(err)
-	}
-
-	var deferredBatch, swap *obs.BatchTrace
-	traces := e.Traces()
-	for i := range traces {
-		switch {
-		case traces[i].Kind == "batch" && traces[i].Deferred:
-			deferredBatch = &traces[i]
-		case traces[i].Kind == "oob-swap":
-			swap = &traces[i]
-		}
-	}
-	if deferredBatch == nil {
-		t.Fatalf("no deferred batch trace in %+v", traces)
-	}
-	if swap == nil {
-		t.Fatalf("no oob-swap trace in %+v", traces)
-	}
-	if swap.StaleNS <= 0 {
-		t.Fatalf("swap has no stale window: %+v", swap)
-	}
-	if len(swap.Stages) != 2 || swap.Stages[0].Name != "rebuild" || swap.Stages[1].Name != "swap" {
-		t.Fatalf("swap stages: %+v", swap.Stages)
-	}
-	if len(swap.Shards) == 0 {
-		t.Fatalf("swap lists no shards: %+v", swap)
-	}
-	if got := e.staleHist.Snapshot().Count; got != 1 {
-		t.Fatalf("stale-window histogram count %d, want 1", got)
-	}
-	assertOracle(t, "post-swap", e)
-}
-
 // BenchmarkObsOverhead measures the cache-hit read path with and without
 // metrics enabled. A hit executes no instrumentation at all — no clock
 // reads, no histogram writes — so the two arms must sit within noise of

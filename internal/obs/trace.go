@@ -12,15 +12,12 @@ type Stage struct {
 }
 
 // BatchTrace is one entry of the batch-lifecycle trace ring: everything
-// that happened to one applied batch (or one out-of-band rebuild swap),
-// with per-stage durations. The /debug/trace endpoint serves the ring's
-// recent entries as JSON.
+// that happened to one applied batch, with per-stage durations. The
+// /debug/trace endpoint serves the ring's recent entries as JSON.
 type BatchTrace struct {
-	// Seq is the batch's sequence number (a swap entry carries the
-	// sequence it committed under).
+	// Seq is the batch's sequence number.
 	Seq uint64 `json:"seq"`
-	// Kind is "batch" for a mailbox batch, "oob-swap" for an
-	// out-of-band rebuild landing.
+	// Kind is "batch", the one kind of entry: a mailbox batch.
 	Kind string `json:"kind"`
 	// Start is when the writer began processing (wall clock).
 	Start time.Time `json:"start"`
@@ -30,18 +27,12 @@ type BatchTrace struct {
 	Ops int `json:"ops,omitempty"`
 	// Shards lists the shard slots the batch streamed into or rebuilt.
 	Shards []int `json:"shards,omitempty"`
-	// Deferred marks a batch that handed a structural rebuild to the
-	// out-of-band path instead of running it inline.
-	Deferred bool `json:"deferred,omitempty"`
 	// WaitNS is how long the first op of the batch sat in the mailbox
 	// before the writer started on it (the enqueue stage).
 	WaitNS int64 `json:"wait_ns,omitempty"`
 	// Stages are the writer-side steps in order: coalesce, wal, plan,
-	// apply, rebuild, hooks for a batch; rebuild, swap for an oob-swap.
+	// apply, rebuild, hooks (ship after wal when replicating).
 	Stages []Stage `json:"stages"`
-	// StaleNS is an oob-swap's freeze→swap window: how long the rebuilt
-	// shards served stale answers.
-	StaleNS int64 `json:"stale_ns,omitempty"`
 	// TotalNS is the whole entry's wall-clock.
 	TotalNS int64 `json:"total_ns"`
 }

@@ -22,7 +22,7 @@ import (
 //	                  plus the per-route request-latency histograms this
 //	                  layer records
 //	GET /debug/trace  recent batch-lifecycle traces as JSON, oldest
-//	                  first (batches and out-of-band rebuild swaps)
+//	                  first
 //	GET /debug/pprof  the standard pprof handlers, mounted only with
 //	                  Options.Pprof
 //

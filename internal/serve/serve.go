@@ -131,17 +131,13 @@ type EdgesResponse struct {
 
 // HealthJSON is the /healthz response body.
 type HealthJSON struct {
-	// Status is ok, degraded (read-only durability loss or stale shards
-	// pending an out-of-band rebuild), or overloaded (mailbox full).
-	Status   string `json:"status"`
-	ReadOnly bool   `json:"read_only,omitempty"`
-	// DegradedShards lists the shard slots currently serving stale
-	// answers, so degradation is attributable to specific shards rather
-	// than a boolean.
-	DegradedShards []int  `json:"degraded_shards,omitempty"`
-	QueueDepth     int    `json:"queue_depth"`
-	MailboxCap     int    `json:"mailbox_cap"`
-	Err            string `json:"error,omitempty"`
+	// Status is ok, degraded (read-only durability loss or a sticky
+	// durability error), or overloaded (mailbox full).
+	Status     string `json:"status"`
+	ReadOnly   bool   `json:"read_only,omitempty"`
+	QueueDepth int    `json:"queue_depth"`
+	MailboxCap int    `json:"mailbox_cap"`
+	Err        string `json:"error,omitempty"`
 }
 
 // StatsJSON is the /stats response body.
@@ -299,11 +295,10 @@ type ShardTableJSON struct {
 
 // ShardJSON is one live shard's footprint in a ShardTableJSON.
 type ShardJSON struct {
-	Slot       int  `json:"slot"`
-	Vertices   int  `json:"vertices"`
-	Entries    int  `json:"entries"`
-	LabelBytes int  `json:"label_bytes"`
-	Stale      bool `json:"stale,omitempty"`
+	Slot       int `json:"slot"`
+	Vertices   int `json:"vertices"`
+	Entries    int `json:"entries"`
+	LabelBytes int `json:"label_bytes"`
 }
 
 func (s *server) clusterShards(w http.ResponseWriter, r *http.Request) {
@@ -320,7 +315,6 @@ func (s *server) clusterShards(w http.ResponseWriter, r *http.Request) {
 			Vertices:   st.Vertices,
 			Entries:    st.Entries,
 			LabelBytes: st.LabelBytes,
-			Stale:      st.Stale,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -341,15 +335,14 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	st := s.e.Stats()
 	h := HealthJSON{
-		Status:         "ok",
-		ReadOnly:       st.ReadOnly,
-		DegradedShards: st.Degraded,
-		QueueDepth:     st.QueueDepth,
-		MailboxCap:     st.MailboxCap,
-		Err:            st.Err,
+		Status:     "ok",
+		ReadOnly:   st.ReadOnly,
+		QueueDepth: st.QueueDepth,
+		MailboxCap: st.MailboxCap,
+		Err:        st.Err,
 	}
 	switch {
-	case st.ReadOnly || st.Err != "" || len(st.Degraded) > 0:
+	case st.ReadOnly || st.Err != "":
 		h.Status = "degraded"
 	case st.QueueDepth >= st.MailboxCap:
 		h.Status = "overloaded"

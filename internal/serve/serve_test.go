@@ -468,6 +468,25 @@ func TestReadOnlyErrorShape(t *testing.T) {
 	if code, _ := do(t, "GET", srv.URL+"/cycle/0", nil); code != 200 {
 		t.Fatalf("read while read-only: %d", code)
 	}
+	// /healthz reports the mode: liveness stays 200, readiness turns 503.
+	for _, probe := range []struct {
+		path string
+		code int
+	}{{"/healthz", 200}, {"/healthz?ready=1", 503}} {
+		resp, err := http.Get(srv.URL + probe.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h serve.HealthJSON
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", probe.path, err)
+		}
+		if code := resp.StatusCode; code != probe.code || h.Status != "degraded" || !h.ReadOnly || h.Err == "" {
+			t.Fatalf("%s while read-only: %d %+v, want %d degraded with the error", probe.path, resp.StatusCode, h, probe.code)
+		}
+	}
 }
 
 // lockedWriter serializes test reads of the access-log buffer against
